@@ -107,9 +107,11 @@ def test_bench_functional_gap(benchmark, runs, engine):
 
     # DTMB(2,6)'s spares sit off the route spine: repairs rarely break
     # the assay.  DTMB(4,4)'s spare lattice disconnects the primary
-    # fabric outright — matching yield ~1, functional yield exactly 0.
+    # fabric of the fault-free chip — matching yield ~1, functional yield
+    # ~0.  Not exactly 0: a rare repair remap reconnects the fabric (1 in
+    # 10000 runs at n=60, p=0.9, paper budget).
     assert result.worst_gap(DTMB_2_6.name) < 0.05
     assert result.worst_gap(DTMB_4_4.name) > 0.9
     for point in result.functional:
         if point.design == DTMB_4_4.name:
-            assert point.estimate.value == 0.0, point
+            assert point.estimate.value <= 1e-3, point

@@ -33,7 +33,7 @@ Stable programmatic surface (import from here, not from deep modules)::
 Deep paths keep working — ``repro.SweepEngine`` and friends resolve
 lazily — but the names exported in ``__all__`` are the compatibility
 contract; everything else may move between modules (as the engine split
-into scheduler/executors did, with deprecation shims).
+into scheduler/executors did).
 """
 
 from typing import TYPE_CHECKING, Optional

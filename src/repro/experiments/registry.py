@@ -50,9 +50,9 @@ from typing import (
 )
 
 from repro.errors import ExperimentError
+from repro.obs.counters import Counters
+from repro.obs.profile import merge_into
 from repro.yieldsim.engine import SweepEngine
-from repro.yieldsim.cachestore import StoreStats
-from repro.yieldsim.resilience import ResilienceStats
 from repro.yieldsim.stats import StopRule
 
 __all__ = [
@@ -684,8 +684,7 @@ def execute(
     timings: Dict[str, float] = {}
     for point in points:
         if point.timings:
-            for key, value in point.timings.items():
-                timings[key] = timings.get(key, 0.0) + float(value)
+            merge_into(timings, point.timings)
         if point.model is not None and point.model_digest is not None:
             pair = (point.model, point.model_digest)
             if pair not in models:
@@ -730,10 +729,10 @@ def execute(
         criteria=tuple(criteria),
         criterion_funnel=funnel,
         resilience=(
-            ResilienceStats.delta(res0, track.resilience.as_dict()) or None
+            Counters.delta(res0, track.resilience.as_dict()) or None
         ),
         cache=(
-            StoreStats.delta(store0, track.store_stats.as_dict()) or None
+            Counters.delta(store0, track.store_stats.as_dict()) or None
         ),
         timings=(
             {k: round(v, 6) for k, v in sorted(timings.items())} or None

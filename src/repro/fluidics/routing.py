@@ -14,7 +14,7 @@ import itertools
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set
 
 from repro.chip.biochip import Biochip
-from repro.errors import RoutingError
+from repro.errors import ReconfigurationError, RoutingError
 from repro.reconfig.remap import CellRemap
 
 __all__ = ["Router"]
@@ -76,8 +76,15 @@ class Router:
             # Pull-back must be consistent: the logical neighbor's current
             # physical image is this very cell.  This excludes a faulty
             # primary's own coordinate (its image moved to a spare) while
-            # keeping the spare that now serves it.
-            if self.remap.physical(logical_neighbor) == neighbor_phys:
+            # keeping the spare that now serves it.  A faulty primary
+            # outside the plan's needed set was never remapped, so it has
+            # no healthy image and ``physical`` refuses it: skip it, as
+            # ``usable`` would (it rejects every faulty cell).
+            try:
+                image = self.remap.physical(logical_neighbor)
+            except ReconfigurationError:
+                continue
+            if image == neighbor_phys:
                 out.append(logical_neighbor)
         return out
 

@@ -48,6 +48,7 @@ import numpy as np
 
 from repro.assays.library import PANEL, assay_by_analyte
 from repro.errors import AssayError, CriterionError
+from repro.obs.counters import CriterionStats
 from repro.yieldsim.kernel import GOOD, RepairStructure
 
 __all__ = [
@@ -59,67 +60,6 @@ __all__ = [
     "criterion_from_spec",
     "available_criteria",
 ]
-
-#: Prefix of criterion counters on the worker wire dict, so one flat dict
-#: can carry :class:`~repro.yieldsim.kernel.ScreenStats` keys and
-#: criterion keys side by side with no collisions (both ``from_dict``
-#: readers filter to their own keys).
-_WIRE_PREFIX = "crit_"
-
-
-@dataclass
-class CriterionStats:
-    """Where the runs of a batch were decided, criterion stage by stage.
-
-    ``matching_fail`` runs failed the matching screen (exact: matching
-    infeasible implies no remap exists, so every functional criterion
-    fails); ``spare_only`` runs had no faulty primary anywhere and take
-    the fault-free baseline verdict; ``route_clear`` runs kept the entire
-    fault-free route alive (routing criterion only — exact success);
-    ``unreachable`` runs lost physical connectivity for some leg (exact
-    failure); only ``residue`` runs paid for the real scheduler, of which
-    ``residue_ok`` succeeded.
-    """
-
-    runs: int = 0
-    matching_fail: int = 0
-    spare_only: int = 0
-    route_clear: int = 0
-    unreachable: int = 0
-    residue: int = 0
-    residue_ok: int = 0
-
-    @property
-    def screened(self) -> int:
-        """Runs decided without driving the scheduler."""
-        return self.runs - self.residue
-
-    def merge(self, other: "CriterionStats") -> None:
-        """Accumulate another batch's counters into this one."""
-        for name in self.__dataclass_fields__:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
-    def as_dict(self) -> Dict[str, int]:
-        """Plain-keyed counters (telemetry blocks, ``PointRecord``)."""
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
-
-    def wire_dict(self) -> Dict[str, int]:
-        """``crit_``-prefixed counters for the worker wire dict."""
-        return {
-            _WIRE_PREFIX + name: getattr(self, name)
-            for name in self.__dataclass_fields__
-        }
-
-    @classmethod
-    def from_wire(cls, data: Mapping[str, int]) -> "CriterionStats":
-        """Rebuild from a wire dict, ignoring foreign (screen) keys."""
-        fields = cls.__dataclass_fields__
-        out = {}
-        for key, value in data.items():
-            if key.startswith(_WIRE_PREFIX) and key[len(_WIRE_PREFIX):] in fields:
-                out[key[len(_WIRE_PREFIX):]] = int(value)
-        return cls(**out)
-
 
 @runtime_checkable
 class SuccessCriterion(Protocol):

@@ -7,6 +7,10 @@ armed, or crashing — the tests in ``tests/test_obs.py`` enforce that.
 
 Modules
 -------
+``counters``
+    The one counter type: :class:`~repro.obs.counters.Counters` and the
+    field lists of every per-layer tally (``ScreenStats``,
+    ``CriterionStats``, ``ResilienceStats``, ``StoreStats``).
 ``metrics``
     Zero-dependency :class:`MetricsRegistry` (counters, gauges,
     fixed-bucket histograms) with a Prometheus text encoder, plus
@@ -24,7 +28,7 @@ Modules
     the functional funnel.
 """
 
-from . import events, metrics, profile, trace
+from . import counters, events, metrics, profile, trace
 from .events import configure_logging, get_logger, log_event
 from .metrics import MetricsRegistry
 from .trace import Tracer, validate_trace
@@ -33,6 +37,7 @@ __all__ = [
     "MetricsRegistry",
     "Tracer",
     "configure_logging",
+    "counters",
     "events",
     "get_logger",
     "log_event",

@@ -6,12 +6,14 @@ armed on the thread, :func:`phase` is a no-op costing one attribute
 lookup — the functional funnel keeps its hooks in place permanently
 and pays nothing on the plain matching path.
 
-Captured timings ride the compute unit's wire stats dict under
-``time_``-prefixed keys, are attributed per point by the scheduler into
-``PointRecord.timings``, and are summed into the manifest's
-``engine.timings`` block.  Like every other telemetry channel they are
-manifest-only: timings never enter results, cache keys, or stable
-digests.
+The scheduler's unit functions arm one capture per point, so captured
+timings are each point's own: they travel back beside the point's
+success count as a plain dict, are folded into ``PointRecord.timings``
+(with :func:`merge_into` for the shards of a batched point), and are
+summed over points into the manifest's ``engine.timings`` block — sums
+that never count one second twice.  Like every other telemetry channel
+they are manifest-only: timings never enter results, cache keys, or
+stable digests.
 """
 
 from __future__ import annotations

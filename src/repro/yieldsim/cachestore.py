@@ -14,7 +14,9 @@ a torn or silently corrupted one.**  Four stores implement it:
     through a :class:`LocalStore` are byte-identical to what
     :class:`~repro.yieldsim.scheduler.PointCache` always wrote, and every
     legacy cache directory reads back unchanged.  Corrupt files are
-    quarantined (renamed ``*.corrupt``, counted) exactly as before.
+    quarantined (renamed ``*.corrupt``, counted, event-logged).  The
+    point cache's fold checkpoints (``<dir>/<key>.ckpt.json``) go
+    through a second :class:`LocalStore` with that suffix.
 :class:`SharedFSStore`
     A content-addressed ``objects/<key[:2]>/<key>`` tree on a shared
     filesystem.  Payloads are wrapped in a one-line envelope carrying
@@ -58,12 +60,11 @@ import os
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Protocol, runtime_checkable
 
 from repro.errors import StoreError
+from repro.obs.counters import ResilienceStats, StoreStats
 from repro.obs.events import get_logger, log_event
-from repro.yieldsim.resilience import ResilienceStats
 
 __all__ = [
     "CacheStore",
@@ -190,50 +191,6 @@ class CacheStore(Protocol):
     def list_keys(self) -> List[str]: ...
 
 
-# -- per-tier traffic counters ------------------------------------------------
-
-@dataclass
-class StoreStats:
-    """Tiered-cache traffic, snapshot/delta'd into manifest provenance."""
-
-    #: payloads served by the local tier
-    local_hits: int = 0
-    #: local-tier misses (the remote was consulted, or there was none)
-    local_misses: int = 0
-    #: payloads served by the remote store (then written back locally)
-    remote_hits: int = 0
-    #: keys absent from the remote as well — a true miss
-    remote_misses: int = 0
-    #: remote calls that failed or returned corrupt data (degraded to miss)
-    remote_errors: int = 0
-    #: payloads newly uploaded to the remote
-    uploads: int = 0
-    #: bytes sent to the remote
-    bytes_up: int = 0
-    #: bytes received from the remote
-    bytes_down: int = 0
-
-    _FIELDS = (
-        "local_hits", "local_misses", "remote_hits", "remote_misses",
-        "remote_errors", "uploads", "bytes_up", "bytes_down",
-    )
-
-    def as_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in self._FIELDS}
-
-    def any(self) -> bool:
-        return any(getattr(self, name) for name in self._FIELDS)
-
-    @staticmethod
-    def delta(before: Dict[str, int], after: Dict[str, int]) -> Dict[str, int]:
-        """The nonzero per-counter growth between two snapshots."""
-        return {
-            name: after[name] - before.get(name, 0)
-            for name in after
-            if after[name] - before.get(name, 0) > 0
-        }
-
-
 # -- implementations ----------------------------------------------------------
 
 class MemoryStore:
@@ -262,31 +219,42 @@ class LocalStore:
     """The historical per-run cache directory, as a store.
 
     Layout and bytes are exactly what :class:`PointCache` always wrote:
-    ``<dir>/<key>.json`` holding a self-verifying canonical JSON entry.
-    ``get`` verifies the embedded digest and quarantines anything else
-    (renamed ``*.corrupt``, counted in ``stats.quarantined``), so a
-    legacy cache directory behaves identically through this class.
-    ``put`` is an atomic overwrite (tmp + rename): the local tier is
-    single-writer-per-run and a recomputed entry must be able to replace
-    a quarantine survivor.
+    ``<dir>/<key><suffix>`` holding a self-verifying canonical JSON entry.
+    The point cache keeps its entries under the default ``.json`` suffix
+    and journals its fold checkpoints through a second store over the
+    same directory with ``suffix=".ckpt.json"``; the two key families
+    never list each other (a key is plain hex, so ``<key>.ckpt`` is not
+    one).  ``get`` verifies the embedded digest and quarantines anything
+    else (renamed ``*.corrupt``, counted in ``stats.quarantined`` and
+    logged as a ``quarantine`` event), so a legacy cache directory
+    behaves identically through this class.  ``put`` is an atomic
+    overwrite (tmp + rename): the local tier is single-writer-per-run and
+    a recomputed entry must be able to replace a quarantine survivor.
     """
 
     name = "local"
 
     def __init__(self, root: str,
-                 stats: Optional[ResilienceStats] = None) -> None:
+                 stats: Optional[ResilienceStats] = None,
+                 suffix: str = ".json") -> None:
         if os.path.exists(root) and not os.path.isdir(root):
             raise StoreError(
                 f"cache path {root!r} exists and is not a directory"
             )
         self.root = root
         self.stats = stats if stats is not None else ResilienceStats()
+        self.suffix = suffix
 
     def _path(self, key: str) -> str:
-        return os.path.join(self.root, f"{_check_key(key)}.json")
+        return os.path.join(self.root, f"{_check_key(key)}{self.suffix}")
 
     def _quarantine(self, path: str) -> None:
+        """Move a corrupt file aside so it is recomputed, never re-read."""
         self.stats.quarantined += 1
+        log_event(
+            log, "quarantine", level=logging.WARNING,
+            msg=f"quarantined corrupt cache file {path}", path=path,
+        )
         try:
             os.replace(path, f"{path}.corrupt")
         except OSError:
@@ -323,6 +291,13 @@ class LocalStore:
             return False
         return True
 
+    def delete(self, key: str) -> None:
+        """Remove the entry for ``key`` if present (never raises)."""
+        try:
+            os.unlink(self._path(key))
+        except OSError:
+            pass
+
     def exists(self, key: str) -> bool:
         return os.path.isfile(self._path(key))
 
@@ -331,12 +306,11 @@ class LocalStore:
             names = os.listdir(self.root)
         except OSError:
             return []
+        cut = len(self.suffix)
         return sorted(
-            name[:-5]
+            name[:-cut]
             for name in names
-            if name.endswith(".json")
-            and not name.endswith(".ckpt.json")
-            and valid_key(name[:-5])
+            if name.endswith(self.suffix) and valid_key(name[:-cut])
         )
 
 

@@ -73,7 +73,6 @@ and remain bit-identical to the pre-engine implementation.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
@@ -111,42 +110,6 @@ __all__ = [
     "chip_payload",
     "payload_digest",
 ]
-
-#: Deprecation shim: names that used to live (or would be guessed to
-#: live) in this module resolve to their new homes with a warning, so
-#: pre-split deep imports keep working while callers migrate to
-#: :mod:`repro.yieldsim.scheduler` / :mod:`repro.yieldsim.executors` (or
-#: the top-level :mod:`repro` API).
-#: Names that moved out in the scheduler/executor split and are *not*
-#: part of this facade's own working set (those — Executor,
-#: default_executor, PointCache, PointScheduler — remain importable here
-#: as ordinary attributes).  Deep imports of these resolve with a
-#: DeprecationWarning pointing at the new home.
-_MOVED = {
-    "SerialExecutor": ("repro.yieldsim.executors", "SerialExecutor"),
-    "InlineExecutor": ("repro.yieldsim.executors", "InlineExecutor"),
-    "PoolExecutor": ("repro.yieldsim.executors", "PoolExecutor"),
-    "_compute_batch": ("repro.yieldsim.scheduler", "compute_chunk"),
-    "_compute_shard": ("repro.yieldsim.scheduler", "compute_shard"),
-    "_structure_from_payload": ("repro.yieldsim.scheduler", "structure_from_payload"),
-}
-
-
-def __getattr__(name: str):
-    moved = _MOVED.get(name)
-    if moved is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module_name, attr = moved
-    warnings.warn(
-        f"importing {name!r} from repro.yieldsim.engine is deprecated; "
-        f"use {module_name}.{attr}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)
-
 
 @dataclass(frozen=True)
 class PointRecord:
@@ -395,47 +358,35 @@ class SweepEngine:
         as per-fold NDJSON progress.
         """
         executor = self.executor if self.executor is not None else default_executor(self.jobs)
-        crit_out: List[Optional[Dict[str, int]]] = [None] * len(tasks)
-        incidents_out: List[Optional[Dict[str, int]]] = [None] * len(tasks)
-        timings_out: List[Optional[Dict[str, float]]] = [None] * len(tasks)
-        raw = self.scheduler.run(
-            tasks,
-            executor,
-            progress=self.progress,
-            on_fold=on_fold,
-            stats=self.screen_stats,
-            crit_out=crit_out,
-            incidents_out=incidents_out,
-            timings_out=timings_out,
+        outcomes = self.scheduler.run(
+            tasks, executor, progress=self.progress, on_fold=on_fold,
         )
         estimates: List[YieldEstimate] = []
-        for task, (got, trials), crit, incidents, timings in zip(
-            tasks, raw, crit_out, incidents_out, timings_out
-        ):
+        for task, out in zip(tasks, outcomes):
+            self.screen_stats.merge(out.screen)
             self.runs_requested += task.spec.runs
-            self.runs_effective += trials
+            self.runs_effective += out.trials
+            model = task.spec.model
             criterion = task.spec.criterion
             self.point_log.append(
                 PointRecord(
                     kind=task.spec.kind,
                     param=task.spec.param,
                     requested=task.spec.runs,
-                    effective=trials,
+                    effective=out.trials,
                     adaptive=task.stop is not None,
-                    model=task.spec.model.name if task.spec.model else None,
-                    model_digest=(
-                        task.spec.model.digest() if task.spec.model else None
-                    ),
+                    model=model.name if model else None,
+                    model_digest=model.digest() if model else None,
                     criterion=criterion.spec() if criterion is not None else None,
                     criterion_digest=(
                         criterion.digest() if criterion is not None else None
                     ),
-                    funnel=crit,
-                    incidents=incidents,
-                    timings=timings,
+                    funnel=out.funnel.as_dict() if out.funnel is not None else None,
+                    incidents=out.incidents,
+                    timings=out.timings,
                 )
             )
-            estimates.append(YieldEstimate(successes=got, trials=trials))
+            estimates.append(YieldEstimate(successes=out.successes, trials=out.trials))
         return estimates
 
     # -- conveniences ----------------------------------------------------------

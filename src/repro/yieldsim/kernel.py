@@ -44,13 +44,14 @@ returns a per-run verdict plus :class:`ScreenStats` counters so callers
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Iterator, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.chip.biochip import Biochip
 from repro.errors import SimulationError
 from repro.faults.injection import RngLike, make_rng
+from repro.obs.counters import ScreenStats
 from repro.yieldsim.defects import (
     DefectGeometry,
     DefectModel,
@@ -72,11 +73,8 @@ __all__ = [
     "kuhn_repairable",
     "survival_batch_sizes",
     "fixed_fault_alive",
-    "survival_successes",
-    "fixed_fault_successes",
     "model_successes",
     "point_model",
-    "simulate_points",
     "point_entropy",
     "shard_seed",
     "shard_plan",
@@ -102,38 +100,6 @@ _BATCH_BYTES = 8_000_000
 #: This only slices the already-drawn survival matrix — it never changes
 #: the RNG stream, and verdicts are per-run, so results are unaffected.
 _CLASSIFY_BYTES = 800_000
-
-
-@dataclass
-class ScreenStats:
-    """Where the runs of a batch were decided, stage by stage."""
-
-    runs: int = 0
-    zero_fault: int = 0
-    bad_dead_end: int = 0
-    bad_forced_conflict: int = 0
-    bad_hall: int = 0
-    good_peeled: int = 0
-    good_hall: int = 0
-    residue: int = 0
-    residue_good: int = 0
-
-    @property
-    def screened(self) -> int:
-        """Runs decided without any per-run matching."""
-        return self.runs - self.residue
-
-    def merge(self, other: "ScreenStats") -> None:
-        """Accumulate another batch's counters into this one."""
-        for name in self.__dataclass_fields__:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
-    def as_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, int]) -> "ScreenStats":
-        return cls(**{k: int(v) for k, v in data.items() if k in cls.__dataclass_fields__})
 
 
 class RepairStructure:
@@ -622,7 +588,11 @@ def model_successes(
     batching of :func:`survival_batch_sizes`, so legacy streams are
     preserved model-for-model), and the screening funnel decides them.
     The result is a deterministic function of
-    (chip, model params, runs, seed, dtype).
+    (chip, model params, runs, seed, dtype).  With
+    :class:`~repro.yieldsim.defects.IIDBernoulli` and ``dtype=np.float64``
+    it consumes the exact RNG stream of ``YieldSimulator.run_survival``
+    (same batching, same draws), so the count is bit-identical to the
+    brute-force simulator — every funnel reduction is exact.
     """
     if runs < 1:
         raise SimulationError(f"runs must be >= 1, got {runs}")
@@ -636,28 +606,6 @@ def model_successes(
         successes += got
         total.merge(stats)
     return successes, total
-
-
-def survival_successes(
-    struct: RepairStructure,
-    p: float,
-    runs: int,
-    seed: RngLike = None,
-    dtype: type = np.float32,
-) -> Tuple[int, ScreenStats]:
-    """Successes among ``runs`` i.i.d.-survival fault maps at probability p.
-
-    A thin wrapper over :func:`model_successes` with
-    :class:`~repro.yieldsim.defects.IIDBernoulli` — which reproduces the
-    historical stream draw for draw.  The default ``float32`` uniforms
-    halve RNG cost; pass ``dtype=np.float64`` to reproduce the exact RNG
-    stream of the original ``YieldSimulator.run_survival`` (same batching,
-    same draws), in which case the result is bit-identical to the
-    brute-force simulator — every funnel reduction is exact.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise SimulationError(f"survival probability must be in [0, 1], got {p}")
-    return model_successes(struct, IIDBernoulli(p), runs, seed, dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -746,44 +694,3 @@ def point_model(spec: PointSpec) -> DefectModel:
     if spec.model is None:
         raise SimulationError(f"point kind {spec.kind!r} carries no model")
     return spec.model
-
-
-def simulate_points(
-    struct: RepairStructure,
-    points: Sequence[PointSpec],
-    dtype: type = np.float32,
-) -> Tuple[list, ScreenStats]:
-    """Success counts for a list of points on one chip.
-
-    Every point owns its own RNG (seeded from ``point.seed``), so the
-    result for a point is independent of which other points share the
-    call — the property the sweep engine relies on to shard points across
-    processes without changing any number.  Returns per-point success
-    counts plus the merged :class:`ScreenStats` of everything computed.
-    """
-    results: list = []
-    total = ScreenStats()
-    for point in points:
-        point.validate(struct.n_cells)
-        got, stats = model_successes(
-            struct, point_model(point), point.runs, point.seed, dtype=dtype
-        )
-        results.append(got)
-        total.merge(stats)
-    return results, total
-
-
-def fixed_fault_successes(
-    struct: RepairStructure, m: int, runs: int, seed: RngLike = None
-) -> Tuple[int, ScreenStats]:
-    """Successes among ``runs`` exactly-m-fault maps (Figure 13 regime).
-
-    The sampling distribution matches ``YieldSimulator.run_fixed_faults``
-    (uniform m-subsets of all cells) but the draw is vectorized, so the
-    two implementations agree statistically, not bit-for-bit.
-    """
-    if m < 0:
-        raise SimulationError(f"fault count must be >= 0, got {m}")
-    if m > struct.n_cells:
-        raise SimulationError(f"cannot place {m} faults on {struct.n_cells} cells")
-    return model_successes(struct, FixedCount(m), runs, seed)

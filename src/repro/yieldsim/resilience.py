@@ -31,7 +31,8 @@ into an execution policy:
     Incident counters (retries, timeouts, corrupt payloads, pool
     rebuilds, checkpoint resumes, quarantined cache entries) shared by
     the scheduler, the point cache and the engine; the registry folds a
-    per-dispatch delta into the manifest provenance.
+    per-dispatch delta into the manifest provenance.  The field list
+    lives with the other counter types in :mod:`repro.obs.counters`.
 
 Checkpointing itself — the journaled partial-fold state that lets an
 adaptive point resume at fold *k* — lives with the cache it extends, in
@@ -59,6 +60,7 @@ from typing import (
 )
 
 from repro.errors import SimulationError, UnitFailure
+from repro.obs.counters import ResilienceStats
 from repro.obs.events import get_logger, log_event
 from repro.obs.trace import Tracer
 
@@ -191,58 +193,6 @@ class RetryPolicy:
 
 #: The policy ``--retries``/``--unit-timeout`` re-shape.
 DEFAULT_RETRY_POLICY = RetryPolicy()
-
-
-# -- incident accounting ------------------------------------------------------
-
-@dataclass
-class ResilienceStats:
-    """Cumulative incident counters, shared engine-wide.
-
-    The engine hands one instance to its cache and scheduler; the
-    registry snapshots it around a dispatch and records the delta in the
-    manifest, so every artifact says whether (and how) its run had to
-    recover.  All counters are incidents *survived* — a failure that
-    exhausted its attempts raises instead of counting.
-    """
-
-    #: units re-executed after a crash/timeout/corruption
-    retries: int = 0
-    #: units that exceeded the per-unit timeout (late or hung)
-    timeouts: int = 0
-    #: unit payloads rejected by result validation
-    corrupt_units: int = 0
-    #: broken process pools rebuilt mid-run
-    pool_rebuilds: int = 0
-    #: batched points resumed from an on-disk fold checkpoint
-    checkpoint_resumes: int = 0
-    #: folds skipped because a checkpoint already contained them
-    folds_resumed: int = 0
-    #: cache/checkpoint files quarantined as corrupt (renamed *.corrupt)
-    quarantined: int = 0
-    #: remote cache-store calls that failed and degraded to a local miss
-    remote_errors: int = 0
-
-    _FIELDS = (
-        "retries", "timeouts", "corrupt_units", "pool_rebuilds",
-        "checkpoint_resumes", "folds_resumed", "quarantined",
-        "remote_errors",
-    )
-
-    def as_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in self._FIELDS}
-
-    def any(self) -> bool:
-        return any(getattr(self, name) for name in self._FIELDS)
-
-    @staticmethod
-    def delta(before: Dict[str, int], after: Dict[str, int]) -> Dict[str, int]:
-        """The nonzero per-counter growth between two snapshots."""
-        return {
-            name: after[name] - before.get(name, 0)
-            for name in after
-            if after[name] - before.get(name, 0) > 0
-        }
 
 
 # -- the resilient submit/collect loop ---------------------------------------

@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
@@ -51,27 +50,25 @@ from repro.chip.cell import Cell, CellRole
 from repro.errors import SimulationError
 from repro.geometry.hex import Hex
 from repro.geometry.square import Square
+from repro.obs import profile as _profile
+from repro.obs.counters import CriterionStats, ScreenStats
+from repro.obs.events import get_logger, log_event
 from repro.yieldsim.cachestore import (
     CacheStore,
     LocalStore,
     decode_entry,
     encode_entry,
-    entry_digest,
 )
 from repro.yieldsim.executors import Executor
 from repro.yieldsim.kernel import (
     PointSpec,
     RepairStructure,
-    ScreenStats,
     model_successes,
     point_entropy,
     point_model,
     shard_plan,
     shard_seed,
-    simulate_points,
 )
-from repro.obs import profile as _profile
-from repro.obs.events import get_logger, log_event
 from repro.obs.trace import Tracer
 from repro.yieldsim.resilience import (
     ResilienceStats,
@@ -84,6 +81,7 @@ __all__ = [
     "ENGINE_VERSION",
     "EnginePoint",
     "PointCache",
+    "PointOutcome",
     "PointScheduler",
     "chip_payload",
     "payload_digest",
@@ -184,22 +182,45 @@ def _structure_for(digest: str, payload: Dict[str, object]) -> RepairStructure:
     return struct
 
 
-def _unit_timing(wall0: float, cpu0: float,
-                 phases: Dict[str, float]) -> Dict[str, float]:
-    """``time_``-prefixed wall/CPU keys riding a unit's wire stats dict.
+#: What a compute unit reports per point beside its success count: the
+#: matching-screen counters, the criterion-funnel counters (``None`` for
+#: default matching points) and the point's phase timings (``wall_s``,
+#: ``cpu_s`` and any funnel phases).  Counters are results-adjacent and
+#: executor-independent; timings are telemetry only.
+PointTelemetry = Tuple[ScreenStats, Optional[CriterionStats], Dict[str, float]]
 
-    Both stat readers (:meth:`ScreenStats.from_dict` filters to its own
-    fields, :meth:`CriterionStats.from_wire` to ``crit_``-prefixed keys)
-    ignore these, so timings stay out-of-band: they never reach results,
-    cache entries, checkpoints, or stable digests.
+
+def _compute_point(
+    struct: RepairStructure,
+    spec: PointSpec,
+    runs: int,
+    seed: object,
+    dtype: type,
+) -> Tuple[int, PointTelemetry]:
+    """Successes of ``runs`` fault maps of one point, with its telemetry.
+
+    The one per-point loop body behind both unit functions.  Timing is
+    taken around this point alone, so a unit that carries several points
+    reports each point's own seconds and summing over points never counts
+    a second twice.
     """
-    timing = {
-        "time_wall_s": time.perf_counter() - wall0,
-        "time_cpu_s": time.process_time() - cpu0,
-    }
-    for name, value in phases.items():
-        timing[f"time_{name}"] = value
-    return timing
+    wall0, cpu0 = time.perf_counter(), time.process_time()
+    with _profile.capture() as timings:
+        if spec.criterion is None:
+            got, screen = model_successes(
+                struct, point_model(spec), runs, seed, dtype=dtype
+            )
+            funnel = None
+        else:
+            from repro.functional.funnel import criterion_successes
+
+            got, screen, funnel = criterion_successes(
+                struct, point_model(spec), spec.criterion, runs, seed,
+                dtype=dtype,
+            )
+    timings["wall_s"] = time.perf_counter() - wall0
+    timings["cpu_s"] = time.process_time() - cpu0
+    return got, (screen, funnel, timings)
 
 
 def compute_chunk(
@@ -207,49 +228,24 @@ def compute_chunk(
     payload: Dict[str, object],
     points: Sequence[PointSpec],
     dtype_name: str,
-) -> Tuple[List[int], Dict[str, int], List[Optional[Dict[str, int]]]]:
+) -> Tuple[List[int], List[PointTelemetry]]:
     """Compute one chunk of flat points (the executor's unit function).
 
-    Returns per-point success counts, the chunk's merged screen-stat
-    counters, and — per point — the criterion funnel counters (``None``
-    for default matching points).  Chunks with no criterion anywhere run
-    through :func:`~repro.yieldsim.kernel.simulate_points` exactly as
-    before, so legacy streams stay byte-identical.
+    Returns the per-point success counts and, aligned with them, each
+    point's :data:`PointTelemetry`.  Every point draws from its own
+    ``point.seed`` stream, so a point's result never depends on which
+    other points share its chunk.
     """
     struct = _structure_for(digest, payload)
     dtype = np.dtype(dtype_name).type
-    wall0, cpu0 = time.perf_counter(), time.process_time()
-    with _profile.capture() as phases:
-        if all(point.criterion is None for point in points):
-            successes, stats = simulate_points(struct, points, dtype=dtype)
-            crits: List[Optional[Dict[str, int]]] = [None] * len(points)
-        else:
-            from repro.functional.funnel import criterion_successes
-
-            successes = []
-            crits = []
-            stats = ScreenStats()
-            for point in points:
-                point.validate(struct.n_cells)
-                if point.criterion is None:
-                    got, point_stats = model_successes(
-                        struct, point_model(point), point.runs, point.seed,
-                        dtype=dtype,
-                    )
-                    crits.append(None)
-                else:
-                    got, point_stats, crit = criterion_successes(
-                        struct, point_model(point), point.criterion,
-                        point.runs, point.seed, dtype=dtype,
-                    )
-                    crits.append(crit.wire_dict())
-                successes.append(got)
-                stats.merge(point_stats)
-    return (
-        successes,
-        {**stats.as_dict(), **_unit_timing(wall0, cpu0, phases)},
-        crits,
-    )
+    successes: List[int] = []
+    telemetry: List[PointTelemetry] = []
+    for point in points:
+        point.validate(struct.n_cells)
+        got, tele = _compute_point(struct, point, point.runs, point.seed, dtype)
+        successes.append(got)
+        telemetry.append(tele)
+    return successes, telemetry
 
 
 def compute_shard(
@@ -260,37 +256,18 @@ def compute_shard(
     entropy: int,
     index: int,
     dtype_name: str,
-) -> Tuple[int, Dict[str, int]]:
+) -> Tuple[int, PointTelemetry]:
     """Compute one within-point shard (the executor's unit function).
 
     The shard's stream is fully determined by ``(entropy, index)`` via
     :func:`~repro.yieldsim.kernel.shard_seed`, so any worker — or the
     calling process — computes the identical batch.  The point's defect
-    model (explicit, or the legacy-kind alias) travels inside ``spec`` —
-    as does its optional success criterion, whose funnel counters ride
-    the returned stat dict under ``crit_``-prefixed keys (both readers
-    filter to their own key families, so the flat dict stays collision
-    free).
+    model (explicit, or the legacy-kind alias) and optional success
+    criterion travel inside ``spec``.
     """
     struct = _structure_for(digest, payload)
     rng = np.random.default_rng(shard_seed(entropy, index))
-    dtype = np.dtype(dtype_name).type
-    wall0, cpu0 = time.perf_counter(), time.process_time()
-    with _profile.capture() as phases:
-        if spec.criterion is None:
-            got, stats = model_successes(
-                struct, point_model(spec), size, seed=rng, dtype=dtype
-            )
-            wire: Dict[str, object] = stats.as_dict()
-        else:
-            from repro.functional.funnel import criterion_successes
-
-            got, stats, crit = criterion_successes(
-                struct, point_model(spec), spec.criterion, size, seed=rng,
-                dtype=dtype,
-            )
-            wire = {**stats.as_dict(), **crit.wire_dict()}
-    return got, {**wire, **_unit_timing(wall0, cpu0, phases)}
+    return _compute_point(struct, spec, size, rng, np.dtype(dtype_name).type)
 
 
 # -- scheduling inputs --------------------------------------------------------
@@ -332,18 +309,19 @@ class PointCache:
     (byte-identical to the historical layout), but the engine can inject
     a :class:`~repro.yieldsim.cachestore.TieredCache` to read through to
     a shared remote store.  Fold checkpoints are deliberately **not**
-    routed through the store: they are mid-flight private state of one
-    run, meaningless to a fleet, and stay local files under ``dir``.
+    routed through that store: they are mid-flight private state of one
+    run, meaningless to a fleet, and are journaled through a second
+    :class:`~repro.yieldsim.cachestore.LocalStore` over ``dir`` with the
+    ``.ckpt.json`` suffix.
 
     Every entry carries a content digest, verified on load: a truncated,
     bit-rotted or hand-edited file is *quarantined* (renamed ``*.corrupt``,
     counted in ``stats.quarantined``) and treated as a miss — the read
-    path never raises on bad data.  The same journal format backs the
-    fold **checkpoints** (``*.ckpt.json``) that make adaptive points
-    preemption-proof: :meth:`store_checkpoint` journals a point's
-    cumulative fold state after every in-order fold with the same atomic
-    tmp+rename discipline, and :meth:`load_checkpoint` lets the next run
-    resume at fold *k* with state — successes, trials, screen stats,
+    path never raises on bad data.  The same entry format backs the fold
+    **checkpoints** that make adaptive points preemption-proof:
+    :meth:`store_checkpoint` journals a point's cumulative fold state
+    after every in-order fold, and :meth:`load_checkpoint` lets the next
+    run resume at fold *k* with state — successes, trials, screen stats,
     criterion funnel — identical to what the uninterrupted run had there,
     so the final artifact is byte-identical.
     """
@@ -368,6 +346,11 @@ class PointCache:
             self.backend = LocalStore(cache_dir, stats=self.stats)
         else:
             self.backend = None
+        self.checkpoints: Optional[LocalStore] = (
+            LocalStore(cache_dir, stats=self.stats, suffix=".ckpt.json")
+            if cache_dir is not None
+            else None
+        )
 
     # -- keys -----------------------------------------------------------------
     def key(
@@ -406,77 +389,6 @@ class PointCache:
             ident["stop"] = stop.digest() if stop is not None else None
         blob = json.dumps(ident, sort_keys=True)
         return hashlib.sha256(blob.encode("ascii")).hexdigest()
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self.dir, f"{key}.json")
-
-    def _ckpt_path(self, key: str) -> str:
-        return os.path.join(self.dir, f"{key}.ckpt.json")
-
-    # -- integrity ------------------------------------------------------------
-    @staticmethod
-    def _entry_digest(entry: Dict[str, object]) -> str:
-        """Content digest of an entry (excluding its own ``digest`` field)."""
-        return entry_digest(entry)
-
-    def _quarantine(self, path: str) -> None:
-        """Move a corrupt file aside so it is recomputed, never re-read."""
-        self.stats.quarantined += 1
-        log_event(
-            _log, "quarantine", level=logging.WARNING,
-            msg=f"quarantined corrupt cache file {path}", path=path,
-        )
-        try:
-            os.replace(path, f"{path}.corrupt")
-        except OSError:
-            pass
-
-    def _verified(self, path: str) -> Optional[Dict[str, object]]:
-        """The entry at ``path`` iff it parses and its digest checks out.
-
-        Anything else — unreadable, truncated, non-JSON, digest mismatch,
-        a pre-digest legacy entry — quarantines the file and reads as a
-        miss.  A file that simply does not exist is a plain miss.
-        """
-        try:
-            with open(path, "rb") as fh:
-                raw = fh.read()
-        except FileNotFoundError:
-            return None
-        except OSError:
-            self._quarantine(path)
-            return None
-        try:
-            # json.loads decodes the bytes itself; invalid UTF-8 raises a
-            # UnicodeDecodeError, which is a ValueError — quarantined below.
-            data = json.loads(raw)
-        except ValueError:
-            self._quarantine(path)
-            return None
-        if not isinstance(data, dict):
-            self._quarantine(path)
-            return None
-        stored = data.pop("digest", None)
-        if stored != self._entry_digest(data):
-            self._quarantine(path)
-            return None
-        return data
-
-    def _write(self, path: str, entry: Dict[str, object]) -> None:
-        """Atomically persist ``entry`` (with its digest) at ``path``."""
-        entry = dict(entry)
-        entry["digest"] = self._entry_digest(entry)
-        os.makedirs(self.dir, exist_ok=True)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh, sort_keys=True, separators=(",", ":"))
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
 
     # -- storage --------------------------------------------------------------
     def load(
@@ -551,65 +463,65 @@ class PointCache:
     # -- fold checkpoints ------------------------------------------------------
     def load_checkpoint(
         self, key: str, spec: PointSpec
-    ) -> Optional[Dict[str, object]]:
+    ) -> Optional[Tuple[int, "PointOutcome"]]:
         """The journaled fold state of a batched point, if present and valid.
 
-        Returns the raw checkpoint entry (``folds``/``successes``/
-        ``trials``/``stats``/``crit``); the scheduler validates it against
-        the point's shard plan before trusting it.  Corrupt checkpoints
-        quarantine like any cache file; a stale or inconsistent one reads
-        as absent, so the worst outcome of any checkpoint is recomputing
-        from fold zero.
+        Returns ``(folds, outcome)`` — the number of folds already done and
+        the point's cumulative successes, trials and counters at that
+        fold; the scheduler validates it against the point's shard plan
+        before trusting it.  Corrupt checkpoints quarantine like any cache
+        file; a stale or inconsistent one (including a journal whose
+        counters are in another layout) reads as absent, so the worst
+        outcome of any checkpoint is recomputing from fold zero.
         """
-        if self.dir is None or spec.seed is None:
+        if self.checkpoints is None or spec.seed is None:
             return None
-        data = self._verified(self._ckpt_path(key))
+        blob = self.checkpoints.get(key)
+        data = decode_entry(blob) if blob is not None else None
         if data is None:
             return None
         try:
             folds = int(data["folds"])  # type: ignore[arg-type]
-            successes = int(data["successes"])  # type: ignore[arg-type]
-            trials = int(data["trials"])  # type: ignore[arg-type]
+            outcome = PointOutcome(
+                successes=int(data["successes"]),  # type: ignore[arg-type]
+                trials=int(data["trials"]),  # type: ignore[arg-type]
+                screen=ScreenStats.from_dict(data["stats"]),  # type: ignore[arg-type]
+                funnel=(
+                    CriterionStats.from_dict(data["crit"])  # type: ignore[arg-type]
+                    if data["crit"] is not None
+                    else None
+                ),
+            )
         except (ValueError, KeyError, TypeError):
             return None
         if data.get("requested") != spec.runs or folds < 1:
             return None
-        if not 0 <= successes <= trials <= spec.runs:
+        if (outcome.funnel is None) != (spec.criterion is None):
             return None
-        return data
+        if not 0 <= outcome.successes <= outcome.trials <= spec.runs:
+            return None
+        return folds, outcome
 
     def store_checkpoint(
-        self,
-        key: str,
-        spec: PointSpec,
-        *,
-        folds: int,
-        successes: int,
-        trials: int,
-        stats: Dict[str, int],
-        crit: Optional[Dict[str, int]] = None,
+        self, key: str, spec: PointSpec, folds: int, outcome: "PointOutcome"
     ) -> None:
         """Journal a batched point's cumulative state after fold ``folds``."""
-        if self.dir is None or spec.seed is None:
+        if self.checkpoints is None or spec.seed is None:
             return
-        self._write(self._ckpt_path(key), {
+        self.checkpoints.put(key, encode_entry({
             "requested": spec.runs,
             "folds": folds,
-            "successes": successes,
-            "trials": trials,
-            "stats": stats,
-            "crit": crit,
+            "successes": outcome.successes,
+            "trials": outcome.trials,
+            "stats": outcome.screen.as_dict(),
+            "crit": outcome.funnel.as_dict() if outcome.funnel is not None else None,
             "version": self.version,
-        })
+        }))
 
     def clear_checkpoint(self, key: str) -> None:
         """Drop a point's checkpoint (it completed; the final entry rules)."""
-        if self.dir is None:
-            return
-        try:
-            os.unlink(self._ckpt_path(key))
-        except OSError:
-            pass
+        if self.checkpoints is not None:
+            self.checkpoints.delete(key)
 
 
 # -- result validation --------------------------------------------------------
@@ -625,24 +537,74 @@ def _is_count(value: object, cap: int) -> bool:
     ) and 0 <= int(value) <= cap
 
 
+def _is_telemetry(value: object) -> bool:
+    screen, funnel, timings = value  # type: ignore[misc]
+    return (
+        isinstance(screen, ScreenStats)
+        and (funnel is None or isinstance(funnel, CriterionStats))
+        and isinstance(timings, dict)
+    )
+
+
 def _chunk_validator(runs: Sequence[int]) -> Callable[[object], bool]:
     """Accept only a well-formed ``compute_chunk`` payload for ``runs``."""
     def validate(value: object) -> bool:
-        successes, stat_dict, crits = value  # type: ignore[misc]
-        if len(successes) != len(runs) or len(crits) != len(runs):
+        successes, telemetry = value  # type: ignore[misc]
+        if len(successes) != len(runs) or len(telemetry) != len(runs):
             return False
         if not all(_is_count(got, cap) for got, cap in zip(successes, runs)):
             return False
-        return isinstance(stat_dict, dict)
+        return all(_is_telemetry(tele) for tele in telemetry)
     return validate
 
 
 def _shard_validator(size: int) -> Callable[[object], bool]:
     """Accept only a well-formed ``compute_shard`` payload for ``size`` runs."""
     def validate(value: object) -> bool:
-        got, stat_dict = value  # type: ignore[misc]
-        return _is_count(got, size) and isinstance(stat_dict, dict)
+        got, telemetry = value  # type: ignore[misc]
+        return _is_count(got, size) and _is_telemetry(telemetry)
     return validate
+
+
+# -- per-point outcomes -------------------------------------------------------
+
+@dataclass
+class PointOutcome:
+    """Everything one task produced: its numbers and its telemetry.
+
+    ``successes``/``trials`` are the result (``trials`` is the effective
+    budget).  ``screen`` and ``funnel`` count where the point's folded
+    runs were decided — by the matching screen, and by the criterion
+    funnel for criterion points (``None`` otherwise).  Only in-order folds
+    count, so both are executor-independent like the numbers.  Cache hits
+    carry zero counters, ``funnel=None`` and ``timings=None``: the cache
+    stores results, not telemetry.
+
+    ``incidents`` counts the recovery work the point's units needed
+    (``None`` when there was none; a chunk's incidents attribute to every
+    point it carried) and ``timings`` the point's own phase seconds —
+    worker-side ``wall_s``/``cpu_s`` plus funnel phases, parent-side
+    ``cache_wall_s``/``fold_wall_s``.  Both are telemetry only.
+    """
+
+    successes: int = 0
+    trials: int = 0
+    screen: ScreenStats = field(default_factory=ScreenStats)
+    funnel: Optional[CriterionStats] = None
+    incidents: Optional[Dict[str, int]] = None
+    timings: Optional[Dict[str, float]] = None
+
+    def absorb(self, got: int, trials: int, telemetry: PointTelemetry) -> None:
+        """Fold one computed unit's share of this point into the outcome."""
+        screen, funnel, timings = telemetry
+        self.successes += got
+        self.trials += trials
+        self.screen.merge(screen)
+        if funnel is not None:
+            if self.funnel is None:
+                self.funnel = CriterionStats()
+            self.funnel.merge(funnel)
+        _profile.merge_into(self.timings, timings)
 
 
 # -- the scheduler ------------------------------------------------------------
@@ -650,12 +612,13 @@ def _shard_validator(size: int) -> Callable[[object], bool]:
 class PointScheduler:
     """Turns a task list into ordered, cached, executor-agnostic results.
 
-    The scheduler is pure in the sense that its outputs — per-point
-    ``(successes, effective trials)`` pairs — are a function of the task
-    list alone.  The executor passed to :meth:`run` decides only where
-    compute units execute and how far the scheduler may speculate past an
-    adaptive stop point; folds always happen in batch order, so every
-    backend produces identical numbers and identical effective budgets.
+    The scheduler is pure in the sense that its outputs — one
+    :class:`PointOutcome` per task — are a function of the task list
+    alone (telemetry aside).  The executor passed to :meth:`run` decides
+    only where compute units execute and how far the scheduler may
+    speculate past an adaptive stop point; folds always happen in batch
+    order, so every backend produces identical numbers, identical
+    effective budgets and identical counters.
 
     ``retry`` applies the resilience layer: failed, hung and corrupted
     units are re-executed with deterministic backoff, and a broken
@@ -715,72 +678,34 @@ class PointScheduler:
         *,
         progress: Optional[Callable[[int, int], None]] = None,
         on_fold: Optional[FoldHook] = None,
-        stats: Optional[ScreenStats] = None,
-        crit_out: Optional[List[Optional[Dict[str, int]]]] = None,
-        incidents_out: Optional[List[Optional[Dict[str, int]]]] = None,
-        timings_out: Optional[List[Optional[Dict[str, float]]]] = None,
-    ) -> List[Tuple[int, int]]:
-        """``(successes, effective trials)`` for every task, in order.
+    ) -> List[PointOutcome]:
+        """One :class:`PointOutcome` for every task, in order.
 
         Flat points run as per-chip chunks; points with a stop rule or
         beyond ``shard_runs`` run as per-batch units folded strictly in
         order with the stop rule checked after each fold.  ``on_fold``
         (if given) observes each in-order fold of a batched point —
         cumulative successes/trials — which is what the serving layer
-        streams as NDJSON progress.  Screen statistics of folded units
-        are merged into ``stats``.
-
-        ``crit_out``, when given, must have one ``None`` slot per task;
-        slots of computed criterion points are filled with that point's
-        criterion-funnel counters (plain-keyed dict).  Cache hits leave
-        their slot ``None`` — the cache stores results, not telemetry —
-        and only in-order folds count for batched points, so the counters
-        are executor-independent like everything else.
-
-        ``incidents_out`` works the same way for resilience telemetry:
-        slots of points whose units needed recovery (retries, timeouts,
-        corrupt payloads, pool rebuilds) are filled with the per-kind
-        incident counts, attributing recovery work to the points it
-        served.  A chunk's incidents attribute to every point it carried.
-
-        ``timings_out`` follows the same out-parameter idiom for phase
-        profiling: slots of *computed* points are filled with per-phase
-        wall/CPU seconds — worker-side unit totals (``wall_s``/``cpu_s``,
-        plus funnel phases for criterion points) and parent-side
-        ``cache_wall_s`` / ``fold_wall_s``.  A chunk's unit timing
-        attributes to every point it carried; cache hits leave their slot
-        ``None``.  Timings are telemetry only — they never influence
-        results or artifacts.
+        streams as NDJSON progress.
         """
         n = len(tasks)
-        results: List[Optional[Tuple[int, int]]] = [None] * n
-        stats = stats if stats is not None else ScreenStats()
+        outcomes: List[Optional[PointOutcome]] = [None] * n
         tracer = self.tracer
         run_t0 = tracer.now_us() if tracer is not None else 0.0
-        #: task index -> accumulated phase timings (computed points only).
-        timing_acc: Dict[int, Dict[str, float]] = {}
         #: task index -> trace-relative start of the point's lifecycle.
         point_start: Dict[int, float] = {}
 
         def trace_point(i: int, hit: bool) -> None:
             if tracer is None:
                 return
-            got, trials = results[i]  # type: ignore[misc]
+            out = outcomes[i]
             tracer.complete(
                 "point", point_start.get(i, 0.0),
                 tracer.now_us() - point_start.get(i, 0.0), cat="point",
                 index=i, kind=tasks[i].spec.kind, param=tasks[i].spec.param,
-                requested=tasks[i].spec.runs, effective=trials,
-                successes=got, hit=hit,
+                requested=tasks[i].spec.runs, effective=out.trials,
+                successes=out.successes, hit=hit,
             )
-
-        def note_times(i: int, wire: Dict[str, object]) -> None:
-            """Fold a unit's ``time_``-prefixed keys into point ``i``."""
-            acc = timing_acc.setdefault(i, {})
-            for key, value in wire.items():
-                if key.startswith("time_"):
-                    name = key[len("time_"):]
-                    acc[name] = acc.get(name, 0.0) + float(value)  # type: ignore[arg-type]
 
         # Canonical payload/digest per distinct chip object (and needed set).
         seen: Dict[Tuple[int, Optional[Tuple[Hashable, ...]]], str] = {}
@@ -818,12 +743,13 @@ class PointScheduler:
                     key=keys[i][:16], hit=cached is not None,
                 )
             if cached is not None:
-                results[i] = cached
+                outcomes[i] = PointOutcome(*cached)
                 done += 1
                 trace_point(i, hit=True)
             else:
-                timing_acc[i] = {"cache_wall_s": load_s}
+                outcomes[i] = PointOutcome(timings={"cache_wall_s": load_s})
                 (pending if batch_of[i] is None else pending_batched).append(i)
+        hits = done
         if done and progress is not None:
             progress(done, n)
 
@@ -837,26 +763,6 @@ class PointScheduler:
                 chunks.append((digests[i], []))
                 current_digest = digests[i]
             chunks[-1][1].append(i)
-
-        def record(chunk_indices: List[int], successes: List[int],
-                   chunk_stats: Dict[str, int],
-                   chunk_crits: List[Optional[Dict[str, int]]]) -> None:
-            nonlocal done
-            for idx, got, crit in zip(chunk_indices, successes, chunk_crits):
-                results[idx] = (got, tasks[idx].spec.runs)
-                self._store_traced(
-                    keys[idx], tasks[idx].spec, got, tasks[idx].spec.runs
-                )
-                if crit is not None and crit_out is not None:
-                    from repro.functional.criteria import CriterionStats
-
-                    crit_out[idx] = CriterionStats.from_wire(crit).as_dict()
-                note_times(idx, chunk_stats)
-                trace_point(idx, hit=False)
-            stats.merge(ScreenStats.from_dict(chunk_stats))
-            done += len(chunk_indices)
-            if progress is not None:
-                progress(done, n)
 
         dtype_name = np.dtype(self.dtype).name
         plans = {
@@ -888,15 +794,21 @@ class PointScheduler:
                             [tasks[i].spec.runs for i in idxs]
                         ),
                     )
-                for token, value in runner.collect():
-                    successes, chunk_stats, chunk_crits = value
-                    record(list(token[1]), successes, chunk_stats, chunk_crits)
+                for token, (successes, telemetry) in runner.collect():
+                    for i, got, tele in zip(token[1], successes, telemetry):
+                        spec = tasks[i].spec
+                        outcomes[i].absorb(got, spec.runs, tele)
+                        self._store_traced(keys[i], spec, got, spec.runs)
+                        trace_point(i, hit=False)
+                    done += len(token[1])
+                    if progress is not None:
+                        progress(done, n)
 
-            def on_point(i: int, got: int, trials: int) -> None:
+            def on_point(i: int) -> None:
                 nonlocal done
-                results[i] = (got, trials)
+                out = outcomes[i]
                 self._store_traced(
-                    keys[i], tasks[i].spec, got, trials,
+                    keys[i], tasks[i].spec, out.successes, out.trials,
                     batched=True, stop=tasks[i].stop,
                 )
                 if self.checkpoint:
@@ -909,38 +821,34 @@ class PointScheduler:
             if pending_batched:
                 self._run_batched(
                     tasks, pending_batched, plans, keys, digests,
-                    payload_by_digest, executor, runner, on_point, on_fold,
-                    stats, crit_out, timing_acc=timing_acc,
+                    payload_by_digest, runner, outcomes, on_point, on_fold,
                 )
         finally:
             executor.shutdown()
 
-        if incidents_out is not None:
-            for token, counts in runner.incidents.items():
-                members = (
-                    token[1] if isinstance(token, tuple) and token[0] == "chunk"
-                    else (token[0],)
-                )
-                for i in members:
-                    bucket = incidents_out[i] or {}
-                    for kind, count in counts.items():
-                        bucket[kind] = bucket.get(kind, 0) + count
-                    incidents_out[i] = bucket
+        for token, counts in runner.incidents.items():
+            members = (
+                token[1] if isinstance(token, tuple) and token[0] == "chunk"
+                else (token[0],)
+            )
+            for i in members:
+                bucket = outcomes[i].incidents = outcomes[i].incidents or {}
+                for kind, count in counts.items():
+                    bucket[kind] = bucket.get(kind, 0) + count
 
-        if timings_out is not None:
-            for i, acc in timing_acc.items():
-                if acc and results[i] is not None:
-                    timings_out[i] = {
-                        k: round(v, 6) for k, v in sorted(acc.items())
-                    }
+        for out in outcomes:
+            if out.timings is not None:
+                out.timings = {
+                    k: round(v, 6) for k, v in sorted(out.timings.items())
+                }
 
         if tracer is not None:
             tracer.complete(
                 "scheduler.run", run_t0, tracer.now_us() - run_t0,
-                cat="engine", tasks=n, hits=max(0, n - len(timing_acc)),
+                cat="engine", tasks=n, hits=hits,
             )
 
-        return [pair for pair in results]  # type: ignore[misc]
+        return outcomes  # type: ignore[return-value]
 
     def _store_traced(
         self,
@@ -971,16 +879,13 @@ class PointScheduler:
         keys: Sequence[str],
         digests: Sequence[str],
         payload_by_digest: Dict[str, Dict[str, object]],
-        executor: Executor,
         runner: UnitRunner,
-        on_point: Callable[[int, int, int], None],
+        outcomes: List[Optional[PointOutcome]],
+        on_point: Callable[[int], None],
         on_fold: Optional[FoldHook],
-        stats: ScreenStats,
-        crit_out: Optional[List[Optional[Dict[str, int]]]] = None,
-        timing_acc: Optional[Dict[int, Dict[str, float]]] = None,
     ) -> None:
-        """Run the batched points; calls ``on_point(i, successes, trials)``
-        as each completes.
+        """Run the batched points, folding into ``outcomes``; calls
+        ``on_point(i)`` as each completes.
 
         Each point's batches are folded strictly in batch order and its
         stop rule (if any) is checked after each fold, so every point's
@@ -989,100 +894,62 @@ class PointScheduler:
         *different* points (point-major order), so an adaptive sweep keeps
         every worker busy instead of draining one point at a time; batches
         that complete beyond a stop point are discarded, keeping numbers
-        and screen stats equal to the capacity-1 fold.  With a capacity-1
+        and counters equal to the capacity-1 fold.  With a capacity-1
         immediate executor no speculation happens at all: each batch is
         computed, folded and stop-checked before the next is submitted.
 
         With checkpointing on, each in-order fold of a seeded point
-        journals the point's cumulative state (successes, trials, screen
-        stats, criterion funnel) to the cache directory, and points with
-        a valid checkpoint restore that state up front — skipping the
-        folds a previous, interrupted run already did.  Because the
-        journal holds exactly what the fold loop would have accumulated,
-        a resumed point is indistinguishable from an uninterrupted one.
+        journals the point's cumulative outcome (successes, trials, screen
+        and funnel counters) to the cache directory, and points with a
+        valid checkpoint restore that state up front — skipping the folds
+        a previous, interrupted run already did.  Because the journal
+        holds exactly what the fold loop would have accumulated, a resumed
+        point is indistinguishable from an uninterrupted one.
         """
         dtype_name = np.dtype(self.dtype).name
         entropies = {i: point_entropy(tasks[i].spec.seed) for i in indices}
 
-        # Per-point fold state; a point is live until it stops or folds
-        # its whole plan.
+        # A point is live until it stops or folds its whole plan.
         next_fold = {i: 0 for i in indices}
-        successes = {i: 0 for i in indices}
-        trials = {i: 0 for i in indices}
         complete: set = set()
-        crit_acc: Dict[int, object] = {}
-        if any(tasks[i].spec.criterion is not None for i in indices):
-            from repro.functional.criteria import CriterionStats
 
-            crit_acc = {
-                i: CriterionStats()
-                for i in indices
-                if tasks[i].spec.criterion is not None
-            }
+        def settle(i: int) -> bool:
+            """Finish point ``i`` if its plan is spent or its rule fires."""
+            out = outcomes[i]
+            rule = tasks[i].stop
+            if next_fold[i] == len(plans[i]) or (
+                rule is not None and rule.should_stop(out.successes, out.trials)
+            ):
+                complete.add(i)
+                on_point(i)
+                return True
+            return False
 
-        def finish(i: int) -> None:
-            complete.add(i)
-            if i in crit_acc and crit_out is not None:
-                crit_out[i] = crit_acc[i].as_dict()
-            on_point(i, successes[i], trials[i])
-
-        # Checkpoint restore: per-point screen-stat accumulators exist
-        # only for journaled points (they fund the next checkpoint write).
-        ckpt_stats: Dict[int, ScreenStats] = {}
-        if self.checkpoint and self.cache.dir is not None:
+        if self.checkpoint:
             for i in indices:
-                task = tasks[i]
-                if task.spec.seed is None:
+                restored = self.cache.load_checkpoint(keys[i], tasks[i].spec)
+                if restored is None:
                     continue
-                ckpt_stats[i] = ScreenStats()
-                data = self.cache.load_checkpoint(keys[i], task.spec)
-                if data is None:
-                    continue
-                folds = int(data["folds"])  # type: ignore[arg-type]
-                if folds > len(plans[i]) or int(
-                    data["trials"]  # type: ignore[arg-type]
-                ) != sum(plans[i][:folds]):
+                folds, state = restored
+                if folds > len(plans[i]) or state.trials != sum(plans[i][:folds]):
                     continue  # journal from another plan shape: recompute
-                successes[i] = int(data["successes"])  # type: ignore[arg-type]
-                trials[i] = int(data["trials"])  # type: ignore[arg-type]
+                state.timings = outcomes[i].timings
+                outcomes[i] = state
                 next_fold[i] = folds
-                restored = ScreenStats.from_dict(data.get("stats") or {})
-                stats.merge(restored)
-                ckpt_stats[i].merge(restored)
-                if i in crit_acc and data.get("crit"):
-                    from repro.functional.criteria import CriterionStats
-
-                    crit_acc[i] = CriterionStats.from_wire(data["crit"])
                 self.stats.checkpoint_resumes += 1
                 self.stats.folds_resumed += folds
                 if self.tracer is not None:
                     self.tracer.instant(
                         "checkpoint_resume", cat="incident", index=i,
-                        folds=folds, trials=trials[i],
+                        folds=folds, trials=state.trials,
                     )
                 log_event(
                     _log, "checkpoint_resume", point=i, folds=folds,
-                    successes=successes[i], trials=trials[i],
+                    successes=state.successes, trials=state.trials,
                 )
                 if on_fold is not None:
-                    on_fold(i, successes[i], trials[i])
-                rule = task.stop
-                if next_fold[i] == len(plans[i]) or (
-                    rule is not None
-                    and rule.should_stop(successes[i], trials[i])
-                ):
-                    finish(i)
-
-        def journal(i: int) -> None:
-            if i in ckpt_stats:
-                self.cache.store_checkpoint(
-                    keys[i], tasks[i].spec,
-                    folds=next_fold[i], successes=successes[i],
-                    trials=trials[i], stats=ckpt_stats[i].as_dict(),
-                    crit=(
-                        crit_acc[i].wire_dict() if i in crit_acc else None
-                    ),
-                )
+                    on_fold(i, state.successes, state.trials)
+                settle(i)
 
         def unit_stream():
             for i in indices:
@@ -1090,7 +957,7 @@ class PointScheduler:
                     yield i, k
 
         units = unit_stream()
-        ready: Dict[Tuple[int, int], Tuple[int, Dict[str, int]]] = {}
+        ready: Dict[Tuple[int, int], Tuple[int, PointTelemetry]] = {}
 
         def submit_up_to_capacity() -> None:
             while runner.free_slots > 0:
@@ -1115,49 +982,29 @@ class PointScheduler:
             for unit, value in runner.collect():
                 ready[unit] = value
             for i in indices:
-                if i in complete:
-                    continue
-                rule = tasks[i].stop
                 while (i, next_fold[i]) in ready and i not in complete:
                     fold0 = time.perf_counter()
-                    got, shard_stats = ready.pop((i, next_fold[i]))
-                    shard_screen = ScreenStats.from_dict(shard_stats)
-                    stats.merge(shard_screen)
-                    if i in ckpt_stats:
-                        ckpt_stats[i].merge(shard_screen)
-                    if i in crit_acc:
-                        # Only in-order folds count: speculative shards of
-                        # stopped points are discarded below, so criterion
-                        # telemetry stays executor-independent too.
-                        from repro.functional.criteria import CriterionStats
-
-                        crit_acc[i].merge(CriterionStats.from_wire(shard_stats))
-                    successes[i] += got
-                    trials[i] += plans[i][next_fold[i]]
+                    out = outcomes[i]
+                    # Only in-order folds count: speculative shards of
+                    # stopped points are discarded below, so counters stay
+                    # executor-independent too.
+                    got, telemetry = ready.pop((i, next_fold[i]))
+                    out.absorb(got, plans[i][next_fold[i]], telemetry)
                     next_fold[i] += 1
-                    if timing_acc is not None:
-                        acc = timing_acc.setdefault(i, {})
-                        for key, value in shard_stats.items():
-                            if key.startswith("time_"):
-                                name = key[len("time_"):]
-                                acc[name] = acc.get(name, 0.0) + float(value)
-                        acc["fold_wall_s"] = acc.get("fold_wall_s", 0.0) + (
-                            time.perf_counter() - fold0
-                        )
+                    out.timings["fold_wall_s"] = out.timings.get(
+                        "fold_wall_s", 0.0
+                    ) + (time.perf_counter() - fold0)
                     if self.tracer is not None:
                         self.tracer.instant(
                             "fold", cat="point", index=i, fold=next_fold[i],
-                            successes=successes[i], trials=trials[i],
+                            successes=out.successes, trials=out.trials,
                         )
                     if on_fold is not None:
-                        on_fold(i, successes[i], trials[i])
-                    stopped = rule is not None and rule.should_stop(
-                        successes[i], trials[i]
-                    )
-                    if stopped or next_fold[i] == len(plans[i]):
-                        finish(i)
-                    else:
-                        journal(i)
+                        on_fold(i, out.successes, out.trials)
+                    if not settle(i) and self.checkpoint:
+                        self.cache.store_checkpoint(
+                            keys[i], tasks[i].spec, next_fold[i], out
+                        )
             # Drop speculative results (and cancel queued batches) of
             # points that have since completed.
             for unit in [u for u in ready if u[0] in complete]:

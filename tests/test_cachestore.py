@@ -473,6 +473,20 @@ class TestLegacyCompatibility:
         assert stats.quarantined == 1
         assert (tmp_path / f"{key}.json.corrupt").exists()
 
+    def test_suffix_stores_share_a_directory_without_crosstalk(self, tmp_path):
+        entries = LocalStore(str(tmp_path))
+        journals = LocalStore(str(tmp_path), suffix=".ckpt.json")
+        key = "ef" * 32
+        entries.put(key, encode_entry({"kind": "entry"}))
+        journals.put(key, encode_entry({"kind": "journal"}))
+        assert (tmp_path / f"{key}.ckpt.json").exists()
+        assert entries.list_keys() == journals.list_keys() == [key]
+        assert decode_entry(journals.get(key)) == {"kind": "journal"}
+        journals.delete(key)
+        journals.delete(key)  # deleting an absent entry is a no-op
+        assert not journals.exists(key)
+        assert entries.exists(key)
+
 
 # -- engine integration -------------------------------------------------------
 

@@ -35,7 +35,6 @@ from repro.yieldsim.kernel import (
     model_successes,
     point_model,
     survival_batch_sizes,
-    survival_successes,
 )
 from repro.yieldsim.sweeps import defect_model_sweep, survival_sweep
 
@@ -253,11 +252,10 @@ class TestBitIdentity:
             alive = rng.random((size, struct.n_cells), dtype=dtype) < p
             got, _ = count_repairable(struct, alive)
             legacy += got
-        via_wrapper, _ = survival_successes(struct, p, runs, seed, dtype=dtype)
         via_model, _ = model_successes(
             struct, IIDBernoulli(p), runs, seed, dtype=dtype
         )
-        assert legacy == via_wrapper == via_model
+        assert legacy == via_model
 
     def test_model_point_equals_survival_point(self, dtmb26_chip):
         """An explicit IIDBernoulli point computes the same number as the

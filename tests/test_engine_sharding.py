@@ -154,7 +154,8 @@ class TestShardedBitIdentity:
     def test_single_shard_stream_is_the_spawned_stream(self, dtmb26_chip):
         """A one-batch sharded point equals a point computed directly from
         the spawn-derived generator — pinning the stream definition."""
-        from repro.yieldsim.kernel import RepairStructure, survival_successes
+        from repro.yieldsim.defects import IIDBernoulli
+        from repro.yieldsim.kernel import RepairStructure, model_successes
 
         est = SweepEngine(shard_runs=500).survival_estimates(
             dtmb26_chip, [(0.95, 21)], 800
@@ -162,8 +163,8 @@ class TestShardedBitIdentity:
         struct = RepairStructure(dtmb26_chip)
         rng0 = np.random.default_rng(shard_seed(21, 0))
         rng1 = np.random.default_rng(shard_seed(21, 1))
-        got0, _ = survival_successes(struct, 0.95, 500, seed=rng0)
-        got1, _ = survival_successes(struct, 0.95, 300, seed=rng1)
+        got0, _ = model_successes(struct, IIDBernoulli(0.95), 500, seed=rng0)
+        got1, _ = model_successes(struct, IIDBernoulli(0.95), 300, seed=rng1)
         assert est.successes == got0 + got1
 
     def test_shard_runs_validation(self):

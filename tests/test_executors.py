@@ -6,16 +6,15 @@ stop-rule checks, speculation discard) while the
 :class:`~repro.yieldsim.executors.Executor` owns only *where* compute
 units run.  These tests sweep the executor grid — serial, process pool,
 inline test executor at several capacities — over flat, adaptive and
-sharded points and assert bit-identical estimates, then pin the shim that
-keeps old ``repro.yieldsim.engine`` deep imports alive.
+sharded points, matching and criterion alike — and assert bit-identical
+estimates and screen/funnel counter totals.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
+from repro.functional import RoutingCriterion
 from repro.yieldsim.engine import EnginePoint, SweepEngine
 from repro.yieldsim.executors import (
     InlineExecutor,
@@ -24,16 +23,18 @@ from repro.yieldsim.executors import (
     default_executor,
 )
 from repro.yieldsim.kernel import PointSpec
-from repro.yieldsim.scheduler import PointScheduler
 from repro.yieldsim.stats import StopRule
 
 RULE = StopRule(target_half_width=0.02, min_runs=200, batch_runs=200)
 TIGHT = StopRule(target_half_width=0.004, min_runs=200, batch_runs=200)
 
 
+ROUTING = RoutingCriterion(deadline=200)
+
+
 def _tasks(dtmb26_chip, dtmb16_chip):
     """A mixed workload: flat, adaptive (early-stop and ceiling-bound),
-    fixed-regime, across two chips."""
+    fixed-regime and functional-criterion points, across two chips."""
     return [
         EnginePoint(dtmb26_chip, PointSpec("survival", 0.95, 1200, 11)),
         EnginePoint(dtmb26_chip, PointSpec("survival", 0.90, 2000, 12),
@@ -42,14 +43,23 @@ def _tasks(dtmb26_chip, dtmb16_chip):
                     stop=TIGHT),
         EnginePoint(dtmb16_chip, PointSpec("fixed", 4, 800, 14)),
         EnginePoint(dtmb26_chip, PointSpec("survival", 0.93, 1500, 15)),
+        EnginePoint(dtmb26_chip,
+                    PointSpec("survival", 0.95, 300, 16, criterion=ROUTING)),
+        EnginePoint(dtmb26_chip,
+                    PointSpec("survival", 0.97, 800, 17, criterion=ROUTING),
+                    stop=RULE),
     ]
 
 
 def _estimates(engine, tasks):
-    return [
-        (e.successes, e.trials)
-        for e in engine.run_points([t for t in tasks])
-    ]
+    """Per-task ``(successes, trials)`` plus the run's screen-stat and
+    criterion-funnel totals — every one must be executor-independent."""
+    estimates = [(e.successes, e.trials) for e in engine.run_points(tasks)]
+    funnel = {}
+    for record in engine.point_log:
+        for key, value in (record.funnel or {}).items():
+            funnel[key] = funnel.get(key, 0) + value
+    return estimates, engine.screen_stats.as_dict(), funnel
 
 
 class TestExecutorBitIdentity:
@@ -189,34 +199,8 @@ class TestFoldHook:
 
 
 class TestDeprecationShim:
-    """Old deep imports from ``repro.yieldsim.engine`` keep resolving."""
-
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "SerialExecutor",
-            "InlineExecutor",
-            "PoolExecutor",
-            "_compute_batch",
-            "_compute_shard",
-            "_structure_from_payload",
-        ],
-    )
-    def test_moved_names_warn_and_resolve(self, name):
-        import repro.yieldsim.engine as engine_mod
-
-        with pytest.warns(DeprecationWarning, match=name):
-            value = getattr(engine_mod, name)
-        assert value is not None
-
-    def test_shim_resolves_to_the_real_objects(self):
-        import repro.yieldsim.engine as engine_mod
-        import repro.yieldsim.scheduler as scheduler_mod
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert engine_mod._compute_batch is scheduler_mod.compute_chunk
-            assert engine_mod.PointScheduler is PointScheduler
+    """The pre-split deep-import shim is gone: the facade module no longer
+    resolves names lazily, so unknown attributes fail like any module's."""
 
     def test_unknown_names_still_raise(self):
         import repro.yieldsim.engine as engine_mod

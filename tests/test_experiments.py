@@ -179,6 +179,15 @@ class TestFig12:
     def test_report_renders(self):
         assert "repair complete" in fig12.run(run_assay=False).format_report()
 
+    @pytest.mark.parametrize("seed", [2015, 2022, 2023, 2029, 2035, 2041, 2042])
+    def test_faulty_unneeded_neighbor_never_breaks_routing(self, seed):
+        # These fault maps put a faulty primary outside the plan's needed
+        # set next to a routed cell; the router once pulled it back
+        # through the remap and raised "the repair plan is stale".
+        result = fig12.run(seed=seed, run_assay=True)
+        assert result.repaired
+        assert result.assay_result is not None
+
 
 class TestFig13:
     @pytest.fixture(scope="class")

@@ -153,7 +153,7 @@ def test_funnel_matches_full_scheduler(spec, n, criterion):
 def test_dtmb44_functional_collapse():
     """DTMB(4,4)'s spare lattice disconnects the primary fabric: the
     assay cannot run even on a fault-free chip, so functional yield is
-    zero while matching yield is near one."""
+    (near) zero while matching yield is near one."""
     struct = RepairStructure(_chip(DTMB_4_4, 60))
     ctx = context_for(struct, RoutingCriterion())
     assert not ctx.baseline_ok
@@ -162,6 +162,36 @@ def test_dtmb44_functional_collapse():
     )
     assert got == 0
     assert crit.matching_fail < 200  # matching finds repairs; routing fails
+
+
+#: The one fault map among 10000 runs of DTMB(4,4), n=60, p=0.9, point
+#: seed 2050 (run 9835) that the routing criterion accepts: a repair
+#: remap can reconnect the fabric the fault-free layout leaves broken,
+#: so DTMB(4,4)'s functional yield is small, not exactly zero.
+DTMB44_ROUTABLE_FAULTS = (
+    (-5, 10), (-3, 6), (-2, 5), (-1, 7), (0, 5), (0, 7), (1, 6), (2, 6),
+    (3, 2), (3, 7), (4, 6), (5, 1), (7, 3), (8, 1), (8, 3),
+)
+
+
+def test_dtmb44_routable_fault_map_accepted_by_funnel_and_scheduler():
+    from repro.geometry.hex import Hex
+    from repro.yieldsim.kernel import classify_repairable
+
+    chip = _chip(DTMB_4_4, 60)
+    struct = RepairStructure(chip)
+    criterion = RoutingCriterion(assay="glucose", deadline=200)
+    index = {coord: i for i, coord in enumerate(chip.coords)}
+    alive = np.ones((1, struct.n_cells), dtype=bool)
+    for q, r in DTMB44_ROUTABLE_FAULTS:
+        alive[0, index[Hex(q, r)]] = False
+    verdict, _ = classify_repairable(struct, alive)
+    ok, stats = evaluate_functional(struct, criterion, alive, verdict)
+    assert ok[0]
+    assert (stats.residue, stats.residue_ok) == (1, 1)
+    ctx = context_for(struct, criterion)
+    assert not ctx.baseline_ok  # the fault-free chip itself fails
+    assert _reference_success(ctx, alive[0], verdict[0])
 
 
 # -- engine bit-identity ------------------------------------------------------

@@ -252,6 +252,46 @@ class TestTracer:
         assert a != c
 
 
+# -- counters ------------------------------------------------------------------
+
+class TestCounters:
+    def test_one_base_for_every_tally(self):
+        from repro.functional import CriterionStats
+        from repro.obs.counters import Counters
+        from repro.yieldsim.cachestore import StoreStats
+        from repro.yieldsim.kernel import ScreenStats
+
+        for cls in (ScreenStats, CriterionStats, ResilienceStats, StoreStats):
+            assert issubclass(cls, Counters)
+            for method in ("merge", "as_dict", "from_dict", "delta"):
+                assert method not in vars(cls), (cls, method)
+
+    def test_as_dict_keeps_declaration_order_and_round_trips(self):
+        from repro.yieldsim.kernel import ScreenStats
+
+        stats = ScreenStats(runs=10, residue=2, zero_fault=5)
+        assert list(stats.as_dict())[:3] == ["runs", "zero_fault", "bad_dead_end"]
+        assert ScreenStats.from_dict(stats.as_dict()) == stats
+        total = ScreenStats()
+        total.merge(stats)
+        total.merge(stats)
+        assert (total.runs, total.residue, total.screened) == (20, 4, 16)
+
+    def test_from_dict_rejects_foreign_or_missing_keys(self):
+        from repro.functional import CriterionStats
+
+        good = CriterionStats(runs=3).as_dict()
+        with pytest.raises(ValueError):
+            CriterionStats.from_dict({f"crit_{k}": v for k, v in good.items()})
+        with pytest.raises(ValueError):
+            CriterionStats.from_dict({"runs": 3})
+
+    def test_delta_reports_only_growth(self):
+        before = ResilienceStats(retries=1).as_dict()
+        after = ResilienceStats(retries=3, timeouts=1).as_dict()
+        assert ResilienceStats.delta(before, after) == {"retries": 2, "timeouts": 1}
+
+
 # -- timings -------------------------------------------------------------------
 
 class TestTimings:
@@ -285,6 +325,22 @@ class TestTimings:
         stable = json.dumps(result.provenance.stable_dict())
         assert "timings" not in stable
         assert "wall_s" not in stable
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_point_timings_reconcile_with_wall_clock(self, jobs):
+        # Each point is timed on its own, so summing over points never
+        # counts a second twice: the summed worker wall time fits inside
+        # the dispatch wall clock times the number of workers.
+        from repro.experiments import registry
+
+        result = registry.execute(
+            registry.get("fig9-functional"), runs=400, seed=7,
+            engine=SweepEngine(jobs=jobs),
+            knobs={"ns": (60,), "ps": (0.90, 0.93, 0.96, 0.99)},
+        )
+        manifest = result.provenance.as_dict()
+        summed = manifest["engine"]["timings"]["wall_s"]
+        assert 0.0 < summed <= manifest["wall_time_s"] * max(1, jobs) + 1e-3
 
     def test_funnel_phases_surface_in_timings(self, dtmb26_chip):
         from repro.functional.criteria import RoutingCriterion
@@ -332,6 +388,22 @@ class TestEventLog:
             for line in sink.getvalue().splitlines()
         ]
         assert any(e["event"] == "unit_retry" for e in events)
+
+    def test_cache_quarantine_emits_event(self, tmp_path):
+        from repro.yieldsim.cachestore import LocalStore
+
+        sink = io.StringIO()
+        configure_logging("info", json_lines=True, stream=sink)
+        key = "ab" * 32
+        (tmp_path / f"{key}.json").write_text("{not json")
+        assert LocalStore(str(tmp_path)).get(key) is None
+        [event] = [
+            validate_event_line(line)
+            for line in sink.getvalue().splitlines()
+        ]
+        assert event["event"] == "quarantine"
+        assert event["logger"] == "repro.cachestore"
+        assert event["fields"]["path"].endswith(f"{key}.json")
 
     def test_validate_rejects_malformed_lines(self):
         with pytest.raises(ValueError):

@@ -259,6 +259,68 @@ class TestCheckpointResume:
         assert resumed_engine.resilience.quarantined >= 1
         assert list((tmp_path / "cache").glob("*.ckpt.json.corrupt"))
 
+    def _preempted_criterion_run(self, chip, cache):
+        from repro.functional import RoutingCriterion
+
+        def point():
+            return EnginePoint(
+                chip,
+                PointSpec("survival", 0.95, 1000, 7,
+                          criterion=RoutingCriterion(deadline=200)),
+                None, ADAPTIVE_RULE,
+            )
+
+        clean_engine = SweepEngine()
+        [clean] = clean_engine.run_points([point()])
+        engine, _ = faulted_engine(
+            FaultSchedule(preempt_after=2), cache_dir=cache, checkpoint=True
+        )
+        with pytest.raises(Preemption):
+            engine.run_points([point()])
+        return point, clean, clean_engine
+
+    def test_resumed_counters_equal_uninterrupted_counters(
+        self, dtmb26_chip, tmp_path
+    ):
+        cache = str(tmp_path / "cache")
+        point, clean, clean_engine = self._preempted_criterion_run(
+            dtmb26_chip, cache
+        )
+        resumed_engine = SweepEngine(cache_dir=cache, checkpoint=True)
+        [resumed] = resumed_engine.run_points([point()])
+        assert resumed_engine.resilience.checkpoint_resumes == 1
+        assert (resumed.successes, resumed.trials) == (
+            clean.successes, clean.trials,
+        )
+        assert resumed_engine.screen_stats == clean_engine.screen_stats
+        assert resumed_engine.point_log[0].funnel == clean_engine.point_log[0].funnel
+
+    def test_checkpoint_in_another_counter_layout_reads_as_absent(
+        self, dtmb26_chip, tmp_path
+    ):
+        from repro.yieldsim.cachestore import decode_entry, encode_entry
+
+        cache = str(tmp_path / "cache")
+        point, clean, clean_engine = self._preempted_criterion_run(
+            dtmb26_chip, cache
+        )
+        # Rewrite the journal with its criterion counters under the
+        # older ``crit_``-prefixed keys, digest kept honest.
+        [ckpt] = list((tmp_path / "cache").glob("*.ckpt.json"))
+        data = decode_entry(ckpt.read_bytes())
+        data["crit"] = {f"crit_{k}": v for k, v in data["crit"].items()}
+        ckpt.write_bytes(encode_entry(data))
+
+        resumed_engine = SweepEngine(cache_dir=cache, checkpoint=True)
+        [resumed] = resumed_engine.run_points([point()])
+        assert resumed_engine.resilience.checkpoint_resumes == 0
+        assert resumed_engine.resilience.quarantined == 0
+        assert (resumed.successes, resumed.trials) == (
+            clean.successes, clean.trials,
+        )
+        assert resumed_engine.screen_stats == clean_engine.screen_stats
+        assert resumed_engine.point_log[0].funnel == clean_engine.point_log[0].funnel
+
     def test_preemption_under_fault_storm_still_resumes(
         self, dtmb26_chip, tmp_path
     ):

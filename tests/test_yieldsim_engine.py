@@ -20,6 +20,7 @@ from repro.designs.interstitial import (
 )
 from repro.errors import SimulationError
 from repro.geometry.hexgrid import RectRegion
+from repro.yieldsim.defects import IIDBernoulli
 from repro.yieldsim.engine import (
     SweepEngine,
     chip_payload,
@@ -33,8 +34,7 @@ from repro.yieldsim.kernel import (
     classify_repairable,
     fixed_fault_alive,
     kuhn_repairable,
-    simulate_points,
-    survival_successes,
+    model_successes,
 )
 from repro.yieldsim.montecarlo import YieldSimulator
 from repro.yieldsim.sweeps import (
@@ -93,12 +93,14 @@ class TestScreeningKernel:
         struct = RepairStructure(dtmb26_chip)
         for i, p in enumerate((0.88, 0.94, 0.99)):
             expected = sim.run_survival(p, runs=1500, seed=40 + i).successes
-            got, _ = survival_successes(struct, p, 1500, seed=40 + i, dtype=np.float64)
+            got, _ = model_successes(
+                struct, IIDBernoulli(p), 1500, seed=40 + i, dtype=np.float64
+            )
             assert got == expected
 
     def test_screen_resolves_majority_without_matching(self, dtmb26_chip):
         struct = RepairStructure(dtmb26_chip)
-        _, stats = survival_successes(struct, 0.97, 4000, seed=3)
+        _, stats = model_successes(struct, IIDBernoulli(0.97), 4000, seed=3)
         assert stats.runs == 4000
         # At paper-regime p the screen decides nearly everything.
         assert stats.residue < 0.05 * stats.runs
@@ -107,7 +109,7 @@ class TestScreeningKernel:
     def test_degree_one_design_never_needs_matching(self):
         struct = RepairStructure(build_flower_chip(60))
         assert struct.max_degree == 1
-        _, stats = survival_successes(struct, 0.9, 2000, seed=5)
+        _, stats = model_successes(struct, IIDBernoulli(0.9), 2000, seed=5)
         assert stats.residue == 0
 
     def test_kuhn_reference_agrees_with_simulator(self, dtmb26_chip):
@@ -120,15 +122,16 @@ class TestScreeningKernel:
         )
 
     def test_point_spec_validation(self, dtmb26_chip):
-        struct = RepairStructure(dtmb26_chip)
+        n_cells = len(dtmb26_chip)
         with pytest.raises(SimulationError):
-            simulate_points(struct, [PointSpec("survival", 1.5, 10, 1)])
+            PointSpec("survival", 1.5, 10, 1).validate(n_cells)
         with pytest.raises(SimulationError):
-            simulate_points(struct, [PointSpec("survival", 0.9, 0, 1)])
+            PointSpec("survival", 0.9, 0, 1).validate(n_cells)
         with pytest.raises(SimulationError):
-            simulate_points(struct, [PointSpec("fixed", len(dtmb26_chip) + 1, 10, 1)])
+            PointSpec("fixed", n_cells + 1, 10, 1).validate(n_cells)
         with pytest.raises(SimulationError):
-            simulate_points(struct, [PointSpec("bogus", 0.5, 10, 1)])
+            PointSpec("bogus", 0.5, 10, 1).validate(n_cells)
+        PointSpec("fixed", n_cells, 10, 1).validate(n_cells)
 
 
 class TestSweepEngine:
