@@ -4,10 +4,11 @@ Two questions :mod:`repro.functional` must answer at paper budgets
 (override with REPRO_BENCH_RUNS):
 
 1. How much of a functional sweep does the five-stage screen funnel
-   decide *without* driving the fluidics scheduler?  A scheduler run
-   costs ~20 ms; the vectorized screens cost microseconds per run, so
-   functional sweeps stay seconds-scale only while the residue (stage 5)
-   fraction stays small.
+   decide *without* route search?  A residue run (stage 5: the repair
+   assignment plus A* on an index-space view of the repaired chip) costs
+   ~0.04-0.14 ms for this routing criterion on a shared 2-vCPU host; the
+   vectorized screens cost microseconds per run, so functional sweeps
+   stay seconds-scale only while the residue fraction stays small.
 2. How optimistic is the paper's structural matching criterion once
    "good" means "the assay still routes"?  The fig9-functional scenario
    gives the headline: DTMB(4,4) repairs essentially every chip yet

@@ -71,10 +71,22 @@ class ConcurrentPlan:
 
 
 class ConcurrentRouter:
-    """Prioritized time-expanded planner over one chip."""
+    """Prioritized time-expanded planner over one chip.
 
-    def __init__(self, chip: Biochip, remap: Optional[CellRemap] = None):
-        self.router = Router(chip, remap)
+    ``router`` supplies the cell semantics (usability, adjacency and the
+    A* heuristic); by default a :class:`Router` over ``chip`` and
+    ``remap``.  Any :class:`Router` subclass with the same contract may be
+    passed instead, e.g. an index-space view of one repaired chip.
+    """
+
+    def __init__(
+        self,
+        chip: Biochip,
+        remap: Optional[CellRemap] = None,
+        *,
+        router: Optional[Router] = None,
+    ):
+        self.router = router if router is not None else Router(chip, remap)
 
     # -- public API -----------------------------------------------------------
     def plan(
@@ -96,7 +108,7 @@ class ConcurrentRouter:
         self._validate_endpoints(requests)
         if horizon is None:
             total = sum(
-                self._distance(r.source, r.target) for r in requests
+                self.router.distance(r.source, r.target) for r in requests
             )
             horizon = 2 * total + 4 * len(requests) + 8
 
@@ -128,11 +140,6 @@ class ConcurrentRouter:
                 raise RoutingError(
                     f"targets of {a.name} and {b.name} violate spacing"
                 )
-
-    def _distance(self, a: Hashable, b: Hashable) -> int:
-        if hasattr(a, "distance"):
-            return a.distance(b)
-        return 0
 
     def _conflicts(self, a: Hashable, b: Hashable) -> bool:
         return a == b or b in self.router.neighbors(a) or a in self.router.neighbors(b)
@@ -197,7 +204,7 @@ class ConcurrentRouter:
             )
         counter = itertools.count()
         open_heap = [
-            (self._distance(request.source, request.target), next(counter), start)
+            (self.router.distance(request.source, request.target), next(counter), start)
         ]
         g: Dict[Tuple[Hashable, int], int] = {start: 0}
         came: Dict[Tuple[Hashable, int], Tuple[Hashable, int]] = {}
@@ -217,7 +224,7 @@ class ConcurrentRouter:
                 if tentative < g.get(state, 1 << 30):
                     g[state] = tentative
                     came[state] = (cell, t)
-                    priority = tentative + self._distance(nxt, request.target)
+                    priority = tentative + self.router.distance(nxt, request.target)
                     heapq.heappush(open_heap, (priority, next(counter), state))
         raise RoutingError(
             f"{request.name}: no route {request.source} -> {request.target} "

@@ -1,17 +1,26 @@
-"""Droplet routing: shortest usable paths on a (possibly faulty) array.
+"""Droplet routing: A* paths over the usable cells of a (possibly faulty) array.
 
 The router plans in *logical* coordinates and consults the controller's
 remap + the chip's health to decide which cells are usable.  Faulty cells,
 explicitly blocked cells (other droplets plus their spacing halo) are
-avoided.  A* with the exact lattice distance as heuristic returns shortest
-paths; BFS is exposed separately for callers that want plain reachability.
+avoided.  Routes come from A* with the lattice distance as heuristic.
+
+Without a remap every move changes the lattice distance by at most one,
+so the heuristic never overestimates and the routes are shortest paths.
+Under a repair remap that no longer holds: a pulled-back logical edge can
+join two logical cells at lattice distance 2 (one of them served by a
+spare), the heuristic can overestimate, and A* may return a route longer
+than the shortest one (by one move in every measured case).  The
+functional criteria score the routes this router plans, so the search
+stays as it is.  :meth:`Router.reachable` serves callers that want plain
+reachability.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set
+from typing import Dict, Hashable, Iterable, List, Optional, Set
 
 from repro.chip.biochip import Biochip
 from repro.errors import ReconfigurationError, RoutingError
@@ -21,7 +30,7 @@ __all__ = ["Router"]
 
 
 class Router:
-    """Shortest-path planner over the logical array.
+    """A* route planner over the logical array.
 
     Parameters
     ----------
@@ -95,7 +104,10 @@ class Router:
         dst: Hashable,
         blocked: Iterable[Hashable] = (),
     ) -> List[Hashable]:
-        """Shortest usable logical path from ``src`` to ``dst`` (inclusive).
+        """A* usable logical path from ``src`` to ``dst`` (inclusive).
+
+        Shortest without a remap; under a remap possibly a little longer
+        (see the module docstring).
 
         ``blocked`` cells are treated as unusable (other droplets and their
         spacing halos).  Raises :class:`RoutingError` when no path exists —
@@ -110,7 +122,7 @@ class Router:
         if src == dst:
             return [src]
 
-        heuristic = self._heuristic_for(src)
+        heuristic = self.distance
         counter = itertools.count()
         open_heap = [(heuristic(src, dst), next(counter), src)]
         g_score: Dict[Hashable, int] = {src: 0}
@@ -167,15 +179,18 @@ class Router:
         return halo
 
     # -- helpers -----------------------------------------------------------------
-    def _heuristic_for(self, sample: Hashable) -> Callable[[Hashable, Hashable], int]:
-        # Logical coordinates under a remap are still lattice coordinates,
-        # and remapped cells sit adjacent to their logical position, so the
-        # lattice metric stays admissible (it can underestimate by at most
-        # the remap perturbation, never overestimate enough to break A*
-        # optimality in practice; exactness is covered by tests).
-        if hasattr(sample, "distance"):
-            return lambda a, b: a.distance(b)
-        return lambda a, b: 0
+    def distance(self, a: Hashable, b: Hashable) -> int:
+        """Lattice distance between two logical cells: the A* heuristic.
+
+        A lower bound on the moves left on an unremapped array.  Under a
+        remap a logical edge may join cells at lattice distance 2, so this
+        can overestimate and A* routes are not guaranteed shortest (see the
+        module docstring).  Coordinates without a metric get 0 (plain
+        uniform-cost search).
+        """
+        if hasattr(a, "distance"):
+            return a.distance(b)
+        return 0
 
     @staticmethod
     def _reconstruct(came_from: Dict[Hashable, Hashable], current: Hashable) -> List[Hashable]:

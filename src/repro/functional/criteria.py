@@ -27,8 +27,8 @@ Every criterion carries a stable content ``digest()`` (the defect-model
 convention) that enters engine cache keys and manifest provenance, and a
 vectorized ``evaluate_batch(struct, alive, verdict)`` that decides a whole
 survival batch at once through the screen funnel in
-:mod:`repro.functional.funnel` — cheap exact screens first, the expensive
-scheduler only on the ambiguous residue.  :class:`CriterionStats` counts
+:mod:`repro.functional.funnel` — cheap exact screens first, route search
+only on the ambiguous residue.  :class:`CriterionStats` counts
 where each run was decided, stage by stage, exactly as
 :class:`~repro.yieldsim.kernel.ScreenStats` does for the matching funnel.
 

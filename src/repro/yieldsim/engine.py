@@ -121,7 +121,7 @@ class PointRecord:
     distribution that produced it.  ``criterion``/``criterion_digest``
     do the same for the success predicate of functional-yield points, and
     ``funnel`` carries that point's criterion-funnel counters (where each
-    run was decided: screens vs scheduler residue) when the point was
+    run was decided: screens vs route-search residue) when the point was
     actually computed — cache hits have no telemetry to report.  All
     three stay ``None`` for default matching points, so legacy records
     and their serialized form are unchanged.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
@@ -10,12 +12,25 @@ from repro.cli import main
 from repro.experiments import registry
 
 
+@pytest.fixture(scope="module")
+def cli_all(tmp_path_factory):
+    """One `repro all --runs 300 --seed 123 --out DIR` pass shared by the
+    tests below: (exit code, captured stdout, artifact directory)."""
+    out_dir = tmp_path_factory.mktemp("cli_all") / "artifacts"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(
+            ["all", "--runs", "300", "--seed", "123", "--out", str(out_dir)]
+        )
+    return code, stdout.getvalue(), out_dir
+
+
 @pytest.mark.slow
-def test_cli_all_reduced_budget(capsys):
+def test_cli_all_reduced_budget(cli_all):
     """One pass over every experiment at a tiny budget must succeed and
     print each section header."""
-    assert main(["all", "--runs", "300"]) == 0
-    out = capsys.readouterr().out
+    code, out, _ = cli_all
+    assert code == 0
     for section in (
         "table1",
         "fig2",
@@ -37,17 +52,17 @@ def test_cli_all_reduced_budget(capsys):
 
 
 @pytest.mark.slow
-def test_cli_all_writes_artifact_bundle(capsys, tmp_path):
-    """The acceptance path: `repro all --runs 50 --out DIR` produces a
+def test_cli_all_writes_artifact_bundle(cli_all):
+    """The acceptance path: `repro all --runs N --out DIR` produces a
     manifest plus one CSV+JSON pair per tabular experiment, with the
     dispatch seed recorded in every provenance block."""
-    out = tmp_path / "artifacts"
-    assert main(["all", "--runs", "50", "--seed", "123", "--out", str(out)]) == 0
-    assert "wrote" in capsys.readouterr().out
+    code, stdout, out = cli_all
+    assert code == 0
+    assert "wrote" in stdout
 
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == {
-        "runs": 50, "seed": 123, "jobs": 1, "cache_dir": None,
+        "runs": 300, "seed": 123, "jobs": 1, "cache_dir": None,
     }
     assert sorted(manifest["experiments"]) == sorted(registry.names())
     for experiment in registry.all_experiments():

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chip.builders import plain_chip
 from repro.designs.catalog import DTMB_2_6
-from repro.designs.interstitial import build_chip
+from repro.designs.interstitial import build_chip, build_with_primary_count
 from repro.errors import RoutingError, SchedulingError
 from repro.fluidics.controller import ElectrodeController
 from repro.fluidics.operations import Detect, Discard, Dispense, Mix, Split, Transport
@@ -114,6 +116,36 @@ class TestRouter:
         path = router.route(primaries[0], victim)
         # Route ends at the logical victim; its physical image is the spare.
         assert path[-1] == victim
+
+    def test_remapped_astar_route_can_exceed_shortest(self):
+        """Under a remap the lattice heuristic is not admissible.
+
+        A pulled-back logical edge can join cells at lattice distance 2,
+        so A* may return a route longer than the logical shortest path.
+        The functional criteria score A*'s routes as they are; this pins
+        one such leg so that neither a "shortest paths" claim nor a change
+        of search goes unnoticed.
+        """
+        chip = build_with_primary_count(DTMB_2_6, 60).build()
+        chip.apply_fault_map(
+            Hex(q, r)
+            for q, r in ((-1, 8), (0, 9), (1, 5), (2, 0), (2, 5), (4, 0))
+        )
+        plan = plan_local_repair(chip)
+        assert plan.complete
+        router = Router(chip, CellRemap(chip, plan))
+        src, dst = Hex(7, 1), Hex(0, 9)
+        assert len(router.route(src, dst)) - 1 == 9
+
+        dist = {src: 0}
+        queue = deque([src])
+        while queue:
+            cell = queue.popleft()
+            for nbr in router.neighbors(cell):
+                if nbr not in dist and router.usable(nbr, set()):
+                    dist[nbr] = dist[cell] + 1
+                    queue.append(nbr)
+        assert dist[dst] == 8
 
 
 class TestScheduler:

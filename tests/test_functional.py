@@ -22,7 +22,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.designs.catalog import DTMB_2_6, DTMB_3_6, DTMB_4_4
+from repro.designs.catalog import DTMB_1_6, DTMB_2_6, DTMB_3_6, DTMB_4_4
 from repro.designs.interstitial import build_with_primary_count
 from repro.errors import CriterionError
 from repro.faults.injection import make_rng
@@ -34,6 +34,7 @@ from repro.functional import (
     criterion_successes,
     evaluate_functional,
 )
+from repro.fluidics.concurrent_routing import ConcurrentRouter
 from repro.functional.funnel import context_for
 from repro.yieldsim.defects import IIDBernoulli
 from repro.yieldsim.engine import SweepEngine
@@ -41,6 +42,7 @@ from repro.yieldsim.kernel import (
     GOOD,
     PointSpec,
     RepairStructure,
+    classify_repairable,
     model_successes,
 )
 from repro.yieldsim.scheduler import EnginePoint
@@ -115,19 +117,61 @@ def _reference_success(ctx, row, verdict):
     return ctx._residue_run(row)
 
 
+#: three concurrent assays: some runs need a rotated priority order.
+THREE_ASSAYS = MultiplexedCriterion(
+    assays=("glucose", "lactate", "pyruvate"), deadline=240
+)
+
+
+def _structure(spec, n, needed_stride=1):
+    """A repair structure protecting every ``needed_stride``-th primary.
+
+    A stride above 1 leaves primaries outside the needed set, whose
+    faults the residue turns into routed-around dead cells.
+    """
+    chip = _chip(spec, n)
+    if needed_stride == 1:
+        return RepairStructure(chip)
+    primaries = [cell.coord for cell in chip.primaries()]
+    return RepairStructure(chip, needed=primaries[::needed_stride])
+
+
 @pytest.mark.parametrize(
-    "spec,n,criterion",
+    "spec,n,criterion,needed_stride",
     [
-        (DTMB_2_6, 60, RoutingCriterion(deadline=200)),
-        (DTMB_3_6, 60, RoutingCriterion(deadline=200)),
-        (DTMB_3_6, 60, RoutingCriterion(deadline=18)),
-        (DTMB_4_4, 24, RoutingCriterion(deadline=200)),
-        (DTMB_3_6, 60, MultiplexedCriterion(deadline=14)),
+        # Explicit ids keep the names of the original five cases.
+        pytest.param(
+            DTMB_2_6, 60, RoutingCriterion(deadline=200), 1,
+            id="spec0-60-criterion0",
+        ),
+        pytest.param(
+            DTMB_3_6, 60, RoutingCriterion(deadline=200), 1,
+            id="spec1-60-criterion1",
+        ),
+        pytest.param(
+            DTMB_3_6, 60, RoutingCriterion(deadline=18), 1,
+            id="spec2-60-criterion2",
+        ),
+        pytest.param(
+            DTMB_4_4, 24, RoutingCriterion(deadline=200), 1,
+            id="spec3-24-criterion3",
+        ),
+        pytest.param(
+            DTMB_3_6, 60, MultiplexedCriterion(deadline=14), 1,
+            id="spec4-60-criterion4",
+        ),
+        pytest.param(
+            DTMB_3_6, 60, THREE_ASSAYS, 1, id="multiplexed-3-assays",
+        ),
+        pytest.param(
+            DTMB_2_6, 60, RoutingCriterion(deadline=200), 2,
+            id="routing-half-needed",
+        ),
     ],
 )
-def test_funnel_matches_full_scheduler(spec, n, criterion):
+def test_funnel_matches_full_scheduler(spec, n, criterion, needed_stride):
     """Every screen verdict must agree with full scheduler evaluation."""
-    struct = RepairStructure(_chip(spec, n))
+    struct = _structure(spec, n, needed_stride)
     ctx = context_for(struct, criterion)
     rng = make_rng(7)
     for p in (0.88, 0.97):
@@ -150,6 +194,78 @@ def test_funnel_matches_full_scheduler(spec, n, criterion):
         assert decided == stats.runs == 60
 
 
+@pytest.mark.parametrize(
+    "spec,n,criterion,needed_stride",
+    [
+        (DTMB_1_6, 60, RoutingCriterion(deadline=200), 1),
+        (DTMB_2_6, 60, RoutingCriterion(deadline=200), 1),
+        (DTMB_2_6, 60, RoutingCriterion(deadline=18), 1),
+        (DTMB_2_6, 60, MultiplexedCriterion(deadline=14), 1),
+        (DTMB_3_6, 60, RoutingCriterion(deadline=200), 1),
+        (DTMB_3_6, 60, RoutingCriterion(deadline=18), 1),
+        (DTMB_3_6, 60, MultiplexedCriterion(deadline=14), 1),
+        (DTMB_3_6, 60, THREE_ASSAYS, 1),
+        (DTMB_4_4, 24, RoutingCriterion(deadline=200), 1),
+        (DTMB_2_6, 60, RoutingCriterion(deadline=200), 2),
+        (DTMB_2_6, 60, MultiplexedCriterion(deadline=14), 2),
+    ],
+    ids=[
+        "dtmb16-routing200",
+        "dtmb26-routing200",
+        "dtmb26-routing18",
+        "dtmb26-multiplexed2",
+        "dtmb36-routing200",
+        "dtmb36-routing18",
+        "dtmb36-multiplexed2",
+        "dtmb36-multiplexed3",
+        "dtmb44-routing200",
+        "dtmb26-half-needed-routing200",
+        "dtmb26-half-needed-multiplexed2",
+    ],
+)
+def test_index_residue_matches_object_oracle(
+    spec, n, criterion, needed_stride, monkeypatch
+):
+    """The funnel's index-space residue equals the object-level oracle.
+
+    Compared on every matching-GOOD row, not only the rows the screens
+    leave undecided: the index view must rebuild the same repair remap
+    and run the same A* searches as ``plan_local_repair`` + ``CellRemap``
+    + the real scheduler or concurrent router.
+    """
+    struct = _structure(spec, n, needed_stride)
+    ctx = context_for(struct, criterion)
+    plans = orders = 0
+    plan, plan_in_order = ConcurrentRouter.plan, ConcurrentRouter._plan_in_order
+
+    def counting_plan(self, *args, **kwargs):
+        nonlocal plans
+        plans += 1
+        return plan(self, *args, **kwargs)
+
+    def counting_order(self, *args, **kwargs):
+        nonlocal orders
+        orders += 1
+        return plan_in_order(self, *args, **kwargs)
+
+    monkeypatch.setattr(ConcurrentRouter, "plan", counting_plan)
+    monkeypatch.setattr(ConcurrentRouter, "_plan_in_order", counting_order)
+
+    rng = make_rng(11)
+    batch = 25 if criterion.name == "multiplexed" else 80
+    compared = accepted = 0
+    for p in (0.80, 0.88, 0.93, 0.97):
+        alive = IIDBernoulli(p).sample_batch(struct.geometry, batch, rng)
+        verdict, _ = classify_repairable(struct, alive)
+        for r in np.flatnonzero(verdict == GOOD):
+            got = ctx._index_run(alive[r])
+            assert got == ctx._residue_run(alive[r]), (p, int(r))
+            compared += 1
+            accepted += int(got)
+    assert compared > 0
+    if criterion is THREE_ASSAYS:
+        assert accepted > 0
+        assert orders > plans  # some runs retried a rotated order
 def test_dtmb44_functional_collapse():
     """DTMB(4,4)'s spare lattice disconnects the primary fabric: the
     assay cannot run even on a fault-free chip, so functional yield is
