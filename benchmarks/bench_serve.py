@@ -20,6 +20,7 @@ import urllib.request
 from conftest import report
 
 from repro.serve import BackgroundServer, ServeConfig
+from repro.yieldsim.engine import SweepEngine
 
 N_CONCURRENT = 8
 
@@ -38,7 +39,7 @@ def test_bench_serve_coalescing(runs, tmp_path):
         "seed": 41, "design": "DTMB(2,6)", "n": 60,
     }
     with BackgroundServer(
-        ServeConfig(port=0, cache_dir=str(tmp_path))
+        ServeConfig(port=0), engine=SweepEngine(cache_dir=str(tmp_path))
     ) as handle:
         base = f"http://127.0.0.1:{handle.port}"
 

@@ -61,9 +61,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from repro.errors import CriterionError, ExperimentError, FaultModelError
+from repro.errors import CriterionError, ExperimentError, FaultModelError, ServeError
 from repro.experiments import registry
 from repro.experiments.artifacts import ArtifactRun
 from repro.experiments.registry import Experiment, ExperimentResult
@@ -269,61 +269,71 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _retry_policy(
-    retries: Optional[int], unit_timeout: Optional[float]
-) -> Optional[RetryPolicy]:
-    """The RetryPolicy the --retries/--unit-timeout flags ask for, or None.
+def _check_budget(args: argparse.Namespace) -> None:
+    """Reject a --runs/--seed the sweeps cannot honor as a CLI error."""
+    runs = getattr(args, "runs", None)
+    if runs is not None and runs < 1:
+        raise ExperimentError(f"--runs must be >= 1, got {runs}")
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        raise ExperimentError(f"--seed must be >= 0, got {seed}")
 
-    ``--retries N`` means N retries *after* the first attempt, so the
-    policy gets ``attempts=N + 1``; ``--unit-timeout`` alone keeps the
-    default attempt budget.  Validation happens here so a bad flag is a
-    clean CLI error, not a traceback.
+
+def _engine_kwargs(args: argparse.Namespace) -> dict:
+    """Validate the engine flags and map them to SweepEngine arguments.
+
+    Only the options a flag actually set appear, so an empty dict means
+    a default engine.  Validation happens here so a bad flag is a clean
+    CLI error, not a traceback.  ``--retries N`` means N retries *after*
+    the first attempt (``attempts=N + 1``); ``--unit-timeout`` alone keeps
+    the default attempt budget.
     """
-    if retries is None and unit_timeout is None:
-        return None
+    kwargs: dict = {}
+    jobs = getattr(args, "jobs", 1)
+    if jobs < 1:
+        raise ExperimentError(f"--jobs must be >= 1, got {jobs}")
+    if jobs != 1:
+        kwargs["jobs"] = jobs
+    shard_runs = getattr(args, "shard_runs", None)
+    if shard_runs is not None:
+        if shard_runs < 1:
+            raise ExperimentError(f"--shard-runs must be >= 1, got {shard_runs}")
+        kwargs["shard_runs"] = shard_runs
+    cache = getattr(args, "cache", None) or None  # "" means no cache
+    if cache is not None:
+        kwargs["cache_dir"] = cache
+    cache_url = getattr(args, "cache_url", None) or None
+    if cache_url is not None:
+        kwargs["cache_store"] = store_from_url(cache_url)
+    retries = getattr(args, "retries", None)
+    unit_timeout = getattr(args, "unit_timeout", None)
     if retries is not None and retries < 0:
         raise ExperimentError(f"--retries must be >= 0, got {retries}")
     if unit_timeout is not None and unit_timeout <= 0:
-        raise ExperimentError(
-            f"--unit-timeout must be > 0, got {unit_timeout}"
+        raise ExperimentError(f"--unit-timeout must be > 0, got {unit_timeout}")
+    if retries is not None or unit_timeout is not None:
+        attempts = (
+            retries + 1 if retries is not None else DEFAULT_RETRY_POLICY.attempts
         )
-    attempts = (
-        retries + 1 if retries is not None else DEFAULT_RETRY_POLICY.attempts
-    )
-    return RetryPolicy(attempts=attempts, unit_timeout=unit_timeout)
-
-
-def _retry_from_args(args: argparse.Namespace) -> Optional[RetryPolicy]:
-    return _retry_policy(
-        getattr(args, "retries", None), getattr(args, "unit_timeout", None)
-    )
+        kwargs["retry"] = RetryPolicy(attempts=attempts, unit_timeout=unit_timeout)
+    if getattr(args, "checkpoint", False):
+        if cache is None:
+            raise ExperimentError("--checkpoint requires --cache DIR")
+        kwargs["checkpoint"] = True
+    if getattr(args, "trace", None):
+        kwargs["tracer"] = Tracer()
+    return kwargs
 
 
 def _engine_from_args(args: argparse.Namespace) -> Optional[SweepEngine]:
-    """A SweepEngine honoring --jobs/--cache/resilience flags, or None
-    for pure defaults.
+    """The engine the flags ask for, reporting progress to stderr, or
+    None for pure defaults.
 
-    Progress is reported to stderr in ~10% chunks so long paper-budget
-    sweeps show life without polluting the report on stdout.
+    Progress is reported in ~10% chunks so long paper-budget sweeps show
+    life without polluting the report on stdout.
     """
-    jobs = getattr(args, "jobs", 1)
-    cache = getattr(args, "cache", None) or None  # "" means no cache
-    cache_url = getattr(args, "cache_url", None) or None
-    shard_runs = getattr(args, "shard_runs", None)
-    retry = _retry_from_args(args)
-    checkpoint = bool(getattr(args, "checkpoint", False))
-    trace_path = getattr(args, "trace", None) or None
-    if checkpoint and cache is None:
-        raise ExperimentError("--checkpoint requires --cache DIR")
-    if (
-        jobs == 1
-        and cache is None
-        and cache_url is None
-        and shard_runs is None
-        and retry is None
-        and not checkpoint
-        and trace_path is None
-    ):
+    kwargs = _engine_kwargs(args)
+    if not kwargs:
         return None
 
     last_bucket = [-1]
@@ -336,16 +346,7 @@ def _engine_from_args(args: argparse.Namespace) -> Optional[SweepEngine]:
             last_bucket[0] = bucket
             print(f"  [{done}/{total} points]", file=sys.stderr)
 
-    return SweepEngine(
-        jobs=jobs,
-        cache_dir=cache,
-        progress=progress,
-        shard_runs=shard_runs,
-        retry=retry,
-        checkpoint=checkpoint,
-        cache_store=store_from_url(cache_url) if cache_url else None,
-        tracer=Tracer() if trace_path else None,
-    )
+    return SweepEngine(progress=progress, **kwargs)
 
 
 def _configure_logging_from_args(args: argparse.Namespace) -> None:
@@ -360,15 +361,12 @@ def _configure_logging_from_args(args: argparse.Namespace) -> None:
     )
 
 
-def _write_trace(args: argparse.Namespace, engine: Optional[SweepEngine]) -> None:
+def _write_trace(args: argparse.Namespace, tracer: Optional[Tracer]) -> None:
     """Write the armed tracer's Chrome-trace JSON to the --trace FILE."""
-    path = getattr(args, "trace", None) or None
-    if path is None or engine is None or engine.tracer is None:
+    if tracer is None:
         return
-    engine.tracer.write(path)
-    print(
-        f"wrote {path} ({len(engine.tracer)} trace events)", file=sys.stderr
-    )
+    tracer.write(args.trace)
+    print(f"wrote {args.trace} ({len(tracer)} trace events)", file=sys.stderr)
 
 
 def _artifact_run(args: argparse.Namespace) -> Optional[ArtifactRun]:
@@ -420,19 +418,24 @@ def _execute(
     experiment: Experiment,
     args: argparse.Namespace,
     engine: Optional[SweepEngine],
-    model: Optional[ModelFamily] = None,
-    criterion: Optional[object] = None,
 ) -> ExperimentResult:
+    """Run one experiment as the flags ask.
+
+    --defect-model/--criterion apply to the sweeps that accept the knob;
+    the fixed-regime experiments run unchanged (per --help).
+    """
     target_ci = _target_ci_from_args(args)
+    adaptive = bool(getattr(args, "adaptive", False) or target_ci)
     knobs = {}
-    if model is not None:
+    model = _model_family_from_args(args)
+    if model is not None and experiment.model_knob:
         knobs["model"] = model
-    if criterion is not None:
+    criterion = _criterion_from_args(args)
+    if criterion is not None and experiment.criterion_knob:
         knobs["criterion"] = criterion
     log_event(
         _log, "run_start", name=experiment.name,
-        runs=args.runs, seed=args.seed,
-        adaptive=bool(getattr(args, "adaptive", False) or target_ci),
+        runs=args.runs, seed=args.seed, adaptive=adaptive,
     )
     result = registry.execute(
         experiment,
@@ -442,7 +445,7 @@ def _execute(
         options={
             "chart": getattr(args, "chart", False),
             "mc_check": getattr(args, "mc_check", False),
-            "adaptive": bool(getattr(args, "adaptive", False) or target_ci),
+            "adaptive": adaptive,
             "target_ci": target_ci,
         },
         knobs=knobs or None,
@@ -454,6 +457,16 @@ def _execute(
         requested=prov.mc_runs_requested,
         digest=prov.digest,
     )
+    return result
+
+
+def _print_result(result: ExperimentResult, args: argparse.Namespace) -> None:
+    """Render one experiment: the adaptive-budget note on stderr, then on
+    stdout the report, epilogue lines and (with --chart) each chart after
+    a blank line.  ``report_text()`` is the same renderer the artifact
+    pipeline writes to ``report.txt``, keeping stdout and artifacts in
+    lockstep."""
+    prov = result.provenance
     if prov.stop_rule is not None and prov.mc_runs_requested:
         spent = 100.0 * prov.mc_runs_effective / prov.mc_runs_requested
         print(
@@ -462,14 +475,6 @@ def _execute(
             f"{len(prov.mc_points)} points",
             file=sys.stderr,
         )
-    return result
-
-
-def _print_result(result: ExperimentResult, args: argparse.Namespace) -> None:
-    """Render one experiment to stdout exactly as the bespoke handlers did:
-    report, epilogue lines, then (with --chart) each chart after a blank
-    line.  ``report_text()`` is the same renderer the artifact pipeline
-    writes to ``report.txt``, keeping stdout and artifacts in lockstep."""
     _emit(result.report_text())
     if getattr(args, "chart", False):
         for _label, chart in result.charts:
@@ -486,21 +491,19 @@ def _run_experiment(args: argparse.Namespace) -> int:
             f"{experiment.name} has no tabular data to export "
             "(report-only experiment)"
         )
-    model = _model_family_from_args(args)
-    if model is not None and not experiment.model_knob:
+    if _model_family_from_args(args) is not None and not experiment.model_knob:
         return _fail(
             f"{experiment.name} does not accept --defect-model "
             "(its fault regime is part of the experiment definition)"
         )
-    criterion = _criterion_from_args(args)
-    if criterion is not None and not experiment.criterion_knob:
+    if _criterion_from_args(args) is not None and not experiment.criterion_knob:
         return _fail(
             f"{experiment.name} does not accept --criterion "
             "(its success predicate is part of the experiment definition)"
         )
     run = _artifact_run(args)
     engine = _engine_from_args(args)
-    result = _execute(experiment, args, engine, model=model, criterion=criterion)
+    result = _execute(experiment, args, engine)
     _print_result(result, args)
     if args.csv:
         write_csv(args.csv, result.headers, result.rows)
@@ -509,274 +512,91 @@ def _run_experiment(args: argparse.Namespace) -> int:
         run.add(result)
         manifest = run.finalize()
         _emit(f"wrote {manifest}")
-    _write_trace(args, engine)
+    _write_trace(args, engine.tracer if engine is not None else None)
     return 0
 
 
-class _RemotePayload:
-    """An :class:`ExperimentResult` stand-in rebuilt from a worker payload.
+def _all_worker(
+    name: str, args: argparse.Namespace
+) -> Tuple[ExperimentResult, List[dict]]:
+    """One `repro all --experiment-jobs` experiment, in a worker process.
 
-    Cross-experiment sharding computes each experiment in a worker
-    process; ``Experiment`` records hold unpicklable renderer closures, so
-    workers return plain data (:func:`_all_unit`) and the parent wraps it
-    in this shim, which quacks exactly like ``ExperimentResult`` for the
-    two consumers `all` has: ``_print_result`` and ``ArtifactRun.add``.
-    Every field is carried verbatim from the worker's real result, so the
-    artifacts written through the shim are byte-identical to a serial run.
+    ``args`` is the parent's command line with serial engine settings:
+    parallelism comes from running experiments side by side.  The worker
+    runs the same :func:`_execute` the serial loop does and returns the
+    real :class:`ExperimentResult` (experiments pickle as registry
+    references) plus the trace events its engine recorded.  Printing,
+    artifacts and the trace file stay with the parent, so workers report
+    no progress.
     """
-
-    class _Provenance:
-        def __init__(self, full: dict, stable: dict):
-            self._full = full
-            self._stable = stable
-
-        def as_dict(self) -> dict:
-            return dict(self._full)
-
-        def stable_dict(self) -> dict:
-            return dict(self._stable)
-
-    def __init__(self, experiment: Experiment, payload: dict):
-        self.experiment = experiment
-        self.headers = payload["headers"]
-        self.rows = payload["rows"]
-        self.charts = payload["charts"]
-        self._report_text = payload["report_text"]
-        self._canonical = payload["canonical_report_text"]
-        self.provenance = self._Provenance(
-            payload["provenance"], payload["provenance_stable"]
-        )
-
-    @property
-    def name(self) -> str:
-        return self.experiment.name
-
-    @property
-    def tabular(self) -> bool:
-        return self.headers is not None
-
-    def report_text(self) -> str:
-        return self._report_text
-
-    def canonical_report_text(self) -> str:
-        return self._canonical
-
-
-def _all_unit(
-    name: str,
-    runs: int,
-    seed: int,
-    options: dict,
-    model_spec: Optional[str],
-    criterion_spec: Optional[str],
-    cache_dir: Optional[str],
-    cache_url: Optional[str],
-    shard_runs: Optional[int],
-    retries: Optional[int],
-    unit_timeout: Optional[float],
-    checkpoint: bool,
-    want_charts: bool,
-    log_level: Optional[str] = None,
-    log_json: bool = False,
-    trace: bool = False,
-) -> dict:
-    """One `repro all` experiment, computed in a worker process.
-
-    Module-level (picklable) so :class:`~repro.yieldsim.executors.
-    PoolExecutor` can ship it; takes only plain values and returns only
-    plain values.  Model/criterion arrive as their CLI spec strings and
-    are re-parsed here — parsed instances need not cross the process
-    boundary.  The worker runs its experiment serially (parallelism comes
-    from running experiments side by side), still honoring the result
-    cache, shard plan and retry/checkpoint policy, none of which can
-    change any number by the engine's bit-identity contract.  Telemetry
-    crosses back as plain data too: with ``trace`` the worker's engine
-    records spans and returns them under ``trace_events`` for the parent
-    to merge into one file.
-    """
-    if log_level is not None or log_json:
-        # Workers inherit stderr; a --log-file stays parent-only (one
-        # writer per file).
-        configure_logging(log_level or "info", json_lines=log_json)
-    experiment = registry.get(name)
-    engine = None
-    retry = _retry_policy(retries, unit_timeout)
-    if (
-        cache_dir is not None
-        or cache_url is not None
-        or shard_runs is not None
-        or retry is not None
-        or checkpoint
-        or trace
-    ):
-        # The store is rebuilt from its URL inside the worker: live store
-        # objects (sockets, open dirs) need not cross the process boundary.
-        engine = SweepEngine(
-            cache_dir=cache_dir,
-            shard_runs=shard_runs,
-            retry=retry,
-            checkpoint=checkpoint,
-            cache_store=store_from_url(cache_url) if cache_url else None,
-            tracer=Tracer() if trace else None,
-        )
-    knobs: dict = {}
-    if model_spec and experiment.model_knob:
-        knobs["model"] = family_from_spec(model_spec)
-    if criterion_spec and experiment.criterion_knob:
-        from repro.functional import criterion_from_spec
-
-        knobs["criterion"] = criterion_from_spec(criterion_spec)
-    result = registry.execute(
-        experiment,
-        runs=runs,
-        seed=seed,
-        engine=engine,
-        options=options,
-        knobs=knobs or None,
-    )
-    return {
-        "name": result.name,
-        "headers": result.headers,
-        "rows": result.rows,
-        "charts": result.charts if want_charts else (),
-        "report_text": result.report_text(),
-        "canonical_report_text": result.canonical_report_text(),
-        "provenance": result.provenance.as_dict(),
-        "provenance_stable": result.provenance.stable_dict(),
-        "trace_events": (
-            engine.tracer.to_dict()["traceEvents"]
-            if engine is not None and engine.tracer is not None
-            else []
-        ),
-    }
-
-
-def _print_adaptive_note(budget: dict) -> None:
-    """The per-experiment adaptive-budget stderr line, from provenance."""
-    if budget.get("stop_rule") is not None and budget.get("mc_runs_requested"):
-        spent = 100.0 * budget["mc_runs_effective"] / budget["mc_runs_requested"]
-        print(
-            f"  adaptive budget: {budget['mc_runs_effective']}/"
-            f"{budget['mc_runs_requested']} runs ({spent:.0f}% of flat) over "
-            f"{len(budget['points'])} points",
-            file=sys.stderr,
-        )
-
-
-def _run_all_sharded(args: argparse.Namespace, jobs: int) -> int:
-    """`repro all` with one experiment per worker process.
-
-    Submits every registered experiment through the same
-    :class:`~repro.yieldsim.executors.Executor` seam the point scheduler
-    uses, then folds results in registry order — stdout, artifacts and
-    the manifest come out exactly as the serial loop writes them (the
-    executor changes wall-clock time, never a number or a byte).
-    """
-    from repro.yieldsim.executors import default_executor
-
-    # Parse --defect-model/--criterion/--retries in the parent first: a
-    # malformed spec must fail before any worker budget is spent.
-    _model_family_from_args(args)
-    _criterion_from_args(args)
-    _retry_from_args(args)
-    if getattr(args, "checkpoint", False) and not (
-        getattr(args, "cache", None) or None
-    ):
-        raise ExperimentError("--checkpoint requires --cache DIR")
-    target_ci = _target_ci_from_args(args)
-    options = {
-        "chart": getattr(args, "chart", False),
-        "mc_check": getattr(args, "mc_check", False),
-        "adaptive": bool(getattr(args, "adaptive", False) or target_ci),
-        "target_ci": target_ci,
-    }
-    run = _artifact_run(args)
-    want_charts = bool(getattr(args, "chart", False) or run is not None)
-    trace_path = getattr(args, "trace", None) or None
-    tracer = Tracer() if trace_path else None
-    experiments = registry.all_experiments()
-    executor = default_executor(min(jobs, len(experiments)))
-    executor.start(len(experiments))
-    try:
-        futures = [
-            executor.submit(
-                _all_unit,
-                experiment.name,
-                args.runs,
-                args.seed,
-                options,
-                getattr(args, "defect_model", None),
-                getattr(args, "criterion", None),
-                getattr(args, "cache", None) or None,
-                getattr(args, "cache_url", None) or None,
-                getattr(args, "shard_runs", None),
-                getattr(args, "retries", None),
-                getattr(args, "unit_timeout", None),
-                bool(getattr(args, "checkpoint", False)),
-                want_charts,
-                getattr(args, "log_level", None),
-                bool(getattr(args, "log_json", False)),
-                tracer is not None,
-            )
-            for experiment in experiments
-        ]
-        for experiment, future in zip(experiments, futures):
-            payload = future.result()
-            _emit(f"\n=== {experiment.name} ===")
-            result = _RemotePayload(experiment, payload)
-            _print_adaptive_note(payload["provenance"]["budget"])
-            _print_result(result, args)
-            if run is not None:
-                run.add(result)
-            if tracer is not None:
-                # Workers return spans in fold order; the merged file
-                # keeps experiments in registry order.
-                tracer.extend(payload.get("trace_events", ()))
-    finally:
-        executor.shutdown()
-    if run is not None:
-        manifest = run.finalize()
-        _emit(f"\nwrote {manifest} ({run.added} experiments)")
-    if tracer is not None:
-        tracer.write(trace_path)
-        print(
-            f"wrote {trace_path} ({len(tracer)} trace events)",
-            file=sys.stderr,
-        )
-    return 0
+    _configure_logging_from_args(args)
+    kwargs = _engine_kwargs(args)
+    engine = SweepEngine(**kwargs) if kwargs else None
+    result = _execute(registry.get(name), args, engine)
+    tracer = engine.tracer if engine is not None else None
+    return result, tracer.to_dict()["traceEvents"] if tracer is not None else []
 
 
 def _run_all(args: argparse.Namespace) -> int:
+    """Every registered experiment, printed and written in registry order.
+
+    With ``--experiment-jobs N`` whole experiments run in up to N worker
+    processes through the same :class:`~repro.yieldsim.executors.Executor`
+    seam the point scheduler uses; stdout, artifacts and the merged trace
+    come out exactly as the serial loop writes them.
+    """
     if args.csv:
         return _fail(
             "`all` cannot write a single CSV; use --out DIR for "
             "per-experiment artifacts"
         )
-    experiment_jobs = getattr(args, "experiment_jobs", 1) or 1
-    if experiment_jobs < 1:
-        return _fail(f"--experiment-jobs must be >= 1, got {experiment_jobs}")
-    if experiment_jobs > 1:
-        return _run_all_sharded(args, experiment_jobs)
-    engine = _engine_from_args(args)
+    if args.experiment_jobs < 1:
+        return _fail(f"--experiment-jobs must be >= 1, got {args.experiment_jobs}")
+    # A malformed flag must fail before any Monte-Carlo budget is spent.
+    _target_ci_from_args(args)
+    _model_family_from_args(args)
+    _criterion_from_args(args)
     run = _artifact_run(args)
-    model = _model_family_from_args(args)
-    criterion = _criterion_from_args(args)
-    for experiment in registry.all_experiments():
-        _emit(f"\n=== {experiment.name} ===")
-        # --defect-model/--criterion apply to the sweeps that accept the
-        # knob; the fixed-regime experiments run unchanged (per --help).
-        result = _execute(
-            experiment, args, engine,
-            model=model if experiment.model_knob else None,
-            criterion=criterion if experiment.criterion_knob else None,
+    experiments = registry.all_experiments()
+    executor = None
+    if args.experiment_jobs == 1:
+        engine = _engine_from_args(args)
+        tracer = engine.tracer if engine is not None else None
+    else:
+        from repro.yieldsim.executors import default_executor
+
+        _engine_kwargs(args)  # validate here; each worker builds its own
+        tracer = Tracer() if args.trace else None
+        # --log-file stays parent-only: one writer per file.
+        worker_args = argparse.Namespace(
+            **{**vars(args), "jobs": 1, "experiment_jobs": 1, "log_file": None}
         )
-        _print_result(result, args)
-        if run is not None:
-            run.add(result)
+        executor = default_executor(min(args.experiment_jobs, len(experiments)))
+    try:
+        if executor is not None:
+            executor.start(len(experiments))
+            futures = [
+                executor.submit(_all_worker, experiment.name, worker_args)
+                for experiment in experiments
+            ]
+        for index, experiment in enumerate(experiments):
+            _emit(f"\n=== {experiment.name} ===")
+            if executor is None:
+                result = _execute(experiment, args, engine)
+            else:
+                result, events = futures[index].result()
+                if tracer is not None:
+                    tracer.extend(events)
+            _print_result(result, args)
+            if run is not None:
+                run.add(result)
+    finally:
+        if executor is not None:
+            executor.shutdown()
     if run is not None:
         manifest = run.finalize()
         _emit(f"\nwrote {manifest} ({run.added} experiments)")
-    _write_trace(args, engine)
+    _write_trace(args, tracer)
     return 0
 
 
@@ -826,27 +646,17 @@ def _run_serve(args: argparse.Namespace) -> int:
     # Deferred import: the CLI stays asyncio-free unless serving.
     from repro.serve.app import ServeConfig, serve_forever
 
-    retry = _retry_from_args(args)
-    checkpoint = bool(getattr(args, "checkpoint", False))
-    if checkpoint and not (args.cache or None):
-        raise ExperimentError("--checkpoint requires --cache DIR")
     config = ServeConfig(
         host=args.host,
         port=args.port,
-        jobs=args.jobs,
-        cache_dir=args.cache or None,
-        shard_runs=args.shard_runs,
         out_dir=args.out or None,
         max_runs=args.max_runs,
-        retry=retry,
-        checkpoint=checkpoint,
         request_timeout=args.request_timeout,
         max_inflight=args.max_inflight,
         drain_timeout=args.drain_timeout,
-        cache_url=getattr(args, "cache_url", None) or None,
-        cache_objects=getattr(args, "cache_objects", None) or None,
+        cache_objects=args.cache_objects or None,
     )
-    return serve_forever(config)
+    return serve_forever(config, engine=SweepEngine(**_engine_kwargs(args)))
 
 
 def _run_cache_serve(args: argparse.Namespace) -> int:
@@ -1036,18 +846,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     _configure_logging_from_args(args)
     try:
+        _check_budget(args)
         return args.handler(args)
-    except FaultModelError as exc:
-        # A malformed --defect-model spec is a CLI mistake, not a bug.
-        return _fail(str(exc))
-    except CriterionError as exc:
-        # Same treatment for a malformed --criterion spec.
-        return _fail(str(exc))
-    except ExperimentError as exc:
-        # User-facing registry/artifact mistakes (unknown experiment name,
-        # unwritable --out path, corrupt manifest) get a clean error, not
-        # a traceback; simulation misconfiguration still raises, by house
-        # style.
+    except (ExperimentError, FaultModelError, CriterionError, ServeError) as exc:
+        # User-facing mistakes (a bad flag or spec, an unknown experiment
+        # name, an unwritable --out path, a corrupt manifest) get a clean
+        # error, not a traceback.
         return _fail(str(exc))
 
 

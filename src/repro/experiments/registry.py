@@ -219,6 +219,12 @@ class Experiment:
     #: criterion (the CLI's ``--criterion`` applies only to these).
     criterion_knob: bool = False
 
+    def __reduce__(self):
+        # The renderer closures do not pickle, so a record crosses a
+        # process boundary as a reference into the registry; that makes
+        # an ExperimentResult picklable as a whole.
+        return (get, (self.name,))
+
     @property
     def has_charts(self) -> bool:
         return self.charts is not None

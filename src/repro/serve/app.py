@@ -67,13 +67,11 @@ from repro.serve.protocol import (
 from repro.yieldsim.cachestore import (
     SharedFSStore,
     content_digest,
-    store_from_url,
     valid_key,
 )
 from repro.yieldsim.defects import family_from_spec
 from repro.yieldsim.engine import SweepEngine
 from repro.yieldsim.kernel import PointSpec
-from repro.yieldsim.resilience import RetryPolicy
 from repro.yieldsim.scheduler import EnginePoint, chip_payload, payload_digest
 from repro.yieldsim.stats import YieldEstimate, wilson_half_width
 
@@ -96,13 +94,10 @@ _HTTP_REASONS = {
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Server settings — the CLI's shared engine options plus HTTP knobs."""
+    """HTTP settings; the engine is passed to the server separately."""
 
     host: str = "127.0.0.1"
     port: int = 8765
-    jobs: int = 1
-    cache_dir: Optional[str] = None
-    shard_runs: Optional[int] = None
     #: artifact directory full-experiment bundles are persisted into
     #: (None serves bundles without writing them)
     out_dir: Optional[str] = None
@@ -110,10 +105,6 @@ class ServeConfig:
     #: what one request can spend)
     max_runs: int = 1_000_000
     max_body_bytes: int = 1 << 20
-    #: retry policy for the engine's compute units (None = fail fast)
-    retry: Optional[RetryPolicy] = None
-    #: journal fold checkpoints for batched points (needs cache_dir)
-    checkpoint: bool = False
     #: deadline in seconds for a non-streaming compute request; on expiry
     #: the client gets 503 + Retry-After while the computation keeps
     #: running (a later identical request hits the cache).  None = wait.
@@ -126,14 +117,28 @@ class ServeConfig:
     retry_after_s: float = 1.0
     #: how long shutdown waits for in-flight requests to finish draining
     drain_timeout: float = 10.0
-    #: remote cache-store URL the *engine* reads through to
-    #: (``--cache-url``: another server's /cache endpoint, or a shared
-    #: filesystem path)
-    cache_url: Optional[str] = None
     #: directory of a content-addressed object tree this server *serves*
     #: under ``/cache/objects/{digest}`` (the ``repro cache-serve``
     #: entry point; also mountable on a full ``repro serve``)
     cache_objects: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        # Each of these would start a server that cannot do its job, e.g.
+        # max_inflight=0 refuses every new computation with 503 forever.
+        if self.max_runs < 1:
+            raise ServeError(f"max_runs must be >= 1, got {self.max_runs}")
+        if self.request_timeout is not None and self.request_timeout <= 0:
+            raise ServeError(
+                f"request_timeout must be > 0, got {self.request_timeout}"
+            )
+        if self.max_inflight < 1:
+            raise ServeError(
+                f"max_inflight must be >= 1, got {self.max_inflight}"
+            )
+        if self.drain_timeout < 0:
+            raise ServeError(
+                f"drain_timeout must be >= 0, got {self.drain_timeout}"
+            )
 
 
 def _normalize_design(name: str) -> str:
@@ -148,9 +153,10 @@ _DESIGNS_NORMALIZED = {_normalize_design(d.name): d for d in ALL_DESIGNS}
 class ReproServer:
     """Routing + request handling over one shared engine.
 
-    ``engine`` is injectable so tests can count compute units with an
-    :class:`~repro.yieldsim.executors.InlineExecutor` or pre-warm a cache;
-    by default it is built from the config's engine options.
+    ``engine`` is what the server computes with (``repro serve`` builds
+    it from the engine flags); tests inject one to count compute units
+    with an :class:`~repro.yieldsim.executors.InlineExecutor` or to
+    pre-warm a cache.  The default is a serial, uncached engine.
     """
 
     #: how many times a dead leader's computation is re-led by a follower
@@ -159,18 +165,7 @@ class ReproServer:
 
     def __init__(self, config: ServeConfig, engine: Optional[SweepEngine] = None):
         self.config = config
-        self.engine = engine if engine is not None else SweepEngine(
-            jobs=config.jobs,
-            cache_dir=config.cache_dir,
-            shard_runs=config.shard_runs,
-            retry=config.retry,
-            checkpoint=config.checkpoint,
-            cache_store=(
-                store_from_url(config.cache_url)
-                if config.cache_url is not None
-                else None
-            ),
-        )
+        self.engine = engine if engine is not None else SweepEngine()
         #: the object tree served under /cache/objects (None = not mounted)
         self.object_store: Optional[SharedFSStore] = (
             SharedFSStore(config.cache_objects)
@@ -1093,11 +1088,12 @@ def serve_forever(config: ServeConfig, engine: Optional[SweepEngine] = None) -> 
             _log, "listening",
             msg=(
                 f"repro serve: listening on http://{config.host}:{port} "
-                f"(jobs={config.jobs}, cache={config.cache_dir or '-'}, "
+                f"(jobs={server.engine.jobs}, "
+                f"cache={server.engine.cache_dir or '-'}, "
                 f"out={config.out_dir or '-'}, "
                 f"objects={config.cache_objects or '-'})"
             ),
-            host=config.host, port=port, jobs=config.jobs,
+            host=config.host, port=port, jobs=server.engine.jobs,
         )
 
     try:

@@ -144,8 +144,9 @@ def encode_entry(entry: Dict[str, object]) -> bytes:
 def decode_entry(blob: bytes) -> Optional[Dict[str, object]]:
     """Parse and verify a self-verifying entry; ``None`` on any defect.
 
-    Truncated, non-JSON, non-object, digest-less or digest-mismatched
-    payloads all read as ``None`` — the caller treats them as a miss.
+    Truncated, non-JSON, non-object, digest-less, digest-mismatched or
+    non-canonical payloads all read as ``None`` — the caller treats them
+    as a miss.
     """
     try:
         data = json.loads(blob)
@@ -153,8 +154,11 @@ def decode_entry(blob: bytes) -> Optional[Dict[str, object]]:
         return None
     if not isinstance(data, dict):
         return None
-    stored = data.pop("digest", None)
-    if stored != entry_digest(data):
+    data.pop("digest", None)
+    # Compare bytes, not just the digest: the digest covers the parsed
+    # values, and a flipped digit past a float's precision parses to the
+    # same value.
+    if encode_entry(data) != blob:
         return None
     return data
 

@@ -8,8 +8,10 @@ actually used.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import pickle
 
 import pytest
 
@@ -177,6 +179,24 @@ class TestGenericDispatch:
             )
             assert prov.wall_time_s >= 0
             assert len(prov.digest) == 64 and int(prov.digest, 16) >= 0
+
+    def test_results_pickle_round_trip(self, results):
+        """`repro all --experiment-jobs` ships real results between
+        processes: the experiment crosses as a registry reference and the
+        charts re-render from the unpickled raw result."""
+        for name, result in results.items():
+            # Pickle before the lazy charts render, as a worker does.
+            fresh = dataclasses.replace(result, _charts=None)
+            copy = pickle.loads(pickle.dumps(fresh))
+            assert copy.experiment is registry.get(name)
+            assert copy.report_text() == result.report_text(), name
+            assert (
+                copy.canonical_report_text() == result.canonical_report_text()
+            ), name
+            assert copy.charts == result.charts, name
+            prov, copied = result.provenance, copy.provenance
+            assert copied.as_dict() == prov.as_dict(), name
+            assert copied.stable_dict() == prov.stable_dict(), name
 
     def test_report_matches_direct_driver_call(self):
         """The dispatcher adds nothing to what the driver itself renders."""
@@ -527,6 +547,22 @@ class TestCLI:
         code = main(["fig13", "--target-ci", "-0.5"])
         assert code == 2
         assert "--target-ci" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig9", "--runs", "0"],
+            ["fig9", "--runs", "-5"],
+            ["fig9", "--jobs", "0"],
+            ["fig9", "--shard-runs", "0"],
+            ["fig9", "--seed", "-3"],
+            ["all", "--experiment-jobs", "0"],
+        ],
+    )
+    def test_bad_numeric_flag_is_a_cli_error(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro: error: {argv[1]} must be >= ")
 
     def test_unwritable_out_fails_cleanly(self, tmp_path, capsys):
         blocker = tmp_path / "file"

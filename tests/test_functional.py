@@ -495,36 +495,50 @@ def test_cli_rejects_malformed_criterion(capsys):
 
 
 @pytest.mark.slow
-def test_cli_all_experiment_jobs_bit_identical(tmp_path, monkeypatch, capsys):
-    """`repro all --experiment-jobs N` writes byte-identical artifacts.
+@pytest.mark.parametrize(
+    "extra",
+    [[], ["--adaptive", "--jobs", "2"], ["--trace"]],
+    ids=["flat", "adaptive-jobs2", "trace"],
+)
+def test_cli_all_experiment_jobs_bit_identical(
+    extra, tmp_path, monkeypatch, capsys
+):
+    """`repro all --experiment-jobs N` is the serial loop run side by side.
 
-    The registry is narrowed to cheap deterministic-ish experiments in
-    the parent (workers resolve experiments by name, so the subset only
-    bounds what gets scheduled, not how each one runs)."""
+    Stdout, every per-experiment file, the adaptive-budget notes on stderr
+    (in registry order) and the merged trace all match the serial run.
+    The registry is narrowed to cheap experiments in the parent (workers
+    resolve experiments by name, so the subset only bounds what gets
+    scheduled, not how each one runs)."""
     from repro.cli import main
     from repro.experiments import registry
+    from repro.obs.trace import span_signature, validate_trace
 
-    subset = [registry.get("table1"), registry.get("fig7"), registry.get("fig13")]
+    names = ("table1", "fig7", "fig10", "fig13")
+    subset = [registry.get(name) for name in names]
     monkeypatch.setattr(registry, "all_experiments", lambda: subset)
 
-    serial_dir = tmp_path / "serial"
-    shard_dir = tmp_path / "shard"
-    assert main(
-        ["all", "--runs", "60", "--seed", "9", "--out", str(serial_dir)]
-    ) == 0
-    serial_out = capsys.readouterr().out
-    assert main(
-        ["all", "--runs", "60", "--seed", "9", "--experiment-jobs", "3",
-         "--out", str(shard_dir)]
-    ) == 0
-    shard_out = capsys.readouterr().out
+    def run_all(label, *flags):
+        out = tmp_path / label
+        argv = ["all", "--runs", "60", "--seed", "9", "--out", str(out)]
+        if extra == ["--trace"]:
+            argv += ["--trace", str(tmp_path / f"{label}.trace.json")]
+        else:
+            argv += extra
+        assert main(argv + list(flags)) == 0
+        captured = capsys.readouterr()
+        notes = [
+            line for line in captured.err.splitlines()
+            if line.startswith("  adaptive budget:")
+        ]
+        return out, captured.out.replace(str(out), "OUT"), notes
 
-    # stdout: identical except the artifact directory named at the end.
-    assert (
-        serial_out.replace(str(serial_dir), "OUT")
-        == shard_out.replace(str(shard_dir), "OUT")
+    serial_dir, serial_out, serial_notes = run_all("serial")
+    shard_dir, shard_out, shard_notes = run_all(
+        "shard", "--experiment-jobs", "3"
     )
 
+    assert serial_out == shard_out
     for root, _dirs, files in os.walk(serial_dir):
         rel_root = os.path.relpath(root, serial_dir)
         for name in files:
@@ -535,13 +549,43 @@ def test_cli_all_experiment_jobs_bit_identical(tmp_path, monkeypatch, capsys):
                 serial_dir / rel, shard_dir / rel, shallow=False
             ), f"{rel} differs between serial and sharded `all`"
 
-    serial_manifest = json.loads((serial_dir / "manifest.json").read_text())
-    shard_manifest = json.loads((shard_dir / "manifest.json").read_text())
-    for name in ("table1", "fig7", "fig13"):
+    manifests = [
+        json.loads((d / "manifest.json").read_text())["experiments"]
+        for d in (serial_dir, shard_dir)
+    ]
+    for name in names:
         assert (
-            serial_manifest["experiments"][name]["provenance"]["digest"]
-            == shard_manifest["experiments"][name]["provenance"]["digest"]
+            manifests[0][name]["provenance"]["digest"]
+            == manifests[1][name]["provenance"]["digest"]
         )
+
+    # Notes carry no experiment name: equal sequences mean registry order.
+    adaptive = [
+        name for name in names
+        if manifests[0][name]["provenance"]["budget"]["stop_rule"] is not None
+        and manifests[0][name]["provenance"]["budget"]["mc_runs_requested"]
+    ]
+    assert len(serial_notes) == len(adaptive)
+    assert shard_notes == serial_notes
+    if "--adaptive" in extra:
+        assert adaptive == ["fig10", "fig13"]
+
+    if extra == ["--trace"]:
+        spent = sum(
+            entry["provenance"]["budget"]["mc_runs_effective"]
+            for entry in manifests[1].values()
+        )
+        assert spent > 0
+        traces = [
+            json.loads((tmp_path / f"{label}.trace.json").read_text())
+            for label in ("serial", "shard")
+        ]
+        for trace in traces:
+            points = [e for e in validate_trace(trace) if e["name"] == "point"]
+            assert sum(e["args"]["effective"] for e in points) == spent
+        # Worker spans merge in registry order: the same spans, in the
+        # same order, as the serial engine records.
+        assert span_signature(traces[0]) == span_signature(traces[1])
 
 
 # -- serve --------------------------------------------------------------------

@@ -489,13 +489,12 @@ def _wait_until(predicate, timeout=30):
 
 class TestServeResilience:
     def test_health_reports_the_resilience_stack(self, tmp_path):
-        config = ServeConfig(
-            port=0,
+        engine = SweepEngine(
             cache_dir=str(tmp_path / "cache"),
             checkpoint=True,
             retry=RetryPolicy(attempts=5, unit_timeout=30.0),
         )
-        with BackgroundServer(config) as handle:
+        with BackgroundServer(ServeConfig(port=0), engine=engine) as handle:
             url = f"http://127.0.0.1:{handle.port}"
             status, _, health = http_raw(url, "/health")
             assert status == 200

@@ -192,6 +192,33 @@ class TestValidation:
             assert status == 400
             assert "ceiling" in error["message"]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_inflight", 0),
+            ("request_timeout", 0.0),
+            ("request_timeout", -1.0),
+            ("drain_timeout", -0.5),
+            ("max_runs", 0),
+        ],
+    )
+    def test_config_rejects_unusable_settings(self, field, value):
+        # max_inflight=0 would answer every new computation with 503.
+        with pytest.raises(ServeError, match=field):
+            ServeConfig(**{field: value})
+
+    def test_cli_serve_rejects_unusable_settings(self, monkeypatch, capsys):
+        from repro.cli import main
+        from repro.serve import app
+
+        monkeypatch.setattr(
+            app, "serve_forever",
+            lambda *a, **k: pytest.fail("server started despite a bad flag"),
+        )
+        assert main(["serve", "--port", "0", "--max-inflight", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: max_inflight must be >= 1")
+
     def test_oversized_body_is_rejected(self, base):
         # The server rejects on Content-Length without draining the body,
         # so the client sees either the 413 response or a reset while
