@@ -12,11 +12,10 @@ Modules
     field lists of every per-layer tally (``ScreenStats``,
     ``CriterionStats``, ``ResilienceStats``, ``StoreStats``).
 ``metrics``
-    Zero-dependency :class:`MetricsRegistry` (counters, gauges,
-    fixed-bucket histograms) with a Prometheus text encoder, plus
-    collector helpers that fold the per-layer stats objects
-    (``ResilienceStats``, ``StoreStats``, ``ScreenStats``, the serve
-    coalescing tallies) into one registry.
+    Prometheus text exposition rendered at scrape time straight from the
+    live stats objects (the engine's ``Counters`` tallies, the serve
+    request and coalescing tallies), plus the one stateful instrument,
+    the request-latency :class:`~repro.obs.metrics.Histogram`.
 ``trace``
     Span tracer for the unit lifecycle, exported as Chrome trace-event
     JSON (open in Perfetto / ``chrome://tracing``).
@@ -30,11 +29,9 @@ Modules
 
 from . import counters, events, metrics, profile, trace
 from .events import configure_logging, get_logger, log_event
-from .metrics import MetricsRegistry
 from .trace import Tracer, validate_trace
 
 __all__ = [
-    "MetricsRegistry",
     "Tracer",
     "configure_logging",
     "counters",

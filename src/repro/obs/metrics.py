@@ -1,43 +1,33 @@
-"""Zero-dependency metrics registry with Prometheus text exposition.
+"""Prometheus text exposition rendered from the live stats objects.
 
-The registry holds three instrument kinds — counters, gauges, and
-fixed-bucket histograms — each optionally labelled.  Values are plain
-floats guarded by one lock per registry; there is no background thread
-and no external dependency.
+There is no registry.  ``GET /metrics`` builds its metric families at
+scrape time straight from the objects ``GET /stats`` reads — the engine's
+counters and :class:`~repro.obs.counters.Counters` tallies
+(``ResilienceStats``, ``StoreStats``, ``ScreenStats``) and the server's
+request and coalescing tallies — so the two surfaces render one source of
+truth and cannot drift.  The one stateful instrument is the request-
+latency :class:`Histogram`, whose observations exist nowhere else.
 
-Two usage styles coexist:
-
-* **direct instrumentation** — call ``counter.inc()`` / ``hist.observe()``
-  at the event site (the serve layer times requests this way);
-* **collectors** — a callable registered via
-  :meth:`MetricsRegistry.register_collector` runs at scrape time and
-  ``set()``s instrument values from an existing stats object.  This is
-  how the per-layer stats dataclasses (``ResilienceStats``,
-  ``StoreStats``, ``ScreenStats``, the coalescing tallies) are folded in
-  without double-counting: the stats objects stay the single source of
-  truth and ``/stats``, manifests, and ``GET /metrics`` all render the
-  same numbers.
-
-Collectors duck-type over the objects they read (``as_dict()`` /
-attributes); this module imports nothing from the rest of ``repro`` so
-low-level modules may import it freely.
+:func:`engine_families` and :func:`server_families` duck-type over the
+objects they read; this module imports nothing from the rest of ``repro``
+so low-level modules may import it freely.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
-    "Counter",
-    "Gauge",
+    "Family",
     "Histogram",
-    "MetricsRegistry",
-    "engine_collector",
-    "server_collector",
+    "counters_family",
+    "engine_families",
+    "render",
+    "server_families",
 ]
-
-LabelValues = Tuple[str, ...]
 
 _VALID_FIRST = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_:")
 _VALID_REST = _VALID_FIRST | set("0123456789")
@@ -65,353 +55,179 @@ def _escape_label(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-def _label_suffix(names: Sequence[str], values: LabelValues) -> str:
-    if not names:
-        return ""
-    parts = ", ".join(
-        f'{n}="{_escape_label(str(v))}"' for n, v in zip(names, values)
-    )
-    return "{" + parts + "}"
+@dataclass(frozen=True)
+class Family:
+    """One metric family: ``samples`` are ``(name{labels}, value)`` pairs."""
+
+    name: str
+    kind: str
+    help: str
+    samples: Sequence[Tuple[str, float]]
+
+    def __post_init__(self) -> None:
+        _check_name(self.name)
 
 
-class _Instrument:
-    """Common labelled-value plumbing for counters and gauges."""
-
-    kind = "untyped"
-
-    def __init__(self, name: str, help: str, labelnames: Sequence[str] = ()):
-        self.name = _check_name(name)
-        self.help = help
-        self.labelnames = tuple(labelnames)
-        self._values: Dict[LabelValues, float] = {}
-        self._lock = threading.Lock()
-        if not self.labelnames:
-            self._values[()] = 0.0
-
-    def _key(self, labels: Mapping[str, object]) -> LabelValues:
-        if set(labels) != set(self.labelnames):
-            raise ValueError(
-                f"{self.name}: labels {sorted(labels)} != "
-                f"declared {sorted(self.labelnames)}"
-            )
-        return tuple(str(labels[n]) for n in self.labelnames)
-
-    def value(self, **labels: object) -> float:
-        with self._lock:
-            return self._values.get(self._key(labels), 0.0)
-
-    def set(self, value: float, **labels: object) -> None:
-        with self._lock:
-            self._values[self._key(labels)] = float(value)
-
-    def samples(self) -> List[Tuple[str, str, float]]:
-        """[(name, label_suffix, value)] for the text encoder."""
-        with self._lock:
-            items = sorted(self._values.items())
-        return [
-            (self.name, _label_suffix(self.labelnames, key), value)
-            for key, value in items
-        ]
+def _scalar(name: str, kind: str, help: str, value: float) -> Family:
+    return Family(name, kind, help, [(name, float(value))])
 
 
-class Counter(_Instrument):
-    kind = "counter"
-
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        if amount < 0:
-            raise ValueError(f"{self.name}: counters cannot decrease")
-        key = self._key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + float(amount)
-
-    def set(self, value: float, **labels: object) -> None:
-        # Collectors sync counters from monotone stats fields; never let a
-        # scrape move one backwards (a racing reader could see a dip).
-        key = self._key(labels)
-        with self._lock:
-            if float(value) >= self._values.get(key, 0.0):
-                self._values[key] = float(value)
-
-
-class Gauge(_Instrument):
-    kind = "gauge"
-
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        key = self._key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + float(amount)
-
-    def dec(self, amount: float = 1.0, **labels: object) -> None:
-        self.inc(-amount, **labels)
+def _labelled(
+    name: str, kind: str, help: str, label: str, values: Mapping[str, float]
+) -> Family:
+    return Family(name, kind, help, [
+        (f'{name}{{{label}="{_escape_label(key)}"}}', float(value))
+        for key, value in sorted(values.items())
+    ])
 
 
 class Histogram:
     """Fixed-bucket histogram (cumulative ``le`` buckets, Prometheus style)."""
 
-    kind = "histogram"
     DEFAULT_BUCKETS = (
         0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0,
     )
 
     def __init__(
-        self,
-        name: str,
-        help: str,
-        buckets: Optional[Sequence[float]] = None,
-        labelnames: Sequence[str] = (),
+        self, name: str, help: str, buckets: Optional[Sequence[float]] = None
     ):
         self.name = _check_name(name)
         self.help = help
-        self.labelnames = tuple(labelnames)
         edges = tuple(sorted(buckets if buckets is not None
                              else self.DEFAULT_BUCKETS))
         if not edges:
             raise ValueError(f"{name}: histogram needs at least one bucket")
         self.buckets = edges
         self._lock = threading.Lock()
-        self._counts: Dict[LabelValues, List[int]] = {}
-        self._sums: Dict[LabelValues, float] = {}
-        if not self.labelnames:
-            self._counts[()] = [0] * (len(edges) + 1)
-            self._sums[()] = 0.0
+        #: per-bucket (non-cumulative) counts; the last slot is +Inf
+        self._counts = [0] * (len(edges) + 1)
+        self._sum = 0.0
 
-    def _key(self, labels: Mapping[str, object]) -> LabelValues:
-        if set(labels) != set(self.labelnames):
-            raise ValueError(
-                f"{self.name}: labels {sorted(labels)} != "
-                f"declared {sorted(self.labelnames)}"
-            )
-        return tuple(str(labels[n]) for n in self.labelnames)
-
-    def observe(self, value: float, **labels: object) -> None:
-        key = self._key(labels)
+    def observe(self, value: float) -> None:
         with self._lock:
-            counts = self._counts.setdefault(
-                key, [0] * (len(self.buckets) + 1)
-            )
-            self._sums[key] = self._sums.get(key, 0.0) + float(value)
+            self._sum += float(value)
             for i, edge in enumerate(self.buckets):
                 if value <= edge:
-                    counts[i] += 1
+                    self._counts[i] += 1
                     return
-            counts[-1] += 1
+            self._counts[-1] += 1
 
-    def count(self, **labels: object) -> int:
+    def count(self) -> int:
         with self._lock:
-            return sum(self._counts.get(self._key(labels), ()))
+            return sum(self._counts)
 
-    def sum(self, **labels: object) -> float:
+    def sum(self) -> float:
         with self._lock:
-            return self._sums.get(self._key(labels), 0.0)
+            return self._sum
 
-    def samples(self) -> List[Tuple[str, str, float]]:
+    def family(self) -> Family:
         with self._lock:
-            items = sorted(self._counts.items())
-            sums = dict(self._sums)
-        out: List[Tuple[str, str, float]] = []
-        for key, counts in items:
-            cumulative = 0
-            for edge, n in zip(self.buckets, counts):
-                cumulative += n
-                suffix = _label_suffix(
-                    self.labelnames + ("le",), key + (_format_value(edge),)
-                )
-                out.append((self.name + "_bucket", suffix, float(cumulative)))
-            cumulative += counts[-1]
-            inf_suffix = _label_suffix(
-                self.labelnames + ("le",), key + ("+Inf",)
+            counts = list(self._counts)
+            total = self._sum
+        samples: List[Tuple[str, float]] = []
+        cumulative = 0
+        for edge, n in zip(self.buckets + (float("inf"),), counts):
+            cumulative += n
+            samples.append(
+                (f'{self.name}_bucket{{le="{_format_value(edge)}"}}',
+                 float(cumulative))
             )
-            out.append((self.name + "_bucket", inf_suffix, float(cumulative)))
-            plain = _label_suffix(self.labelnames, key)
-            out.append((self.name + "_sum", plain, sums.get(key, 0.0)))
-            out.append((self.name + "_count", plain, float(cumulative)))
-        return out
+        samples.append((f"{self.name}_sum", total))
+        samples.append((f"{self.name}_count", float(cumulative)))
+        return Family(self.name, "histogram", self.help, samples)
 
 
-class MetricsRegistry:
-    """A named collection of instruments with one text encoder.
+def render(families: Iterable[Family]) -> str:
+    """Prometheus text exposition format 0.0.4, families sorted by name."""
+    lines: List[str] = []
+    for family in sorted(families, key=lambda f: f.name):
+        if family.help:
+            lines.append(f"# HELP {family.name} {family.help}")
+        lines.append(f"# TYPE {family.name} {family.kind}")
+        for sample, value in family.samples:
+            lines.append(f"{sample} {_format_value(value)}")
+    return "\n".join(lines) + "\n"
 
-    Instrument accessors are idempotent: asking for an existing name
-    returns the existing instrument (kind and labels must match), so
-    collectors can declare their instruments on every scrape.
-    """
 
-    def __init__(self) -> None:
-        self._instruments: Dict[str, object] = {}
-        self._collectors: List[Callable[["MetricsRegistry"], None]] = []
-        self._lock = threading.Lock()
-
-    def _get_or_create(self, cls, name, help, **kwargs):
-        with self._lock:
-            existing = self._instruments.get(name)
-            if existing is not None:
-                if not isinstance(existing, cls):
-                    raise ValueError(
-                        f"{name}: registered as {type(existing).__name__}, "
-                        f"requested {cls.__name__}"
-                    )
-                return existing
-            instrument = cls(name, help, **kwargs)
-            self._instruments[name] = instrument
-            return instrument
-
-    def counter(self, name: str, help: str = "",
-                labelnames: Sequence[str] = ()) -> Counter:
-        return self._get_or_create(Counter, name, help, labelnames=labelnames)
-
-    def gauge(self, name: str, help: str = "",
-              labelnames: Sequence[str] = ()) -> Gauge:
-        return self._get_or_create(Gauge, name, help, labelnames=labelnames)
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        buckets: Optional[Sequence[float]] = None,
-        labelnames: Sequence[str] = (),
-    ) -> Histogram:
-        return self._get_or_create(
-            Histogram, name, help, buckets=buckets, labelnames=labelnames
+def counters_family(prefix: str, help: str, counters: object) -> List[Family]:
+    """One ``{prefix}_{field}_total`` counter per field of a ``Counters``."""
+    return [
+        _scalar(
+            f"{prefix}_{field.name}_total", "counter", f"{help} {field.name} count",
+            getattr(counters, field.name),
         )
-
-    def register_collector(
-        self, collector: Callable[["MetricsRegistry"], None]
-    ) -> None:
-        """Run ``collector(self)`` before every render/as_dict."""
-        with self._lock:
-            self._collectors.append(collector)
-
-    def collect(self) -> None:
-        with self._lock:
-            collectors = list(self._collectors)
-        for collector in collectors:
-            collector(self)
-
-    def _sorted_instruments(self) -> Iterable[object]:
-        with self._lock:
-            return [self._instruments[k] for k in sorted(self._instruments)]
-
-    def render(self) -> str:
-        """Prometheus text exposition format 0.0.4."""
-        self.collect()
-        lines: List[str] = []
-        for inst in self._sorted_instruments():
-            if inst.help:
-                lines.append(f"# HELP {inst.name} {inst.help}")
-            lines.append(f"# TYPE {inst.name} {inst.kind}")
-            for name, suffix, value in inst.samples():
-                lines.append(f"{name}{suffix} {_format_value(value)}")
-        return "\n".join(lines) + "\n"
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flat ``{name{labels}: value}`` mapping for tests and JSON."""
-        self.collect()
-        out: Dict[str, float] = {}
-        for inst in self._sorted_instruments():
-            for name, suffix, value in inst.samples():
-                out[name + suffix] = value
-        return out
+        for field in dataclasses.fields(counters)
+    ]
 
 
-def _set_from_dict(registry: MetricsRegistry, prefix: str, help_prefix: str,
-                   values: Mapping[str, object]) -> None:
-    for field, value in values.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            continue
-        registry.counter(
-            f"{prefix}_{field}_total", f"{help_prefix} {field} count"
-        ).set(float(value))
-
-
-def engine_collector(engine) -> Callable[[MetricsRegistry], None]:
-    """Collector mirroring a ``SweepEngine``'s live stats objects.
+def engine_families(engine) -> List[Family]:
+    """The families of a ``SweepEngine``'s live stats.
 
     Reads (duck-typed): ``cache_hits`` / ``cache_misses`` /
     ``runs_requested`` / ``runs_effective``, ``resilience``
     (``ResilienceStats``), ``store_stats`` (``StoreStats``), and
-    ``screen_stats`` (``ScreenStats``).  Every scrape re-reads the live
-    objects, so ``/metrics`` can never drift from ``/stats`` or manifest
-    provenance.
+    ``screen_stats`` (``ScreenStats``).
     """
-
-    def collect(registry: MetricsRegistry) -> None:
-        registry.counter(
-            "repro_engine_cache_hits_total",
-            "Point-cache hits across the engine lifetime",
-        ).set(float(engine.cache_hits))
-        registry.counter(
-            "repro_engine_cache_misses_total",
-            "Point-cache misses across the engine lifetime",
-        ).set(float(engine.cache_misses))
-        registry.counter(
-            "repro_engine_runs_requested_total",
-            "Monte-Carlo runs requested from the engine",
-        ).set(float(engine.runs_requested))
-        registry.counter(
-            "repro_engine_runs_effective_total",
-            "Monte-Carlo runs actually spent (adaptive stops may save runs)",
-        ).set(float(engine.runs_effective))
-        _set_from_dict(
-            registry, "repro_resilience", "Resilience incident",
-            engine.resilience.as_dict(),
-        )
-        _set_from_dict(
-            registry, "repro_cachestore", "Cache transport",
-            engine.store_stats.as_dict(),
-        )
-        _set_from_dict(
-            registry, "repro_screen", "Screening-funnel",
-            engine.screen_stats.as_dict(),
-        )
-
-    return collect
+    return [
+        _scalar("repro_engine_cache_hits_total", "counter",
+                "Point-cache hits across the engine lifetime",
+                engine.cache_hits),
+        _scalar("repro_engine_cache_misses_total", "counter",
+                "Point-cache misses across the engine lifetime",
+                engine.cache_misses),
+        _scalar("repro_engine_runs_requested_total", "counter",
+                "Monte-Carlo runs requested from the engine",
+                engine.runs_requested),
+        _scalar("repro_engine_runs_effective_total", "counter",
+                "Monte-Carlo runs actually spent (adaptive stops may save runs)",
+                engine.runs_effective),
+        *counters_family(
+            "repro_resilience", "Resilience incident", engine.resilience
+        ),
+        *counters_family(
+            "repro_cachestore", "Cache transport", engine.store_stats
+        ),
+        *counters_family(
+            "repro_screen", "Screening-funnel", engine.screen_stats
+        ),
+    ]
 
 
-def server_collector(server) -> Callable[[MetricsRegistry], None]:
-    """Collector mirroring a ``ReproServer``'s request/coalescing tallies.
+def server_families(server) -> List[Family]:
+    """The families of a ``ReproServer``'s request and coalescing tallies.
 
     Reads (duck-typed): ``requests`` / ``errors`` / ``rejected`` /
-    ``active`` counters and the ``points`` / ``bundles``
-    ``CoalescingMap`` tallies (``leaders`` / ``followers`` /
-    ``promotions`` / ``len()``).
+    ``active``, the ``request_seconds`` :class:`Histogram`, and the
+    ``points`` / ``bundles`` ``CoalescingMap`` tallies (``leaders`` /
+    ``followers`` / ``promotions`` / ``len()``).
     """
+    maps = {"points": server.points, "bundles": server.bundles}
 
-    def collect(registry: MetricsRegistry) -> None:
-        registry.counter(
-            "repro_http_requests_total", "HTTP requests accepted",
-        ).set(float(server.requests))
-        registry.counter(
-            "repro_http_errors_total", "HTTP requests that returned 5xx",
-        ).set(float(server.errors))
-        registry.counter(
-            "repro_http_rejected_total",
-            "HTTP requests rejected with 503 (saturation or drain)",
-        ).set(float(server.rejected))
-        registry.gauge(
-            "repro_http_active_requests", "Requests currently in flight",
-        ).set(float(server.active))
-        computed = registry.counter(
-            "repro_coalesce_computed_total",
-            "Computations led (single-flight leaders)", labelnames=("map",),
-        )
-        coalesced = registry.counter(
-            "repro_coalesce_followers_total",
-            "Requests served by joining an in-flight computation",
-            labelnames=("map",),
-        )
-        promoted = registry.counter(
-            "repro_coalesce_promotions_total",
-            "Follower promotions after a leader died", labelnames=("map",),
-        )
-        inflight = registry.gauge(
-            "repro_coalesce_inflight", "In-flight coalesced computations",
-            labelnames=("map",),
-        )
-        for label, cmap in (("points", server.points),
-                            ("bundles", server.bundles)):
-            computed.set(float(cmap.leaders), map=label)
-            coalesced.set(float(cmap.followers), map=label)
-            promoted.set(float(cmap.promotions), map=label)
-            inflight.set(float(len(cmap)), map=label)
+    def per_map(name: str, kind: str, help: str, read) -> Family:
+        return _labelled(name, kind, help, "map", {
+            label: read(cmap) for label, cmap in maps.items()
+        })
 
-    return collect
+    return [
+        _scalar("repro_http_requests_total", "counter",
+                "HTTP requests accepted", server.requests),
+        _scalar("repro_http_errors_total", "counter",
+                "HTTP requests that returned 5xx", server.errors),
+        _scalar("repro_http_rejected_total", "counter",
+                "HTTP requests rejected with 503 (saturation or drain)",
+                server.rejected),
+        _scalar("repro_http_active_requests", "gauge",
+                "Requests currently in flight", server.active),
+        server.request_seconds.family(),
+        per_map("repro_coalesce_computed_total", "counter",
+                "Computations led (single-flight leaders)",
+                lambda cmap: cmap.leaders),
+        per_map("repro_coalesce_followers_total", "counter",
+                "Requests served by joining an in-flight computation",
+                lambda cmap: cmap.followers),
+        per_map("repro_coalesce_promotions_total", "counter",
+                "Follower promotions after a leader died",
+                lambda cmap: cmap.promotions),
+        per_map("repro_coalesce_inflight", "gauge",
+                "In-flight coalesced computations", len),
+    ]

@@ -44,8 +44,8 @@ import logging
 import signal
 import threading
 import time
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Awaitable, Callable, Dict, Optional, Tuple
 
 from repro.chip.biochip import Biochip
 from repro.designs.catalog import ALL_DESIGNS
@@ -54,7 +54,7 @@ from repro.errors import ExperimentError, ReproError, ServeError
 from repro.experiments import registry
 from repro.experiments.artifacts import ArtifactRun, bundle_payload
 from repro.obs.events import ensure_configured, get_logger, log_event
-from repro.obs.metrics import MetricsRegistry, engine_collector, server_collector
+from repro.obs.metrics import Histogram, engine_families, render, server_families
 from repro.obs.trace import Tracer
 from repro.serve.coalesce import CoalescingMap, InflightEntry
 from repro.serve.protocol import (
@@ -185,12 +185,9 @@ class ReproServer:
         self.rejected = 0
         #: connections currently inside a handler (shutdown drains these)
         self.active = 0
-        #: one registry; collectors re-read the live stats objects at
-        #: scrape time so /metrics can never drift from /stats
-        self.metrics = MetricsRegistry()
-        self.metrics.register_collector(engine_collector(self.engine))
-        self.metrics.register_collector(server_collector(self))
-        self._request_seconds = self.metrics.histogram(
+        #: the one stateful metric; every other /metrics family is read
+        #: from the live objects /stats reads, at scrape time
+        self.request_seconds = Histogram(
             "repro_http_request_seconds",
             "Wall seconds spent answering one HTTP request",
         )
@@ -224,13 +221,16 @@ class ReproServer:
             self._chips_by_digest[digest] = chip
         return built
 
-    def _task_for(self, request: PointRequest) -> Tuple[EnginePoint, str]:
-        """Resolve a validated request into an engine task + chip digest."""
-        if request.runs > self.config.max_runs:
+    def _check_runs(self, runs: int) -> None:
+        if runs > self.config.max_runs:
             raise ServeError(
-                f"runs {request.runs} exceeds this server's ceiling "
+                f"runs {runs} exceeds this server's ceiling "
                 f"({self.config.max_runs})"
             )
+
+    def _task_for(self, request: PointRequest) -> Tuple[EnginePoint, str]:
+        """Resolve a validated request into an engine task + chip digest."""
+        self._check_runs(request.runs)
         chip, digest = self._chip_for(request)
         criterion = None
         if request.criterion is not None:
@@ -244,10 +244,7 @@ class ReproServer:
                 model, request.runs, request.seed, param=request.param
             )
             if criterion is not None:
-                spec = PointSpec(
-                    spec.kind, spec.param, spec.runs, spec.seed, spec.model,
-                    criterion,
-                )
+                spec = replace(spec, criterion=criterion)
         else:
             spec = PointSpec(
                 request.kind, request.param, request.runs, request.seed,
@@ -257,11 +254,47 @@ class ReproServer:
         task.spec.validate(len(chip))
         return task, digest
 
+    def _knobs_for(
+        self, experiment: registry.Experiment, request: BundleRequest
+    ) -> Dict[str, object]:
+        """The experiment knobs a bundle request sets, gated per experiment."""
+        knobs: Dict[str, object] = {}
+        if request.defect_model is not None:
+            knobs["model"] = family_from_spec(request.defect_model)
+            if not experiment.model_knob:
+                raise ServeError(
+                    f"{experiment.name} does not accept defect_model "
+                    "(its fault regime is part of the experiment definition)"
+                )
+        if request.criterion is not None:
+            from repro.functional import criterion_from_spec
+
+            knobs["criterion"] = criterion_from_spec(request.criterion)
+            if not experiment.criterion_knob:
+                raise ServeError(
+                    f"{experiment.name} does not accept criterion "
+                    "(its success predicate is part of the experiment "
+                    "definition)"
+                )
+        return knobs
+
     # -- compute (leader side) -------------------------------------------------
-    async def _lead_point(
-        self, entry: InflightEntry, task: EnginePoint, trace: bool = False
+    async def _lead(
+        self, cmap: CoalescingMap, entry: InflightEntry,
+        work: Callable[[], object],
     ) -> None:
-        """Compute ``task`` and settle ``entry`` with ``(estimate, trace)``.
+        """Run ``work`` on a worker thread and settle ``entry`` with it."""
+        try:
+            result = await asyncio.to_thread(work)
+        except BaseException as exc:  # noqa: BLE001 - leader must settle the future
+            cmap.fail(entry, exc)
+        else:
+            cmap.resolve(entry, result)
+
+    def _point_work(
+        self, entry: InflightEntry, task: EnginePoint, trace: bool
+    ) -> Callable[[], Tuple[YieldEstimate, Optional[Dict[str, object]]]]:
+        """Compute ``task``, yielding ``(estimate, trace)``; folds stream to ``entry``.
 
         When the leading request asked for a trace, a fresh
         :class:`~repro.obs.trace.Tracer` is attached to the shared engine
@@ -296,76 +329,42 @@ class ReproServer:
                     tracer.to_dict() if tracer is not None else None
                 )
 
-        try:
-            result = await asyncio.to_thread(work)
-        except BaseException as exc:  # noqa: BLE001 - leader must settle the future
-            self.points.fail(entry, exc)
-        else:
-            self.points.resolve(entry, result)
+        return work
 
-    async def _lead_bundle(self, entry: InflightEntry, request: BundleRequest) -> None:
-        def work() -> Dict[str, object]:
-            experiment = registry.get(request.experiment)
-            model = (
-                family_from_spec(request.defect_model)
-                if request.defect_model is not None
-                else None
+    def _bundle_work(
+        self,
+        experiment: registry.Experiment,
+        request: BundleRequest,
+        knobs: Dict[str, object],
+    ) -> Dict[str, object]:
+        """Run one experiment and build its bundle (persisted with --out)."""
+        with self._compute_lock:
+            result = registry.execute(
+                experiment,
+                runs=request.runs,
+                seed=request.seed,
+                engine=self.engine,
+                options={
+                    "adaptive": bool(request.adaptive or request.target_ci),
+                    "target_ci": request.target_ci,
+                },
+                knobs=knobs or None,
             )
-            if model is not None and not experiment.model_knob:
-                raise ServeError(
-                    f"{experiment.name} does not accept defect_model "
-                    "(its fault regime is part of the experiment definition)"
-                )
-            criterion = None
-            if request.criterion is not None:
-                from repro.functional import criterion_from_spec
-
-                criterion = criterion_from_spec(request.criterion)
-                if not experiment.criterion_knob:
-                    raise ServeError(
-                        f"{experiment.name} does not accept criterion "
-                        "(its success predicate is part of the experiment "
-                        "definition)"
-                    )
-            knobs: Dict[str, object] = {}
-            if model is not None:
-                knobs["model"] = model
-            if criterion is not None:
-                knobs["criterion"] = criterion
-            with self._compute_lock:
-                result = registry.execute(
-                    experiment,
-                    runs=request.runs,
-                    seed=request.seed,
-                    engine=self.engine,
-                    options={
-                        "adaptive": bool(request.adaptive or request.target_ci),
-                        "target_ci": request.target_ci,
-                    },
-                    knobs=knobs or None,
-                )
-            payload = bundle_payload(result)
-            payload["schema"] = PROTOCOL_SCHEMA
-            payload["artifacts"] = None
-            if self.config.out_dir is not None:
-                run = ArtifactRun(
-                    self.config.out_dir,
-                    runs=request.runs,
-                    seed=request.seed,
-                    jobs=self.engine.jobs,
-                    cache_dir=self.engine.cache_dir,
-                )
-                files = run.add(result)["files"]
-                run.finalize()
-                payload["artifacts"] = {"dir": self.config.out_dir, "files": files}
-            return payload
-
-        try:
-            payload = await asyncio.to_thread(work)
-        except BaseException as exc:  # noqa: BLE001 - leader must settle the future
-            self.bundles.fail(entry, exc)
-        else:
-            self.bundles.resolve(entry, payload)
+        payload = bundle_payload(result)
+        payload["schema"] = PROTOCOL_SCHEMA
+        payload["artifacts"] = None
+        if self.config.out_dir is not None:
+            run = ArtifactRun(
+                self.config.out_dir,
+                runs=request.runs,
+                seed=request.seed,
+                jobs=self.engine.jobs,
+                cache_dir=self.engine.cache_dir,
+            )
+            files = run.add(result)["files"]
+            run.finalize()
+            payload["artifacts"] = {"dir": self.config.out_dir, "files": files}
+        return payload
 
     # -- endpoint bodies -------------------------------------------------------
     def _point_payload(
@@ -520,8 +519,7 @@ class ReproServer:
         try:
             method, target, _version = request_line.decode("latin-1").split()
         except ValueError:
-            await self._send_json(writer, 400, {"error": "BadRequest",
-                                                "message": "malformed request line"})
+            await self._send_error(writer, 400, "malformed request line")
             return
         headers: Dict[str, str] = {}
         while True:
@@ -532,10 +530,8 @@ class ReproServer:
             headers[name.strip().lower()] = value.strip()
         length = int(headers.get("content-length", 0) or 0)
         if length > self.config.max_body_bytes:
-            await self._send_json(
-                writer, 413,
-                {"error": "PayloadTooLarge",
-                 "message": f"body exceeds {self.config.max_body_bytes} bytes"},
+            await self._send_error(
+                writer, 413, f"body exceeds {self.config.max_body_bytes} bytes"
             )
             return
         body = await reader.readexactly(length) if length else b""
@@ -567,7 +563,7 @@ class ReproServer:
             self._request_error(verb, path, 500, exc)
             await self._send_json(writer, 500, error_payload(exc))
         finally:
-            self._request_seconds.observe(time.perf_counter() - started)
+            self.request_seconds.observe(time.perf_counter() - started)
 
     def _request_error(
         self, method: str, path: str, status: int, exc: BaseException
@@ -589,19 +585,13 @@ class ReproServer:
             return
         if path == "/points":
             if method != "POST":
-                await self._send_json(
-                    writer, 405,
-                    {"error": "MethodNotAllowed", "message": "POST /points"},
-                )
+                await self._send_error(writer, 405, "POST /points")
                 return
             await self._handle_point(body, writer)
             return
         if path == "/experiments" or path == "/experiments/":
             if method != "GET":
-                await self._send_json(
-                    writer, 405,
-                    {"error": "MethodNotAllowed", "message": "GET /experiments"},
-                )
+                await self._send_error(writer, 405, "GET /experiments")
                 return
             await self._send_json(writer, 200, experiment_listing())
             return
@@ -612,19 +602,18 @@ class ReproServer:
             elif method == "POST":
                 await self._handle_bundle(name, body, writer)
             else:
-                await self._send_json(
-                    writer, 405,
-                    {"error": "MethodNotAllowed",
-                     "message": "GET or POST /experiments/{name}"},
+                await self._send_error(
+                    writer, 405, "GET or POST /experiments/{name}"
                 )
             return
         if path == "/stats" and method == "GET":
             await self._send_json(writer, 200, self.stats_payload())
             return
         if path == "/metrics" and method == "GET":
-            await self._send_text(
-                writer, 200, self.metrics.render(),
-                content_type="text/plain; version=0.0.4; charset=utf-8",
+            text = render(engine_families(self.engine) + server_families(self))
+            await self._send(
+                writer, 200, text.encode("utf-8"),
+                "text/plain; version=0.0.4; charset=utf-8",
             )
             return
         if path == "/health" and method == "GET":
@@ -633,9 +622,7 @@ class ReproServer:
         if path == "/" and method == "GET":
             await self._send_json(writer, 200, self._info_payload())
             return
-        await self._send_json(
-            writer, 404, {"error": "NotFound", "message": f"no route {method} {path}"}
-        )
+        await self._send_error(writer, 404, f"no route {method} {path}")
 
     # -- degradation helpers ---------------------------------------------------
     def _would_saturate(self, cmap: CoalescingMap, key: str) -> bool:
@@ -644,7 +631,7 @@ class ReproServer:
         Joining an existing computation never saturates — a follower adds
         no compute — so only would-be leaders are refused.
         """
-        if key in cmap._inflight:
+        if key in cmap:
             return False
         return len(self.points) + len(self.bundles) >= self.config.max_inflight
 
@@ -656,32 +643,87 @@ class ReproServer:
             writer, 503,
             {"error": "ServiceUnavailable", "message": message,
              "retry_after_s": self.config.retry_after_s},
-            extra_headers={
+            headers={
                 "Retry-After": f"{max(1, round(self.config.retry_after_s))}"
             },
         )
 
-    async def _await_result(self, entry: InflightEntry) -> object:
-        """Await a computation under the per-request deadline (if any)."""
-        future = asyncio.shield(entry.future)
-        if self.config.request_timeout is None:
-            return await future
-        return await asyncio.wait_for(future, self.config.request_timeout)
-
-    @staticmethod
-    def _leader_died(entry: InflightEntry, exc: BaseException) -> bool:
-        """Did the awaited future fail (vs. this request being cancelled)?
-
-        Under ``asyncio.shield`` both surface as exceptions; only a
-        *settled* future means the leader's computation actually died and
-        a follower may take over.  A deterministic request error
-        (:class:`~repro.errors.ReproError`) would fail identically when
-        re-led, so it is answered as-is.
-        """
-        return (
-            entry.future.done()
-            and not isinstance(exc, (ReproError, asyncio.TimeoutError))
+    async def _admit(
+        self, cmap: CoalescingMap, key: str, writer: asyncio.StreamWriter
+    ) -> bool:
+        """Refuse (503) a request that would start one computation too many."""
+        if not self._would_saturate(cmap, key):
+            return True
+        await self._send_busy(
+            writer, f"{self.config.max_inflight} computations already in flight"
         )
+        return False
+
+    async def _coalesce(
+        self,
+        cmap: CoalescingMap,
+        label: str,
+        key: str,
+        lead: Callable[[InflightEntry], Callable[[], object]],
+        writer: asyncio.StreamWriter,
+        on_join: Optional[Callable[[InflightEntry, bool], Awaitable[None]]] = None,
+    ) -> Optional[Tuple[object, bool]]:
+        """Join ``key``, lead it if first, and await its result.
+
+        The first joiner runs ``lead(entry)`` — the computation's thread
+        work — through :meth:`_lead`; everyone awaits the shared future.
+        Returns ``(result, leader)``, or ``None`` after answering 503 when
+        the request deadline expired (the computation keeps running).
+
+        ``on_join(entry, leader)`` is awaited after every join, before the
+        result: a stream subscribes there and forwards fold events.  It
+        must subscribe before its first ``await`` — the leader's task only
+        starts once this coroutine yields.  Streams are exempt from the
+        deadline; their fold lines are the liveness signal.
+
+        When the leader dies of a non-deterministic failure, every waiter
+        re-joins and one re-leads — safe, because the computation is a
+        pure function of the key — up to :attr:`MAX_PROMOTIONS` times.
+        """
+        timeout = self.config.request_timeout if on_join is None else None
+        promotions = 0
+        while True:
+            entry, leader = cmap.join(key)
+            if leader:
+                asyncio.ensure_future(self._lead(cmap, entry, lead(entry)))
+            try:
+                if on_join is not None:
+                    await on_join(entry, leader)
+                result = await asyncio.wait_for(
+                    asyncio.shield(entry.future), timeout
+                )
+                return result, leader
+            except asyncio.TimeoutError:
+                if entry.future.done():
+                    raise  # the leader's own failure, not our deadline
+                cmap.leave(entry)
+                await self._send_busy(
+                    writer,
+                    f"request exceeded its {self.config.request_timeout}s "
+                    "deadline; the computation continues — retry to fetch it",
+                )
+                return None
+            except BaseException as exc:
+                # Only a settled future means the leader's computation
+                # died (vs. this request being cancelled).  A request
+                # error would fail identically when re-led: answer as-is.
+                if (
+                    not entry.future.done()
+                    or isinstance(exc, ReproError)
+                    or promotions >= self.MAX_PROMOTIONS
+                ):
+                    raise
+                promotions += 1
+                cmap.promotions += 1
+                log_event(
+                    _log, "leader_election", map=label, key=key[:16],
+                    promotions=promotions,
+                )
 
     async def _handle_point(
         self, body: bytes, writer: asyncio.StreamWriter
@@ -689,151 +731,72 @@ class ReproServer:
         request = PointRequest.from_dict(_parse_json(body))
         task, chip_digest = self._task_for(request)
         key = self.engine.point_key(task)
-        if self._would_saturate(self.points, key):
-            await self._send_busy(
-                writer,
-                f"{self.config.max_inflight} computations already in flight",
-            )
+        if not await self._admit(self.points, key, writer):
             return
+        trace = request.trace and not request.stream
 
-        if not request.stream:
-            promotions = 0
-            while True:
-                entry, leader = self.points.join(key)
-                if leader:
-                    asyncio.ensure_future(
-                        self._lead_point(entry, task, trace=request.trace)
-                    )
-                try:
-                    estimate, trace_payload = await self._await_result(entry)
-                    break
-                except asyncio.TimeoutError:
-                    self.points.leave(entry)
-                    await self._send_busy(
-                        writer,
-                        f"request exceeded its "
-                        f"{self.config.request_timeout}s deadline; the "
-                        "computation continues — retry to fetch it",
-                    )
-                    return
-                except BaseException as exc:
-                    if not self._leader_died(entry, exc):
-                        raise
-                    if promotions >= self.MAX_PROMOTIONS:
-                        raise
-                    # The leader died mid-compute; this follower re-joins
-                    # and (typically) re-leads.  Safe: the computation is
-                    # a pure function of the key.
-                    promotions += 1
-                    self.points.promotions += 1
-                    log_event(
-                        _log, "leader_election", map="points", key=key[:16],
-                        promotions=promotions,
-                    )
-            payload = self._point_payload(
-                request, key, chip_digest, task, estimate,
-                coalesced=not leader,
-            )
-            if request.trace:
-                # A coalesced request rides another leader's computation:
-                # there is no trace of *its own* to return.
-                payload["trace"] = trace_payload if leader else None
-            await self._send_json(writer, 200, payload)
-            return
+        def lead(entry: InflightEntry) -> Callable[[], object]:
+            return self._point_work(entry, task, trace)
 
-        # NDJSON stream: accepted, folds (adaptive/sharded points), result.
-        # Streaming requests are exempt from the request deadline — their
-        # fold lines are the liveness signal — but still promote on a dead
-        # leader (the stream then restarts from the new leader's folds).
-        await self._send_stream_head(writer)
-        promotions = 0
-        entry, leader = self.points.join(key)
-        queue = entry.subscribe()
-        if leader:
-            asyncio.ensure_future(self._lead_point(entry, task))
-        await self._send_line(
-            writer,
-            {"event": "accepted", "key": key, "chip_digest": chip_digest,
-             "coalesced": not leader},
-        )
-        while True:
-            while True:
-                event = await queue.get()
-                if event is None:
-                    break
-                await self._send_line(writer, event)
-            try:
-                estimate, _trace = await asyncio.shield(entry.future)
-                break
-            except BaseException as exc:
-                if not self._leader_died(entry, exc):
-                    raise
-                if promotions >= self.MAX_PROMOTIONS:
-                    raise
-                promotions += 1
-                self.points.promotions += 1
-                log_event(
-                    _log, "leader_election", map="points", key=key[:16],
-                    promotions=promotions,
-                )
-                entry, leader = self.points.join(key)
+        on_join = None
+        if request.stream:
+            # NDJSON stream: accepted, folds (adaptive/sharded points),
+            # result.  A promoted stream restarts from the new leader's
+            # folds; only the first join is announced.
+            await self._send(writer, 200, None, "application/x-ndjson")
+            joins = 0
+
+            async def on_join(entry: InflightEntry, leader: bool) -> None:
+                nonlocal joins
                 queue = entry.subscribe()
-                if leader:
-                    asyncio.ensure_future(self._lead_point(entry, task))
-        await self._send_line(
-            writer,
-            {"event": "result",
-             **self._point_payload(request, key, chip_digest, task, estimate,
-                                   coalesced=not leader)},
+                joins += 1
+                if joins == 1:
+                    await self._send_line(
+                        writer,
+                        {"event": "accepted", "key": key,
+                         "chip_digest": chip_digest, "coalesced": not leader},
+                    )
+                while (event := await queue.get()) is not None:
+                    await self._send_line(writer, event)
+
+        joined = await self._coalesce(
+            self.points, "points", key, lead, writer, on_join
         )
+        if joined is None:
+            return
+        (estimate, trace_payload), leader = joined
+        payload = self._point_payload(
+            request, key, chip_digest, task, estimate, coalesced=not leader
+        )
+        if request.stream:
+            await self._send_line(writer, {"event": "result", **payload})
+            return
+        if request.trace:
+            # A coalesced request rides another leader's computation:
+            # there is no trace of *its own* to return.
+            payload["trace"] = trace_payload if leader else None
+        await self._send_json(writer, 200, payload)
 
     async def _handle_bundle(
         self, name: str, body: bytes, writer: asyncio.StreamWriter
     ) -> None:
         experiment = registry.get(name)  # unknown name -> ExperimentError -> 404
         request = BundleRequest.from_dict(experiment.name, _parse_json(body))
-        if request.runs > self.config.max_runs:
-            raise ServeError(
-                f"runs {request.runs} exceeds this server's ceiling "
-                f"({self.config.max_runs})"
-            )
+        self._check_runs(request.runs)
+        knobs = self._knobs_for(experiment, request)
         blob = json.dumps(request.identity(), sort_keys=True, separators=(",", ":"))
         key = hashlib.sha256(blob.encode("ascii")).hexdigest()
-        if self._would_saturate(self.bundles, key):
-            await self._send_busy(
-                writer,
-                f"{self.config.max_inflight} computations already in flight",
-            )
+        if not await self._admit(self.bundles, key, writer):
             return
-        promotions = 0
-        while True:
-            entry, leader = self.bundles.join(key)
-            if leader:
-                asyncio.ensure_future(self._lead_bundle(entry, request))
-            try:
-                payload = dict(await self._await_result(entry))
-                break
-            except asyncio.TimeoutError:
-                self.bundles.leave(entry)
-                await self._send_busy(
-                    writer,
-                    f"request exceeded its {self.config.request_timeout}s "
-                    "deadline; the computation continues — retry to fetch it",
-                )
-                return
-            except BaseException as exc:
-                if not self._leader_died(entry, exc):
-                    raise
-                if promotions >= self.MAX_PROMOTIONS:
-                    raise
-                promotions += 1
-                self.bundles.promotions += 1
-                log_event(
-                    _log, "leader_election", map="bundles", key=key[:16],
-                    promotions=promotions,
-                )
-        payload["coalesced"] = not leader
-        await self._send_json(writer, 200, payload)
+
+        def lead(_entry: InflightEntry) -> Callable[[], object]:
+            return lambda: self._bundle_work(experiment, request, knobs)
+
+        joined = await self._coalesce(self.bundles, "bundles", key, lead, writer)
+        if joined is None:
+            return
+        bundle, leader = joined
+        await self._send_json(writer, 200, {**bundle, "coalesced": not leader})
 
     # -- the cache-object endpoint ---------------------------------------------
     async def _handle_cache(
@@ -850,19 +813,15 @@ class ReproServer:
         """
         store = self.object_store
         if store is None:
-            await self._send_json(
+            await self._send_error(
                 writer, 404,
-                {"error": "NotFound",
-                 "message": "no cache store mounted (start with "
-                            "`repro cache-serve` or --cache-objects)"},
+                "no cache store mounted (start with `repro cache-serve` or "
+                "--cache-objects)",
             )
             return
         if path == "/cache/keys":
             if method != "GET":
-                await self._send_json(
-                    writer, 405,
-                    {"error": "MethodNotAllowed", "message": "GET /cache/keys"},
-                )
+                await self._send_error(writer, 405, "GET /cache/keys")
                 return
             keys = store.list_keys()
             await self._send_json(
@@ -871,34 +830,28 @@ class ReproServer:
             )
             return
         if not path.startswith("/cache/objects/"):
-            await self._send_json(
-                writer, 404,
-                {"error": "NotFound", "message": f"no route {method} {path}"},
-            )
+            await self._send_error(writer, 404, f"no route {method} {path}")
             return
         key = path[len("/cache/objects/"):]
         if not valid_key(key):
-            await self._send_json(
-                writer, 400,
-                {"error": "BadRequest", "message": f"invalid object key {key!r}"},
-            )
+            await self._send_error(writer, 400, f"invalid object key {key!r}")
             return
         if method in ("GET", "HEAD"):
             payload = store.get(key)
             if payload is None:
-                await self._send_json(
-                    writer, 404,
-                    {"error": "NotFound", "message": f"no object {key}"},
-                )
+                await self._send_error(writer, 404, f"no object {key}")
                 return
             digest = content_digest(payload)
             if headers.get("if-none-match", "").strip('"') == digest:
                 await self._send_json(
-                    writer, 304, {}, extra_headers={"X-Repro-Digest": digest}
+                    writer, 304, {}, headers={"X-Repro-Digest": digest}
                 )
                 return
-            await self._send_bytes(
-                writer, 200, payload, digest, head_only=(method == "HEAD")
+            await self._send(
+                writer, 200, b"" if method == "HEAD" else payload,
+                "application/octet-stream",
+                headers={"X-Repro-Digest": digest, "ETag": f'"{digest}"'},
+                length=len(payload),
             )
             return
         if method == "PUT":
@@ -907,11 +860,10 @@ class ReproServer:
             if declared is not None and declared != got:
                 # The body that arrived is not the body the client hashed:
                 # a truncated or corrupted upload.  Nothing is stored.
-                await self._send_json(
+                await self._send_error(
                     writer, 400,
-                    {"error": "BadRequest",
-                     "message": f"body digest {got[:16]}... does not match "
-                                f"declared {declared[:16]}...; upload refused"},
+                    f"body digest {got[:16]}... does not match declared "
+                    f"{declared[:16]}...; upload refused",
                 )
                 return
             stored = store.put(key, body)
@@ -921,47 +873,38 @@ class ReproServer:
                  "digest": got},
             )
             return
-        await self._send_json(
-            writer, 405,
-            {"error": "MethodNotAllowed",
-             "message": "GET, HEAD or PUT /cache/objects/{key}"},
+        await self._send_error(
+            writer, 405, "GET, HEAD or PUT /cache/objects/{key}"
         )
 
     # -- response helpers ------------------------------------------------------
-    async def _send_bytes(
+    async def _send(
         self,
         writer: asyncio.StreamWriter,
         status: int,
-        payload: bytes,
-        digest: str,
-        head_only: bool = False,
+        body: Optional[bytes],
+        content_type: str,
+        headers: Optional[Dict[str, str]] = None,
+        length: Optional[int] = None,
     ) -> None:
-        head = (
-            f"HTTP/1.1 {status} {_HTTP_REASONS.get(status, 'OK')}\r\n"
-            "Content-Type: application/octet-stream\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            f"X-Repro-Digest: {digest}\r\n"
-            f'ETag: "{digest}"\r\n'
-            "Connection: close\r\n\r\n"
-        )
-        writer.write(head.encode("latin-1") + (b"" if head_only else payload))
-        await writer.drain()
+        """Write one response head, then ``body``.
 
-    async def _send_text(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        text: str,
-        content_type: str = "text/plain; charset=utf-8",
-    ) -> None:
-        body = text.encode("utf-8")
-        head = (
-            f"HTTP/1.1 {status} {_HTTP_REASONS.get(status, 'OK')}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            "Connection: close\r\n\r\n"
-        )
-        writer.write(head.encode("latin-1") + body)
+        ``body=None`` opens a stream: the head carries no Content-Length
+        and :meth:`_send_line` writes what follows.  ``length`` overrides
+        the Content-Length a HEAD answer advertises for its empty body.
+        """
+        lines = [
+            f"HTTP/1.1 {status} {_HTTP_REASONS.get(status, 'OK')}",
+            f"Content-Type: {content_type}",
+        ]
+        if body is not None:
+            lines.append(
+                f"Content-Length: {len(body) if length is None else length}"
+            )
+        lines += [f"{name}: {value}" for name, value in (headers or {}).items()]
+        lines.append("Connection: close")
+        head = "\r\n".join(lines) + "\r\n\r\n"
+        writer.write(head.encode("latin-1") + (body or b""))
         await writer.drain()
 
     async def _send_json(
@@ -969,31 +912,17 @@ class ReproServer:
         writer: asyncio.StreamWriter,
         status: int,
         payload: Dict[str, object],
-        extra_headers: Optional[Dict[str, str]] = None,
+        headers: Optional[Dict[str, str]] = None,
     ) -> None:
         body = json.dumps(payload).encode("utf-8") + b"\n"
-        extras = "".join(
-            f"{name}: {value}\r\n"
-            for name, value in (extra_headers or {}).items()
-        )
-        head = (
-            f"HTTP/1.1 {status} {_HTTP_REASONS.get(status, 'OK')}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"{extras}"
-            "Connection: close\r\n\r\n"
-        )
-        writer.write(head.encode("latin-1") + body)
-        await writer.drain()
+        await self._send(writer, status, body, "application/json", headers)
 
-    async def _send_stream_head(self, writer: asyncio.StreamWriter) -> None:
-        head = (
-            "HTTP/1.1 200 OK\r\n"
-            "Content-Type: application/x-ndjson\r\n"
-            "Connection: close\r\n\r\n"
-        )
-        writer.write(head.encode("latin-1"))
-        await writer.drain()
+    async def _send_error(
+        self, writer: asyncio.StreamWriter, status: int, message: str
+    ) -> None:
+        """A JSON error named after the status, e.g. ``"NotFound"``."""
+        error = _HTTP_REASONS[status].replace(" ", "")
+        await self._send_json(writer, status, {"error": error, "message": message})
 
     async def _send_line(
         self, writer: asyncio.StreamWriter, payload: Dict[str, object]

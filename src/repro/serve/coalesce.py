@@ -78,6 +78,10 @@ class CoalescingMap:
     def __len__(self) -> int:
         return len(self._inflight)
 
+    def __contains__(self, key: object) -> bool:
+        """Is a computation for ``key`` in flight (would a join follow)?"""
+        return key in self._inflight
+
     def join(self, key: str) -> Tuple[InflightEntry, bool]:
         """Join the in-flight computation for ``key``.
 

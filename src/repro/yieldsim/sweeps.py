@@ -17,7 +17,7 @@ bit-identical to the default serial engine either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.chip.biochip import Biochip
@@ -180,10 +180,7 @@ def survival_sweep(
             instance = model(chip, p)
             spec_point = PointSpec.from_model(instance, runs, pseed, param=p)
             if criterion is not None:
-                spec_point = PointSpec(
-                    spec_point.kind, spec_point.param, spec_point.runs,
-                    spec_point.seed, spec_point.model, criterion,
-                )
+                spec_point = replace(spec_point, criterion=criterion)
             tasks.append(EnginePoint(chip, spec_point, stop=stop))
             model_names.append(instance.name)
     estimates = engine.run_points(tasks)

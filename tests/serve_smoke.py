@@ -8,11 +8,15 @@ the offline results:
 2. ``POST /experiments/fig9`` at a small budget must return a bundle
    whose digest equals the provenance digest a local artifact run
    (the ``repro fig9 --out`` path) records in ``manifest.json``.
-3. The ``/cache/objects`` endpoint (``--cache-objects``) must round-trip
+3. A streamed adaptive point (``"stream": true``) must end in a
+   ``result`` line equal to the plain response for the same point.
+4. The ``/cache/objects`` endpoint (``--cache-objects``) must round-trip
    payloads byte-exactly through :class:`HTTPStore`, refuse a
    digest-mismatched upload, and store objects readable directly off the
    mounted :class:`SharedFSStore` tree — transport parity between the
    two remote store implementations.
+5. ``GET /metrics`` must carry a ``# TYPE`` line for every metric family
+   listed in ``docs/observability.md``.
 
 Exits non-zero on any mismatch.  Run as::
 
@@ -21,7 +25,10 @@ Exits non-zero on any mismatch.  Run as::
 
 from __future__ import annotations
 
+import itertools
 import json
+import pathlib
+import re
 import sys
 import tempfile
 import urllib.error
@@ -38,6 +45,42 @@ def post(base: str, path: str, body: dict, timeout: float = 600) -> dict:
     with urllib.request.urlopen(request, timeout=timeout) as response:
         assert response.status == 200, (path, response.status)
         return json.loads(response.read())
+
+
+def post_stream(base: str, path: str, body: dict, timeout: float = 600) -> list:
+    request = urllib.request.Request(
+        base + path, data=json.dumps(body).encode(), method="POST"
+    )
+    with urllib.request.urlopen(request, timeout=timeout) as response:
+        assert response.status == 200, (path, response.status)
+        return [json.loads(line) for line in response.read().splitlines()]
+
+
+def documented_families() -> list:
+    """Regexes for the metric families in observability.md's table.
+
+    ``{a,b}`` alternatives expand, a ``{map=…}`` label suffix is dropped
+    and ``<field>`` stands for any Counters field name.
+    """
+    doc = pathlib.Path(__file__).resolve().parents[1] / "docs" / "observability.md"
+    patterns = []
+    for line in doc.read_text().splitlines():
+        if not line.startswith("| `repro_"):
+            continue
+        for token in re.findall(r"`([^`]+)`", line.split("|")[1]):
+            token = re.sub(r"\{map=[^}]*\}$", "", token)
+            parts = re.split(r"\{([^}]*)\}", token)
+            choices = [
+                part.split(",") if i % 2 else [part]
+                for i, part in enumerate(parts)
+            ]
+            for combo in itertools.product(*choices):
+                name = re.escape("".join(combo)).replace(
+                    re.escape("<field>"), "[a-z_]+"
+                )
+                patterns.append(name)
+    assert patterns, f"no metric table found in {doc}"
+    return patterns
 
 
 def main() -> int:
@@ -90,6 +133,22 @@ def main() -> int:
             f"{served_point['trials']} == offline engine"
         )
 
+        adaptive = {
+            "kind": "survival", "param": 0.95, "runs": 4 * RUNS,
+            "seed": SEED, "design": "DTMB(1,6)", "n": 60, "adaptive": True,
+        }
+        lines = post_stream(base, "/points", dict(adaptive, stream=True))
+        plain = post(base, "/points", adaptive)
+        assert lines[0]["event"] == "accepted", lines[0]
+        assert {e["event"] for e in lines[1:-1]} <= {"fold"}, lines
+        result = dict(lines[-1])
+        assert result.pop("event") == "result", lines[-1]
+        assert result == plain, (result, plain)
+        print(
+            f"streamed point OK: {len(lines) - 2} fold line(s), result "
+            f"{result['successes']}/{result['trials']} == plain response"
+        )
+
         served_bundle = post(
             base, "/experiments/fig9", {"runs": RUNS, "seed": SEED}
         )
@@ -136,10 +195,21 @@ def main() -> int:
             pass
         print(f"cache transport OK: HTTPStore round-trip of {key[:12]}…")
 
+        metrics = urllib.request.urlopen(
+            base + "/metrics", timeout=30
+        ).read().decode("utf-8")
+        families = documented_families()
+        for family in families:
+            assert re.search(
+                rf"^# TYPE {family} (counter|gauge|histogram)$", metrics, re.M
+            ), f"/metrics has no family matching {family}"
+        print(f"metrics OK: all {len(families)} documented families exposed")
+
         stats = json.loads(
             urllib.request.urlopen(base + "/stats", timeout=30).read()
         )
-        assert stats["points"]["computed"] == 1
+        # the fig7 point, the streamed point and its plain twin (no cache)
+        assert stats["points"]["computed"] == 3
         assert stats["bundles"]["computed"] == 1
         assert stats["cache_objects"]["count"] == 1
         print("serve smoke passed")

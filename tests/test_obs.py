@@ -21,13 +21,7 @@ from repro.obs.events import (
     log_event,
     validate_event_line,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    engine_collector,
-)
+from repro.obs.metrics import Family, Histogram, engine_families, render
 from repro.obs.trace import Tracer, span_signature, validate_trace
 from repro.serve import BackgroundServer, ServeConfig
 from repro.yieldsim.engine import EnginePoint, SweepEngine
@@ -58,45 +52,24 @@ def flat_estimates(chip, engine=None):
 
 # -- instrument semantics ------------------------------------------------------
 
+def scraped(text):
+    """``{name{labels}: value}`` from Prometheus exposition text."""
+    samples = {}
+    for line in text.splitlines():
+        if line and not line.startswith("#"):
+            name, _, value = line.rpartition(" ")
+            samples[name] = float(value)
+    return samples
+
+
 class TestInstruments:
-    def test_counter_semantics(self):
-        c = Counter("repro_test_total", "help")
-        c.inc()
-        c.inc(2.5)
-        assert c.value() == 3.5
-        with pytest.raises(ValueError):
-            c.inc(-1)
-        # Collector-style set() never moves a counter backwards.
-        c.set(10.0)
-        assert c.value() == 10.0
-        c.set(4.0)
-        assert c.value() == 10.0
-
-    def test_labelled_counter(self):
-        c = Counter("repro_test_total", "help", labelnames=("map",))
-        c.inc(map="points")
-        c.inc(3, map="bundles")
-        assert c.value(map="points") == 1
-        assert c.value(map="bundles") == 3
-        with pytest.raises(ValueError):
-            c.inc(other="nope")
-
-    def test_gauge_moves_both_ways(self):
-        g = Gauge("repro_active", "help")
-        g.set(5)
-        g.dec(2)
-        g.inc()
-        assert g.value() == 4
-
     def test_histogram_buckets_are_cumulative(self):
         h = Histogram("repro_seconds", "help", buckets=(0.1, 1.0, 10.0))
         for v in (0.05, 0.5, 0.5, 5.0, 50.0):
             h.observe(v)
         assert h.count() == 5
         assert h.sum() == pytest.approx(56.05)
-        samples = dict(
-            (name + suffix, value) for name, suffix, value in h.samples()
-        )
+        samples = dict(h.family().samples)
         assert samples['repro_seconds_bucket{le="0.1"}'] == 1
         assert samples['repro_seconds_bucket{le="1"}'] == 3
         assert samples['repro_seconds_bucket{le="10"}'] == 4
@@ -105,25 +78,21 @@ class TestInstruments:
 
     def test_invalid_metric_name_rejected(self):
         with pytest.raises(ValueError):
-            Counter("9starts-with-digit", "help")
-
-    def test_registry_accessors_are_idempotent(self):
-        reg = MetricsRegistry()
-        a = reg.counter("repro_x_total", "help")
-        b = reg.counter("repro_x_total")
-        assert a is b
+            Histogram("9starts-with-digit", "help")
         with pytest.raises(ValueError):
-            reg.gauge("repro_x_total")
+            Family("bad name", "gauge", "help", [])
 
 
 class TestPrometheusRender:
     def test_golden_exposition(self):
-        reg = MetricsRegistry()
-        reg.counter("repro_b_total", "b count").inc(2)
-        reg.gauge("repro_a", "a level").set(1.5)
-        h = reg.histogram("repro_c_seconds", "c timing", buckets=(1.0,))
+        h = Histogram("repro_c_seconds", "c timing", buckets=(1.0,))
         h.observe(0.5)
-        assert reg.render() == (
+        families = [
+            h.family(),
+            Family("repro_b_total", "counter", "b count", [("repro_b_total", 2)]),
+            Family("repro_a", "gauge", "a level", [("repro_a", 1.5)]),
+        ]
+        assert render(families) == (
             "# HELP repro_a a level\n"
             "# TYPE repro_a gauge\n"
             "repro_a 1.5\n"
@@ -138,16 +107,6 @@ class TestPrometheusRender:
             "repro_c_seconds_count 1\n"
         )
 
-    def test_collectors_run_at_scrape_time(self):
-        reg = MetricsRegistry()
-        source = {"n": 1}
-        reg.register_collector(
-            lambda r: r.counter("repro_n_total").set(source["n"])
-        )
-        assert reg.as_dict()["repro_n_total"] == 1
-        source["n"] = 7
-        assert reg.as_dict()["repro_n_total"] == 7
-
 
 class TestEngineAdapter:
     def test_engine_collector_matches_stats_dicts(self, dtmb26_chip):
@@ -157,9 +116,7 @@ class TestEngineAdapter:
         flat_estimates(dtmb26_chip, engine)
         assert engine.resilience.retries >= 1
 
-        reg = MetricsRegistry()
-        reg.register_collector(engine_collector(engine))
-        flat = reg.as_dict()
+        flat = scraped(render(engine_families(engine)))
         assert flat["repro_engine_cache_hits_total"] == engine.cache_hits
         assert flat["repro_engine_runs_effective_total"] == (
             engine.runs_effective
@@ -173,7 +130,7 @@ class TestEngineAdapter:
 
     def test_resilience_fields_all_numeric(self):
         # Guards the adapter's duck-typing: every stats field must stay a
-        # plain number for _set_from_dict to fold it in.
+        # plain number for counters_family to render it.
         for value in ResilienceStats().as_dict().values():
             assert isinstance(value, (int, float))
 
@@ -445,12 +402,13 @@ class TestServeTelemetry:
             url = f"http://127.0.0.1:{handle.port}"
             _post(url + "/points", POINT)
             stats = json.loads(_get(url + "/stats"))
-            flat = handle.server.metrics.as_dict()
-            assert flat["repro_http_requests_total"] >= stats["requests"] - 1
+            text = _get(url + "/metrics")
+            flat = scraped(text)
+            # The scrape is the request after /stats: one more accepted.
+            assert flat["repro_http_requests_total"] == stats["requests"] + 1
             assert flat['repro_coalesce_computed_total{map="points"}'] == (
                 stats["points"]["computed"]
             )
-            text = _get(url + "/metrics")
             assert "# TYPE repro_http_requests_total counter" in text
             assert "repro_http_request_seconds_bucket" in text
 
@@ -475,7 +433,7 @@ class TestServeTelemetry:
                 t.join()
             assert not errors
             stats = json.loads(_get(url + "/stats"))
-            flat = handle.server.metrics.as_dict()
+            flat = scraped(_get(url + "/metrics"))
             points = stats["points"]
             assert flat['repro_coalesce_computed_total{map="points"}'] == (
                 points["computed"]

@@ -466,6 +466,25 @@ def http_raw(base, path, body=None, timeout=120):
         return exc.code, dict(exc.headers), json.loads(exc.read())
 
 
+def http_stream(base, path, body, timeout=120):
+    """(status, NDJSON event lines) of a streamed POST."""
+    req = urllib.request.Request(
+        base + path, data=json.dumps(body).encode(), method="POST"
+    )
+    with urllib.request.urlopen(req, timeout=timeout) as response:
+        return response.status, [
+            json.loads(line) for line in response.read().splitlines()
+        ]
+
+
+#: the three coalesced request shapes: (path, body, coalescing-map name)
+COALESCED = {
+    "point": ("/points", POINT_BODY, "points"),
+    "stream": ("/points", dict(POINT_BODY, adaptive=True, stream=True), "points"),
+    "bundle": ("/experiments/fig9", {"runs": 20, "seed": 5}, "bundles"),
+}
+
+
 class GatedEngine(SweepEngine):
     """Holds every computation until the test opens the gate."""
 
@@ -532,12 +551,16 @@ class TestServeResilience:
             assert status == 200
             assert handle.server.rejected == 1
 
-    def test_request_deadline_expires_into_503_compute_survives(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["point", "bundle"])
+    def test_request_deadline_expires_into_503_compute_survives(
+        self, tmp_path, kind
+    ):
+        path, body, _ = COALESCED[kind]
         engine = GatedEngine(cache_dir=str(tmp_path / "cache"))
         config = ServeConfig(port=0, request_timeout=0.3, retry_after_s=1.0)
         with BackgroundServer(config, engine=engine) as handle:
             url = f"http://127.0.0.1:{handle.port}"
-            status, headers, error = http_raw(url, "/points", POINT_BODY)
+            status, headers, error = http_raw(url, path, body)
             assert status == 503
             assert error["error"] == "ServiceUnavailable"
             assert "Retry-After" in headers
@@ -546,11 +569,13 @@ class TestServeResilience:
             # or the cache it fills).
             engine.gate.set()
             assert _wait_until(
-                lambda: http_raw(url, "/points", POINT_BODY)[0] == 200,
-                timeout=60,
+                lambda: http_raw(url, path, body)[0] == 200, timeout=60,
             )
 
-    def test_waiters_are_re_led_when_the_leader_dies(self):
+    @pytest.mark.parametrize("kind", ["point", "stream", "bundle"])
+    def test_waiters_are_re_led_when_the_leader_dies(self, kind):
+        path, body, map_name = COALESCED[kind]
+
         class FailOnceEngine(GatedEngine):
             def __init__(self, **kwargs):
                 super().__init__(**kwargs)
@@ -569,25 +594,42 @@ class TestServeResilience:
         engine = FailOnceEngine()
         with BackgroundServer(ServeConfig(port=0), engine=engine) as handle:
             url = f"http://127.0.0.1:{handle.port}"
+            cmap = getattr(handle.server, map_name)
+            send = http_stream if kind == "stream" else http_raw
             results = []
 
             def request():
-                results.append(http_raw(url, "/points", POINT_BODY, timeout=300))
+                results.append(send(url, path, body, timeout=300))
 
             threads = [threading.Thread(target=request) for _ in range(2)]
             for thread in threads:
                 thread.start()
-            assert _wait_until(lambda: handle.server.points.followers == 1)
+            assert _wait_until(lambda: cmap.followers == 1)
             engine.gate.set()
             for thread in threads:
                 thread.join(timeout=300)
-            statuses = [status for status, _, _ in results]
+            statuses = [result[0] for result in results]
             # A non-deterministic leader death is retried for *every*
             # waiter: both re-join, one re-leads, everyone gets a real
             # answer — the computation ran exactly twice, not three times.
             assert statuses == [200, 200]
-            assert handle.server.points.promotions == 2
+            assert cmap.promotions == 2
             assert engine.calls == 2
+            if kind == "stream":
+                # The stream restarts from the new leader's folds and ends
+                # in the plain (non-streamed) answer.
+                plain = http_raw(url, path, dict(body, stream=False))[2]
+                for _, lines in results:
+                    assert len(lines) > 2  # accepted, folds..., result
+                    assert lines[0]["event"] == "accepted"
+                    assert [e["event"] for e in lines[1:-1]] == (
+                        ["fold"] * (len(lines) - 2)
+                    )
+                    result = dict(lines[-1])
+                    assert result.pop("event") == "result"
+                    assert {**result, "coalesced": None} == (
+                        {**plain, "coalesced": None}
+                    )
 
     def test_stop_drains_inflight_requests_before_exiting(self, tmp_path):
         engine = GatedEngine(cache_dir=str(tmp_path / "cache"))

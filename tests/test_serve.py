@@ -385,3 +385,72 @@ class TestBundles:
             base, "/experiments/table1", {"defect_model": "negbin"}
         )
         assert status == 400 and error["error"] == "ServeError"
+
+    def test_bad_bundles_are_rejected_before_admission(self):
+        # A saturated server still answers a malformed bundle with 400,
+        # not 503, and never counts it as a computation.
+        engine = GatedEngine()
+        config = ServeConfig(port=0, max_inflight=1)
+        with BackgroundServer(config, engine=engine) as handle:
+            url = f"http://127.0.0.1:{handle.port}"
+            holder = threading.Thread(
+                target=lambda: http(url, "/points", POINT_BODY, timeout=300)
+            )
+            holder.start()
+            try:
+                assert _wait_until(lambda: len(handle.server.points) == 1)
+                for name, body in (
+                    ("table1", {"defect_model": "negbin"}),
+                    ("fig9", {"defect_model": "bogus"}),
+                    ("table1", {"criterion": "routing"}),
+                ):
+                    status, _ = http(url, f"/experiments/{name}", body)
+                    assert status == 400, (name, body)
+                assert handle.server.bundles.leaders == 0
+                assert handle.server.rejected == 0
+            finally:
+                engine.gate.set()
+                holder.join(timeout=300)
+
+
+class TestCacheObjects:
+    PAYLOAD = b'{"successes": 1}\n'
+
+    @pytest.fixture()
+    def stored(self, tmp_path):
+        from repro.yieldsim.cachestore import content_digest
+
+        config = ServeConfig(port=0, cache_objects=str(tmp_path / "objects"))
+        with BackgroundServer(config) as handle:
+            url = f"http://127.0.0.1:{handle.port}/cache/objects/"
+            digest = content_digest(self.PAYLOAD)
+            put = urllib.request.Request(
+                url + digest, data=self.PAYLOAD, method="PUT",
+                headers={"X-Repro-Digest": digest},
+            )
+            with urllib.request.urlopen(put, timeout=30) as response:
+                assert response.status == 201
+            yield url + digest, digest
+
+    def test_head_advertises_the_object_without_a_body(self, stored):
+        url, digest = stored
+        request = urllib.request.Request(url, method="HEAD")
+        with urllib.request.urlopen(request, timeout=30) as response:
+            assert response.status == 200
+            assert response.read() == b""
+            assert response.headers["Content-Length"] == str(len(self.PAYLOAD))
+            assert response.headers["X-Repro-Digest"] == digest
+            assert response.headers["ETag"] == f'"{digest}"'
+
+    def test_get_returns_the_object_and_304s_a_matching_etag(self, stored):
+        url, digest = stored
+        with urllib.request.urlopen(url, timeout=30) as response:
+            assert response.read() == self.PAYLOAD
+            assert response.headers["ETag"] == f'"{digest}"'
+        request = urllib.request.Request(
+            url, headers={"If-None-Match": f'"{digest}"'}
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=30)
+        assert excinfo.value.code == 304
+        assert excinfo.value.headers["X-Repro-Digest"] == digest
