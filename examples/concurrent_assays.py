@@ -3,10 +3,11 @@
 
 The paper's opening promise is that "several bioassays [will] be
 concurrently executed in a single microfluidic array."  This example puts
-that together with the maintenance loop:
+that together with local reconfiguration:
 
 1. a DTMB(2,6) array suffers manufacturing faults;
-2. the maintenance loop tests, diagnoses and repairs it;
+2. local reconfiguration maps every faulty primary to an adjacent spare
+   (test and diagnosis are assumed perfect, as in the paper);
 3. four droplets (two sample/reagent pairs) are routed *simultaneously*
    with the time-expanded concurrent router — no accidental merges, faults
    avoided, all through the repair remap.
@@ -15,10 +16,10 @@ Run:  python examples/concurrent_assays.py
 """
 
 from repro.designs import DTMB_2_6, build_chip
-from repro.dft import maintain
 from repro.faults import FixedCountInjector
 from repro.fluidics import ConcurrentRouter, RouteRequest
 from repro.geometry import RectRegion, offset_to_axial
+from repro.reconfig import CellRemap, plan_local_repair
 from repro.viz import render_chip, render_legend
 
 
@@ -27,12 +28,17 @@ def main() -> None:
     chip = build_chip(DTMB_2_6, region)
     print(f"chip: {chip.primary_count} primary + {chip.spare_count} spare")
 
-    # --- manufacturing defects + maintenance cycle ----------------------
-    FixedCountInjector(5).sample(chip, seed=17).apply_to(chip)
-    report = maintain(chip, region=region)
-    print(report.format_report())
-    if not report.usable:
+    # --- manufacturing defects + local reconfiguration ------------------
+    faults = FixedCountInjector(5).sample(chip, seed=17)
+    faults.apply_to(chip)
+    print(f"{len(faults)} faulty cell(s): "
+          + ", ".join(str(f.coord) for f in faults))
+    repair = plan_local_repair(chip)
+    if not repair.complete:
         raise SystemExit("chip is scrap; rerun with another seed")
+    remap = CellRemap(chip, repair)
+    print(f"repaired via {repair.spares_used} spare(s); "
+          "chip usable through remap")
 
     # --- concurrent routing through the remap ---------------------------
     # Two assays' worth of droplets: samples from the west edge, reagents
@@ -40,14 +46,10 @@ def main() -> None:
     primaries = {c.coord for c in chip.primaries()}
 
     def usable_near(col, row):
-        # nearest good primary to the requested offset cell
+        # nearest primary to the requested offset cell; the repair is
+        # complete, so every primary works through the remap
         target = offset_to_axial(col, row)
-        candidates = sorted(
-            (target.distance(p), p)
-            for p in primaries
-            if chip[p].is_good or (report.remap and p not in report.remap.dead_cells)
-        )
-        return candidates[0][1]
+        return min((target.distance(p), p) for p in primaries)[1]
 
     requests = [
         RouteRequest("sample-1", usable_near(0, 2), usable_near(6, 3)),
@@ -55,7 +57,7 @@ def main() -> None:
         RouteRequest("sample-2", usable_near(0, 9), usable_near(6, 8)),
         RouteRequest("reagent-2", usable_near(11, 9), usable_near(8, 8)),
     ]
-    router = ConcurrentRouter(chip, remap=report.remap)
+    router = ConcurrentRouter(chip, remap=remap)
     plan = router.plan(requests)
 
     print(f"\nconcurrent plan: {len(requests)} droplets, "
@@ -71,7 +73,7 @@ def main() -> None:
               f"{len(trajectory) - 1 - waits} moves, {waits} waits")
 
     print("\nchip with repairs:")
-    print(render_chip(chip, plan=report.repair))
+    print(render_chip(chip, plan=repair))
     print(render_legend())
 
 

@@ -7,9 +7,8 @@ Reconfiguration" (DATE 2005).
 The library models hexagonal- and square-electrode biochip arrays, the
 DTMB(s, p) interstitial-redundancy architectures, fault injection, local
 reconfiguration by maximum bipartite matching, analytical and Monte-Carlo
-yield estimation, and — as executable substrates — droplet fluidics,
-droplet-based test/diagnosis, and the Trinder-reaction diagnostics panel
-the paper evaluates on.
+yield estimation, and — as executable substrates — droplet fluidics and
+the Trinder-reaction diagnostics panel the paper evaluates on.
 
 Quick start::
 

@@ -1,4 +1,4 @@
-"""Biochip array model: cells, roles, health, adjacency and serialization.
+"""Biochip array model: cells, roles, health and adjacency.
 
 This package is the substrate every other layer builds on:
 
@@ -6,9 +6,7 @@ This package is the substrate every other layer builds on:
   :class:`~repro.chip.cell.CellHealth` — one electrode site;
 * :class:`~repro.chip.biochip.Biochip` — the array with adjacency queries;
 * builders (:func:`~repro.chip.builders.chip_from_lattice`...) — assemble
-  plain, interstitial-redundant, and irregular layouts;
-* serialization (:func:`~repro.chip.serialize.dump_chip`...) — JSON
-  round-tripping of layouts including fault state.
+  plain, interstitial-redundant, and irregular layouts.
 """
 
 from repro.chip.biochip import Biochip
@@ -19,8 +17,6 @@ from repro.chip.builders import (
     square_chip,
 )
 from repro.chip.cell import Cell, CellHealth, CellRole
-from repro.chip.graph import adjacency_lists, spare_adjacency, to_networkx
-from repro.chip.serialize import chip_from_dict, chip_to_dict, dump_chip, load_chip
 
 __all__ = [
     "Biochip",
@@ -31,11 +27,4 @@ __all__ = [
     "chip_from_lattice",
     "chip_from_roles",
     "square_chip",
-    "adjacency_lists",
-    "spare_adjacency",
-    "to_networkx",
-    "chip_to_dict",
-    "chip_from_dict",
-    "dump_chip",
-    "load_chip",
 ]

@@ -22,7 +22,6 @@ __all__ = [
     "RoutingError",
     "SchedulingError",
     "AssayError",
-    "TestPlanError",
     "SimulationError",
     "StoreError",
     "UnitFailure",
@@ -90,13 +89,6 @@ class SchedulingError(FluidicsError):
 
 class AssayError(ReproError):
     """A bioassay could not be completed on the given chip."""
-
-
-class TestPlanError(ReproError):
-    """A design-for-test plan could not be generated."""
-
-    # Not a test case, despite the Test* name pytest would otherwise collect.
-    __test__ = False
 
 
 class SimulationError(ReproError):

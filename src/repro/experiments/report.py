@@ -11,12 +11,7 @@ from typing import Iterable, List, Sequence
 
 from repro.errors import ReproError
 
-__all__ = ["format_table", "format_float"]
-
-
-def format_float(value: float, digits: int = 4) -> str:
-    """Fixed-point formatting used across reports (yields, ratios)."""
-    return f"{value:.{digits}f}"
+__all__ = ["format_table"]
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:

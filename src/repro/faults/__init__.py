@@ -1,45 +1,25 @@
 """Manufacturing-fault models and seeded injection.
 
-* :mod:`repro.faults.model` — the catastrophic/parametric taxonomy of
-  Section 4 and the :class:`~repro.faults.model.FaultMap` container;
-* :mod:`repro.faults.injection` — Bernoulli (the paper's assumption),
-  fixed-count (Figure 13) and clustered spot-defect injectors;
-* :mod:`repro.faults.parametric` — geometric-deviation process model.
+* :mod:`repro.faults.model` — the catastrophic fault kinds of Section 4
+  and the :class:`~repro.faults.model.FaultMap` container;
+* :mod:`repro.faults.injection` — Bernoulli (the paper's assumption) and
+  fixed-count (Figure 13) injectors.
 """
 
 from repro.faults.injection import (
     CATASTROPHIC_KINDS,
     BernoulliInjector,
-    ClusteredInjector,
     FixedCountInjector,
     make_rng,
 )
-from repro.faults.model import Fault, FaultClass, FaultKind, FaultMap
-from repro.faults.parametric import (
-    DEFAULT_PROCESS,
-    ELECTRODE_LENGTH,
-    PARYLENE_THICKNESS,
-    PLATE_GAP,
-    TEFLON_THICKNESS,
-    GeometricParameter,
-    ParametricProcess,
-)
+from repro.faults.model import Fault, FaultKind, FaultMap
 
 __all__ = [
     "Fault",
-    "FaultClass",
     "FaultKind",
     "FaultMap",
     "BernoulliInjector",
     "FixedCountInjector",
-    "ClusteredInjector",
     "CATASTROPHIC_KINDS",
     "make_rng",
-    "GeometricParameter",
-    "ParametricProcess",
-    "DEFAULT_PROCESS",
-    "PARYLENE_THICKNESS",
-    "TEFLON_THICKNESS",
-    "ELECTRODE_LENGTH",
-    "PLATE_GAP",
 ]

@@ -1,7 +1,6 @@
 """Seeded fault injectors for yield simulation.
 
-Three spatial models cover the paper's assumptions and the standard defect
-literature it cites (Koren & Koren):
+Two models cover the paper's assumptions:
 
 * :class:`BernoulliInjector` — every cell fails independently with
   probability ``q = 1 - p``.  This is the paper's stated assumption
@@ -10,13 +9,12 @@ literature it cites (Koren & Koren):
 * :class:`FixedCountInjector` — exactly ``m`` distinct cells fail, chosen
   uniformly; the model behind Figure 13 ("we randomly introduce m cell
   failures").
-* :class:`ClusteredInjector` — spot defects: defect centers land uniformly
-  and kill every cell within a radius, modelling larger particles.  Not in
-  the paper's evaluation, but included so the independence assumption can
-  be stress-tested (see the ablation benchmarks).
 
-All injectors draw from a ``numpy`` Generator so experiments are exactly
-reproducible from a seed.
+Both return an object-level :class:`~repro.faults.model.FaultMap` for one
+chip instance (the Monte-Carlo engine samples survival matrices through
+the vectorized models of :mod:`repro.yieldsim.defects` instead), drawn
+from a ``numpy`` Generator so experiments are exactly reproducible from a
+seed.
 """
 
 from __future__ import annotations
@@ -33,14 +31,12 @@ __all__ = [
     "make_rng",
     "BernoulliInjector",
     "FixedCountInjector",
-    "ClusteredInjector",
     "CATASTROPHIC_KINDS",
 ]
 
 #: The catastrophic mechanisms, with the relative frequencies used when an
 #: injector needs to attribute a mechanism to a dead cell.  The yield model
-#: only cares that the cell is dead; the attribution makes injected maps
-#: realistic for the test/diagnosis layer and reporting.
+#: only cares that the cell is dead; the attribution is for reporting.
 CATASTROPHIC_KINDS = (
     FaultKind.DIELECTRIC_BREAKDOWN,
     FaultKind.ELECTRODE_SHORT,
@@ -94,19 +90,6 @@ class BernoulliInjector:
             Fault(coords[i], kind) for i, kind in zip(dead, kinds)
         )
 
-    def sample_survival_matrix(
-        self, n_cells: int, runs: int, seed: RngLike = None
-    ) -> np.ndarray:
-        """Boolean ``(runs, n_cells)`` survival matrix for batched Monte-Carlo.
-
-        Row r, column c is True iff cell c survives in run r.  This is the
-        vectorized fast path used by :mod:`repro.yieldsim.montecarlo`.
-        """
-        if runs < 1 or n_cells < 1:
-            raise FaultModelError(f"need runs >= 1 and cells >= 1, got {runs}, {n_cells}")
-        rng = make_rng(seed)
-        return rng.random((runs, n_cells)) < self.p
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetics
         return f"BernoulliInjector(p={self.p})"
 
@@ -130,96 +113,5 @@ class FixedCountInjector:
         kinds = _attribute_kinds(self.m, rng)
         return FaultMap(Fault(coords[i], kind) for i, kind in zip(picks, kinds))
 
-    def sample_fault_indices(
-        self, n_cells: int, runs: int, seed: RngLike = None
-    ) -> np.ndarray:
-        """``(runs, m)`` matrix of distinct faulty cell indices per run."""
-        if self.m > n_cells:
-            raise FaultModelError(
-                f"cannot place {self.m} faults among {n_cells} cells"
-            )
-        rng = make_rng(seed)
-        out = np.empty((runs, self.m), dtype=np.int64)
-        for r in range(runs):
-            out[r] = rng.choice(n_cells, size=self.m, replace=False)
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetics
         return f"FixedCountInjector(m={self.m})"
-
-
-class ClusteredInjector:
-    """Spot defects: each defect center kills all cells within a radius.
-
-    ``centers_per_cell`` is the expected number of defect centers per array
-    cell (a Poisson rate); each center lands on a uniformly random cell and
-    kills every cell within lattice distance ``radius`` of it.
-
-    This is the object-level view of
-    :class:`repro.yieldsim.defects.SpotDefects` — sampling delegates to
-    the vectorized model (one code path for the spatial statistics), so a
-    fault map drawn here kills exactly the cells the engine's survival
-    matrix would kill at the same seed; this injector merely adds the
-    per-center fault-kind attribution the test/diagnosis layer wants.
-    """
-
-    def __init__(self, centers_per_cell: float, radius: int = 1):
-        if centers_per_cell < 0:
-            raise FaultModelError(
-                f"defect rate must be >= 0, got {centers_per_cell}"
-            )
-        if radius < 0:
-            raise FaultModelError(f"spot radius must be >= 0, got {radius}")
-        self.centers_per_cell = centers_per_cell
-        self.radius = radius
-
-    def _model(self):
-        # Imported lazily: repro.yieldsim pulls this module in through the
-        # kernel, so a top-level import would be circular.
-        from repro.yieldsim.defects import SpotDefects
-
-        return SpotDefects(self.centers_per_cell, self.radius)
-
-    def sample(self, chip: Biochip, seed: RngLike = None) -> FaultMap:
-        from repro.yieldsim.defects import geometry_for
-
-        rng = make_rng(seed)
-        geometry = geometry_for(chip)
-        model = self._model()
-        _, centers = model.sample_centers(geometry, 1, rng)
-        faults: List[Fault] = []
-        if centers.size:
-            # Kinds are attributed per center *after* the spatial draw, so
-            # the set of killed cells is exactly the model's at this seed.
-            kinds = _attribute_kinds(len(centers), rng)
-            idx, mask = geometry.ball(self.radius)
-            coords = chip.coords
-            for center, kind in zip(centers, kinds):
-                killed = idx[center][mask[center]]
-                faults.extend(Fault(coords[c], kind) for c in killed)
-        return FaultMap(faults)
-
-    def sample_survival_matrix(
-        self, n_cells_or_chip, runs: int, seed: RngLike = None
-    ) -> np.ndarray:
-        """Boolean ``(runs, cells)`` survival matrix via the vectorized model.
-
-        Unlike the Bernoulli injector, spot sampling needs the chip's
-        geometry, so the first argument must be the :class:`Biochip`
-        itself (an integer cell count cannot describe adjacency).
-        """
-        if not isinstance(n_cells_or_chip, Biochip):
-            raise FaultModelError(
-                "clustered sampling needs the Biochip (spatial adjacency), "
-                f"got {type(n_cells_or_chip).__name__}"
-            )
-        from repro.yieldsim.defects import geometry_for
-
-        return self._model().sample_batch(
-            geometry_for(n_cells_or_chip), runs, make_rng(seed)
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetics
-        return (
-            f"ClusteredInjector(rate={self.centers_per_cell}, radius={self.radius})"
-        )

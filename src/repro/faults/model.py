@@ -1,15 +1,10 @@
 """Fault taxonomy for digital microfluidics-based biochips (Section 4).
 
-The paper classifies manufacturing faults along the lines of analog-circuit
-fault classification:
-
-* **catastrophic** (hard) faults — complete malfunction of a cell:
-  dielectric breakdown, a short between adjacent electrodes, or an open in
-  the metal connection between the electrode and its control source;
-* **parametric** (soft) faults — geometrical parameter deviations (insulator
-  thickness, electrode length, plate gap).  A parametric fault is
-  *detectable* — and must be repaired around — only if the deviation exceeds
-  the system performance tolerance.
+The paper's yield model repairs **catastrophic** (hard) faults — complete
+malfunction of a cell: dielectric breakdown, a short between adjacent
+electrodes, or an open in the metal connection between the electrode and
+its control source.  A cell is simply good or faulty; the mechanism is
+recorded for reporting only.
 
 A :class:`FaultMap` collects the faults present on one manufactured chip
 instance and can be applied to a :class:`~repro.chip.biochip.Biochip`.
@@ -18,20 +13,13 @@ instance and can be applied to a :class:`~repro.chip.biochip.Biochip`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, Iterable, Iterator, Set
 
 from repro.chip.biochip import Biochip
 from repro.errors import FaultModelError
 
-__all__ = ["FaultClass", "FaultKind", "Fault", "FaultMap"]
-
-
-class FaultClass(enum.Enum):
-    """Catastrophic vs parametric, per the analog-style classification."""
-
-    CATASTROPHIC = "catastrophic"
-    PARAMETRIC = "parametric"
+__all__ = ["FaultKind", "Fault", "FaultMap"]
 
 
 class FaultKind(enum.Enum):
@@ -46,49 +34,14 @@ class FaultKind(enum.Enum):
     #: Open in the metal connection to the control source: the electrode
     #: can never be activated.
     OPEN_CONNECTION = "open-connection"
-    #: Insulator (Parylene C) thickness outside tolerance.
-    INSULATOR_THICKNESS = "insulator-thickness"
-    #: Electrode length outside tolerance.
-    ELECTRODE_LENGTH = "electrode-length"
-    #: Gap between the parallel plates outside tolerance.
-    PLATE_GAP = "plate-gap"
-
-    @property
-    def fault_class(self) -> FaultClass:
-        if self in (
-            FaultKind.DIELECTRIC_BREAKDOWN,
-            FaultKind.ELECTRODE_SHORT,
-            FaultKind.OPEN_CONNECTION,
-        ):
-            return FaultClass.CATASTROPHIC
-        return FaultClass.PARAMETRIC
 
 
 @dataclass(frozen=True)
 class Fault:
-    """One fault instance on one cell.
-
-    ``deviation`` is meaningful for parametric kinds only: the fractional
-    deviation of the parameter from nominal.  Whether a parametric fault
-    disables the cell depends on the tolerance applied by the caller
-    (:mod:`repro.faults.parametric`); faults placed in a :class:`FaultMap`
-    are by convention the ones that *do* disable their cell.
-    """
+    """One catastrophic fault instance on one cell."""
 
     coord: Hashable
     kind: FaultKind
-    deviation: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.kind.fault_class is FaultClass.PARAMETRIC and self.deviation is None:
-            raise FaultModelError(
-                f"parametric fault {self.kind.value} at {self.coord} "
-                "requires a deviation value"
-            )
-
-    @property
-    def is_catastrophic(self) -> bool:
-        return self.kind.fault_class is FaultClass.CATASTROPHIC
 
 
 class FaultMap:
@@ -126,19 +79,6 @@ class FaultMap:
             return self._faults[coord]
         except KeyError:
             raise FaultModelError(f"no fault recorded at {coord}") from None
-
-    def catastrophic(self) -> List[Fault]:
-        return [f for f in self if f.is_catastrophic]
-
-    def parametric(self) -> List[Fault]:
-        return [f for f in self if not f.is_catastrophic]
-
-    def by_kind(self) -> Dict[FaultKind, int]:
-        """Histogram of fault kinds — useful in injection reports."""
-        counts: Dict[FaultKind, int] = {}
-        for fault in self._faults.values():
-            counts[fault.kind] = counts.get(fault.kind, 0) + 1
-        return counts
 
     def apply_to(self, chip: Biochip) -> None:
         """Mark every faulted coordinate on ``chip``.

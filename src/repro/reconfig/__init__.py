@@ -25,12 +25,6 @@ from repro.reconfig.local import (
     is_repairable,
     plan_local_repair,
 )
-from repro.reconfig.persist import (
-    dump_plan,
-    load_plan,
-    plan_from_dict,
-    plan_to_dict,
-)
 from repro.reconfig.remap import CellRemap
 from repro.reconfig.shifted import (
     ShiftedPlan,
@@ -51,10 +45,6 @@ __all__ = [
     "plan_local_repair",
     "is_repairable",
     "CellRemap",
-    "plan_to_dict",
-    "plan_from_dict",
-    "dump_plan",
-    "load_plan",
     "ShiftedPlan",
     "plan_shifted_replacement",
     "shifted_cost_by_fault_row",

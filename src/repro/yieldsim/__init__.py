@@ -20,7 +20,6 @@
 from repro.yieldsim.analytical import (
     dtmb16_yield,
     flower_yield,
-    yield_curve,
     yield_no_redundancy,
 )
 from repro.yieldsim.defects import (
@@ -49,7 +48,6 @@ from repro.yieldsim.sweeps import (
     default_engine,
     defect_count_sweep,
     defect_model_sweep,
-    effective_yield_sweep,
     survival_sweep,
 )
 
@@ -72,7 +70,6 @@ __all__ = [
     "yield_no_redundancy",
     "flower_yield",
     "dtmb16_yield",
-    "yield_curve",
     "YieldSimulator",
     "DEFAULT_RUNS",
     "YieldEstimate",
@@ -85,7 +82,6 @@ __all__ = [
     "DefectCountPoint",
     "DefectModelPoint",
     "survival_sweep",
-    "effective_yield_sweep",
     "defect_count_sweep",
     "defect_model_sweep",
     "analytical_curves_dtmb16",

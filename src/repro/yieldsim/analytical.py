@@ -25,15 +25,12 @@ Two architectures admit analytical treatment:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
-
 from repro.errors import SimulationError
 
 __all__ = [
     "yield_no_redundancy",
     "flower_yield",
     "dtmb16_yield",
-    "yield_curve",
 ]
 
 
@@ -74,9 +71,3 @@ def dtmb16_yield(p: float, n: int) -> float:
         raise SimulationError(f"primary count must be >= 0, got {n}")
     return flower_yield(p) ** (n / 6.0)
 
-
-def yield_curve(
-    model, ps: Sequence[float], n: int
-) -> List[Tuple[float, float]]:
-    """Evaluate a ``model(p, n)`` over a sweep of survival probabilities."""
-    return [(p, model(p, n)) for p in ps]

@@ -17,11 +17,10 @@ first-class, pluggable axis of every sweep:
   to the historical engine stream, so swapping it in changes nothing.
 * :class:`FixedCount` — exactly-m-fault maps (the Figure 13 regime).
 * :class:`SpotDefects` — compound-Poisson spot defects: centers land
-  uniformly and kill every cell within a lattice radius.  The vectorized
-  successor of :class:`repro.faults.injection.ClusteredInjector` (which now
-  delegates here).  With ``rate_cap`` set, sampling uses a thinned common
-  Poisson process so fault sets are *nested* across rates at equal seed —
-  the CRN construction behind monotone severity sweeps.
+  uniformly and kill every cell within a lattice radius.  With
+  ``rate_cap`` set, sampling uses a thinned common Poisson process so
+  fault sets are *nested* across rates at equal seed — the CRN
+  construction behind monotone severity sweeps.
 * :class:`NegativeBinomialClustered` — Stapper-style rate mixing: each
   run draws its own failure rate from a Gamma(alpha) mixture, so fault
   counts are negative-binomially distributed across chips.
@@ -145,10 +144,10 @@ class DefectGeometry:
         """Padded ``(idx, mask)`` of the cells within ``radius`` of each cell.
 
         Row c lists the on-chip cells at lattice distance <= radius of cell
-        c (BFS over array adjacency — exactly the spot footprint
-        :class:`repro.faults.injection.ClusteredInjector` kills), padded
-        with zeros where ``mask`` is False.  Membership is symmetric, so a
-        row is equally "the centers whose spot covers cell c".
+        c (BFS over array adjacency — exactly the footprint a
+        :class:`SpotDefects` center kills), padded with zeros where
+        ``mask`` is False.  Membership is symmetric, so a row is equally
+        "the centers whose spot covers cell c".
         """
         if radius < 0:
             raise FaultModelError(f"spot radius must be >= 0, got {radius}")
@@ -442,11 +441,9 @@ class SpotDefects(_ModelBase):
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(run_ids, centers)`` of the active defect centers of a batch.
 
-        The one sampling code path: :meth:`sample_batch` scatters these
-        into a survival matrix, and ``ClusteredInjector.sample`` turns
-        them into an object-level :class:`~repro.faults.model.FaultMap`.
-        With ``rate_cap`` set, the stream depends only on (cap, chip), and
-        a center is active iff its thinning mark falls below
+        :meth:`sample_batch` scatters these into a survival matrix.  With
+        ``rate_cap`` set, the stream depends only on (cap, chip), and a
+        center is active iff its thinning mark falls below
         ``rate / rate_cap`` — nested across rates by construction.
         """
         base = self.rate if self.rate_cap is None else self.rate_cap

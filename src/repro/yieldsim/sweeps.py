@@ -37,7 +37,6 @@ __all__ = [
     "DefectCountPoint",
     "DefectModelPoint",
     "survival_sweep",
-    "effective_yield_sweep",
     "defect_count_sweep",
     "defect_model_sweep",
     "analytical_curves_dtmb16",
@@ -200,21 +199,6 @@ def survival_sweep(
             )
         )
     return points
-
-
-def effective_yield_sweep(
-    specs: Sequence[DesignSpec],
-    n: int = 100,
-    ps: Sequence[float] = DEFAULT_P_GRID,
-    runs: int = DEFAULT_RUNS,
-    seed: int = 2005,
-    engine: Optional[SweepEngine] = None,
-    stop: Optional[StopRule] = None,
-) -> List[SurvivalPoint]:
-    """Effective-yield comparison at fixed primary count — Figure 10's data."""
-    return survival_sweep(
-        specs, [n], ps, runs=runs, seed=seed, engine=engine, stop=stop
-    )
 
 
 def defect_count_sweep(

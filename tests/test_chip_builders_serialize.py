@@ -1,19 +1,12 @@
-"""Tests for chip builders, serialization and graph export."""
+"""Tests for the chip builders."""
 
 from __future__ import annotations
 
-import io
-import json
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.chip.builders import chip_from_lattice, chip_from_roles, plain_chip, square_chip
-from repro.chip.cell import Cell, CellHealth, CellRole
+from repro.chip.cell import Cell, CellRole
 from repro.chip.biochip import Biochip
-from repro.chip.graph import adjacency_lists, spare_adjacency, to_networkx
-from repro.chip.serialize import chip_from_dict, chip_to_dict, dump_chip, load_chip
 from repro.errors import ChipError
 from repro.geometry.hex import Hex
 from repro.geometry.hexgrid import RectRegion
@@ -54,92 +47,6 @@ class TestBuilders:
         assert chip.spare_count == 4
         assert chip.primary_count == 12
 
-
-role_strategy = st.sampled_from([CellRole.PRIMARY, CellRole.SPARE])
-health_strategy = st.sampled_from([CellHealth.GOOD, CellHealth.FAULTY])
-
-
-class TestSerialization:
-    def test_round_trip_hex(self):
-        chip = chip_from_lattice(RectRegion(6, 6), CongruenceLattice(1, 3, 7))
-        chip.mark_faulty(chip.coords[3])
-        chip.set_label(chip.coords[0], "port")
-        restored = chip_from_dict(chip_to_dict(chip))
-        assert restored.name == chip.name
-        for original, loaded in zip(chip, restored):
-            assert original.coord == loaded.coord
-            assert original.role == loaded.role
-            assert original.health == loaded.health
-            assert original.label == loaded.label
-
-    def test_round_trip_square(self):
-        chip = square_chip(3, 3)
-        chip.mark_faulty(Square(1, 1))
-        restored = chip_from_dict(chip_to_dict(chip))
-        assert restored[Square(1, 1)].is_faulty
-
-    @given(
-        st.dictionaries(
-            st.builds(Hex, st.integers(-5, 5), st.integers(-5, 5)),
-            st.tuples(role_strategy, health_strategy),
-            min_size=1,
-            max_size=20,
-        )
-    )
-    @settings(max_examples=40)
-    def test_round_trip_arbitrary(self, spec):
-        cells = [Cell(h, role, health) for h, (role, health) in spec.items()]
-        chip = Biochip(cells, name="prop")
-        restored = chip_from_dict(chip_to_dict(chip))
-        assert {c.coord: (c.role, c.health) for c in restored} == {
-            c.coord: (c.role, c.health) for c in chip
-        }
-
-    def test_file_round_trip(self, tmp_path):
-        chip = square_chip(3, 2, name="disked")
-        path = str(tmp_path / "chip.json")
-        dump_chip(chip, path)
-        assert load_chip(path).name == "disked"
-
-    def test_stream_round_trip(self):
-        chip = plain_chip(RectRegion(2, 2))
-        buffer = io.StringIO()
-        dump_chip(chip, buffer)
-        buffer.seek(0)
-        assert len(load_chip(buffer)) == 4
-
-    def test_malformed_rejected(self):
-        with pytest.raises(ChipError):
-            chip_from_dict({"cells": []})
-        with pytest.raises(ChipError):
-            chip_from_dict({"format": 99, "coords": "hex", "cells": []})
-        with pytest.raises(ChipError):
-            chip_from_dict({"format": 1, "coords": "triangle", "cells": []})
-
     def test_mixed_coordinates_rejected(self):
         with pytest.raises(ChipError):
             Biochip([Cell(Hex(0, 0)), Cell(Square(1, 1))])
-
-
-class TestGraphViews:
-    def test_adjacency_lists_cover_all_cells(self):
-        chip = plain_chip(RectRegion(4, 4))
-        adj = adjacency_lists(chip)
-        assert set(adj) == set(chip.coords)
-
-    def test_spare_adjacency_only_primaries(self):
-        chip = chip_from_lattice(RectRegion(8, 8), CongruenceLattice(1, 3, 7))
-        mapping = spare_adjacency(chip)
-        assert set(mapping) == {c.coord for c in chip.primaries()}
-        for primary, spares in mapping.items():
-            for spare in spares:
-                assert chip[spare].is_spare
-                assert spare in chip.neighbors(primary)
-
-    def test_to_networkx_structure(self):
-        chip = chip_from_lattice(RectRegion(6, 6), CongruenceLattice(1, 3, 7))
-        graph = to_networkx(chip)
-        assert graph.number_of_nodes() == len(chip)
-        assert graph.number_of_edges() == len(chip.edges())
-        roles = {data["role"] for _, data in graph.nodes(data=True)}
-        assert roles == {"primary", "spare"}

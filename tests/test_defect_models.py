@@ -4,9 +4,8 @@ Covers the satellite checklist of the defect-model PR: per-model
 distribution sanity (mean kill rate, cluster size), digest discipline
 (params change -> digest changes; distinct models never share a cache
 key at equal severity), bit-identity of the ``IIDBernoulli`` path with
-the pre-model engine stream, the ``ClusteredInjector`` -> ``SpotDefects``
-delegation, ``SeedSequence`` seed normalization, CRN nesting, and the
-scenario-pack experiments' defect-model provenance.
+the pre-model engine stream, ``SeedSequence`` seed normalization, CRN
+nesting, and the scenario-pack experiments' defect-model provenance.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import pytest
 
 from repro.errors import FaultModelError, SimulationError
 from repro.experiments import registry
-from repro.faults.injection import ClusteredInjector, make_rng
+from repro.faults.injection import make_rng
 from repro.yieldsim.defects import (
     DefectModel,
     FixedCount,
@@ -363,34 +362,6 @@ class TestEngineCache:
             dtmb26_chip, models, runs=2000, seed=5, engine=engine, stop=rule
         )
         assert points[0].estimate.trials < 2000
-
-
-class TestClusteredInjectorDelegation:
-    def test_sample_matches_vectorized_model(self, dtmb26_chip):
-        """The object-level injector kills exactly the cells the
-        vectorized SpotDefects model kills at the same seed."""
-        injector = ClusteredInjector(centers_per_cell=0.01, radius=1)
-        geometry = geometry_for(dtmb26_chip)
-        model = SpotDefects(0.01, radius=1)
-        coords = dtmb26_chip.coords
-        for seed in range(12):
-            fault_map = injector.sample(dtmb26_chip, seed=seed)
-            alive = model.sample_batch(geometry, 1, make_rng(seed))[0]
-            dead = {coords[i] for i in np.flatnonzero(~alive)}
-            assert {f.coord for f in fault_map} == dead
-
-    def test_sample_deterministic_given_seed(self, dtmb26_chip):
-        injector = ClusteredInjector(centers_per_cell=0.02, radius=1)
-        a = injector.sample(dtmb26_chip, seed=77)
-        b = injector.sample(dtmb26_chip, seed=77)
-        assert {f.coord for f in a} == {f.coord for f in b}
-
-    def test_survival_matrix_requires_chip(self, dtmb26_chip):
-        injector = ClusteredInjector(0.01)
-        with pytest.raises(FaultModelError):
-            injector.sample_survival_matrix(64, 10, seed=1)
-        matrix = injector.sample_survival_matrix(dtmb26_chip, 10, seed=1)
-        assert matrix.shape == (10, len(dtmb26_chip))
 
 
 class TestSeedNormalization:

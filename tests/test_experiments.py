@@ -8,6 +8,7 @@ import pytest
 
 from repro.experiments import (
     ablation_defects,
+    ablation_hexsquare,
     ablation_matching,
     fig2,
     fig7,
@@ -226,3 +227,18 @@ class TestAblations:
         gaps = result.gaps()
         # Clustered defects must hurt at least as much as independent ones.
         assert all(g >= -0.05 for g in gaps)
+
+
+class TestHexSquareAblation:
+    # The ablation driver's unit coverage; the bench asserts the
+    # scientific claims at full budget.
+    def test_runs_and_reports(self):
+        result = ablation_hexsquare.run(side=8, runs=60, seed=3)
+        assert result.mean_route_hex > 0
+        assert result.mean_route_square > 0
+        assert 0.0 <= result.connected_after_faults_hex <= 1.0
+        assert "hexagonal" in result.format_report()
+
+    def test_hex_routes_shorter_on_average(self):
+        result = ablation_hexsquare.run(side=10, runs=150, seed=5)
+        assert result.mean_route_hex < result.mean_route_square

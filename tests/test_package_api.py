@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
+import warnings
 
 import pytest
 
@@ -15,7 +19,6 @@ PACKAGES = [
     "repro.reconfig",
     "repro.yieldsim",
     "repro.fluidics",
-    "repro.dft",
     "repro.assays",
     "repro.viz",
     "repro.experiments",
@@ -35,10 +38,50 @@ def test_all_exports_resolve(name):
         assert hasattr(module, symbol), f"{name}.__all__ lists missing {symbol}"
 
 
+_REACHABILITY_PROBE = """
+import pkgutil, sys
+import repro, repro.cli, repro.experiments.registry, repro.serve.app
+loaded = set(sys.modules)  # walk_packages imports the packages it visits
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    if info.name != "repro.__main__" and info.name not in loaded:
+        print(info.name)
+"""
+
+
+def test_every_module_is_reachable_from_a_shipped_path():
+    # The CLI, the HTTP service and the experiment registry are the shipped
+    # entry points; a module none of them imports is dead library surface.
+    # A fresh interpreter keeps imports made by other tests out of the check.
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", _REACHABILITY_PROBE],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == []
+
+
 def test_version():
     import repro
 
     assert repro.__version__ == "1.1.0"
+
+
+def test_pyproject_version_is_single_sourced():
+    # The distribution version is read from repro.__version__, not copied.
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    import repro
+
+    root = os.path.dirname(os.path.dirname(os.path.dirname(repro.__file__)))
+    path = os.path.join(root, "pyproject.toml")
+    if not os.path.exists(path):
+        pytest.skip("not running from a source checkout")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # [tool.setuptools] is "beta"
+        config = pyprojecttoml.read_configuration(path)
+    assert config["project"]["version"] == repro.__version__
 
 
 def test_error_hierarchy_rooted():
