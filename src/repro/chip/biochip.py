@@ -195,11 +195,17 @@ class Biochip:
         return Biochip(picked, name=name or f"{self.name}/sub")
 
     def copy(self, name: Optional[str] = None) -> "Biochip":
-        """Deep copy (cells are duplicated, health included)."""
-        return Biochip(
-            (Cell(c.coord, c.role, c.health, c.label) for c in self),
-            name=name or self.name,
-        )
+        """Copy with duplicated cells (health included).
+
+        The sorted order and the adjacency table depend only on the
+        coordinates, which never change, so the copy shares them.
+        """
+        clone = Biochip.__new__(Biochip)
+        clone.name = name or self.name
+        clone._cells = {c.coord: Cell(c.coord, c.role, c.health, c.label) for c in self}
+        clone._order = self._order
+        clone._adjacency = self._adjacency
+        return clone
 
     def edges(self) -> List[Tuple[Hashable, Hashable]]:
         """All adjacency edges, each reported once with endpoints sorted."""

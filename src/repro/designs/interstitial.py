@@ -17,12 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from repro.chip.biochip import Biochip
 from repro.chip.builders import chip_from_lattice
 from repro.designs.spec import DesignSpec
 from repro.errors import DesignError
 from repro.geometry.hex import Hex
 from repro.geometry.hexgrid import HexRegion, RectRegion
+from repro.geometry.lattice import lattice_period
 
 __all__ = [
     "build_chip",
@@ -30,23 +33,6 @@ __all__ = [
     "build_flower_chip",
     "FitResult",
 ]
-
-
-def _coset_period(spec: DesignSpec) -> int:
-    """A translation period of the design's spare lattice (both axes)."""
-    lattice = spec.spare_lattice
-    if hasattr(lattice, "m"):
-        return lattice.m
-    # IntersectionLattice: the lcm of the component moduli is a period.
-    period = 1
-    for part in lattice.parts:
-        g = period * part.m
-        # lcm via gcd
-        a, b = period, part.m
-        while b:
-            a, b = b, a % b
-        period = g // a
-    return period
 
 
 def build_chip(
@@ -103,6 +89,36 @@ def _candidate_shapes(total_cells_target: float, max_dim: int) -> Iterator[Tuple
         yield (cols, rows)
 
 
+def _coset_table(lattice, period: int) -> np.ndarray:
+    """Spare membership of every residue class, for every lattice coset.
+
+    Row ``dq * period + dr`` is the coset translated by ``Hex(dq, dr)``;
+    column ``i * period + j`` is the residue class ``(q mod period,
+    r mod period) == (i, j)``.  ``h`` lies in the coset iff ``h - offset``
+    lies in the base lattice, so each row is the base tile rolled by the
+    offset.
+    """
+    base = np.array(
+        [[Hex(i, j) in lattice for j in range(period)] for i in range(period)],
+        dtype=np.int64,
+    )
+    return np.stack(
+        [
+            np.roll(base, (dq, dr), axis=(0, 1)).ravel()
+            for dq in range(period)
+            for dr in range(period)
+        ]
+    )
+
+
+def _residue_counts(cols: int, rows: int, period: int) -> np.ndarray:
+    """Cells of ``RectRegion(cols, rows)`` per axial residue class."""
+    row = np.arange(rows)[:, None]
+    q = np.arange(cols)[None, :] - (row - (row & 1)) // 2
+    residue = (q % period) * period + row % period
+    return np.bincount(residue.ravel(), minlength=period * period)
+
+
 def build_with_primary_count(
     spec: DesignSpec,
     n: int,
@@ -110,25 +126,31 @@ def build_with_primary_count(
 ) -> FitResult:
     """Find a rectangular instance of ``spec`` with exactly ``n`` primaries.
 
-    Searches rectangle shapes (most square first) and all lattice cosets;
-    deterministic, so repeated calls return the same layout.  Raises
+    Searches rectangle shapes (most square first) and, per shape, every
+    lattice coset ``Hex(dq, dr)`` with ``0 <= dq, dr < T`` in row-major
+    order, where ``T`` is the lattice period; the first exact fit wins, so
+    repeated calls return the same layout.  Membership depends only on the
+    residues ``(q mod T, r mod T)``, so the search never builds a region:
+    each shape's cells are counted per residue class and every coset's
+    spare count is one product with the coset membership table.  Raises
     :class:`DesignError` if no footprint up to ``max_dim`` per side fits.
     """
     if n < 1:
         raise DesignError(f"primary count must be >= 1, got {n}")
     density = float(spec.primary_density)
     target_cells = n / density
-    period = _coset_period(spec)
+    period = lattice_period(spec.spare_lattice)
+    table = _coset_table(spec.spare_lattice, period)
     for cols, rows in _candidate_shapes(target_cells, max_dim):
-        region = RectRegion(cols, rows)
-        for dq in range(period):
-            for dr in range(period):
-                offset = Hex(dq, dr)
-                lattice = spec.spare_lattice.translated(offset)
-                spares = sum(1 for h in region if h in lattice)
-                primaries = len(region) - spares
-                if primaries == n and spares > 0:
-                    return FitResult(spec, cols, rows, offset, primaries, spares)
+        spares = table @ _residue_counts(cols, rows, period)
+        primaries = cols * rows - spares
+        fits = np.flatnonzero((primaries == n) & (spares > 0))
+        if fits.size:
+            k = int(fits[0])
+            dq, dr = divmod(k, period)
+            return FitResult(
+                spec, cols, rows, Hex(dq, dr), int(primaries[k]), int(spares[k])
+            )
     raise DesignError(
         f"no {spec.name} rectangle up to {max_dim}x{max_dim} has exactly "
         f"{n} primary cells"

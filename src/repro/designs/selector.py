@@ -14,14 +14,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.designs.catalog import TABLE1_DESIGNS
 from repro.designs.interstitial import build_with_primary_count
 from repro.designs.spec import DesignSpec
 from repro.errors import DesignError, SimulationError
-from repro.yieldsim.montecarlo import YieldSimulator
+from repro.yieldsim.defects import IIDBernoulli
+from repro.yieldsim.kernel import RepairStructure, model_successes
 from repro.yieldsim.stats import YieldEstimate
 
 __all__ = ["DesignRecommendation", "recommend_design", "required_survival_probability"]
+
+
+def _survival_yield(
+    struct: RepairStructure, p: float, runs: int, seed: int
+) -> YieldEstimate:
+    """Matching yield at survival probability ``p`` on the vectorized kernel.
+
+    Consumes the exact stream of ``YieldSimulator(chip).run_survival(p,
+    runs, seed)`` and returns the identical estimate.
+    """
+    successes, _ = model_successes(
+        struct, IIDBernoulli(p), runs, seed, dtype=np.float64
+    )
+    return YieldEstimate(successes=successes, trials=runs)
 
 
 @dataclass(frozen=True)
@@ -90,10 +107,8 @@ def recommend_design(
     candidates: List[Tuple[str, YieldEstimate]] = []
     chosen: Optional[DesignSpec] = None
     for i, spec in enumerate(ordered):
-        chip = build_with_primary_count(spec, n).build()
-        estimate = YieldSimulator(chip).run_survival(
-            p, runs=runs, seed=seed + i
-        )
+        struct = RepairStructure(build_with_primary_count(spec, n).build())
+        estimate = _survival_yield(struct, p, runs, seed + i)
         candidates.append((spec.name, estimate))
         score = estimate.lo if confident else estimate.value
         if chosen is None and score >= target_yield:
@@ -126,11 +141,10 @@ def required_survival_probability(
         raise SimulationError(
             f"target yield must be in (0, 1), got {target_yield}"
         )
-    chip = build_with_primary_count(spec, n).build()
-    sim = YieldSimulator(chip)
+    struct = RepairStructure(build_with_primary_count(spec, n).build())
 
     def estimate(p: float) -> float:
-        return sim.run_survival(p, runs=runs, seed=seed).value
+        return _survival_yield(struct, p, runs, seed).value
 
     lo, hi = 0.5, 1.0
     if estimate(lo) >= target_yield:

@@ -125,23 +125,32 @@ def _bfs_distances(
     (``nbr_pos``/``nbr_mask`` are the shared padded adjacency).  Returns
     the per-run distance at which the BFS first touches the target set,
     or ``-1`` when it never does (including an empty start set).  BFS
-    frontiers expand for all runs simultaneously; the loop runs at most
-    graph-diameter iterations.
+    frontiers expand for all runs simultaneously; a run leaves the working
+    arrays as soon as it touches the target or its frontier stops growing,
+    so the loop runs at most graph-diameter iterations over ever fewer
+    rows.
     """
     reached = start & allowed
     dist = np.full(reached.shape[0], -1, dtype=np.int64)
     hit = (reached & target).any(axis=1)
     dist[hit] = 0
+    active = np.flatnonzero(~hit & reached.any(axis=1))
+    reached = reached[active]
+    allowed = allowed[active]
+    target = target[active]
     level = 0
-    while True:
+    while active.size:
         level += 1
         grow = (reached[:, nbr_pos] & nbr_mask).any(axis=2)
         grow &= allowed & ~reached
-        if not grow.any():
-            break
         reached |= grow
-        hit_now = (dist < 0) & (grow & target).any(axis=1)
-        dist[hit_now] = level
+        hit = (grow & target).any(axis=1)
+        dist[active[hit]] = level
+        keep = ~hit & grow.any(axis=1)
+        active = active[keep]
+        reached = reached[keep]
+        allowed = allowed[keep]
+        target = target[keep]
     return dist
 
 

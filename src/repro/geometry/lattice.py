@@ -36,6 +36,7 @@ __all__ = [
     "CongruenceLattice",
     "IntersectionLattice",
     "lattice_density",
+    "lattice_period",
 ]
 
 
@@ -100,8 +101,11 @@ class IntersectionLattice:
         return f"IntersectionLattice({list(self.parts)!r})"
 
 
-def _period(lat) -> int:
-    """A tile size guaranteed to be a period of the membership predicate."""
+def lattice_period(lat) -> int:
+    """A tile size ``T`` guaranteed to be a period of the membership predicate.
+
+    Membership of ``Hex(q, r)`` depends only on ``(q mod T, r mod T)``.
+    """
     if isinstance(lat, CongruenceLattice):
         return lat.m
     if isinstance(lat, IntersectionLattice):
@@ -125,6 +129,6 @@ def lattice_density(lat) -> Fraction:
     period of the predicate; exact because the predicate is periodic in both
     axial directions with period dividing ``T``.
     """
-    t = _period(lat)
+    t = lattice_period(lat)
     hits = sum(1 for q in range(t) for r in range(t) if Hex(q, r) in lat)
     return Fraction(hits, t * t)

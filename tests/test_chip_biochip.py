@@ -116,6 +116,23 @@ class TestDerived:
         assert chip.is_fault_free()
         assert not clone.is_fault_free()
 
+    def test_copy_shares_geometry_not_health(self):
+        chip = Biochip(
+            [Cell(h, CellRole.PRIMARY) for h in RectRegion(5, 4)], name="rect"
+        )
+        clone = chip.copy(name="clone")
+        assert clone.coords is chip.coords
+        assert clone.name == "clone" and chip.name == "rect"
+        for coord in chip.coords:
+            assert clone.neighbors(coord) == chip.neighbors(coord)
+            assert clone[coord] == chip[coord]
+            assert clone[coord] is not chip[coord]
+        first = chip.coords[0]
+        clone.mark_faulty(first)
+        clone.set_label(first, "mixer")
+        assert chip.is_fault_free() and chip[first].label is None
+        assert [c.coord for c in clone.faulty_cells()] == [first]
+
     def test_subchip(self):
         chip = tiny_chip()
         primaries_only = chip.subchip(lambda c: c.is_primary)

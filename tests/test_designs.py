@@ -19,6 +19,8 @@ from repro.designs.catalog import (
     table1_rows,
 )
 from repro.designs.interstitial import (
+    _coset_table,
+    _residue_counts,
     build_chip,
     build_flower_chip,
     build_with_primary_count,
@@ -28,7 +30,7 @@ from repro.designs.verify import inspect_structure, verify_design
 from repro.errors import DesignError
 from repro.geometry.hex import Hex
 from repro.geometry.hexgrid import RectRegion
-from repro.geometry.lattice import CongruenceLattice
+from repro.geometry.lattice import CongruenceLattice, lattice_period
 
 
 class TestCatalog:
@@ -129,6 +131,51 @@ class TestPrimaryCountFits:
     def test_impossible_count_raises(self):
         with pytest.raises(DesignError):
             build_with_primary_count(DTMB_2_6, 61, max_dim=4)
+
+    @pytest.mark.parametrize("spec", TABLE1_DESIGNS, ids=lambda s: s.name)
+    def test_residue_count_matches_object_count(self, spec):
+        # Every shape and coset: the arithmetic spare count equals the
+        # count of region cells inside the translated lattice.
+        period = lattice_period(spec.spare_lattice)
+        table = _coset_table(spec.spare_lattice, period)
+        for cols in range(2, 13):
+            for rows in range(2, 13):
+                region = RectRegion(cols, rows)
+                spares = table @ _residue_counts(cols, rows, period)
+                for dq in range(period):
+                    for dr in range(period):
+                        lattice = spec.spare_lattice.translated(Hex(dq, dr))
+                        expected = sum(1 for h in region if h in lattice)
+                        assert spares[dq * period + dr] == expected, (
+                            cols, rows, dq, dr
+                        )
+
+    # Layouts of the object-level search this one replaced: a change in
+    # shape or coset order changes every downstream yield figure.
+    @pytest.mark.parametrize(
+        "name, n, cols, rows, dq, dr",
+        [
+            ("DTMB(1,6)", 60, 7, 10, 0, 0),
+            ("DTMB(1,6)", 100, 9, 13, 0, 0),
+            ("DTMB(1,6)", 120, 10, 14, 0, 0),
+            ("DTMB(1,6)", 240, 14, 20, 0, 0),
+            ("DTMB(2,6)", 60, 8, 10, 0, 0),
+            ("DTMB(2,6)", 100, 10, 13, 0, 1),
+            ("DTMB(2,6)", 120, 12, 13, 0, 1),
+            ("DTMB(2,6)", 240, 16, 20, 0, 0),
+            ("DTMB(3,6)", 60, 9, 10, 0, 0),
+            ("DTMB(3,6)", 100, 15, 10, 0, 0),
+            ("DTMB(3,6)", 120, 12, 15, 0, 0),
+            ("DTMB(3,6)", 240, 18, 20, 0, 0),
+            ("DTMB(4,4)", 60, 11, 11, 0, 0),
+            ("DTMB(4,4)", 100, 11, 18, 1, 0),
+            ("DTMB(4,4)", 120, 15, 16, 0, 0),
+            ("DTMB(4,4)", 240, 20, 24, 0, 0),
+        ],
+    )
+    def test_layout_pinned(self, name, n, cols, rows, dq, dr):
+        fit = build_with_primary_count(design_by_name(name), n)
+        assert (fit.cols, fit.rows, fit.offset) == (cols, rows, Hex(dq, dr))
 
 
 class TestFlowerChip:

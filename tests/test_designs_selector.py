@@ -5,11 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.designs.catalog import DTMB_1_6, DTMB_2_6, DTMB_4_4, TABLE1_DESIGNS
+from repro.designs.interstitial import build_with_primary_count
 from repro.designs.selector import (
     recommend_design,
     required_survival_probability,
 )
 from repro.errors import DesignError, SimulationError
+from repro.yieldsim.montecarlo import YieldSimulator
 
 
 class TestRecommendDesign:
@@ -79,9 +81,6 @@ class TestRequiredSurvivalProbability:
         assert p_heavy <= p_light + 0.01
 
     def test_result_actually_achieves_target(self):
-        from repro.designs.interstitial import build_with_primary_count
-        from repro.yieldsim.montecarlo import YieldSimulator
-
         target = 0.85
         p_req = required_survival_probability(
             DTMB_2_6, target, n=60, runs=1500, seed=8
@@ -95,3 +94,35 @@ class TestRequiredSurvivalProbability:
             required_survival_probability(DTMB_2_6, 1.0)
         with pytest.raises(SimulationError):
             required_survival_probability(DTMB_2_6, 0.0)
+
+
+class TestBruteForceOracle:
+    """The selector's kernel estimates equal the brute-force simulator's."""
+
+    def test_candidates_equal_simulator(self):
+        rec = recommend_design(0.9, p=0.95, n=60, runs=700, seed=11)
+        ordered = sorted(TABLE1_DESIGNS, key=lambda d: d.redundancy_ratio)
+        assert len(rec.candidates) == len(ordered)
+        for i, (spec, (name, estimate)) in enumerate(zip(ordered, rec.candidates)):
+            chip = build_with_primary_count(spec, 60).build()
+            expected = YieldSimulator(chip).run_survival(0.95, runs=700, seed=11 + i)
+            assert name == spec.name
+            assert estimate == expected
+
+    def test_required_probability_equals_simulator_bisection(self):
+        target, runs, seed, tolerance = 0.85, 900, 12, 0.002
+        sim = YieldSimulator(build_with_primary_count(DTMB_2_6, 60).build())
+
+        def estimate(p):
+            return sim.run_survival(p, runs=runs, seed=seed).value
+
+        lo, hi = 0.5, 1.0
+        while hi - lo > tolerance:
+            mid = (lo + hi) / 2.0
+            if estimate(mid) >= target:
+                hi = mid
+            else:
+                lo = mid
+        assert required_survival_probability(
+            DTMB_2_6, target, n=60, runs=runs, seed=seed, tolerance=tolerance
+        ) == hi

@@ -35,7 +35,7 @@ from repro.functional import (
     evaluate_functional,
 )
 from repro.fluidics.concurrent_routing import ConcurrentRouter
-from repro.functional.funnel import context_for
+from repro.functional.funnel import _bfs_distances, context_for
 from repro.yieldsim.defects import IIDBernoulli
 from repro.yieldsim.engine import SweepEngine
 from repro.yieldsim.kernel import (
@@ -266,6 +266,58 @@ def test_index_residue_matches_object_oracle(
     if criterion is THREE_ASSAYS:
         assert accepted > 0
         assert orders > plans  # some runs retried a rotated order
+def _full_bfs_distances(allowed, start, target, nbr_pos, nbr_mask):
+    """Reference BFS: expand every run until no frontier grows."""
+    reached = start & allowed
+    dist = np.full(reached.shape[0], -1, dtype=np.int64)
+    dist[(reached & target).any(axis=1)] = 0
+    level = 0
+    while True:
+        level += 1
+        grow = (reached[:, nbr_pos] & nbr_mask).any(axis=2)
+        grow &= allowed & ~reached
+        if not grow.any():
+            return dist
+        reached |= grow
+        dist[(dist < 0) & (grow & target).any(axis=1)] = level
+
+
+def test_bfs_distances_match_full_expansion():
+    chip = _chip(DTMB_2_6, 120)
+    coords = chip.coords
+    index = {c: i for i, c in enumerate(coords)}
+    nbr_pos = np.zeros((len(coords), 6), dtype=np.int32)
+    nbr_mask = np.zeros((len(coords), 6), dtype=bool)
+    for i, c in enumerate(coords):
+        for d, nb in enumerate(chip.neighbors(c)):
+            nbr_pos[i, d] = index[nb]
+            nbr_mask[i, d] = True
+    rng = np.random.default_rng(20050307)
+    runs, cells = 400, len(coords)
+    allowed = rng.random((runs, cells)) < 0.75
+    start = rng.random((runs, cells)) < 0.01
+    target = rng.random((runs, cells)) < 0.01
+    start[:40] = False  # empty start sets
+    target[40:80] = False  # nothing to reach
+    target[80:120] &= ~allowed[80:120]  # targets only on blocked cells
+    want = _full_bfs_distances(allowed, start, target, nbr_pos, nbr_mask)
+    got = _bfs_distances(allowed, start, target, nbr_pos, nbr_mask)
+    assert np.array_equal(got, want)
+    assert (want == -1).sum() >= 120 and (want == 0).any() and (want > 3).any()
+    # The funnel passes one broadcast start/target pair for every run.
+    src = np.zeros(cells, dtype=bool)
+    dst = np.zeros(cells, dtype=bool)
+    src[0] = dst[cells - 1] = True
+    args = (
+        allowed,
+        np.broadcast_to(src, allowed.shape),
+        np.broadcast_to(dst, allowed.shape),
+        nbr_pos,
+        nbr_mask,
+    )
+    assert np.array_equal(_bfs_distances(*args), _full_bfs_distances(*args))
+
+
 def test_dtmb44_functional_collapse():
     """DTMB(4,4)'s spare lattice disconnects the primary fabric: the
     assay cannot run even on a fault-free chip, so functional yield is
