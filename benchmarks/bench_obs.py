@@ -16,7 +16,6 @@ from __future__ import annotations
 import io
 import time
 
-from _emit import emit
 from conftest import report
 
 from repro.designs.catalog import DTMB_1_6
@@ -91,17 +90,6 @@ def test_bench_obs_overhead(runs):
         f"trace spans:   {len(tracers[-1])} per round\n"
         f"overhead:      {100.0 * overhead:+.1f}% "
         f"(budget {100.0 * MAX_OVERHEAD:.0f}%)",
-    )
-    emit(
-        "obs",
-        wall_s=t_armed,
-        throughput=len(DEFAULT_P_GRID) * runs / max(t_armed, 1e-9),
-        extra={
-            "throughput_unit": "mc_runs_per_s",
-            "wall_plain_s": round(t_plain, 6),
-            "overhead": round(overhead, 4),
-            "trace_events": len(tracers[-1]),
-        },
     )
 
     # Armed telemetry must not change a single number...

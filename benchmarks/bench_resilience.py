@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import time
 
-from _emit import emit
 from conftest import report
 
 from repro.designs.catalog import DTMB_1_6
@@ -83,17 +82,6 @@ def test_bench_resilience_overhead(runs, tmp_path):
         f"armed engine:  {t_armed:.3f}s (retry+timeout+checkpoint+cache)\n"
         f"overhead:      {100.0 * overhead:+.1f}% "
         f"(budget {100.0 * MAX_OVERHEAD:.0f}%)",
-    )
-
-    emit(
-        "resilience",
-        wall_s=t_armed,
-        throughput=len(DEFAULT_P_GRID) * runs / max(t_armed, 1e-9),
-        extra={
-            "throughput_unit": "mc_runs_per_s",
-            "wall_plain_s": round(t_plain, 6),
-            "overhead": round(overhead, 4),
-        },
     )
 
     # Armed-but-idle resilience must not change a single number...

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import time
 
-from _emit import emit
 from conftest import report
 
 from repro.designs.catalog import DTMB_1_6
@@ -61,16 +60,6 @@ def test_bench_engine_speedup(benchmark, runs):
         "Sweep engine speedup (Fig. 7 grid)",
         f"seed {t_seed:.2f}s  engine {t_engine:.2f}s  ->  {speedup:.1f}x "
         f"({runs} runs/point, {len(DEFAULT_P_GRID)} points)",
-    )
-    emit(
-        "sweep_engine",
-        wall_s=t_engine,
-        throughput=len(DEFAULT_P_GRID) * runs / max(t_engine, 1e-9),
-        extra={
-            "throughput_unit": "mc_runs_per_s",
-            "wall_seed_s": round(t_seed, 6),
-            "speedup": round(speedup, 3),
-        },
     )
 
     # The funnel is exact, so engine yields agree with brute force within

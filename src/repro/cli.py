@@ -339,8 +339,8 @@ def _engine_from_args(args: argparse.Namespace) -> Optional[SweepEngine]:
     last_bucket = [-1]
 
     def progress(done: int, total: int) -> None:
-        # `done` advances in chunk-sized jumps, so report whenever a new
-        # 10% bucket is crossed rather than on exact multiples.
+        # `done` jumps past all cache hits at once, so report whenever a
+        # new 10% bucket is crossed rather than on exact multiples.
         bucket = done * 10 // max(1, total)
         if bucket > last_bucket[0] or done == total:
             last_bucket[0] = bucket

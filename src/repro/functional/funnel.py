@@ -215,7 +215,11 @@ class _FunnelContext:
         coords = chip.coords
         index = {c: i for i, c in enumerate(coords)}
         n = len(coords)
-        self.struct = struct
+        # The chip and the matching adjacency, never the structure itself:
+        # ``_CONTEXTS`` keys its weak map on the structure, and a strong
+        # reference from the value would keep every structure alive.
+        self.chip = chip
+        self.adj = struct.adj
         self.criterion = criterion
         self.concurrent = criterion.name == "multiplexed"
         self.deadline = int(criterion.deadline)
@@ -349,7 +353,7 @@ class _FunnelContext:
         slots = self.needed_slot[faulty]
         left: List[int] = []
         edges: List[Tuple[int, int]] = []
-        adj = self.struct.adj
+        adj = self.adj
         for cell, slot in zip(faulty.tolist(), slots.tolist()):
             if slot >= 0:
                 left.append(cell)
@@ -370,7 +374,7 @@ class _FunnelContext:
         view = _IndexRouter(self, live, image, inverse)
         try:
             if self.concurrent:
-                plan = ConcurrentRouter(self.struct.chip, router=view).plan(
+                plan = ConcurrentRouter(self.chip, router=view).plan(
                     list(self.index_requests)
                 )
                 return plan.makespan <= self.deadline
@@ -420,7 +424,7 @@ class _FunnelContext:
         the tests hold the two equal.
         """
         if self._work_chip is None:
-            self._work_chip = self.struct.chip.copy()
+            self._work_chip = self.chip.copy()
         chip = self._work_chip
         coords = chip.coords
         chip.clear_faults()

@@ -24,10 +24,11 @@ and all bit-identity guarantees apply), every concurrent duplicate awaits
 the same future.  Full-experiment requests coalesce the same way on a
 digest of their canonical parameters.
 
-Adaptive points with ``"stream": true`` respond as NDJSON: an ``accepted``
-line, one ``fold`` line per in-order batch fold (driven by the
-scheduler's fold hook), then a final ``result`` line identical to the
-non-streaming body.
+Points with ``"stream": true`` respond as NDJSON: an ``accepted`` line,
+one ``fold`` line per in-order fold (driven by the scheduler's fold
+hook; a flat point folds once, an adaptive or sharded point once per
+batch), then a final ``result`` line identical to the non-streaming
+body.
 
 Compute runs on a worker thread (`asyncio.to_thread`) under a process-wide
 lock: the engine itself parallelizes across its executor, and the lock
@@ -740,7 +741,7 @@ class ReproServer:
 
         on_join = None
         if request.stream:
-            # NDJSON stream: accepted, folds (adaptive/sharded points),
+            # NDJSON stream: accepted, folds (one for a flat point),
             # result.  A promoted stream restarts from the new leader's
             # folds; only the first join is announced.
             await self._send(writer, 200, None, "application/x-ndjson")

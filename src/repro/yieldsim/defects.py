@@ -98,8 +98,11 @@ class DefectGeometry:
     """
 
     def __init__(self, chip: Biochip):
-        self._chip = chip
-        self.n_cells = len(chip.coords)
+        # Only the coordinates, never the chip: :func:`geometry_for` keys
+        # its weak map on the chip, and a strong reference from the value
+        # would keep every chip alive.
+        self._coords = chip.coords
+        self.n_cells = len(self._coords)
         self._neighbor_lists: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._xy: Optional[np.ndarray] = None
         self._balls: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
@@ -113,10 +116,10 @@ class DefectGeometry:
     def neighbor_lists(self) -> Tuple[Tuple[int, ...], ...]:
         """Adjacency as index lists, aligned with the sorted cell order."""
         if self._neighbor_lists is None:
-            coords = self._chip.coords
+            coords = self._coords
             index = {c: i for i, c in enumerate(coords)}
             self._neighbor_lists = tuple(
-                tuple(index[n] for n in self._chip.neighbors(c)) for c in coords
+                tuple(index[n] for n in c.neighbors() if n in index) for c in coords
             )
         return self._neighbor_lists
 
@@ -124,7 +127,7 @@ class DefectGeometry:
     def xy(self) -> np.ndarray:
         """(n_cells, 2) Cartesian cell centers ("pointy-top" for hex)."""
         if self._xy is None:
-            coords = self._chip.coords
+            coords = self._coords
             xy = np.empty((self.n_cells, 2), dtype=np.float64)
             for i, coord in enumerate(coords):
                 if isinstance(coord, Hex):

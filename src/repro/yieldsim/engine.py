@@ -8,9 +8,9 @@ Since the scheduler/executor split it is a thin facade over two layers:
 * :mod:`repro.yieldsim.scheduler` — the pure
   :class:`~repro.yieldsim.scheduler.PointScheduler`: chip payload
   canonicalization, point-cache key derivation and the on-disk
-  :class:`~repro.yieldsim.scheduler.PointCache`, flat-point chunking,
-  within-point shard plans, and the strict in-order fold with stop-rule
-  speculation for adaptive points.
+  :class:`~repro.yieldsim.scheduler.PointCache`, per-point fold plans,
+  compute-unit grouping, and the one strict in-order fold loop with
+  stop-rule speculation for adaptive points.
 * :mod:`repro.yieldsim.executors` — *where* compute units run: the
   :class:`~repro.yieldsim.executors.Executor` protocol with
   :class:`~repro.yieldsim.executors.SerialExecutor` (in-process),
@@ -67,8 +67,10 @@ deterministic given the seed.  An adaptive point that never meets its
 target spends exactly its full plan — bit-identical to the fixed-budget
 batched run of the same point.
 
-Flat, unsharded points (the default) keep the legacy single-stream draw
-and remain bit-identical to the pre-engine implementation.
+Flat, unsharded points (the default) are the one-fold case of the same
+fold loop: their single fold draws the point's whole budget from its own
+seed stream, so they remain bit-identical to the pre-engine
+implementation.
 """
 
 from __future__ import annotations
@@ -188,8 +190,8 @@ class SweepEngine:
         Created on first use.  Safe to share between serial and parallel
         runs — entries are keyed per point.
     progress:
-        Optional ``progress(done, total)`` callback, invoked after every
-        completed (or cache-hit) point chunk.
+        Optional ``progress(done, total)`` callback, invoked once for the
+        cache hits and after every computed point.
     dtype:
         Uniform-draw dtype for the survival regime.  The ``float32``
         default halves RNG cost; use ``numpy.float64`` to reproduce the
@@ -346,16 +348,17 @@ class SweepEngine:
     ) -> List[YieldEstimate]:
         """Estimates for ``tasks``, in order; shards across the executor.
 
-        Flat points run through the legacy chunked path (bit-identical to
-        the pre-engine implementation); points with a stop rule or beyond
-        ``shard_runs`` run through the batched path (see the module
+        Every point runs through the scheduler's one fold loop: a flat
+        point is a single fold on its own seed stream (bit-identical to
+        the pre-engine implementation); a point with a stop rule or
+        beyond ``shard_runs`` folds its batch plan (see the module
         docstring).  Each estimate's ``trials`` is the point's *effective*
         budget — equal to ``spec.runs`` for flat points, possibly smaller
         for adaptive ones — and :attr:`point_log` records the
         requested-vs-effective pair for every task.  ``on_fold(i,
-        successes, trials)`` observes every in-order fold of a batched
-        point (cumulative values), which is what ``repro serve`` streams
-        as per-fold NDJSON progress.
+        successes, trials)`` observes every in-order fold of a computed
+        point (cumulative values; one call for a flat point), which is
+        what ``repro serve`` streams as per-fold NDJSON progress.
         """
         executor = self.executor if self.executor is not None else default_executor(self.jobs)
         outcomes = self.scheduler.run(

@@ -1,11 +1,11 @@
 """Fault tolerance for the execution stack: retries, timeouts, fault injection.
 
 The engine's seed-derivation contract makes recovery *free of semantics*:
-every compute unit — a flat point chunk or a within-point batch — is a
-pure function of its arguments (chip payload, spec, shard seed), so a
-crashed, hung, corrupted or preempted unit can simply be executed again
-and must produce the identical result.  This module turns that property
-into an execution policy:
+every compute unit — a chunk of flat points or one fold of a batched
+point — is a pure function of its arguments (chip payload, spec, fold
+seed), so a crashed, hung, corrupted or preempted unit can simply be
+executed again and must produce the identical result.  This module turns
+that property into an execution policy:
 
 :class:`RetryPolicy`
     Bounded attempts with deterministic exponential backoff and an
@@ -91,15 +91,6 @@ def unit_digest(fn: Callable[..., Any], args: Tuple[Any, ...]) -> str:
         (getattr(fn, "__module__", ""), getattr(fn, "__qualname__", ""), args)
     )
     return hashlib.sha256(blob).hexdigest()
-
-
-def _span_name(token: Hashable) -> str:
-    if isinstance(token, tuple) and token:
-        if token[0] == "chunk":
-            return "unit:chunk"
-        if all(isinstance(x, int) for x in token):
-            return "unit:shard"
-    return "unit"
 
 
 class InjectedFault(RuntimeError):
@@ -225,11 +216,11 @@ class _Unit:
 class UnitRunner:
     """Submit/collect compute units with the retry policy applied.
 
-    The scheduler drives both of its loops (flat chunks, batched shards)
-    through one runner per :meth:`~repro.yieldsim.scheduler.PointScheduler.run`
-    call.  ``submit`` launches a unit under an opaque ``token``;
-    ``collect`` blocks until at least one unit *definitively* completes —
-    retrying crashed, timed-out and corrupted attempts internally, with
+    The scheduler drives its one submit/fold loop through one runner per
+    :meth:`~repro.yieldsim.scheduler.PointScheduler.run` call.
+    ``submit`` launches a unit under an opaque ``token``; ``collect``
+    blocks until at least one unit *definitively* completes — retrying
+    crashed, timed-out and corrupted attempts internally, with
     deterministic backoff — and returns ``(token, value)`` pairs.  A unit
     that exhausts its attempts raises :class:`~repro.errors.UnitFailure`;
     with no policy, the first failure propagates unwrapped (the
@@ -473,7 +464,7 @@ class UnitRunner:
                 if self.tracer is not None:
                     end = self.tracer.now_us()
                     self.tracer.complete(
-                        _span_name(unit.token), unit.trace_start,
+                        "unit", unit.trace_start,
                         end - unit.trace_start, cat="unit",
                         token=str(unit.token), unit=unit.digest,
                         attempts=unit.attempts,

@@ -3,9 +3,10 @@
 This module is the scheduling half of the engine split.  It owns
 everything that determines *what* a sweep computes and in *what order*
 results fold together — chip payload canonicalization and digests,
-point-cache key derivation and the on-disk :class:`PointCache`, flat-point
-chunk grouping, within-point shard plans, and the strict in-order fold
-with stop-rule speculation for adaptive points.  It owns nothing about
+point-cache key derivation and the on-disk :class:`PointCache`, per-point
+fold plans (one fold for a flat point, the shard plan for a sharded or
+adaptive one), compute-unit grouping, and the one strict in-order fold
+loop with stop-rule speculation for adaptive points.  It owns nothing about
 *where* compute units run: that is the
 :class:`~repro.yieldsim.executors.Executor` passed into
 :meth:`PointScheduler.run`.
@@ -34,6 +35,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import (
     Callable,
+    Deque,
     Dict,
     Hashable,
     Iterable,
@@ -92,8 +94,8 @@ _log = get_logger("scheduler")
 #: Bump when the kernel/sampling semantics change, to invalidate caches.
 ENGINE_VERSION = 1
 
-#: Maximum points per shard: small enough to load-balance a grid across
-#: workers, large enough to amortize per-chunk pickling.
+#: Maximum flat points per compute unit: small enough to load-balance a
+#: grid across workers, large enough to amortize per-unit pickling.
 _CHUNK_POINTS = 4
 
 #: Callback invoked after each in-order fold of a batched point:
@@ -190,84 +192,47 @@ def _structure_for(digest: str, payload: Dict[str, object]) -> RepairStructure:
 PointTelemetry = Tuple[ScreenStats, Optional[CriterionStats], Dict[str, float]]
 
 
-def _compute_point(
-    struct: RepairStructure,
-    spec: PointSpec,
-    runs: int,
-    seed: object,
-    dtype: type,
-) -> Tuple[int, PointTelemetry]:
-    """Successes of ``runs`` fault maps of one point, with its telemetry.
-
-    The one per-point loop body behind both unit functions.  Timing is
-    taken around this point alone, so a unit that carries several points
-    reports each point's own seconds and summing over points never counts
-    a second twice.
-    """
-    wall0, cpu0 = time.perf_counter(), time.process_time()
-    with _profile.capture() as timings:
-        if spec.criterion is None:
-            got, screen = model_successes(
-                struct, point_model(spec), runs, seed, dtype=dtype
-            )
-            funnel = None
-        else:
-            from repro.functional.funnel import criterion_successes
-
-            got, screen, funnel = criterion_successes(
-                struct, point_model(spec), spec.criterion, runs, seed,
-                dtype=dtype,
-            )
-    timings["wall_s"] = time.perf_counter() - wall0
-    timings["cpu_s"] = time.process_time() - cpu0
-    return got, (screen, funnel, timings)
-
-
-def compute_chunk(
+def compute_unit(
     digest: str,
     payload: Dict[str, object],
-    points: Sequence[PointSpec],
+    items: Sequence[Tuple[PointSpec, int, object]],
     dtype_name: str,
 ) -> Tuple[List[int], List[PointTelemetry]]:
-    """Compute one chunk of flat points (the executor's unit function).
+    """Compute one unit of folds (the executor's unit function).
 
-    Returns the per-point success counts and, aligned with them, each
-    point's :data:`PointTelemetry`.  Every point draws from its own
-    ``point.seed`` stream, so a point's result never depends on which
-    other points share its chunk.
+    Each item is one fold ``(spec, runs, seed)``: a flat point's whole
+    budget on its own ``spec.seed`` stream, or fold ``k`` of a batched
+    point on :func:`~repro.yieldsim.kernel.shard_seed` ``(entropy, k)``.
+    Returns the per-item success counts and, aligned with them, each
+    item's :data:`PointTelemetry`.  Every item draws from its own seed,
+    so a result never depends on which other items share its unit or
+    which worker computes it.  Timing is taken around each item alone,
+    so summing over points never counts a second twice.
     """
     struct = _structure_for(digest, payload)
     dtype = np.dtype(dtype_name).type
     successes: List[int] = []
     telemetry: List[PointTelemetry] = []
-    for point in points:
-        point.validate(struct.n_cells)
-        got, tele = _compute_point(struct, point, point.runs, point.seed, dtype)
+    for spec, runs, seed in items:
+        wall0, cpu0 = time.perf_counter(), time.process_time()
+        with _profile.capture() as timings:
+            if spec.criterion is None:
+                got, screen = model_successes(
+                    struct, point_model(spec), runs, seed, dtype=dtype
+                )
+                funnel = None
+            else:
+                from repro.functional.funnel import criterion_successes
+
+                got, screen, funnel = criterion_successes(
+                    struct, point_model(spec), spec.criterion, runs, seed,
+                    dtype=dtype,
+                )
+        timings["wall_s"] = time.perf_counter() - wall0
+        timings["cpu_s"] = time.process_time() - cpu0
         successes.append(got)
-        telemetry.append(tele)
+        telemetry.append((screen, funnel, timings))
     return successes, telemetry
-
-
-def compute_shard(
-    digest: str,
-    payload: Dict[str, object],
-    spec: PointSpec,
-    size: int,
-    entropy: int,
-    index: int,
-    dtype_name: str,
-) -> Tuple[int, PointTelemetry]:
-    """Compute one within-point shard (the executor's unit function).
-
-    The shard's stream is fully determined by ``(entropy, index)`` via
-    :func:`~repro.yieldsim.kernel.shard_seed`, so any worker — or the
-    calling process — computes the identical batch.  The point's defect
-    model (explicit, or the legacy-kind alias) and optional success
-    criterion travel inside ``spec``.
-    """
-    struct = _structure_for(digest, payload)
-    rng = np.random.default_rng(shard_seed(entropy, index))
-    return _compute_point(struct, spec, size, rng, np.dtype(dtype_name).type)
 
 
 # -- scheduling inputs --------------------------------------------------------
@@ -546,8 +511,8 @@ def _is_telemetry(value: object) -> bool:
     )
 
 
-def _chunk_validator(runs: Sequence[int]) -> Callable[[object], bool]:
-    """Accept only a well-formed ``compute_chunk`` payload for ``runs``."""
+def _unit_validator(runs: Sequence[int]) -> Callable[[object], bool]:
+    """Accept only a well-formed ``compute_unit`` payload for ``runs``."""
     def validate(value: object) -> bool:
         successes, telemetry = value  # type: ignore[misc]
         if len(successes) != len(runs) or len(telemetry) != len(runs):
@@ -555,14 +520,6 @@ def _chunk_validator(runs: Sequence[int]) -> Callable[[object], bool]:
         if not all(_is_count(got, cap) for got, cap in zip(successes, runs)):
             return False
         return all(_is_telemetry(tele) for tele in telemetry)
-    return validate
-
-
-def _shard_validator(size: int) -> Callable[[object], bool]:
-    """Accept only a well-formed ``compute_shard`` payload for ``size`` runs."""
-    def validate(value: object) -> bool:
-        got, telemetry = value  # type: ignore[misc]
-        return _is_count(got, size) and _is_telemetry(telemetry)
     return validate
 
 
@@ -581,7 +538,7 @@ class PointOutcome:
     stores results, not telemetry.
 
     ``incidents`` counts the recovery work the point's units needed
-    (``None`` when there was none; a chunk's incidents attribute to every
+    (``None`` when there was none; a unit's incidents attribute to every
     point it carried) and ``timings`` the point's own phase seconds —
     worker-side ``wall_s``/``cpu_s`` plus funnel phases, parent-side
     ``cache_wall_s``/``fold_wall_s``.  Both are telemetry only.
@@ -681,12 +638,21 @@ class PointScheduler:
     ) -> List[PointOutcome]:
         """One :class:`PointOutcome` for every task, in order.
 
-        Flat points run as per-chip chunks; points with a stop rule or
-        beyond ``shard_runs`` run as per-batch units folded strictly in
-        order with the stop rule checked after each fold.  ``on_fold``
-        (if given) observes each in-order fold of a batched point —
-        cumulative successes/trials — which is what the serving layer
-        streams as NDJSON progress.
+        Every point that misses the cache runs a fold plan: a flat point
+        is one fold of its whole budget on its own ``spec.seed`` stream;
+        a point with a stop rule or beyond ``shard_runs`` folds its shard
+        plan, fold ``k`` on ``shard_seed(entropy, k)``.  Flat points of
+        one chip share compute units (up to ``_CHUNK_POINTS`` a unit);
+        every batched fold is a unit of its own.  The submit schedule
+        interleaves the folds of *different* points, so an adaptive sweep
+        keeps every worker busy, but each point folds strictly in plan
+        order with its stop rule checked after each fold.  Folds that
+        complete beyond a stop point are discarded, so successes,
+        effective budgets and counters are identical whatever the
+        executor; with a capacity-1 immediate executor nothing is
+        speculated at all.  ``on_fold`` (if given) observes each in-order
+        fold — cumulative successes/trials — which is what the serving
+        layer streams as NDJSON progress.
         """
         n = len(tasks)
         outcomes: List[Optional[PointOutcome]] = [None] * n
@@ -728,7 +694,6 @@ class PointScheduler:
             for i, task in enumerate(tasks)
         ]
         pending: List[int] = []
-        pending_batched: List[int] = []
         done = 0
         for i, task in enumerate(tasks):
             task.spec.validate(len(task.chip))
@@ -748,90 +713,141 @@ class PointScheduler:
                 trace_point(i, hit=True)
             else:
                 outcomes[i] = PointOutcome(timings={"cache_wall_s": load_s})
-                (pending if batch_of[i] is None else pending_batched).append(i)
+                pending.append(i)
         hits = done
         if done and progress is not None:
             progress(done, n)
 
-        # Group flat pending points into per-chip chunks (the shard unit).
-        # The grouping depends only on the task list, never on the
-        # executor, so every backend computes identical chunks.
-        chunks: List[Tuple[str, List[int]]] = []
-        current_digest: Optional[str] = None
+        # One fold plan (and seed source) per pending point.
+        plans: Dict[int, Tuple[int, ...]] = {}
+        entropies: Dict[int, int] = {}
         for i in pending:
-            if digests[i] != current_digest or len(chunks[-1][1]) >= _CHUNK_POINTS:
-                chunks.append((digests[i], []))
-                current_digest = digests[i]
-            chunks[-1][1].append(i)
+            task = tasks[i]
+            if batch_of[i] is None:
+                plans[i] = (task.spec.runs,)
+            else:
+                ceiling = task.stop.cap(task.spec.runs) if task.stop else task.spec.runs
+                plans[i] = shard_plan(ceiling, batch_of[i])
+                entropies[i] = point_entropy(task.spec.seed)
+
+        def fold_item(i: int, k: int) -> Tuple[PointSpec, int, object]:
+            spec = tasks[i].spec
+            seed = shard_seed(entropies[i], k) if i in entropies else spec.seed
+            return spec, plans[i][k], seed
+
+        # A point is live until it stops or folds its whole plan.
+        next_fold = dict.fromkeys(pending, 0)
+        complete: set = set()
+
+        def settle(i: int) -> bool:
+            """Finish point ``i`` if its plan is spent or its rule fires."""
+            nonlocal done
+            out = outcomes[i]
+            rule = tasks[i].stop
+            if next_fold[i] < len(plans[i]) and (
+                rule is None or not rule.should_stop(out.successes, out.trials)
+            ):
+                return False
+            complete.add(i)
+            batched = i in entropies
+            self._store_traced(
+                keys[i], tasks[i].spec, out.successes, out.trials,
+                batched=batched, stop=tasks[i].stop,
+            )
+            if batched and self.checkpoint:
+                self.cache.clear_checkpoint(keys[i])
+            trace_point(i, hit=False)
+            done += 1
+            if progress is not None:
+                progress(done, n)
+            return True
+
+        if self.checkpoint:
+            for i in entropies:
+                restored = self._restore(i, keys[i], tasks[i].spec, plans[i])
+                if restored is None:
+                    continue
+                next_fold[i], state = restored
+                state.timings = outcomes[i].timings
+                outcomes[i] = state
+                if on_fold is not None:
+                    on_fold(i, state.successes, state.trials)
+                settle(i)
+
+        # Compute units, in the order fault-schedule ordinals rely on:
+        # flat points grouped per chip up to _CHUNK_POINTS, then one unit
+        # per remaining batched fold, point-major.  The grouping depends
+        # only on the task list, never on the executor.
+        units: Deque[Tuple[str, List[Tuple[int, int]]]] = deque()
+        for i in pending:
+            if i in entropies:
+                continue
+            if not units or units[-1][0] != digests[i] or len(units[-1][1]) >= _CHUNK_POINTS:
+                units.append((digests[i], []))
+            units[-1][1].append((i, 0))
+        for i in entropies:
+            if i not in complete:
+                units.extend(
+                    (digests[i], [(i, k)]) for k in range(next_fold[i], len(plans[i]))
+                )
 
         dtype_name = np.dtype(self.dtype).name
-        plans = {
-            i: shard_plan(
-                tasks[i].stop.cap(tasks[i].spec.runs) if tasks[i].stop else tasks[i].spec.runs,
-                batch_of[i],
-            )
-            for i in pending_batched
-        }
-        shard_units = sum(len(plan) for plan in plans.values())
-        executor.start(max(len(chunks), shard_units))
+        executor.start(len(units))
         runner = UnitRunner(executor, self.retry, self.stats, tracer=tracer)
+        ready: Dict[Tuple[int, int], Tuple[int, PointTelemetry]] = {}
         try:
-            # Flat chunks: submit up to capacity, fold results as they
-            # complete.  With a capacity-1 immediate executor this is the
-            # historical strict chunk-order serial loop.  The runner
-            # retries crashed/hung/corrupted chunks transparently; a
-            # definitively-completed chunk folds exactly as before.
-            queue = deque(chunks)
-            while queue or len(runner):
-                while queue and runner.free_slots > 0:
-                    digest, idxs = queue.popleft()
+            while len(complete) < len(pending):
+                while units and runner.free_slots > 0:
+                    digest, folds = units.popleft()
+                    if folds[0][0] in complete:
+                        continue  # a stopped batched point's tail
                     runner.submit(
-                        ("chunk", tuple(idxs)),
-                        compute_chunk,
+                        tuple(folds), compute_unit,
                         (digest, payload_by_digest[digest],
-                         [tasks[i].spec for i in idxs], dtype_name),
-                        validator=_chunk_validator(
-                            [tasks[i].spec.runs for i in idxs]
-                        ),
+                         [fold_item(i, k) for i, k in folds], dtype_name),
+                        validator=_unit_validator([plans[i][k] for i, k in folds]),
                     )
+                if not len(runner):
+                    break  # nothing in flight, nothing left to fold (defensive)
+                collected: List[int] = []
                 for token, (successes, telemetry) in runner.collect():
-                    for i, got, tele in zip(token[1], successes, telemetry):
-                        spec = tasks[i].spec
-                        outcomes[i].absorb(got, spec.runs, tele)
-                        self._store_traced(keys[i], spec, got, spec.runs)
-                        trace_point(i, hit=False)
-                    done += len(token[1])
-                    if progress is not None:
-                        progress(done, n)
-
-            def on_point(i: int) -> None:
-                nonlocal done
-                out = outcomes[i]
-                self._store_traced(
-                    keys[i], tasks[i].spec, out.successes, out.trials,
-                    batched=True, stop=tasks[i].stop,
-                )
-                if self.checkpoint:
-                    self.cache.clear_checkpoint(keys[i])
-                trace_point(i, hit=False)
-                done += 1
-                if progress is not None:
-                    progress(done, n)
-
-            if pending_batched:
-                self._run_batched(
-                    tasks, pending_batched, plans, keys, digests,
-                    payload_by_digest, runner, outcomes, on_point, on_fold,
-                )
+                    for (i, k), got, tele in zip(token, successes, telemetry):
+                        ready[i, k] = got, tele
+                        collected.append(i)
+                for i in collected:
+                    while i not in complete and (i, next_fold[i]) in ready:
+                        fold0 = time.perf_counter()
+                        out = outcomes[i]
+                        # Only in-order folds count: speculative folds of
+                        # stopped points are discarded below, so counters
+                        # stay executor-independent too.
+                        got, telemetry = ready.pop((i, next_fold[i]))
+                        out.absorb(got, plans[i][next_fold[i]], telemetry)
+                        next_fold[i] += 1
+                        out.timings["fold_wall_s"] = out.timings.get(
+                            "fold_wall_s", 0.0
+                        ) + (time.perf_counter() - fold0)
+                        if tracer is not None:
+                            tracer.instant(
+                                "fold", cat="point", index=i, fold=next_fold[i],
+                                successes=out.successes, trials=out.trials,
+                            )
+                        if on_fold is not None:
+                            on_fold(i, out.successes, out.trials)
+                        if not settle(i) and self.checkpoint:
+                            self.cache.store_checkpoint(
+                                keys[i], tasks[i].spec, next_fold[i], out
+                            )
+                # Drop speculative results (and cancel queued folds) of
+                # points that have since completed.
+                for fold in [f for f in ready if f[0] in complete]:
+                    del ready[fold]
+                runner.cancel_where(lambda token: token[0][0] in complete)
         finally:
             executor.shutdown()
 
         for token, counts in runner.incidents.items():
-            members = (
-                token[1] if isinstance(token, tuple) and token[0] == "chunk"
-                else (token[0],)
-            )
-            for i in members:
+            for i, _ in token:
                 bucket = outcomes[i].incidents = outcomes[i].incidents or {}
                 for kind, count in counts.items():
                     bucket[kind] = bucket.get(kind, 0) + count
@@ -871,142 +887,34 @@ class PointScheduler:
             key=key[:16],
         )
 
-    def _run_batched(
-        self,
-        tasks: Sequence[EnginePoint],
-        indices: Sequence[int],
-        plans: Dict[int, Tuple[int, ...]],
-        keys: Sequence[str],
-        digests: Sequence[str],
-        payload_by_digest: Dict[str, Dict[str, object]],
-        runner: UnitRunner,
-        outcomes: List[Optional[PointOutcome]],
-        on_point: Callable[[int], None],
-        on_fold: Optional[FoldHook],
-    ) -> None:
-        """Run the batched points, folding into ``outcomes``; calls
-        ``on_point(i)`` as each completes.
+    def _restore(
+        self, i: int, key: str, spec: PointSpec, plan: Tuple[int, ...]
+    ) -> Optional[Tuple[int, PointOutcome]]:
+        """The journaled ``(folds, outcome)`` of batched point ``i``, if any.
 
-        Each point's batches are folded strictly in batch order and its
-        stop rule (if any) is checked after each fold, so every point's
-        result — successes *and* effective budget — is identical whatever
-        the executor.  The submit schedule interleaves batches of
-        *different* points (point-major order), so an adaptive sweep keeps
-        every worker busy instead of draining one point at a time; batches
-        that complete beyond a stop point are discarded, keeping numbers
-        and counters equal to the capacity-1 fold.  With a capacity-1
-        immediate executor no speculation happens at all: each batch is
-        computed, folded and stop-checked before the next is submitted.
-
-        With checkpointing on, each in-order fold of a seeded point
-        journals the point's cumulative outcome (successes, trials, screen
-        and funnel counters) to the cache directory, and points with a
-        valid checkpoint restore that state up front — skipping the folds
-        a previous, interrupted run already did.  Because the journal
-        holds exactly what the fold loop would have accumulated, a resumed
-        point is indistinguishable from an uninterrupted one.
+        With checkpointing on, each in-order fold of a seeded batched
+        point journals its cumulative outcome (successes, trials, screen
+        and funnel counters); a valid journal lets the point skip the
+        folds a previous, interrupted run already did.  Because the
+        journal holds exactly what the fold loop would have accumulated,
+        a resumed point is indistinguishable from an uninterrupted one.
+        A journal from another plan shape reads as absent (recompute).
         """
-        dtype_name = np.dtype(self.dtype).name
-        entropies = {i: point_entropy(tasks[i].spec.seed) for i in indices}
-
-        # A point is live until it stops or folds its whole plan.
-        next_fold = {i: 0 for i in indices}
-        complete: set = set()
-
-        def settle(i: int) -> bool:
-            """Finish point ``i`` if its plan is spent or its rule fires."""
-            out = outcomes[i]
-            rule = tasks[i].stop
-            if next_fold[i] == len(plans[i]) or (
-                rule is not None and rule.should_stop(out.successes, out.trials)
-            ):
-                complete.add(i)
-                on_point(i)
-                return True
-            return False
-
-        if self.checkpoint:
-            for i in indices:
-                restored = self.cache.load_checkpoint(keys[i], tasks[i].spec)
-                if restored is None:
-                    continue
-                folds, state = restored
-                if folds > len(plans[i]) or state.trials != sum(plans[i][:folds]):
-                    continue  # journal from another plan shape: recompute
-                state.timings = outcomes[i].timings
-                outcomes[i] = state
-                next_fold[i] = folds
-                self.stats.checkpoint_resumes += 1
-                self.stats.folds_resumed += folds
-                if self.tracer is not None:
-                    self.tracer.instant(
-                        "checkpoint_resume", cat="incident", index=i,
-                        folds=folds, trials=state.trials,
-                    )
-                log_event(
-                    _log, "checkpoint_resume", point=i, folds=folds,
-                    successes=state.successes, trials=state.trials,
-                )
-                if on_fold is not None:
-                    on_fold(i, state.successes, state.trials)
-                settle(i)
-
-        def unit_stream():
-            for i in indices:
-                for k in range(next_fold[i], len(plans[i])):
-                    yield i, k
-
-        units = unit_stream()
-        ready: Dict[Tuple[int, int], Tuple[int, PointTelemetry]] = {}
-
-        def submit_up_to_capacity() -> None:
-            while runner.free_slots > 0:
-                for i, k in units:
-                    if i in complete:
-                        continue  # point already decided; skip its tail
-                    spec = tasks[i].spec
-                    runner.submit(
-                        (i, k), compute_shard,
-                        (digests[i], payload_by_digest[digests[i]],
-                         spec, plans[i][k], entropies[i], k, dtype_name),
-                        validator=_shard_validator(plans[i][k]),
-                    )
-                    break
-                else:
-                    return  # no units left to submit
-
-        while len(complete) < len(indices):
-            submit_up_to_capacity()
-            if not len(runner) and not ready:
-                break  # nothing in flight, nothing to fold (defensive)
-            for unit, value in runner.collect():
-                ready[unit] = value
-            for i in indices:
-                while (i, next_fold[i]) in ready and i not in complete:
-                    fold0 = time.perf_counter()
-                    out = outcomes[i]
-                    # Only in-order folds count: speculative shards of
-                    # stopped points are discarded below, so counters stay
-                    # executor-independent too.
-                    got, telemetry = ready.pop((i, next_fold[i]))
-                    out.absorb(got, plans[i][next_fold[i]], telemetry)
-                    next_fold[i] += 1
-                    out.timings["fold_wall_s"] = out.timings.get(
-                        "fold_wall_s", 0.0
-                    ) + (time.perf_counter() - fold0)
-                    if self.tracer is not None:
-                        self.tracer.instant(
-                            "fold", cat="point", index=i, fold=next_fold[i],
-                            successes=out.successes, trials=out.trials,
-                        )
-                    if on_fold is not None:
-                        on_fold(i, out.successes, out.trials)
-                    if not settle(i) and self.checkpoint:
-                        self.cache.store_checkpoint(
-                            keys[i], tasks[i].spec, next_fold[i], out
-                        )
-            # Drop speculative results (and cancel queued batches) of
-            # points that have since completed.
-            for unit in [u for u in ready if u[0] in complete]:
-                del ready[unit]
-            runner.cancel_where(lambda token: token[0] in complete)
+        restored = self.cache.load_checkpoint(key, spec)
+        if restored is None:
+            return None
+        folds, state = restored
+        if folds > len(plan) or state.trials != sum(plan[:folds]):
+            return None
+        self.stats.checkpoint_resumes += 1
+        self.stats.folds_resumed += folds
+        if self.tracer is not None:
+            self.tracer.instant(
+                "checkpoint_resume", cat="incident", index=i,
+                folds=folds, trials=state.trials,
+            )
+        log_event(
+            _log, "checkpoint_resume", point=i, folds=folds,
+            successes=state.successes, trials=state.trials,
+        )
+        return folds, state

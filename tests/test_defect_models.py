@@ -10,9 +10,14 @@ nesting, and the scenario-pack experiments' defect-model provenance.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.designs.catalog import DTMB_2_6
+from repro.designs.interstitial import build_chip
 from repro.errors import FaultModelError, SimulationError
 from repro.experiments import registry
 from repro.faults.injection import make_rng
@@ -65,6 +70,25 @@ class TestGeometry:
 
     def test_geometry_cached_per_chip(self, dtmb26_chip):
         assert geometry_for(dtmb26_chip) is geometry_for(dtmb26_chip)
+
+    def test_geometry_cache_lets_chips_die(self, small_region):
+        """The cached geometry must not keep its chip alive: callers that
+        build a fresh chip per experiment would otherwise grow without
+        bound."""
+        chip = build_chip(DTMB_2_6, small_region)
+        geometry_for(chip).ball(1)
+        alive = weakref.ref(chip)
+        del chip
+        gc.collect()
+        assert alive() is None
+
+    def test_neighbor_lists_follow_chip_adjacency(self, dtmb26_chip):
+        coords = dtmb26_chip.coords
+        index = {c: i for i, c in enumerate(coords)}
+        want = tuple(
+            tuple(index[n] for n in dtmb26_chip.neighbors(c)) for c in coords
+        )
+        assert geometry_for(dtmb26_chip).neighbor_lists == want
 
     def test_radial_t_spans_unit_interval(self, dtmb26_chip):
         t = geometry_for(dtmb26_chip).radial_t
@@ -417,8 +441,6 @@ class TestModelFamilies:
             family_from_spec("spot:bogus=1")
 
     def test_survival_sweep_model_knob_labels_points(self):
-        from repro.designs.catalog import DTMB_2_6
-
         points = survival_sweep(
             [DTMB_2_6], [60], [0.94], runs=200, seed=3,
             model=family_from_spec("negbin:alpha=1"),

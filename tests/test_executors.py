@@ -116,6 +116,45 @@ class TestExecutorBitIdentity:
         assert isinstance(default_executor(4), PoolExecutor)
 
 
+class TestMixedPlan:
+    """Every plan shape in one ``run_points`` call: a flat point, a
+    sharded point, an adaptive point on a second chip and a fixed-regime
+    point share one fold loop, whatever the executor."""
+
+    @staticmethod
+    def _observe(executor, dtmb26_chip, dtmb16_chip):
+        tasks = [
+            EnginePoint(dtmb26_chip, PointSpec("survival", 0.95, 800, 31)),
+            EnginePoint(dtmb26_chip, PointSpec("survival", 0.93, 2500, 32)),
+            EnginePoint(dtmb16_chip, PointSpec("survival", 0.90, 3000, 33),
+                        stop=RULE),
+            EnginePoint(dtmb26_chip, PointSpec("fixed", 3, 600, 34)),
+        ]
+        engine = SweepEngine(shard_runs=1000, executor=executor)
+        estimates = [(e.successes, e.trials) for e in engine.run_points(tasks)]
+        log = [(record.effective, record.adaptive) for record in engine.point_log]
+        return estimates, log, engine.screen_stats.as_dict()
+
+    @pytest.mark.parametrize(
+        "make_executor",
+        [
+            pytest.param(lambda: InlineExecutor(capacity=3), id="inline-c3"),
+            pytest.param(lambda: PoolExecutor(2), id="pool-j2"),
+        ],
+    )
+    def test_mixed_plan_matches_serial(
+        self, dtmb26_chip, dtmb16_chip, make_executor
+    ):
+        reference = self._observe(SerialExecutor(), dtmb26_chip, dtmb16_chip)
+        _, log, _ = reference
+        assert log[0] == (800, False) and log[1] == (2500, False)
+        assert log[2][1] is True and log[3] == (600, False)
+        assert (
+            self._observe(make_executor(), dtmb26_chip, dtmb16_chip)
+            == reference
+        )
+
+
 class TestInlineExecutorObservability:
     """The test executor exposes what the scheduler actually scheduled."""
 

@@ -16,8 +16,10 @@ The contracts under test, in order of importance:
 from __future__ import annotations
 
 import filecmp
+import gc
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -280,6 +282,16 @@ def _full_bfs_distances(allowed, start, target, nbr_pos, nbr_mask):
             return dist
         reached |= grow
         dist[(dist < 0) & (grow & target).any(axis=1)] = level
+
+
+def test_context_cache_lets_structures_die():
+    """A cached funnel context must not keep its structure alive."""
+    struct = _structure(DTMB_2_6, 120)
+    context_for(struct, THREE_ASSAYS)
+    alive = weakref.ref(struct)
+    del struct
+    gc.collect()
+    assert alive() is None
 
 
 def test_bfs_distances_match_full_expansion():

@@ -179,7 +179,7 @@ class TestTracer:
         flat_estimates(dtmb26_chip, engine)
         events = validate_trace(engine.tracer.to_dict())
         names = {e["name"] for e in events}
-        assert {"point", "scheduler.run", "unit:chunk"} <= names
+        assert {"point", "scheduler.run", "unit"} <= names
         with pytest.raises(ValueError):
             validate_trace({"nope": []})
         with pytest.raises(ValueError):

@@ -115,6 +115,29 @@ class TestFlatFaultIdentity:
             for record in engine.point_log
         )
 
+    def test_incidents_attribute_to_the_faulted_unit_only(self, dtmb26_chip):
+        # GRID's units carry points 0-3, 4-7 and 8: crash_every=3 faults
+        # the first attempt of the third unit, i.e. point 8 alone.
+        engine, _ = faulted_engine(FaultSchedule(crash_every=3), retry=FAST)
+        flat_estimates(dtmb26_chip, engine)
+        assert [record.incidents for record in engine.point_log] == (
+            [None] * 8 + [{"retries": 1}]
+        )
+
+    def test_sharded_incidents_attribute_to_their_point(self, dtmb26_chip):
+        # shard_runs=200 splits each point into 2 folds, one unit each,
+        # point-major: 0-based units 2, 5, ..., 17 fault, i.e. folds of points
+        # 1, 2, 4, 5, 7 and 8.
+        clean = flat_estimates(dtmb26_chip, SweepEngine(shard_runs=200))
+        engine, _ = faulted_engine(
+            FaultSchedule(crash_every=3), retry=FAST, shard_runs=200
+        )
+        assert flat_estimates(dtmb26_chip, engine) == clean
+        retried = {1, 2, 4, 5, 7, 8}
+        assert [record.incidents for record in engine.point_log] == [
+            {"retries": 1} if i in retried else None for i in range(9)
+        ]
+
     def test_corrupt_payloads_are_rejected_and_recomputed(self, dtmb26_chip):
         clean = flat_estimates(dtmb26_chip)
         engine, executor = faulted_engine(
