@@ -14,7 +14,7 @@ from conftest import report
 
 from repro.designs.catalog import DTMB_2_6
 from repro.designs.interstitial import build_with_primary_count
-from repro.faults.injection import BernoulliInjector
+from repro.faults.injection import bernoulli_faults
 from repro.reconfig.bipartite import (
     BipartiteGraph,
     hopcroft_karp,
@@ -26,11 +26,10 @@ from repro.reconfig.local import build_repair_graph
 
 def _repair_graphs(count: int, p: float = 0.93, seed: int = 7):
     chip = build_with_primary_count(DTMB_2_6, 240).build()
-    injector = BernoulliInjector(p)
     graphs = []
     for t in range(count):
         working = chip.copy()
-        injector.sample(working, seed=seed + t).apply_to(working)
+        working.apply_fault_map(bernoulli_faults(working, p, seed=seed + t))
         graphs.append(build_repair_graph(working))
     return graphs
 

@@ -16,7 +16,7 @@ Run:  python examples/concurrent_assays.py
 """
 
 from repro.designs import DTMB_2_6, build_chip
-from repro.faults import FixedCountInjector
+from repro.faults import fixed_count_faults
 from repro.fluidics import ConcurrentRouter, RouteRequest
 from repro.geometry import RectRegion, offset_to_axial
 from repro.reconfig import CellRemap, plan_local_repair
@@ -29,10 +29,9 @@ def main() -> None:
     print(f"chip: {chip.primary_count} primary + {chip.spare_count} spare")
 
     # --- manufacturing defects + local reconfiguration ------------------
-    faults = FixedCountInjector(5).sample(chip, seed=17)
-    faults.apply_to(chip)
-    print(f"{len(faults)} faulty cell(s): "
-          + ", ".join(str(f.coord) for f in faults))
+    faults = fixed_count_faults(chip, 5, seed=17)
+    chip.apply_fault_map(faults)
+    print(f"{len(faults)} faulty cell(s): " + ", ".join(map(str, faults)))
     repair = plan_local_repair(chip)
     if not repair.complete:
         raise SystemExit("chip is scrap; rerun with another seed")

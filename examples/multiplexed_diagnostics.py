@@ -20,7 +20,7 @@ from repro.assays import (
     fabricated_chip,
     redesigned_chip,
 )
-from repro.faults import FixedCountInjector
+from repro.faults import fixed_count_faults
 from repro.viz import render_chip, render_legend
 from repro.yieldsim import YieldSimulator, yield_no_redundancy
 
@@ -41,7 +41,7 @@ def main() -> None:
     print(f"yield at p=0.99 (108 assay cells protected): {estimate}")
 
     # --- Damage it and repair it ---------------------------------------
-    FixedCountInjector(10).sample(layout.chip, seed=2005).apply_to(layout.chip)
+    layout.chip.apply_fault_map(fixed_count_faults(layout.chip, 10, seed=2005))
     print(f"\ninjected 10 random faults "
           f"({len(layout.chip.faulty_primaries())} hit primary cells)")
 

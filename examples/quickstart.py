@@ -12,7 +12,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.designs import DTMB_2_6, build_with_primary_count
-from repro.faults import FixedCountInjector
+from repro.faults import fixed_count_faults
 from repro.reconfig import plan_local_repair
 from repro.viz import render_chip, render_legend
 from repro.yieldsim import YieldSimulator, yield_no_redundancy
@@ -29,10 +29,9 @@ def main() -> None:
           f"(RR = {chip.redundancy_ratio():.3f})")
 
     # 2. Six random cells fail in manufacturing.
-    fault_map = FixedCountInjector(6).sample(chip, seed=42)
-    fault_map.apply_to(chip)
-    print(f"\ninjected {len(fault_map)} faults: "
-          + ", ".join(str(f.coord) + f" ({f.kind.value})" for f in fault_map))
+    faults = fixed_count_faults(chip, 6, seed=42)
+    chip.apply_fault_map(faults)
+    print(f"\ninjected {len(faults)} faults: " + ", ".join(map(str, faults)))
 
     # 3. Local reconfiguration: each faulty primary is replaced by an
     #    adjacent fault-free spare, found via maximum bipartite matching.

@@ -14,7 +14,7 @@ move?", and the yield simulator flips health bits in bulk.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.chip.cell import Cell, CellHealth, CellRole
 from repro.errors import ChipError
@@ -138,18 +138,10 @@ class Biochip:
         """Number of in-array neighbors."""
         return len(self.neighbors(coord))
 
-    def is_boundary(self, coord: Hashable, full_degree: int = 6) -> bool:
-        """True iff the cell has fewer than ``full_degree`` in-array neighbors."""
-        return self.degree(coord) < full_degree
-
     # -- health ---------------------------------------------------------------
     def mark_faulty(self, coord: Hashable) -> None:
         """Record a catastrophic (or out-of-tolerance parametric) fault."""
         self[coord].health = CellHealth.FAULTY
-
-    def mark_good(self, coord: Hashable) -> None:
-        """Clear the fault state of one cell (used by repair simulations)."""
-        self[coord].health = CellHealth.GOOD
 
     def clear_faults(self) -> None:
         """Reset every cell to ``GOOD`` — fresh-from-fab state."""
@@ -173,27 +165,11 @@ class Biochip:
         """Fault-free spare cells — the repair resources."""
         return [c for c in self if c.is_spare and c.is_good]
 
-    def is_fault_free(self) -> bool:
-        return not any(c.is_faulty for c in self._cells.values())
-
     # -- labels -----------------------------------------------------------------
-    def cells_labeled(self, label: str) -> List[Cell]:
-        """Cells whose ``label`` matches exactly (mixers, detectors, ...)."""
-        return [c for c in self if c.label == label]
-
     def set_label(self, coord: Hashable, label: Optional[str]) -> None:
         self[coord].label = label
 
     # -- derived structure --------------------------------------------------------
-    def subchip(self, predicate: Callable[[Cell], bool], name: Optional[str] = None) -> "Biochip":
-        """A new chip containing copies of the cells satisfying ``predicate``."""
-        picked = [
-            Cell(c.coord, c.role, c.health, c.label) for c in self if predicate(c)
-        ]
-        if not picked:
-            raise ChipError("subchip predicate selected no cells")
-        return Biochip(picked, name=name or f"{self.name}/sub")
-
     def copy(self, name: Optional[str] = None) -> "Biochip":
         """Copy with duplicated cells (health included).
 

@@ -18,7 +18,6 @@ from repro.designs.catalog import (
     DTMB_3_6,
     DTMB_4_4,
     TABLE1_DESIGNS,
-    design_by_name,
     table1_rows,
 )
 from repro.designs.interstitial import (
@@ -30,7 +29,6 @@ from repro.designs.interstitial import (
 from repro.designs.selector import (
     DesignRecommendation,
     recommend_design,
-    required_survival_probability,
 )
 from repro.designs.spec import DesignSpec
 from repro.designs.verify import StructureReport, inspect_structure, verify_design
@@ -44,7 +42,6 @@ __all__ = [
     "DTMB_4_4",
     "ALL_DESIGNS",
     "TABLE1_DESIGNS",
-    "design_by_name",
     "table1_rows",
     "build_chip",
     "build_with_primary_count",
@@ -52,7 +49,6 @@ __all__ = [
     "FitResult",
     "DesignRecommendation",
     "recommend_design",
-    "required_survival_probability",
     "verify_design",
     "inspect_structure",
     "StructureReport",

@@ -18,10 +18,9 @@ reconfiguration-cost blow-up that motivates interstitial redundancy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.errors import DesignError
-from repro.geometry.square import Square
 
 __all__ = ["ModulePlacement", "SpareRowArray"]
 
@@ -113,18 +112,6 @@ class SpareRowArray:
             if module.contains_row(row):
                 return module
         raise DesignError(f"row {row} is not inside any module")
-
-    def module_cells(self, module: ModulePlacement) -> List[Square]:
-        """The physical cells of ``module`` in the unrepaired array."""
-        return [
-            Square(x, y) for y in module.rows for x in range(self.cols)
-        ]
-
-    def all_cells(self) -> List[Square]:
-        """Every cell of the array including the spare row."""
-        return [
-            Square(x, y) for y in range(self.rows) for x in range(self.cols)
-        ]
 
     def distance_to_spare_row(self, row: int) -> int:
         """How many rows separate ``row`` from the spare row."""

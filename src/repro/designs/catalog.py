@@ -26,10 +26,9 @@ provide both (variants A and B).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.designs.spec import DesignSpec
-from repro.errors import DesignError
 from repro.geometry.lattice import CongruenceLattice, IntersectionLattice
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "DTMB_4_4",
     "ALL_DESIGNS",
     "TABLE1_DESIGNS",
-    "design_by_name",
     "table1_rows",
 ]
 
@@ -98,18 +96,6 @@ ALL_DESIGNS: Tuple[DesignSpec, ...] = (
 
 #: The four architectures of the paper's Table 1 (one DTMB(2,6) layout).
 TABLE1_DESIGNS: Tuple[DesignSpec, ...] = (DTMB_1_6, DTMB_2_6, DTMB_3_6, DTMB_4_4)
-
-_BY_NAME: Dict[str, DesignSpec] = {d.name: d for d in ALL_DESIGNS}
-
-
-def design_by_name(name: str) -> DesignSpec:
-    """Look up a catalog design by its ``DTMB(s,p)`` name."""
-    try:
-        return _BY_NAME[name]
-    except KeyError:
-        known = ", ".join(sorted(_BY_NAME))
-        raise DesignError(f"unknown design {name!r}; catalog has: {known}") from None
-
 
 def table1_rows() -> List[Tuple[str, Fraction]]:
     """``(design name, redundancy ratio)`` rows reproducing Table 1."""

@@ -5,8 +5,7 @@ redundancy can be designed to target given yield levels and manufacturing
 processes."  This module operationalizes that sentence: given the process
 quality (per-cell survival probability p), the required primary-cell count
 n, and a target yield, it recommends the *cheapest* catalog design (lowest
-redundancy ratio ⇒ smallest area) that clears the target, and can also
-invert the question — what process quality does a given design need?
+redundancy ratio ⇒ smallest area) that clears the target.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from repro.yieldsim.defects import IIDBernoulli
 from repro.yieldsim.kernel import RepairStructure, model_successes
 from repro.yieldsim.stats import YieldEstimate
 
-__all__ = ["DesignRecommendation", "recommend_design", "required_survival_probability"]
+__all__ = ["DesignRecommendation", "recommend_design"]
 
 
 def _survival_yield(
@@ -120,39 +119,3 @@ def recommend_design(
         chosen=chosen,
         candidates=tuple(candidates),
     )
-
-
-def required_survival_probability(
-    spec: DesignSpec,
-    target_yield: float,
-    n: int = 100,
-    runs: int = 3000,
-    seed: int = 2005,
-    tolerance: float = 0.002,
-) -> float:
-    """The minimum per-cell survival probability for a design to hit a yield.
-
-    Answers the manufacturing-process question: "how good do my cells have
-    to be for DTMB(s, p) to yield at least Y?"  Found by bisection on p
-    (yield is monotone in p); the returned value is accurate to
-    ``tolerance`` in p, subject to Monte-Carlo noise at the given budget.
-    """
-    if not 0.0 < target_yield < 1.0:
-        raise SimulationError(
-            f"target yield must be in (0, 1), got {target_yield}"
-        )
-    struct = RepairStructure(build_with_primary_count(spec, n).build())
-
-    def estimate(p: float) -> float:
-        return _survival_yield(struct, p, runs, seed).value
-
-    lo, hi = 0.5, 1.0
-    if estimate(lo) >= target_yield:
-        return lo
-    while hi - lo > tolerance:
-        mid = (lo + hi) / 2.0
-        if estimate(mid) >= target_yield:
-            hi = mid
-        else:
-            lo = mid
-    return hi

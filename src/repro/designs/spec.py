@@ -74,20 +74,5 @@ class DesignSpec:
     def primary_density(self) -> Fraction:
         return 1 - self.spare_density
 
-    def consistency_check(self) -> None:
-        """Verify the advertised (s, p) against the lattice densities.
-
-        In a DTMB(s, p) array the bipartite adjacency between primaries and
-        spares double-counts edges: ``primaries * s == spares * p``
-        asymptotically, i.e. ``spare_density / primary_density == s / p``.
-        """
-        expected = Fraction(self.s, self.p)
-        actual = self.spare_density / self.primary_density
-        if expected != actual:
-            raise DesignError(
-                f"{self.name}: lattice density {self.spare_density} implies "
-                f"RR {actual}, but s/p = {expected}"
-            )
-
     def __str__(self) -> str:  # pragma: no cover - cosmetics
         return self.name

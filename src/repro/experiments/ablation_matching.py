@@ -20,7 +20,7 @@ from repro.designs.catalog import DTMB_2_6
 from repro.designs.interstitial import build_with_primary_count
 from repro.experiments.registry import BudgetPolicy, register
 from repro.experiments.report import format_table
-from repro.faults.injection import BernoulliInjector
+from repro.faults.injection import bernoulli_faults
 from repro.reconfig.bipartite import (
     MATCHING_ALGORITHMS,
     BipartiteGraph,
@@ -90,14 +90,13 @@ def run(
     """
     trials = runs
     chip = build_with_primary_count(DTMB_2_6, n).build()
-    injector = BernoulliInjector(p)
     repaired = {name: 0 for name in MATCHING_ALGORITHMS}
     seconds = {name: 0.0 for name in MATCHING_ALGORITHMS}
     disagreements = 0
     mismatches = 0
     for t in range(trials):
         working = chip.copy()
-        injector.sample(working, seed=seed + t).apply_to(working)
+        working.apply_fault_map(bernoulli_faults(working, p, seed=seed + t))
         graph: BipartiteGraph = build_repair_graph(working)
         outcomes: Dict[str, bool] = {}
         for name, algorithm in MATCHING_ALGORITHMS.items():

@@ -38,7 +38,6 @@ assembled one experiment at a time.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -48,46 +47,16 @@ from typing import Dict, List, Optional
 from repro.errors import ArtifactError
 from repro.experiments.registry import ExperimentResult
 from repro.viz.export import write_csv, write_json
-from repro.yieldsim.cachestore import (
-    CacheStore,
-    content_digest,
-    decode_entry,
-    encode_entry,
-)
 
 __all__ = [
     "ArtifactRun",
     "MANIFEST_NAME",
     "MANIFEST_SCHEMA",
-    "bundle_key",
     "bundle_payload",
 ]
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_SCHEMA = 1
-
-
-def bundle_key(name: str, digest: str) -> str:
-    """The cache-store key of one experiment's published bundle index.
-
-    Addressed by (experiment name, result digest): any run that produced
-    the same result digest published the identical artifact bytes — the
-    bundle files exclude volatile telemetry by construction — so CI jobs
-    and fleet workers can fetch each other's bundles by the digest their
-    own manifest predicts.
-    """
-    return hashlib.sha256(f"bundle:{name}:{digest}".encode("ascii")).hexdigest()
-
-
-def _entry_file_rels(files: Dict[str, object]) -> List[str]:
-    """Flatten a manifest entry's ``files`` block into relative paths."""
-    rels: List[str] = []
-    for value in files.values():
-        if isinstance(value, str):
-            rels.append(value)
-        elif isinstance(value, list):
-            rels.extend(str(item) for item in value)
-    return sorted(rels)
 
 
 def _slug(text: str) -> str:
@@ -250,92 +219,6 @@ class ArtifactRun:
         self.entries[name] = entry
         self.added += 1
         return entry
-
-    # -- bundle exchange over a cache store ------------------------------------
-    def publish(self, store: CacheStore) -> Dict[str, int]:
-        """Push every experiment's bundle files into a cache store.
-
-        Files are content-addressed (key = SHA-256 of the bytes) and
-        uploaded put-if-absent, so republishing a byte-identical bundle
-        costs nothing; a per-experiment index entry at
-        :func:`bundle_key` (name, result digest) maps manifest-relative
-        paths to content keys.  Returns upload counters.
-        """
-        published = {"experiments": 0, "objects": 0, "bytes": 0}
-        for name, entry in self.entries.items():
-            provenance = entry.get("provenance")
-            digest = (
-                provenance.get("digest")
-                if isinstance(provenance, dict)
-                else None
-            )
-            files = entry.get("files")
-            if not isinstance(digest, str) or not isinstance(files, dict):
-                continue
-            index_files: Dict[str, str] = {}
-            for rel in _entry_file_rels(files):
-                path = os.path.join(self.out_dir, *rel.split("/"))
-                try:
-                    with open(path, "rb") as handle:
-                        blob = handle.read()
-                except OSError as exc:
-                    raise ArtifactError(
-                        f"cannot publish {rel!r}: {exc}"
-                    ) from exc
-                key = content_digest(blob)
-                if store.put(key, blob):
-                    published["objects"] += 1
-                    published["bytes"] += len(blob)
-                index_files[rel] = key
-            index = {
-                "experiment": name,
-                "result_digest": digest,
-                "files": index_files,
-            }
-            store.put(bundle_key(name, digest), encode_entry(index))
-            published["experiments"] += 1
-        return published
-
-    @staticmethod
-    def fetch(
-        store: CacheStore, name: str, digest: str, out_dir: str
-    ) -> Optional[List[str]]:
-        """Materialize a published bundle into ``out_dir``, verified.
-
-        Looks up the (name, result digest) index, downloads every file
-        and checks its bytes hash to the content key the index promised.
-        Returns the manifest-relative paths written, or ``None`` when the
-        bundle is absent or any object is missing/corrupt — an incomplete
-        bundle is never partially trusted (files already written are
-        left for the caller to discard with the directory).
-        """
-        blob = store.get(bundle_key(name, digest))
-        if blob is None:
-            return None
-        index = decode_entry(blob)
-        if (
-            index is None
-            or index.get("experiment") != name
-            or index.get("result_digest") != digest
-            or not isinstance(index.get("files"), dict)
-        ):
-            return None
-        written: List[str] = []
-        for rel, key in sorted(index["files"].items()):
-            data = store.get(str(key))
-            if data is None or content_digest(data) != key:
-                return None
-            path = os.path.join(out_dir, *str(rel).split("/"))
-            try:
-                os.makedirs(os.path.dirname(path), exist_ok=True)
-                with open(path, "wb") as handle:
-                    handle.write(data)
-            except OSError as exc:
-                raise ArtifactError(
-                    f"cannot materialize {rel!r} under {out_dir!r}: {exc}"
-                ) from exc
-            written.append(str(rel))
-        return sorted(written)
 
     def finalize(self) -> str:
         """Write ``manifest.json`` and return its path.

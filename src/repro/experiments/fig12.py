@@ -18,7 +18,7 @@ from repro.assays.library import GLUCOSE_ASSAY
 from repro.assays.runner import AssayResult, MultiplexedRunner
 from repro.errors import AssayError
 from repro.experiments.registry import BudgetPolicy, register
-from repro.faults.injection import FixedCountInjector
+from repro.faults.injection import fixed_count_faults
 from repro.reconfig.local import RepairPlan, plan_local_repair
 from repro.viz.ascii_art import render_chip, render_legend
 from repro.yieldsim.engine import SweepEngine
@@ -87,8 +87,8 @@ def run(
     """
     layout = redesigned_chip()
     chip = layout.chip
-    fault_map = FixedCountInjector(m).sample(chip, seed=seed)
-    fault_map.apply_to(chip)
+    faults = fixed_count_faults(chip, m, seed=seed)
+    chip.apply_fault_map(faults)
     plan = plan_local_repair(chip, needed=layout.used)
     rendering = render_chip(chip, used=layout.used, plan=plan)
 
@@ -101,7 +101,7 @@ def run(
         assay_result = results[0]
     return Fig12Result(
         layout=layout,
-        faults=tuple(sorted(fault_map.coords)),
+        faults=tuple(faults),
         plan=plan,
         rendering=rendering,
         assay_result=assay_result,

@@ -178,16 +178,6 @@ class Fig9FunctionalResult:
     matching: Tuple[SurvivalPoint, ...]
     functional: Tuple[SurvivalPoint, ...]
 
-    def gap_at(self, design: str, n: int, p: float) -> float:
-        for base, func in zip(self.matching, self.functional):
-            if (
-                base.design == design
-                and base.n == n
-                and abs(base.p - p) < 1e-9
-            ):
-                return base.yield_value - func.yield_value
-        raise KeyError(f"no point for {design} n={n} p={p}")
-
     def worst_gap(self, design: str) -> float:
         return max(
             base.yield_value - func.yield_value

@@ -1,25 +1,21 @@
-"""Manufacturing-fault models and seeded injection.
+"""Seeded manufacturing-fault draws for one chip instance.
 
-* :mod:`repro.faults.model` — the catastrophic fault kinds of Section 4
-  and the :class:`~repro.faults.model.FaultMap` container;
-* :mod:`repro.faults.injection` — Bernoulli (the paper's assumption) and
-  fixed-count (Figure 13) injectors.
+:mod:`repro.faults.injection` holds the Bernoulli draw (the paper's
+assumption) and the fixed-count draw (Figure 13); each returns the faulty
+coordinates, which :meth:`~repro.chip.biochip.Biochip.apply_fault_map`
+marks on the chip.
 """
 
 from repro.faults.injection import (
-    CATASTROPHIC_KINDS,
-    BernoulliInjector,
-    FixedCountInjector,
+    RngLike,
+    bernoulli_faults,
+    fixed_count_faults,
     make_rng,
 )
-from repro.faults.model import Fault, FaultKind, FaultMap
 
 __all__ = [
-    "Fault",
-    "FaultKind",
-    "FaultMap",
-    "BernoulliInjector",
-    "FixedCountInjector",
-    "CATASTROPHIC_KINDS",
+    "RngLike",
+    "bernoulli_faults",
+    "fixed_count_faults",
     "make_rng",
 ]

@@ -1,49 +1,33 @@
-"""Seeded fault injectors for yield simulation.
+"""Seeded fault draws for one chip instance.
 
-Two models cover the paper's assumptions:
+Two draws cover the paper's assumptions:
 
-* :class:`BernoulliInjector` — every cell fails independently with
+* :func:`bernoulli_faults` — every cell fails independently with
   probability ``q = 1 - p``.  This is the paper's stated assumption
   ("the failures of the cells are independent ... valid for random and
   small spot defects").
-* :class:`FixedCountInjector` — exactly ``m`` distinct cells fail, chosen
+* :func:`fixed_count_faults` — exactly ``m`` distinct cells fail, chosen
   uniformly; the model behind Figure 13 ("we randomly introduce m cell
   failures").
 
-Both return an object-level :class:`~repro.faults.model.FaultMap` for one
-chip instance (the Monte-Carlo engine samples survival matrices through
-the vectorized models of :mod:`repro.yieldsim.defects` instead), drawn
-from a ``numpy`` Generator so experiments are exactly reproducible from a
-seed.
+Both return the faulty coordinates of one chip instance, in coordinate
+order, ready for :meth:`~repro.chip.biochip.Biochip.apply_fault_map`.  A
+cell is simply good or faulty: the repair model never asks why it failed.
+(The Monte-Carlo engine samples survival matrices through the vectorized
+models of :mod:`repro.yieldsim.defects` instead.)  Draws come from a
+``numpy`` Generator so experiments are exactly reproducible from a seed.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+from typing import Hashable, List, Union
 
 import numpy as np
 
 from repro.chip.biochip import Biochip
 from repro.errors import FaultModelError
-from repro.faults.model import Fault, FaultKind, FaultMap
 
-__all__ = [
-    "make_rng",
-    "BernoulliInjector",
-    "FixedCountInjector",
-    "CATASTROPHIC_KINDS",
-]
-
-#: The catastrophic mechanisms, with the relative frequencies used when an
-#: injector needs to attribute a mechanism to a dead cell.  The yield model
-#: only cares that the cell is dead; the attribution is for reporting.
-CATASTROPHIC_KINDS = (
-    FaultKind.DIELECTRIC_BREAKDOWN,
-    FaultKind.ELECTRODE_SHORT,
-    FaultKind.OPEN_CONNECTION,
-)
-
-_DEFAULT_KIND_WEIGHTS = (0.3, 0.3, 0.4)
+__all__ = ["RngLike", "make_rng", "bernoulli_faults", "fixed_count_faults"]
 
 RngLike = Union[int, np.random.Generator, np.random.SeedSequence, None]
 
@@ -62,56 +46,23 @@ def make_rng(seed: RngLike = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _attribute_kinds(
-    count: int, rng: np.random.Generator, weights: Sequence[float] = _DEFAULT_KIND_WEIGHTS
-) -> List[FaultKind]:
-    picks = rng.choice(len(CATASTROPHIC_KINDS), size=count, p=list(weights))
-    return [CATASTROPHIC_KINDS[i] for i in picks]
+def bernoulli_faults(chip: Biochip, p: float, seed: RngLike = None) -> List[Hashable]:
+    """Cells that fail independently, each surviving with probability ``p``."""
+    if not 0.0 <= p <= 1.0:
+        raise FaultModelError(f"survival probability must be in [0, 1], got {p}")
+    coords = chip.coords
+    dead = np.flatnonzero(make_rng(seed).random(len(coords)) >= p)
+    return [coords[i] for i in dead]
 
 
-class BernoulliInjector:
-    """Independent per-cell failures with probability ``q = 1 - p``."""
-
-    def __init__(self, survival_probability: float):
-        if not 0.0 <= survival_probability <= 1.0:
-            raise FaultModelError(
-                f"survival probability must be in [0, 1], got {survival_probability}"
-            )
-        self.p = survival_probability
-        self.q = 1.0 - survival_probability
-
-    def sample(self, chip: Biochip, seed: RngLike = None) -> FaultMap:
-        """One fault map drawn from the model."""
-        rng = make_rng(seed)
-        coords = chip.coords
-        dead = np.nonzero(rng.random(len(coords)) >= self.p)[0]
-        kinds = _attribute_kinds(len(dead), rng)
-        return FaultMap(
-            Fault(coords[i], kind) for i, kind in zip(dead, kinds)
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetics
-        return f"BernoulliInjector(p={self.p})"
-
-
-class FixedCountInjector:
+def fixed_count_faults(chip: Biochip, m: int, seed: RngLike = None) -> List[Hashable]:
     """Exactly ``m`` faulty cells, uniformly random without replacement."""
-
-    def __init__(self, m: int):
-        if m < 0:
-            raise FaultModelError(f"fault count must be >= 0, got {m}")
-        self.m = m
-
-    def sample(self, chip: Biochip, seed: RngLike = None) -> FaultMap:
-        if self.m > len(chip):
-            raise FaultModelError(
-                f"cannot place {self.m} faults on a chip with {len(chip)} cells"
-            )
-        rng = make_rng(seed)
-        coords = chip.coords
-        picks = rng.choice(len(coords), size=self.m, replace=False)
-        kinds = _attribute_kinds(self.m, rng)
-        return FaultMap(Fault(coords[i], kind) for i, kind in zip(picks, kinds))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetics
-        return f"FixedCountInjector(m={self.m})"
+    if m < 0:
+        raise FaultModelError(f"fault count must be >= 0, got {m}")
+    coords = chip.coords
+    if m > len(coords):
+        raise FaultModelError(
+            f"cannot place {m} faults on a chip with {len(coords)} cells"
+        )
+    picks = make_rng(seed).choice(len(coords), size=m, replace=False)
+    return [coords[i] for i in np.sort(picks)]

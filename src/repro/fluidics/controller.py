@@ -87,10 +87,6 @@ class ElectrodeController:
     def droplets(self) -> List[Droplet]:
         return [self._droplets[uid] for uid in sorted(self._droplets)]
 
-    def droplet_at(self, logical: Hashable) -> Optional[Droplet]:
-        uid = self._occupied.get(logical)
-        return self._droplets.get(uid) if uid is not None else None
-
     def _enforce_spacing(self, moving: Droplet, allow_contact_with: Tuple[int, ...] = ()) -> None:
         """No two droplets on adjacent cells, except sanctioned merges.
 

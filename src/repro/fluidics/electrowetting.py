@@ -86,10 +86,6 @@ class ElectrowettingModel:
             )
         return self.pitch / v
 
-    def min_step_time(self) -> float:
-        """Seconds per move at full rated voltage (the fastest transport)."""
-        return self.pitch / self.max_velocity
-
 
 #: The paper's operating point: 90 V, 20 cm/s, 1.5 mm electrodes.
 DEFAULT_MODEL = ElectrowettingModel()

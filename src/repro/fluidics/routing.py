@@ -148,23 +148,6 @@ class Router:
                     )
         raise RoutingError(f"no usable route from {src} to {dst}")
 
-    def reachable(
-        self, src: Hashable, blocked: Iterable[Hashable] = ()
-    ) -> Set[Hashable]:
-        """All logical cells reachable from ``src`` avoiding ``blocked``."""
-        blocked_set = set(blocked)
-        if not self.usable(src, set()):
-            raise RoutingError(f"source cell {src} is not usable")
-        seen: Set[Hashable] = {src}
-        stack = [src]
-        while stack:
-            current = stack.pop()
-            for neighbor in self.neighbors(current):
-                if neighbor not in seen and self.usable(neighbor, blocked_set):
-                    seen.add(neighbor)
-                    stack.append(neighbor)
-        return seen
-
     def spacing_halo(self, droplet_cells: Iterable[Hashable]) -> Set[Hashable]:
         """Cells blocked by parked droplets: their cells plus all neighbors.
 

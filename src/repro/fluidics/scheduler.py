@@ -52,9 +52,6 @@ class Schedule:
     total_time: float = 0.0
     total_moves: int = 0
 
-    def events_for(self, droplet: str) -> List[TimelineEvent]:
-        return [e for e in self.events if e.droplet == droplet]
-
 
 class Scheduler:
     """Sequentially executes a protocol on one controller.

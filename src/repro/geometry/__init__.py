@@ -2,10 +2,10 @@
 
 Public surface:
 
-* :class:`~repro.geometry.hex.Hex` — axial hex coordinates with the full
-  neighborhood / metric / symmetry algebra;
-* region classes (:class:`~repro.geometry.hexgrid.RectRegion` etc.) — finite
-  biochip footprints;
+* :class:`~repro.geometry.hex.Hex` — axial hex coordinates with the
+  neighborhood and metric algebra;
+* :class:`~repro.geometry.hexgrid.RectRegion` and
+  :class:`~repro.geometry.hexgrid.FrozenRegion` — finite biochip footprints;
 * :class:`~repro.geometry.lattice.CongruenceLattice` — periodic spare-cell
   patterns;
 * :class:`~repro.geometry.square.Square` — the square-electrode baseline.
@@ -16,19 +16,13 @@ from repro.geometry.hex import (
     HEX_DIRECTIONS,
     Hex,
     axial_to_pixel,
-    hex_disk,
     hex_distance,
-    hex_line,
     hex_ring,
-    hex_round,
     hex_spiral,
-    pixel_to_axial,
 )
 from repro.geometry.hexgrid import (
     FrozenRegion,
-    HexagonRegion,
     HexRegion,
-    ParallelogramRegion,
     RectRegion,
     axial_to_offset,
     offset_to_axial,
@@ -52,15 +46,9 @@ __all__ = [
     "hex_distance",
     "hex_ring",
     "hex_spiral",
-    "hex_disk",
-    "hex_line",
-    "hex_round",
     "axial_to_pixel",
-    "pixel_to_axial",
     "HexRegion",
     "RectRegion",
-    "ParallelogramRegion",
-    "HexagonRegion",
     "FrozenRegion",
     "offset_to_axial",
     "axial_to_offset",

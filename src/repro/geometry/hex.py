@@ -11,16 +11,16 @@ in counter-clockwise order starting from "east", are::
 
     E=(+1, 0)  NE=(+1, -1)  NW=(0, -1)  W=(-1, 0)  SW=(-1, +1)  SE=(0, +1)
 
-Distances are the standard hex (cube) metric; rings, spirals, lines and the
-sixfold rotation group are provided because the redundancy-pattern code and
-the visualization layer both need them.
+Distances are the standard hex (cube) metric; rings and spirals are
+provided because the redundancy-pattern code and the visualization layer
+both need them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.errors import GeometryError
 
@@ -31,11 +31,7 @@ __all__ = [
     "hex_distance",
     "hex_ring",
     "hex_spiral",
-    "hex_disk",
-    "hex_line",
-    "hex_round",
     "axial_to_pixel",
-    "pixel_to_axial",
 ]
 
 
@@ -71,18 +67,6 @@ class Hex:
         """Implicit third cube coordinate (``q + r + s == 0``)."""
         return -self.q - self.r
 
-    @property
-    def cube(self) -> Tuple[int, int, int]:
-        """The full cube-coordinate triple ``(q, r, s)``."""
-        return (self.q, self.r, self.s)
-
-    @classmethod
-    def from_cube(cls, q: int, r: int, s: int) -> "Hex":
-        """Build from cube coordinates, checking the zero-sum invariant."""
-        if q + r + s != 0:
-            raise GeometryError(f"cube coordinates must sum to 0, got ({q}, {r}, {s})")
-        return cls(q, r)
-
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other: "Hex") -> "Hex":
         return Hex(self.q + other.q, self.r + other.r)
@@ -110,10 +94,6 @@ class Hex:
         """All six physically adjacent cells, CCW from east."""
         return [Hex(self.q + dq, self.r + dr) for dq, dr in HEX_DIRECTIONS]
 
-    def is_adjacent(self, other: "Hex") -> bool:
-        """True iff a droplet could move between the two cells in one step."""
-        return hex_distance(self, other) == 1
-
     # -- metric ------------------------------------------------------------
     def distance(self, other: "Hex") -> int:
         """Hex-lattice (minimum number of moves) distance to ``other``."""
@@ -122,18 +102,6 @@ class Hex:
     def length(self) -> int:
         """Distance from the origin."""
         return (abs(self.q) + abs(self.r) + abs(self.s)) // 2
-
-    # -- symmetry ----------------------------------------------------------
-    def rotate60(self, times: int = 1) -> "Hex":
-        """Rotate about the origin by ``times`` * 60 degrees CCW."""
-        q, r, s = self.cube
-        for _ in range(times % 6):
-            q, r, s = -s, -q, -r
-        return Hex(q, r)
-
-    def reflect_q(self) -> "Hex":
-        """Reflect across the q-axis (swap r and s)."""
-        return Hex(self.q, self.s)
 
     def __str__(self) -> str:  # pragma: no cover - repr cosmetics
         return f"({self.q},{self.r})"
@@ -178,61 +146,6 @@ def hex_spiral(center: Hex, max_radius: int) -> List[Hex]:
     return cells
 
 
-def hex_disk(center: Hex, radius: int) -> List[Hex]:
-    """All cells within ``radius`` of ``center`` (a filled hexagon).
-
-    Equivalent to :func:`hex_spiral` but generated directly; contains
-    ``3*radius*(radius+1) + 1`` cells.
-    """
-    if radius < 0:
-        raise GeometryError(f"disk radius must be >= 0, got {radius}")
-    cells: List[Hex] = []
-    for q in range(-radius, radius + 1):
-        r_lo = max(-radius, -q - radius)
-        r_hi = min(radius, -q + radius)
-        for r in range(r_lo, r_hi + 1):
-            cells.append(center + Hex(q, r))
-    return cells
-
-
-def hex_round(fq: float, fr: float) -> Hex:
-    """Round fractional axial coordinates to the nearest lattice cell."""
-    fs = -fq - fr
-    q = round(fq)
-    r = round(fr)
-    s = round(fs)
-    dq = abs(q - fq)
-    dr = abs(r - fr)
-    ds = abs(s - fs)
-    if dq > dr and dq > ds:
-        q = -r - s
-    elif dr > ds:
-        r = -q - s
-    return Hex(int(q), int(r))
-
-
-def hex_line(a: Hex, b: Hex) -> List[Hex]:
-    """The cells on the straight lattice line from ``a`` to ``b`` inclusive.
-
-    Uses linear interpolation in cube space with per-step rounding; the
-    result has ``distance(a, b) + 1`` cells and consecutive cells are
-    adjacent, so it is a legal droplet path on a fault-free array.
-    """
-    n = hex_distance(a, b)
-    if n == 0:
-        return [a]
-    cells: List[Hex] = []
-    # Nudge to break ties deterministically when the line passes through
-    # cell corners.
-    eps = 1e-6
-    for i in range(n + 1):
-        t = i / n
-        fq = a.q + (b.q - a.q) * t + eps * t
-        fr = a.r + (b.r - a.r) * t + eps * t
-        cells.append(hex_round(fq, fr))
-    return cells
-
-
 def axial_to_pixel(h: Hex, size: float = 1.0) -> Tuple[float, float]:
     """Center of cell ``h`` in Cartesian coordinates ("pointy-top" layout).
 
@@ -241,12 +154,3 @@ def axial_to_pixel(h: Hex, size: float = 1.0) -> Tuple[float, float]:
     x = size * (math.sqrt(3.0) * h.q + math.sqrt(3.0) / 2.0 * h.r)
     y = size * (1.5 * h.r)
     return (x, y)
-
-
-def pixel_to_axial(x: float, y: float, size: float = 1.0) -> Hex:
-    """Inverse of :func:`axial_to_pixel` (nearest cell)."""
-    if size <= 0:
-        raise GeometryError(f"hex size must be positive, got {size}")
-    fq = (math.sqrt(3.0) / 3.0 * x - 1.0 / 3.0 * y) / size
-    fr = (2.0 / 3.0 * y) / size
-    return hex_round(fq, fr)

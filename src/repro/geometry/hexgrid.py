@@ -1,32 +1,25 @@
 """Finite regions of the hexagonal lattice.
 
 A biochip occupies a finite region of the infinite hex lattice.  The paper's
-arrays are drawn as rectangles of close-packed hexagons; we support the three
-region shapes that occur in practice:
-
-* :class:`RectRegion` — ``cols x rows`` in *offset* layout (odd-r shifted),
-  the shape of the arrays in Figures 3-6 and of the diagnostics chip;
-* :class:`ParallelogramRegion` — axial-aligned parallelogram, convenient for
-  sublattice math;
-* :class:`HexagonRegion` — a radius-R filled hexagon.
+arrays are drawn as rectangles of close-packed hexagons:
+:class:`RectRegion` is ``cols x rows`` in *offset* layout (odd-r shifted),
+the shape of the arrays in Figures 3-6 and of the diagnostics chip;
+:class:`FrozenRegion` is an arbitrary explicit cell set.
 
 All regions are immutable, iterable in deterministic order, and support
-membership tests, boundary queries and neighbor queries restricted to the
-region.
+membership tests and neighbor queries restricted to the region.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Set, Tuple
 
 from repro.errors import GeometryError
-from repro.geometry.hex import Hex, hex_disk
+from repro.geometry.hex import Hex
 
 __all__ = [
     "HexRegion",
     "RectRegion",
-    "ParallelogramRegion",
-    "HexagonRegion",
     "FrozenRegion",
     "offset_to_axial",
     "axial_to_offset",
@@ -98,46 +91,17 @@ class HexRegion:
         """Number of in-region neighbors (6 for interior cells)."""
         return len(self.neighbors_in(h))
 
-    def is_boundary(self, h: Hex) -> bool:
-        """True iff ``h`` is in the region but has < 6 in-region neighbors."""
-        if h not in self._cell_set:
-            raise GeometryError(f"{h} is not in the region")
-        return self.degree(h) < 6
-
     def interior(self) -> List[Hex]:
         """Cells whose full 6-neighborhood lies inside the region."""
         return [h for h in self._cells if self.degree(h) == 6]
-
-    def boundary(self) -> List[Hex]:
-        """Cells with at least one neighbor outside the region."""
-        return [h for h in self._cells if self.degree(h) < 6]
 
     # -- set algebra ----------------------------------------------------------
     def union(self, other: "HexRegion") -> "FrozenRegion":
         return FrozenRegion(self._cell_set | other._cell_set)
 
-    def intersection(self, other: "HexRegion") -> "FrozenRegion":
-        common = self._cell_set & other._cell_set
-        if not common:
-            raise GeometryError("regions do not intersect")
-        return FrozenRegion(common)
-
-    def difference(self, other: "HexRegion") -> "FrozenRegion":
-        rest = self._cell_set - other._cell_set
-        if not rest:
-            raise GeometryError("difference is empty")
-        return FrozenRegion(rest)
-
     def translated(self, offset: Hex) -> "FrozenRegion":
         """The region shifted by ``offset``."""
         return FrozenRegion(h + offset for h in self._cells)
-
-    # -- misc -----------------------------------------------------------------
-    def bounding_box(self) -> Tuple[int, int, int, int]:
-        """``(q_min, q_max, r_min, r_max)`` over the region's cells."""
-        qs = [h.q for h in self._cells]
-        rs = [h.r for h in self._cells]
-        return (min(qs), max(qs), min(rs), max(rs))
 
     def is_connected(self) -> bool:
         """True iff the region is one connected component under adjacency."""
@@ -171,59 +135,5 @@ class RectRegion(HexRegion):
         cells = [offset_to_axial(c, r) for r in range(rows) for c in range(cols)]
         super().__init__(cells)
 
-    def cell_at(self, col: int, row: int) -> Hex:
-        """The cell at offset coordinates ``(col, row)``."""
-        if not (0 <= col < self.cols and 0 <= row < self.rows):
-            raise GeometryError(
-                f"offset ({col},{row}) outside {self.cols}x{self.rows} rectangle"
-            )
-        return offset_to_axial(col, row)
-
-    def rows_of_cells(self) -> List[List[Hex]]:
-        """Cells grouped by row, left to right — used by renderers."""
-        return [
-            [offset_to_axial(c, r) for c in range(self.cols)] for r in range(self.rows)
-        ]
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetics
         return f"RectRegion({self.cols}x{self.rows})"
-
-
-class ParallelogramRegion(HexRegion):
-    """Axial-aligned parallelogram: ``q in [q0, q0+w)``, ``r in [r0, r0+h)``."""
-
-    def __init__(self, width: int, height: int, q0: int = 0, r0: int = 0):
-        if width < 1 or height < 1:
-            raise GeometryError(
-                f"parallelogram must be at least 1x1, got {width}x{height}"
-            )
-        self.width = width
-        self.height = height
-        self.q0 = q0
-        self.r0 = r0
-        cells = [
-            Hex(q, r)
-            for q in range(q0, q0 + width)
-            for r in range(r0, r0 + height)
-        ]
-        super().__init__(cells)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetics
-        return (
-            f"ParallelogramRegion({self.width}x{self.height}, "
-            f"origin=({self.q0},{self.r0}))"
-        )
-
-
-class HexagonRegion(HexRegion):
-    """A filled hexagon of given radius around a center cell."""
-
-    def __init__(self, radius: int, center: Optional[Hex] = None):
-        if radius < 0:
-            raise GeometryError(f"hexagon radius must be >= 0, got {radius}")
-        self.radius = radius
-        self.center = center if center is not None else Hex(0, 0)
-        super().__init__(hex_disk(self.center, radius))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetics
-        return f"HexagonRegion(radius={self.radius}, center={self.center})"

@@ -56,10 +56,6 @@ class CongruenceLattice:
     def __contains__(self, h: Hex) -> bool:
         return (self.a * h.q + self.b * h.r) % self.m == self.c
 
-    def contains(self, h: Hex) -> bool:
-        """Alias of ``in`` for readability at call sites."""
-        return h in self
-
     def translated(self, offset: Hex) -> "CongruenceLattice":
         """The same lattice shifted by ``offset`` (a coset)."""
         new_c = (self.c + self.a * offset.q + self.b * offset.r) % self.m
@@ -87,9 +83,6 @@ class IntersectionLattice:
 
     def __contains__(self, h: Hex) -> bool:
         return all(h in part for part in self.parts)
-
-    def contains(self, h: Hex) -> bool:
-        return h in self
 
     def translated(self, offset: Hex) -> "IntersectionLattice":
         return IntersectionLattice([p.translated(offset) for p in self.parts])

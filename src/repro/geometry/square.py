@@ -37,9 +37,6 @@ class Square:
         """The four orthogonally adjacent cells (N, E, S, W)."""
         return [Square(self.x + dx, self.y + dy) for dx, dy in SQUARE_DIRECTIONS]
 
-    def is_adjacent(self, other: "Square") -> bool:
-        return square_distance(self, other) == 1
-
     def distance(self, other: "Square") -> int:
         return square_distance(self, other)
 
@@ -86,14 +83,6 @@ class SquareRegion:
 
     def degree(self, s: Square) -> int:
         return len(self.neighbors_in(s))
-
-    def is_boundary(self, s: Square) -> bool:
-        if s not in self._cell_set:
-            raise GeometryError(f"{s} is not in the region")
-        return self.degree(s) < 4
-
-    def boundary(self) -> List[Square]:
-        return [s for s in self._cells if self.degree(s) < 4]
 
     def interior(self) -> List[Square]:
         return [s for s in self._cells if self.degree(s) == 4]

@@ -9,9 +9,9 @@ Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
 Span identity is deterministic: names, categories, and args derive from
 logical-unit digests (the same ``unit_digest`` the ``FaultSchedule``
 keys on), point indices, and fold counters — never from wall-clock
-values.  :meth:`Tracer.span_tree` strips the volatile fields
-(timestamps, durations, pids, tids) and returns the canonical event
-sequence, which is byte-for-byte reproducible for a fixed seed on a
+values.  :func:`span_signature` strips the volatile fields
+(timestamps, durations, pids, tids) from :meth:`Tracer.to_dict` and
+returns the canonical event sequence, which is byte-for-byte reproducible for a fixed seed on a
 deterministic executor; ``tests/test_obs.py`` pins that.
 
 Tracers are cheap and thread-safe; an unused tracer costs one lock and
@@ -120,10 +120,6 @@ class Tracer:
             json.dump(self.to_dict(), fh, indent=None,
                       separators=(",", ":"), sort_keys=True)
             fh.write("\n")
-
-    def span_tree(self) -> List[Dict[str, Any]]:
-        """Canonical, timestamp-free event sequence (see module docs)."""
-        return span_signature(self.to_dict())
 
 
 def span_signature(trace: Dict[str, Any]) -> List[Dict[str, Any]]:

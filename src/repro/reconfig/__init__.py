@@ -22,7 +22,6 @@ from repro.reconfig.bipartite import (
 from repro.reconfig.local import (
     RepairPlan,
     build_repair_graph,
-    is_repairable,
     plan_local_repair,
 )
 from repro.reconfig.remap import CellRemap
@@ -43,7 +42,6 @@ __all__ = [
     "RepairPlan",
     "build_repair_graph",
     "plan_local_repair",
-    "is_repairable",
     "CellRemap",
     "ShiftedPlan",
     "plan_shifted_replacement",

@@ -25,10 +25,9 @@ from repro.reconfig.bipartite import (
     BipartiteGraph,
     Matching,
     maximum_matching,
-    saturates_left,
 )
 
-__all__ = ["RepairPlan", "build_repair_graph", "plan_local_repair", "is_repairable"]
+__all__ = ["RepairPlan", "build_repair_graph", "plan_local_repair"]
 
 
 @dataclass(frozen=True)
@@ -52,14 +51,6 @@ class RepairPlan:
     @property
     def spares_used(self) -> int:
         return len(self.assignment)
-
-    def spare_for(self, coord: Hashable) -> Hashable:
-        try:
-            return self.assignment[coord]
-        except KeyError:
-            raise ReconfigurationError(
-                f"{coord} was not repaired by this plan"
-            ) from None
 
     def validate_against(self, chip: Biochip) -> None:
         """Check plan invariants on ``chip``: adjacency, roles, health.
@@ -151,12 +142,3 @@ def plan_local_repair(
             f"(first: {list(unrepaired)[:3]})"
         )
     return plan
-
-
-def is_repairable(
-    chip: Biochip, needed: Optional[Iterable[Hashable]] = None
-) -> bool:
-    """True iff local reconfiguration can cover every needed faulty primary."""
-    graph = build_repair_graph(chip, needed)
-    matching = maximum_matching(graph, "hopcroft-karp")
-    return saturates_left(graph, matching)

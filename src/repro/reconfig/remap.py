@@ -10,7 +10,7 @@ microcontroller would after reconfiguration.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
 from repro.chip.biochip import Biochip
 from repro.errors import ReconfigurationError
@@ -65,13 +65,6 @@ class CellRemap:
     def logical(self, physical: Hashable) -> Hashable:
         """The logical coordinate served by ``physical`` (inverse map)."""
         return self._to_logical.get(physical, physical)
-
-    def is_remapped(self, logical: Hashable) -> bool:
-        return logical in self._to_physical
-
-    def physical_path(self, logical_path: Iterable[Hashable]) -> List[Hashable]:
-        """Translate a whole logical droplet route to physical cells."""
-        return [self.physical(coord) for coord in logical_path]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetics
         return (

@@ -52,18 +52,6 @@ class ShiftedPlan:
     fault_free_modules_reconfigured: Tuple[str, ...]
     cells_remapped: int
 
-    def physical_row(self, logical_row: int) -> int:
-        try:
-            return self.row_remap[logical_row]
-        except KeyError:
-            raise ReconfigurationError(
-                f"logical row {logical_row} is not a module row"
-            ) from None
-
-    def physical_cell(self, logical: Square) -> Square:
-        """Translate a logical module cell to its post-repair position."""
-        return Square(logical.x, self.physical_row(logical.y))
-
 
 def plan_shifted_replacement(
     array: SpareRowArray, faults: Iterable[Square]

@@ -128,6 +128,10 @@ class ServeConfig:
         # max_inflight=0 refuses every new computation with 503 forever.
         if self.max_runs < 1:
             raise ServeError(f"max_runs must be >= 1, got {self.max_runs}")
+        if self.max_body_bytes < 1:
+            raise ServeError(
+                f"max_body_bytes must be >= 1, got {self.max_body_bytes}"
+            )
         if self.request_timeout is not None and self.request_timeout <= 0:
             raise ServeError(
                 f"request_timeout must be > 0, got {self.request_timeout}"
@@ -529,7 +533,15 @@ class ReproServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
+        try:
+            length = int(headers.get("content-length", 0) or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            await self._send_error(
+                writer, 400, "Content-Length must be a non-negative integer"
+            )
+            return
         if length > self.config.max_body_bytes:
             await self._send_error(
                 writer, 413, f"body exceeds {self.config.max_body_bytes} bytes"

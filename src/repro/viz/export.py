@@ -1,21 +1,20 @@
-"""Tabular export of experiment series: CSV and JSON, plus readers.
+"""Tabular export of experiment series: CSV and JSON.
 
 Experiment drivers expose their rows as plain sequences; these writers
 keep the on-disk formats trivial (RFC-4180 CSV via the stdlib, one JSON
 object with ``headers``/``rows`` keys) so results can be re-plotted or
-diffed with any external tool.  The matching readers exist so artifact
-round-trips can be verified without hand-rolled parsing in every test.
+diffed with any external tool.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from typing import IO, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import IO, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.errors import ReproError
 
-__all__ = ["write_csv", "read_csv", "write_json", "read_json"]
+__all__ = ["write_csv", "write_json"]
 
 
 def _validated_rows(
@@ -59,27 +58,6 @@ def write_csv(
     return _write(destination)
 
 
-def read_csv(source: Union[str, IO[str]]) -> Tuple[List[str], List[List[str]]]:
-    """Read a CSV written by :func:`write_csv` back as (header, rows).
-
-    All cells come back as strings — CSV has no types — which is exactly
-    what round-trip checks compare against ``str()`` of the driver rows.
-    """
-
-    def _read(handle: IO[str]) -> Tuple[List[str], List[List[str]]]:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ReproError("CSV file is empty") from None
-        return header, [list(row) for row in reader]
-
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
-            return _read(handle)
-    return _read(source)
-
-
 def write_json(
     destination: Union[str, IO[str]],
     header: Sequence[str],
@@ -114,34 +92,3 @@ def write_json(
         with open(destination, "w", encoding="utf-8") as handle:
             return _write(handle)
     return _write(destination)
-
-
-def read_json(source: Union[str, IO[str]]) -> Dict[str, object]:
-    """Read a JSON table written by :func:`write_json`.
-
-    Validates the ``headers``/``rows`` shape (present, consistent widths)
-    and returns the whole object, metadata included.
-    """
-
-    def _read(handle: IO[str]) -> Dict[str, object]:
-        payload = json.load(handle)
-        if not isinstance(payload, dict) or "headers" not in payload or "rows" not in payload:
-            raise ReproError("JSON table must be an object with headers and rows")
-        header = payload["headers"]
-        if not isinstance(header, list) or not header:
-            raise ReproError("JSON table headers must be a non-empty list")
-        if not isinstance(payload["rows"], list):
-            raise ReproError("JSON table rows must be a list")
-        for i, row in enumerate(payload["rows"]):
-            if not isinstance(row, list):
-                raise ReproError(f"row {i} is not a list")
-            if len(row) != len(header):
-                raise ReproError(
-                    f"row {i} has {len(row)} fields, header has {len(header)}"
-                )
-        return payload
-
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            return _read(handle)
-    return _read(source)

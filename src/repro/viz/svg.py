@@ -15,7 +15,7 @@ from repro.geometry.hex import Hex, axial_to_pixel
 from repro.geometry.square import Square
 from repro.reconfig.local import RepairPlan
 
-__all__ = ["chip_to_svg", "write_svg"]
+__all__ = ["chip_to_svg"]
 
 _COLORS = {
     "primary": "#9ecae1",
@@ -133,15 +133,3 @@ def chip_to_svg(
         f'viewBox="0 0 {width:.0f} {height:.0f}">\n'
         f"{defs}\n" + "\n".join(shapes) + "\n</svg>\n"
     )
-
-
-def write_svg(
-    chip: Biochip,
-    path: str,
-    used: Iterable[Hashable] = (),
-    plan: Optional[RepairPlan] = None,
-    cell_size: float = 14.0,
-) -> None:
-    """Render ``chip`` and write the SVG document to ``path``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(chip_to_svg(chip, used=used, plan=plan, cell_size=cell_size))

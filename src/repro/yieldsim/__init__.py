@@ -44,7 +44,6 @@ from repro.yieldsim.sweeps import (
     DefectCountPoint,
     DefectModelPoint,
     SurvivalPoint,
-    analytical_curves_dtmb16,
     default_engine,
     defect_count_sweep,
     defect_model_sweep,
@@ -84,6 +83,5 @@ __all__ = [
     "survival_sweep",
     "defect_count_sweep",
     "defect_model_sweep",
-    "analytical_curves_dtmb16",
     "DEFAULT_P_GRID",
 ]

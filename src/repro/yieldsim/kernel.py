@@ -168,6 +168,11 @@ class RepairStructure:
             for d, s in enumerate(lst):
                 self.adj_pos[j, d] = pos_of[s]
                 self.adj_mask[j, d] = True
+        #: :attr:`adj` in candidate positions, same order — the Kuhn
+        #: residue's adjacency over a (S,) candidate-availability row.
+        self.adj_cand: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(pos_of[s] for s in lst) for lst in self.adj
+        )
         #: (k, S) float32 incidence matrix for the demand matmul.
         self.inc = np.zeros((self.needed_count, max(self.n_cand, 1)), dtype=np.float32)
         for j, lst in enumerate(self.adj):
@@ -209,8 +214,10 @@ def kuhn_repairable(
 ) -> bool:
     """Kuhn matching feasibility: can every faulty primary get a spare?
 
-    ``adj`` maps protected-primary positions to adjacent spare cell
-    indices; ``alive`` is the per-cell survival row.  Correctness rests on
+    ``adj`` maps protected-primary positions to adjacent spare indices;
+    ``alive`` flags the usable spares at those indices (a per-cell
+    survival row, or the screen's per-candidate availability row over
+    :attr:`RepairStructure.adj_cand`).  Correctness rests on
     the standard augmenting-path theorem: if a left vertex cannot be
     augmented at the moment it is processed, it is exposed in *some*
     maximum matching, so no saturating matching exists and we can stop.
@@ -230,39 +237,6 @@ def kuhn_repairable(
 
     for j in faulty_positions:
         if not try_augment(j, set()):
-            return False
-    return True
-
-
-def _kuhn_reduced(
-    struct: RepairStructure, fa_row: np.ndarray, ca_row: np.ndarray
-) -> bool:
-    """Exact matching on a peeled residual problem.
-
-    ``fa_row`` flags the still-unmatched faulty primaries (length k);
-    ``ca_row`` flags the still-available surviving candidate spares
-    (length S).  Peeling is feasibility-preserving, so the answer here is
-    the answer for the original fault map.
-    """
-    adj_pos, adj_mask = struct.adj_pos, struct.adj_mask
-    match_right: Dict[int, int] = {}
-
-    def try_augment(j: int, visited: Set[int]) -> bool:
-        for d in range(adj_pos.shape[1]):
-            if not adj_mask[j, d]:
-                continue
-            s = int(adj_pos[j, d])
-            if not ca_row[s] or s in visited:
-                continue
-            visited.add(s)
-            owner = match_right.get(s)
-            if owner is None or try_augment(owner, visited):
-                match_right[s] = j
-                return True
-        return False
-
-    for j in np.nonzero(fa_row)[0]:
-        if not try_augment(int(j), set()):
             return False
     return True
 
@@ -479,7 +453,10 @@ def classify_repairable(
         residue = np.nonzero(~(hall_bad | hall_good))[0]
         stats.residue = int(residue.size)
         for row in residue:
-            good = _kuhn_reduced(struct, fa[row], ca[row])
+            # Peeling is feasibility-preserving, so matching the still-
+            # unmatched faulty primaries onto the still-available
+            # candidates decides the original fault map.
+            good = kuhn_repairable(struct.adj_cand, np.flatnonzero(fa[row]), ca[row])
             verdict[rows[row]] = GOOD if good else BAD
             stats.residue_good += int(good)
     return verdict, stats

@@ -18,13 +18,11 @@ bit-identical to the default serial engine either way.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.chip.biochip import Biochip
 from repro.designs.interstitial import build_with_primary_count
 from repro.designs.spec import DesignSpec
-from repro.errors import SimulationError
-from repro.yieldsim.analytical import dtmb16_yield, yield_no_redundancy
 from repro.yieldsim.defects import DefectModel
 from repro.yieldsim.effective import chip_effective_yield
 from repro.yieldsim.engine import EnginePoint, SweepEngine
@@ -39,7 +37,6 @@ __all__ = [
     "survival_sweep",
     "defect_count_sweep",
     "defect_model_sweep",
-    "analytical_curves_dtmb16",
     "default_engine",
 ]
 
@@ -281,20 +278,3 @@ def defect_model_sweep(
         )
         for model, estimate in zip(models, estimates)
     ]
-
-
-def analytical_curves_dtmb16(
-    ns: Sequence[int], ps: Sequence[float] = DEFAULT_P_GRID
-) -> Dict[str, List[Tuple[float, float]]]:
-    """The Figure 7 series: DTMB(1,6) analytical yield vs no-redundancy.
-
-    Returns named series ``"DTMB(1,6) n=<n>"`` and ``"no spares n=<n>"``
-    so renderers can plot them directly.
-    """
-    if not ns:
-        raise SimulationError("need at least one primary count")
-    series: Dict[str, List[Tuple[float, float]]] = {}
-    for n in ns:
-        series[f"DTMB(1,6) n={n}"] = [(p, dtmb16_yield(p, n)) for p in ps]
-        series[f"no spares n={n}"] = [(p, yield_no_redundancy(p, n)) for p in ps]
-    return series

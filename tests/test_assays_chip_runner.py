@@ -15,7 +15,7 @@ from repro.assays.library import GLUCOSE_ASSAY, PANEL
 from repro.assays.runner import CalibrationCurve, MultiplexedRunner
 from repro.assays.chemistry import Species
 from repro.errors import AssayError
-from repro.faults.injection import FixedCountInjector
+from repro.faults.injection import fixed_count_faults
 
 
 class TestFabricatedChip:
@@ -74,9 +74,8 @@ class TestRedesignedChip:
             assert site in set(layout.used)
 
     def test_labels_present(self, layout):
-        assert layout.chip.cells_labeled("MIXER1")
-        assert layout.chip.cells_labeled("DETECTOR1")
-        assert layout.chip.cells_labeled("SAMPLE1")
+        labels = {c.label for c in layout.chip}
+        assert {"MIXER1", "DETECTOR1", "SAMPLE1"} <= labels
 
     def test_deterministic_construction(self, layout):
         again = redesigned_chip()
@@ -133,9 +132,7 @@ class TestMultiplexedRunner:
 
     def test_runs_after_repairing_faults(self):
         layout = redesigned_chip()
-        FixedCountInjector(10).sample(layout.chip, seed=2005).apply_to(
-            layout.chip
-        )
+        layout.chip.apply_fault_map(fixed_count_faults(layout.chip, 10, seed=2005))
         runner = MultiplexedRunner(layout)
         results = runner.run_panel({Species.GLUCOSE: 5e-3})
         assert results[0].relative_error < 0.02

@@ -4,12 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.designs.catalog import DTMB_1_6, DTMB_2_6, DTMB_4_4, TABLE1_DESIGNS
+from repro.designs.catalog import DTMB_1_6, TABLE1_DESIGNS
 from repro.designs.interstitial import build_with_primary_count
-from repro.designs.selector import (
-    recommend_design,
-    required_survival_probability,
-)
+from repro.designs.selector import recommend_design
 from repro.errors import DesignError, SimulationError
 from repro.yieldsim.montecarlo import YieldSimulator
 
@@ -70,32 +67,6 @@ class TestRecommendDesign:
             assert design.name in report
 
 
-class TestRequiredSurvivalProbability:
-    def test_heavier_design_tolerates_worse_cells(self):
-        p_light = required_survival_probability(
-            DTMB_2_6, 0.9, n=60, runs=1200, seed=7
-        )
-        p_heavy = required_survival_probability(
-            DTMB_4_4, 0.9, n=60, runs=1200, seed=7
-        )
-        assert p_heavy <= p_light + 0.01
-
-    def test_result_actually_achieves_target(self):
-        target = 0.85
-        p_req = required_survival_probability(
-            DTMB_2_6, target, n=60, runs=1500, seed=8
-        )
-        chip = build_with_primary_count(DTMB_2_6, 60).build()
-        est = YieldSimulator(chip).run_survival(p_req, runs=4000, seed=9)
-        assert est.value >= target - 0.04  # MC noise allowance
-
-    def test_validation(self):
-        with pytest.raises(SimulationError):
-            required_survival_probability(DTMB_2_6, 1.0)
-        with pytest.raises(SimulationError):
-            required_survival_probability(DTMB_2_6, 0.0)
-
-
 class TestBruteForceOracle:
     """The selector's kernel estimates equal the brute-force simulator's."""
 
@@ -108,21 +79,3 @@ class TestBruteForceOracle:
             expected = YieldSimulator(chip).run_survival(0.95, runs=700, seed=11 + i)
             assert name == spec.name
             assert estimate == expected
-
-    def test_required_probability_equals_simulator_bisection(self):
-        target, runs, seed, tolerance = 0.85, 900, 12, 0.002
-        sim = YieldSimulator(build_with_primary_count(DTMB_2_6, 60).build())
-
-        def estimate(p):
-            return sim.run_survival(p, runs=runs, seed=seed).value
-
-        lo, hi = 0.5, 1.0
-        while hi - lo > tolerance:
-            mid = (lo + hi) / 2.0
-            if estimate(mid) >= target:
-                hi = mid
-            else:
-                lo = mid
-        assert required_survival_probability(
-            DTMB_2_6, target, n=60, runs=runs, seed=seed, tolerance=tolerance
-        ) == hi

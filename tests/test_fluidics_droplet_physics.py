@@ -101,7 +101,6 @@ class TestElectrowettingModel:
     def test_step_time(self):
         t = DEFAULT_MODEL.step_time(90.0)
         assert t == pytest.approx(DEFAULT_MODEL.pitch / 0.20)
-        assert DEFAULT_MODEL.min_step_time() == pytest.approx(t)
 
     def test_step_time_below_threshold_rejected(self):
         with pytest.raises(FluidicsError):

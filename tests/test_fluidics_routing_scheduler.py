@@ -79,15 +79,6 @@ class TestRouter:
         with pytest.raises(RoutingError):
             router.route(offset_to_axial(0, 0), offset_to_axial(0, 4))
 
-    def test_reachable_excludes_far_side_of_wall(self):
-        chip = plain_chip(RectRegion(5, 5))
-        for col in range(5):
-            chip.mark_faulty(offset_to_axial(col, 2))
-        router = Router(chip)
-        reachable = router.reachable(offset_to_axial(0, 0))
-        assert offset_to_axial(0, 4) not in reachable
-        assert offset_to_axial(4, 1) in reachable
-
     def test_spacing_halo_contains_cell_and_neighbors(self, chip):
         router = Router(chip)
         center = offset_to_axial(4, 4)
@@ -107,7 +98,7 @@ class TestRouter:
             c.coord
             for c in chip.primaries()
             if len(chip.adjacent_spares(c.coord)) == 2
-            and not chip.is_boundary(c.coord)
+            and chip.degree(c.coord) == 6
         )
         chip.mark_faulty(victim)
         remap = CellRemap(chip, plan_local_repair(chip))

@@ -27,10 +27,6 @@ class TestCongruenceLattice:
         assert Hex(1, 2) in lat  # 1 + 6 = 7
         assert Hex(1, 0) not in lat
 
-    def test_contains_alias(self):
-        lat = CongruenceLattice(1, 0, 2)
-        assert lat.contains(Hex(2, 5)) == (Hex(2, 5) in lat)
-
     @given(hexes)
     def test_periodicity(self, h):
         lat = CongruenceLattice(a=1, b=3, m=7)

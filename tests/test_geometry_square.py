@@ -31,7 +31,6 @@ class TestSquare:
     @given(squares)
     def test_neighbors_at_distance_one(self, a):
         for n in a.neighbors():
-            assert a.is_adjacent(n)
             assert square_distance(a, n) == 1
 
     def test_arithmetic(self):
@@ -53,18 +52,13 @@ class TestSquareRegion:
     def test_boundary_interior_partition(self):
         region = SquareRegion(5, 5)
         interior = set(region.interior())
-        boundary = set(region.boundary())
-        assert interior | boundary == set(region.cells)
         assert len(interior) == 9  # the inner 3x3
+        assert all(region.degree(s) < 4 for s in set(region.cells) - interior)
 
     def test_neighbors_in_clipped_at_edges(self):
         region = SquareRegion(3, 3)
         assert len(region.neighbors_in(Square(0, 0))) == 2
         assert len(region.neighbors_in(Square(1, 1))) == 4
-
-    def test_is_boundary_raises_outside(self):
-        with pytest.raises(GeometryError):
-            SquareRegion(2, 2).is_boundary(Square(9, 9))
 
     def test_degenerate_rejected(self):
         with pytest.raises(GeometryError):

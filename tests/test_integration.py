@@ -16,11 +16,11 @@ from repro.assays.runner import MultiplexedRunner
 from repro.designs.catalog import DTMB_2_6
 from repro.designs.interstitial import build_chip
 from repro.errors import AssayError
-from repro.faults.injection import BernoulliInjector, FixedCountInjector
+from repro.faults.injection import bernoulli_faults, fixed_count_faults
 from repro.fluidics.controller import ElectrodeController
 from repro.fluidics.scheduler import Scheduler
 from repro.geometry.hexgrid import RectRegion
-from repro.reconfig.local import is_repairable, plan_local_repair
+from repro.reconfig.local import plan_local_repair
 from repro.reconfig.remap import CellRemap
 from repro.viz.ascii_art import render_chip
 from repro.yieldsim.montecarlo import YieldSimulator
@@ -34,9 +34,9 @@ class TestManufactureTestRepairOperate:
 
         # 1. Manufacturing defects appear; perfect diagnosis reports
         #    exactly the injected map.
-        faults = FixedCountInjector(3).sample(chip, seed=99)
-        faults.apply_to(chip)
-        assert {c.coord for c in chip.faulty_cells()} == faults.coords
+        faults = fixed_count_faults(chip, 3, seed=99)
+        chip.apply_fault_map(faults)
+        assert [c.coord for c in chip.faulty_cells()] == faults
 
         # 2. Local reconfiguration repairs the faulty primaries.
         repair = plan_local_repair(chip)
@@ -45,7 +45,7 @@ class TestManufactureTestRepairOperate:
         remap = CellRemap(chip, repair)
 
         # 3. Every faulty primary is served by an adjacent good spare.
-        faulty_primaries = {c for c in faults.coords if chip[c].is_primary}
+        faulty_primaries = {c for c in faults if chip[c].is_primary}
         assert set(repair.assignment) == faulty_primaries
         for primary, spare in repair.assignment.items():
             assert remap.physical(primary) == spare
@@ -72,7 +72,7 @@ class TestManufactureTestRepairOperate:
 
     def test_rendering_roundtrip_consistency(self):
         chip = build_chip(DTMB_2_6, RectRegion(8, 8))
-        FixedCountInjector(4).sample(chip, seed=3).apply_to(chip)
+        chip.apply_fault_map(fixed_count_faults(chip, 4, seed=3))
         art_before = render_chip(chip)
         assert render_chip(chip.copy()) == art_before
 
@@ -93,13 +93,12 @@ class TestYieldStoryEndToEnd:
         # The vectorized simulator and the object-level repair API must
         # agree run for run.
         chip = build_chip(DTMB_2_6, RectRegion(10, 10))
-        injector = BernoulliInjector(0.95)
         explicit_successes = 0
         trials = 300
         for seed in range(trials):
             working = chip.copy()
-            injector.sample(working, seed=seed).apply_to(working)
-            if is_repairable(working):
+            working.apply_fault_map(bernoulli_faults(working, 0.95, seed=seed))
+            if plan_local_repair(working).complete:
                 explicit_successes += 1
         est = YieldSimulator(chip).run_survival(0.95, runs=trials, seed=1234)
         # Different random streams: agreement within a few sigma.
@@ -110,8 +109,8 @@ class TestAssayOnDamagedChip:
     def test_panel_accuracy_unchanged_by_repair(self):
         clean = MultiplexedRunner(redesigned_chip())
         damaged_layout = redesigned_chip()
-        FixedCountInjector(12).sample(damaged_layout.chip, seed=77).apply_to(
-            damaged_layout.chip
+        damaged_layout.chip.apply_fault_map(
+            fixed_count_faults(damaged_layout.chip, 12, seed=77)
         )
         try:
             damaged = MultiplexedRunner(damaged_layout)

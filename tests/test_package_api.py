@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import subprocess
@@ -61,6 +62,110 @@ def test_every_module_is_reachable_from_a_shipped_path():
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.split() == []
+
+
+#: Definitions nothing in ``src/repro`` names, each kept for a stated reason.
+#: Anything else that loses its last caller must be deleted, not listed.
+UNREFERENCED_ALLOWLIST = {
+    # The public API: `repro.__all__` is its only in-package mention.
+    "repro:get_engine": "public API",
+    "repro:run_experiment": "public API",
+    "repro:list_experiments": "public API",
+    # `@register` experiment functions, reached through the registry.
+    "repro.experiments.scenario_clustered:run_fig7_clustered": "registered experiment",
+    "repro.experiments.scenario_clustered:run_fig9_clustered": "registered experiment",
+    "repro.experiments.scenario_clustered:run_gradient": "registered experiment",
+    "repro.experiments.scenario_functional:run_fig7_functional": "registered experiment",
+    "repro.experiments.scenario_functional:run_fig9_functional": "registered experiment",
+    "repro.experiments.scenario_functional:run_multiplexed": "registered experiment",
+    # Oracles and test doubles the suite checks shipped code against.
+    "repro.yieldsim.montecarlo:YieldSimulator": "object-level oracle for the kernel",
+    "repro.yieldsim.montecarlo:YieldSimulator.run_survival": "oracle entry point",
+    "repro.yieldsim.montecarlo:YieldSimulator.run_fixed_faults": "oracle entry point",
+    "repro.yieldsim.exact:exact_yield": "exact-enumeration oracle",
+    "repro.functional.funnel:_FunnelContext._residue_run": "object-level residue oracle",
+    "repro.yieldsim.executors:InlineExecutor": "in-process executor for tests and perfbench",
+    "repro.yieldsim.resilience:FaultInjectingExecutor": "chaos-test double",
+    "repro.yieldsim.cachestore:FaultInjectingStore": "chaos-test double",
+    "repro.serve.app:BackgroundServer": "in-thread server for tests and smoke scripts",
+    # Validators the CI smoke scripts run over emitted telemetry.
+    "repro.obs.trace:validate_trace": "CI trace validator",
+    "repro.obs.events:validate_event_line": "CI event-log validator",
+    # Readers a benchmark or test uses to check other code.
+    "repro.obs.trace:span_signature": "checks trace determinism",
+    "repro.designs.catalog:table1_rows": "checks the catalog against Table 1",
+    "repro.experiments.fig2:Fig2Result.max_collateral": "checks the Fig. 2 cost series",
+    "repro.experiments.fig9:Fig9Result.yield_at": "reads Fig. 9 points in benches",
+    "repro.experiments.fig11:Fig11Result.yield_at": "reads Fig. 11 points in benches",
+    "repro.experiments.fig13:Fig13Result.yield_at": "reads Fig. 13 points in benches",
+    "repro.experiments.scenario_clustered:Fig9ClusteredResult.yield_at": "reads clustered points",
+    "repro.yieldsim.stats:YieldEstimate.consistent_with": "compares estimates in tests",
+    "repro.yieldsim.stats:YieldEstimate.clearly_above": "compares estimates in tests",
+    "repro.obs.counters:ScreenStats.screened": "checks kernel funnel counters",
+    "repro.obs.counters:CriterionStats.screened": "checks criterion funnel counters",
+    "repro.yieldsim.defects:SpotDefects.mean_kill_fraction": "checks the spot sampler's rate",
+    "repro.yieldsim.defects:RadialGradient.mean_survival": "checks the gradient sampler's rate",
+    "repro.chip.biochip:Biochip.is_connected": "checks the redesigned chip",
+    "repro.geometry.hexgrid:HexRegion.is_connected": "checks RectRegion",
+}
+
+
+def _unreferenced_definitions(root):
+    """``module:Qualname`` of every non-dunder def/class under ``root`` whose
+    name appears nowhere in the package (as a name, an attribute or an
+    identifier string) outside its own body and outside ``__all__``."""
+    defs, refs = [], {}
+    for path in sorted(root.rglob("*.py")):
+        module = ".".join(path.relative_to(root.parent).with_suffix("").parts)
+        module = module.removesuffix(".__init__")
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        stack = [(tree, "")]
+        while stack:
+            node, prefix = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    defs.append((f"{module}:{prefix}{child.name}", path, child))
+                    stack.append((child, f"{prefix}{child.name}."))
+                else:
+                    stack.append((child, prefix))
+        exports = [
+            range(n.lineno, n.end_lineno + 1) for n in ast.walk(tree)
+            if isinstance(n, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in n.targets)
+        ]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                name = n.id
+            elif isinstance(n, ast.Attribute):
+                name = n.attr
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                name = n.value
+            else:
+                continue
+            if name.isidentifier() and not any(n.lineno in span for span in exports):
+                refs.setdefault(name, []).append((path, n.lineno))
+    return {
+        key
+        for key, path, node in defs
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+        and all(
+            ref_path == path and node.lineno <= line <= node.end_lineno
+            for ref_path, line in refs.get(node.name, [])
+        )
+    }
+
+
+def test_every_definition_is_referenced_or_allowlisted():
+    # A function, method or class nothing in the package names is dead
+    # library surface, reachable only from its own unit tests.  Equality
+    # also fails a stale allowlist entry whose definition gained a caller
+    # or was deleted.
+    import pathlib
+
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    assert _unreferenced_definitions(root) == set(UNREFERENCED_ALLOWLIST)
 
 
 def test_version():

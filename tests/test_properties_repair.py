@@ -27,7 +27,7 @@ from repro.reconfig.bipartite import (
     kuhn_matching,
     saturates_left,
 )
-from repro.reconfig.local import build_repair_graph, is_repairable, plan_local_repair
+from repro.reconfig.local import build_repair_graph, plan_local_repair
 from repro.reconfig.remap import CellRemap
 
 # Small DTMB(2,6) array reused across examples (construction is pure).
@@ -112,7 +112,7 @@ class TestVerdictCorrectness:
             bruteforce = False if faulty else True
         if not faulty:
             bruteforce = True
-        assert is_repairable(chip) == bruteforce
+        assert plan_local_repair(chip).complete == bruteforce
 
 
 class TestMonotonicity:
@@ -120,26 +120,26 @@ class TestMonotonicity:
     @settings(max_examples=60, deadline=None)
     def test_removing_a_fault_never_hurts(self, faults):
         chip = _chip_with_faults(faults)
-        if is_repairable(chip):
+        if plan_local_repair(chip).complete:
             return  # removing faults keeps it repairable trivially
         # Heal one fault: verdict may flip to repairable but a repairable
         # chip can never become irreparable (superset monotonicity).
         coords = chip.coords
         healed = _chip_with_faults(set(list(faults)[1:]))
         sub = _chip_with_faults(set(list(faults)[1:]))
-        assert is_repairable(sub) == is_repairable(healed)
+        assert plan_local_repair(sub).complete == plan_local_repair(healed).complete
 
     @given(fault_sets)
     @settings(max_examples=60, deadline=None)
     def test_adding_a_spare_fault_only_restricts(self, faults):
         chip = _chip_with_faults(faults)
-        before = is_repairable(chip)
+        before = plan_local_repair(chip).complete
         # Break one more spare.
         good_spares = chip.good_spares()
         if not good_spares:
             return
         chip.mark_faulty(good_spares[0].coord)
-        after = is_repairable(chip)
+        after = plan_local_repair(chip).complete
         if not before:
             assert not after
 
@@ -153,9 +153,9 @@ class TestEveryDesignRepairsSingleFaults:
             interior = [
                 c.coord
                 for c in chip.primaries()
-                if not chip.is_boundary(c.coord)
+                if chip.degree(c.coord) == 6
             ]
             victim = interior[pick % len(interior)]
             chip.mark_faulty(victim)
-            assert is_repairable(chip), spec.name
+            assert plan_local_repair(chip).complete, spec.name
             chip.clear_faults()

@@ -14,7 +14,6 @@ from repro.geometry.hexgrid import RectRegion
 from repro.reconfig.local import (
     RepairPlan,
     build_repair_graph,
-    is_repairable,
     plan_local_repair,
 )
 from repro.reconfig.remap import CellRemap
@@ -61,7 +60,7 @@ class TestPlanLocalRepair:
         chip.mark_faulty(victim)
         plan = plan_local_repair(chip)
         assert plan.complete
-        spare = plan.spare_for(victim)
+        spare = plan.assignment[victim]
         assert spare in chip.neighbors(victim)
         assert chip[spare].is_spare
         plan.validate_against(chip)
@@ -75,7 +74,7 @@ class TestPlanLocalRepair:
         plan = plan_local_repair(chip)
         assert not plan.complete
         assert len(plan.unrepaired) == 1
-        assert not is_repairable(chip)
+        assert not plan_local_repair(chip).complete
 
     def test_require_complete_raises(self):
         chip = build_flower_chip(6)
@@ -89,7 +88,7 @@ class TestPlanLocalRepair:
         chip.mark_faulty(Hex(0, 0))  # the only spare
         victim = chip.primaries()[0].coord
         chip.mark_faulty(victim)
-        assert not is_repairable(chip)
+        assert not plan_local_repair(chip).complete
 
     def test_needed_subset_ignores_other_faults(self, dtmb26_chip):
         chip = dtmb26_chip
@@ -114,7 +113,7 @@ class TestPlanLocalRepair:
                 claimed_spares |= spares
         assert len(targets) >= 5
         chip.apply_fault_map(targets)
-        assert is_repairable(chip)
+        assert plan_local_repair(chip).complete
 
 
 class TestPlanValidation:
@@ -139,12 +138,6 @@ class TestPlanValidation:
             bogus = RepairPlan(assignment={healthy: spare[0].coord})
             with pytest.raises(ReconfigurationError):
                 bogus.validate_against(chip)
-
-    def test_spare_for_unknown_cell(self):
-        plan = RepairPlan(assignment={})
-        with pytest.raises(ReconfigurationError):
-            plan.spare_for(Hex(0, 0))
-
 
 class TestCellRemap:
     def _repaired_chip(self):
@@ -177,7 +170,7 @@ class TestCellRemap:
     def test_remapped_count_and_flags(self):
         chip, victim, remap = self._repaired_chip()
         assert remap.remapped_count == 1
-        assert remap.is_remapped(victim)
+        assert remap.physical(victim) != victim
         assert remap.dead_cells == ()
 
     def test_dead_cell_lookup_raises(self):
@@ -189,11 +182,3 @@ class TestCellRemap:
         assert len(remap.dead_cells) == 1
         with pytest.raises(ReconfigurationError):
             remap.physical(remap.dead_cells[0])
-
-    def test_physical_path_translation(self):
-        chip, victim, remap = self._repaired_chip()
-        neighbors = list(chip.neighbors(victim))
-        path = [neighbors[0], victim]
-        physical = remap.physical_path(path)
-        assert physical[0] == neighbors[0]
-        assert physical[1] == remap.physical(victim)

@@ -25,7 +25,7 @@ class TestPlanShiftedReplacement:
         assert plan.cells_remapped == 0
         assert plan.modules_reconfigured == ()
         for row in range(array.spare_row):
-            assert plan.physical_row(row) == row
+            assert plan.row_remap[row] == row
 
     def test_fault_adjacent_to_spare_row_moves_one_module(self, array):
         # Fault in the last module row (Module 1, adjacent to spare row).
@@ -46,14 +46,9 @@ class TestPlanShiftedReplacement:
 
     def test_row_remap_skips_faulty_row(self, array):
         plan = plan_shifted_replacement(array, [Square(3, 2)])
-        assert plan.physical_row(1) == 1  # before the fault: unchanged
-        assert plan.physical_row(2) == 3  # faulty row bypassed
-        assert plan.physical_row(array.spare_row - 1) == array.spare_row
-
-    def test_physical_cell_translation(self, array):
-        plan = plan_shifted_replacement(array, [Square(3, 2)])
-        assert plan.physical_cell(Square(1, 1)) == Square(1, 1)
-        assert plan.physical_cell(Square(4, 4)) == Square(4, 5)
+        assert plan.row_remap[1] == 1  # before the fault: unchanged
+        assert plan.row_remap[2] == 3  # faulty row bypassed
+        assert plan.row_remap[array.spare_row - 1] == array.spare_row
 
     def test_multiple_faults_same_row_ok(self, array):
         plan = plan_shifted_replacement(array, [Square(0, 1), Square(5, 1)])
@@ -73,8 +68,7 @@ class TestPlanShiftedReplacement:
 
     def test_logical_row_must_be_module_row(self, array):
         plan = plan_shifted_replacement(array, [Square(0, 0)])
-        with pytest.raises(ReconfigurationError):
-            plan.physical_row(array.spare_row)
+        assert array.spare_row not in plan.row_remap
 
 
 class TestCostSeries:

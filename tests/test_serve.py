@@ -16,6 +16,7 @@ The headline claims under test:
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -200,6 +201,8 @@ class TestValidation:
             ("request_timeout", -1.0),
             ("drain_timeout", -0.5),
             ("max_runs", 0),
+            ("max_body_bytes", 0),
+            ("max_body_bytes", -1),
         ],
     )
     def test_config_rejects_unusable_settings(self, field, value):
@@ -218,6 +221,38 @@ class TestValidation:
         assert main(["serve", "--port", "0", "--max-inflight", "0"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("repro: error: max_inflight must be >= 1")
+
+    def test_cli_cache_serve_rejects_unusable_body_limit(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+        from repro.serve import app
+
+        monkeypatch.setattr(
+            app, "serve_forever",
+            lambda *a, **k: pytest.fail("server started despite a bad flag"),
+        )
+        argv = ["cache-serve", "--port", "0", "--dir", str(tmp_path)]
+        assert main(argv + ["--max-body-bytes", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: max_body_bytes must be >= 1")
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_bad_content_length_is_400(self, base, length):
+        host, port = base.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=30) as sock:
+            sock.sendall(
+                f"POST /points HTTP/1.1\r\nHost: {host}\r\n"
+                f"Content-Length: {length}\r\n\r\n".encode("latin-1")
+            )
+            response = b""
+            while chunk := sock.recv(65536):
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == b"400"
+        assert "Content-Length" in json.loads(body)["message"]
+        status, health = http(base, "/health")
+        assert status == 200 and health["status"] == "ok"
 
     def test_oversized_body_is_rejected(self, base):
         # The server rejects on Content-Length without draining the body,

@@ -17,7 +17,7 @@ from repro.reconfig.local import plan_local_repair
 from repro.viz.ascii_art import render_chip, render_legend
 from repro.viz.export import write_csv
 from repro.viz.plot import ascii_chart
-from repro.viz.svg import chip_to_svg, write_svg
+from repro.viz.svg import chip_to_svg
 
 
 class TestAsciiArt:
@@ -120,11 +120,6 @@ class TestSvg:
         root = ET.fromstring(chip_to_svg(chip))
         rects = root.findall(".//{http://www.w3.org/2000/svg}rect")
         assert len(rects) == 9
-
-    def test_write_svg_to_file(self, tmp_path, dtmb26_chip):
-        path = tmp_path / "chip.svg"
-        write_svg(dtmb26_chip, str(path))
-        assert path.read_text().startswith("<svg")
 
 
 class TestCsvExport:

@@ -26,7 +26,6 @@ from repro.yieldsim.effective import chip_effective_yield, effective_yield
 from repro.yieldsim.montecarlo import YieldSimulator
 from repro.yieldsim.stats import YieldEstimate, wilson_interval
 from repro.yieldsim.sweeps import (
-    analytical_curves_dtmb16,
     defect_count_sweep,
     survival_sweep,
 )
@@ -152,7 +151,7 @@ class TestMonteCarloSurvival:
 
     def test_chip_not_mutated(self, dtmb26_chip):
         YieldSimulator(dtmb26_chip).run_survival(0.9, runs=100, seed=1)
-        assert dtmb26_chip.is_fault_free()
+        assert not dtmb26_chip.faulty_cells()
 
     def test_validation(self, dtmb26_chip):
         sim = YieldSimulator(dtmb26_chip)
@@ -255,13 +254,3 @@ class TestSweeps:
         assert [pt.m for pt in points] == [2, 10]
         assert points[0].yield_value >= points[1].yield_value
 
-    def test_analytical_curves_series_names(self):
-        series = analytical_curves_dtmb16([60, 120], ps=[0.95, 1.0])
-        assert "DTMB(1,6) n=60" in series
-        assert "no spares n=120" in series
-        for pts in series.values():
-            assert pts[-1][1] == 1.0  # p = 1 -> yield 1
-
-    def test_analytical_curves_empty_ns_rejected(self):
-        with pytest.raises(SimulationError):
-            analytical_curves_dtmb16([])
