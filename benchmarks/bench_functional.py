@@ -6,9 +6,13 @@ Two questions :mod:`repro.functional` must answer at paper budgets
 1. How much of a functional sweep does the five-stage screen funnel
    decide *without* route search?  A residue run (stage 5: the repair
    assignment plus A* on an index-space view of the repaired chip) costs
-   ~0.04-0.14 ms for this routing criterion on a shared 2-vCPU host; the
-   vectorized screens cost microseconds per run, so functional sweeps
-   stay seconds-scale only while the residue fraction stays small.
+   ~0.03-0.12 ms for this routing criterion on a shared 2-vCPU host; the
+   bit-sliced BFS screens cost microseconds per run, so functional
+   sweeps stay seconds-scale only while the residue fraction stays
+   small.  Stage 4 searches only a route's possible images (alive
+   primaries, alive spares serving a faulty needed primary), which is
+   what keeps DTMB(4,4) — a primary fabric disconnected even fault-free
+   — out of the residue.
 2. How optimistic is the paper's structural matching criterion once
    "good" means "the assay still routes"?  The fig9-functional scenario
    gives the headline: DTMB(4,4) repairs essentially every chip yet
@@ -80,16 +84,16 @@ def test_bench_funnel_hit_rates(benchmark, runs):
             + crit.unreachable + crit.residue
         )
         assert decided == crit.runs == runs, (name, crit)
-    # On the real Figure 9 sweep designs the screens, not the scheduler,
-    # must carry the sweep: if the residue fraction creeps up, functional
-    # sweeps turn hours-scale.  DTMB(4,4) is the deliberate exception —
-    # its primary fabric is disconnected even fault-free, and remaps can
-    # *shorten* routes, so the one-sided screens cannot cheaply prove
-    # per-run failure and nearly everything pays the scheduler.
-    for name in (DTMB_2_6.name, DTMB_3_6.name):
+    # The screens, not the scheduler, must carry the sweep on every
+    # design: if the residue fraction creeps up, functional sweeps turn
+    # hours-scale.  DTMB(4,4)'s primary fabric is disconnected even
+    # fault-free, so its routes need spares that serve a faulty needed
+    # primary; stage 4 searches only those route images and proves most
+    # of its repairable runs unroutable outright.
+    for name in (DTMB_2_6.name, DTMB_3_6.name, DTMB_4_4.name):
         _seconds, crit = results[name]
         assert crit.residue / runs < 0.5, (name, crit)
-    assert results[DTMB_4_4.name][1].residue / runs > 0.5
+    assert results[DTMB_4_4.name][1].unreachable / runs > 0.5
 
 
 def test_bench_functional_gap(benchmark, runs, engine):

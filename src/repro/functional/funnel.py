@@ -22,27 +22,35 @@ The funnel, in order (every stage is exact — never a heuristic):
    success) — if every functional site is alive, any physical path
    through alive primary cells is a valid logical route under *any*
    complete remap (alive primaries map to themselves, so consecutive
-   cells stay logically adjacent and usable).  A vectorized multi-run BFS
+   cells stay logically adjacent and usable).  A bit-sliced multi-run BFS
    over the alive-primary subgraph computes per-leg distances; if every
    leg connects and the distances sum within the deadline, the run
    succeeds.  This subsumes the untouched-baseline-route fast path — a
    surviving baseline route is one such alive-primary path — and also
    covers detours around faults.
 4. **reachability / distance bound** (one-sided fail) — a logical
-   route's physical images form a walk in the alive-cell graph from the
-   source's anchor set (the cell itself, plus its adjacent spares when
-   the matching may remap it) to the target's anchors.  A multi-source
-   BFS over *all* alive cells therefore lower-bounds every leg: if some
-   leg's anchors are unreachable (or dead), or the per-leg lower bounds
-   already exceed the deadline (sum for sequential legs, max for the
-   concurrent makespan), the run fails — whatever the scheduler would
-   try.
+   route's physical images form a walk from the source's anchor set (the
+   cell itself, plus its adjacent spares when the matching may remap it)
+   to the target's anchors, and every image is an alive primary or an
+   alive spare adjacent to a faulty *needed* primary: the only spares
+   the repair matching hands out (:meth:`_FunnelContext.route_images`).
+   A multi-source BFS over that images set therefore lower-bounds every
+   leg: if some leg's anchors are unreachable (or dead), or the per-leg
+   lower bounds already exceed the deadline (sum for sequential legs,
+   max for the concurrent makespan), the run fails — whatever the
+   scheduler would try.
+
+   Both BFS screens run bit-sliced (:func:`_bfs_packed`): masks are
+   packed eight runs per byte along the run axis, one level is a gather
+   of every cell's neighbour rows OR-reduced, and byte columns leave the
+   working set once none of their runs can still change distance.
 5. **residue** — whatever remains is decided by the real route search
    on an index-space view of the repaired chip (:class:`_IndexRouter`):
    the run's repair assignment is the Hopcroft–Karp matching
    ``plan_local_repair`` computes, on the same graph in the same visiting
-   order; faulty primaries outside the needed set become routed-around
-   dead cells; and the inherited :class:`~repro.fluidics.routing.Router`
+   order (:func:`_index_matching`, over cell indices); faulty primaries
+   outside the needed set become routed-around dead cells; and the
+   inherited :class:`~repro.fluidics.routing.Router`
    A* (:class:`RoutingCriterion`) or
    :class:`~repro.fluidics.concurrent_routing.ConcurrentRouter`
    (:class:`MultiplexedCriterion`) runs over cell indices with per-context
@@ -53,11 +61,12 @@ The funnel, in order (every stage is exact — never a heuristic):
    copy — stays as the oracle :meth:`_FunnelContext._residue_run`, which
    ``tests/test_functional.py`` holds equal to the view on every
    matching-GOOD run of its grids.  On a shared 2-vCPU Xeon host (n=60,
-   p=0.9) a residue run costs ~0.04-0.14 ms for the routing criterion and
-   ~1.5-2.2 ms for the multiplexed one, 7-16x less than the oracle.
+   p=0.9) a residue run costs ~0.03-0.12 ms for the routing criterion and
+   ~1.8 ms for the multiplexed one, 9-19x less than the oracle.
 
 Per-(structure, criterion) precomputation — site placement, anchor
-masks, padded physical adjacency, the fault-free baseline verdict — is
+masks, padded physical adjacency, the structure's reverse spare
+adjacency, the fault-free baseline verdict — is
 cached on the :class:`~repro.yieldsim.kernel.RepairStructure` via a weak
 map, the ``geometry_for`` idiom of :mod:`repro.yieldsim.defects`.
 
@@ -70,6 +79,7 @@ criterion evaluated on cache-sized sub-slices of each batch.
 from __future__ import annotations
 
 import weakref
+from collections import deque
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -91,7 +101,6 @@ from repro.fluidics.scheduler import Scheduler
 from repro.functional.criteria import CriterionStats, SuccessCriterion
 from repro.obs import profile as _profile
 from repro.functional.sites import multiplexed_endpoints, routing_sites, site_legs
-from repro.reconfig.bipartite import BipartiteGraph, hopcroft_karp
 from repro.reconfig.local import RepairPlan, plan_local_repair
 from repro.reconfig.remap import CellRemap
 from repro.yieldsim.defects import DefectModel
@@ -101,6 +110,7 @@ from repro.yieldsim.kernel import (
     RepairStructure,
     ScreenStats,
     classify_repairable,
+    demanded_spares,
     survival_batch_sizes,
 )
 
@@ -110,6 +120,84 @@ __all__ = ["evaluate_functional", "criterion_successes", "context_for"]
 _CONTEXTS: "weakref.WeakKeyDictionary[RepairStructure, Dict[str, _FunnelContext]]" = (
     weakref.WeakKeyDictionary()
 )
+
+
+def _pack_runs(mask: np.ndarray) -> np.ndarray:
+    """Bit-slice a ``(runs, cells)`` mask into ``(cells, ceil(runs/8))`` uint8.
+
+    Row ``c`` holds cell ``c`` for every run, eight runs per byte in
+    ``np.packbits`` order (run ``r`` is bit ``7 - r % 8`` of byte
+    ``r // 8``); pad bits past the last run are clear.  A mask broadcast
+    from one row — the funnel's shared start and target sets — packs
+    without reading its ``runs`` copies.
+    """
+    runs = mask.shape[0]
+    width = -(-runs // 8)
+    if runs and mask.strides[0] == 0:
+        packed = np.zeros((mask.shape[1], width), dtype=np.uint8)
+        packed[mask[0]] = np.packbits(np.ones(runs, dtype=bool))
+        return packed
+    return np.ascontiguousarray(np.packbits(mask, axis=0).T)
+
+
+def _padded_neighbours(nbr_pos: np.ndarray, nbr_mask: np.ndarray) -> np.ndarray:
+    """``nbr_pos`` with every padded slot sent to the sentinel row ``cells``."""
+    return np.where(nbr_mask, nbr_pos, nbr_pos.shape[0]).astype(np.intp)
+
+
+def _bfs_packed(
+    allowed: np.ndarray,
+    start: np.ndarray,
+    target: np.ndarray,
+    nbr_idx: np.ndarray,
+    runs: int,
+) -> np.ndarray:
+    """:func:`_bfs_distances` over bit-sliced masks (see :func:`_pack_runs`).
+
+    ``nbr_idx`` is the :func:`_padded_neighbours` table.  One level is a
+    gather of every cell's neighbour rows, OR-reduced: eight runs move
+    per byte.  Byte columns whose runs have all hit their target or
+    stopped growing leave the working arrays, so the loop runs at most
+    graph-diameter levels over ever fewer columns.
+    """
+    cells = allowed.shape[0]
+    dist = np.full(runs, -1, dtype=np.int64)
+    cols = np.arange(allowed.shape[1])
+    # One extra all-zero row: the gather target of padded neighbour slots.
+    reached = np.zeros((cells + 1, cols.size), dtype=np.uint8)
+    np.bitwise_and(start, allowed, out=reached[:cells])
+    trows = np.flatnonzero(target.any(axis=1))
+    target = target[trows]
+
+    def record(bits: np.ndarray, level: int) -> None:
+        pos = np.flatnonzero(np.unpackbits(bits))
+        dist[cols[pos >> 3] * 8 + (pos & 7)] = level
+
+    done = np.bitwise_or.reduce(reached[trows] & target, axis=0)
+    record(done, 0)
+    growing = np.bitwise_or.reduce(reached[:cells], axis=0)
+    level = 0
+    while True:
+        active = growing & ~done
+        keep = np.flatnonzero(active)
+        if not keep.size:
+            return dist
+        if keep.size < cols.size:
+            cols, done = cols[keep], done[keep]
+            reached, allowed = reached[:, keep], allowed[:, keep]
+            target = target[:, keep]
+        level += 1
+        grow = reached[nbr_idx[:, 0]]
+        for d in range(1, nbr_idx.shape[1]):
+            grow |= reached[nbr_idx[:, d]]
+        grow &= allowed
+        grow &= ~reached[:cells]
+        reached[:cells] |= grow
+        new = np.bitwise_or.reduce(grow[trows] & target, axis=0) & ~done
+        if new.any():
+            record(new, level)
+            done |= new
+        growing = np.bitwise_or.reduce(grow, axis=0)
 
 
 def _bfs_distances(
@@ -125,33 +213,72 @@ def _bfs_distances(
     (``nbr_pos``/``nbr_mask`` are the shared padded adjacency).  Returns
     the per-run distance at which the BFS first touches the target set,
     or ``-1`` when it never does (including an empty start set).  BFS
-    frontiers expand for all runs simultaneously; a run leaves the working
-    arrays as soon as it touches the target or its frontier stops growing,
-    so the loop runs at most graph-diameter iterations over ever fewer
-    rows.
+    frontiers expand for all runs simultaneously on bit-sliced masks
+    (:func:`_bfs_packed`).
     """
-    reached = start & allowed
-    dist = np.full(reached.shape[0], -1, dtype=np.int64)
-    hit = (reached & target).any(axis=1)
-    dist[hit] = 0
-    active = np.flatnonzero(~hit & reached.any(axis=1))
-    reached = reached[active]
-    allowed = allowed[active]
-    target = target[active]
-    level = 0
-    while active.size:
-        level += 1
-        grow = (reached[:, nbr_pos] & nbr_mask).any(axis=2)
-        grow &= allowed & ~reached
-        reached |= grow
-        hit = (grow & target).any(axis=1)
-        dist[active[hit]] = level
-        keep = ~hit & grow.any(axis=1)
-        active = active[keep]
-        reached = reached[keep]
-        allowed = allowed[keep]
-        target = target[keep]
-    return dist
+    return _bfs_packed(
+        _pack_runs(allowed),
+        _pack_runs(start),
+        _pack_runs(target),
+        _padded_neighbours(nbr_pos, nbr_mask),
+        allowed.shape[0],
+    )
+
+
+def _index_matching(
+    left: Sequence[int], adj: Sequence[Sequence[int]]
+) -> Dict[int, int]:
+    """:func:`~repro.reconfig.bipartite.hopcroft_karp` over int nodes.
+
+    ``adj[u]`` lists the right neighbours of left node ``left[u]`` in edge
+    order (distinct).  Runs the same phases in the same visiting order as
+    ``hopcroft_karp(BipartiteGraph(left, rights, edges))`` on that graph,
+    so it returns the same dict, in the same order — without building the
+    graph or re-validating the matching.
+    """
+    size = len(left)
+    inf = size + 1  # above every BFS layer; never reached by dist + 1
+    pair_left: List[Optional[int]] = [None] * size
+    pair_right: Dict[int, int] = {}
+    dist = [0] * size
+
+    def bfs() -> bool:
+        queue: deque = deque()
+        for u in range(size):
+            if pair_left[u] is None:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = inf
+        found_free = False
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                owner = pair_right.get(v)
+                if owner is None:
+                    found_free = True
+                elif dist[owner] == inf:
+                    dist[owner] = dist[u] + 1
+                    queue.append(owner)
+        return found_free
+
+    def dfs(u: int) -> bool:
+        for v in adj[u]:
+            owner = pair_right.get(v)
+            if owner is None or (dist[owner] == dist[u] + 1 and dfs(owner)):
+                pair_left[u] = v
+                pair_right[v] = u
+                return True
+        dist[u] = inf
+        return False
+
+    while bfs():
+        for u in range(size):
+            if pair_left[u] is None:
+                dfs(u)
+    return {
+        left[u]: v for u, v in enumerate(pair_left) if v is not None
+    }
 
 
 class _IndexRouter(Router):
@@ -220,6 +347,12 @@ class _FunnelContext:
         # reference from the value would keep every structure alive.
         self.chip = chip
         self.adj = struct.adj
+        #: the stage-4 image gather: needed slots, candidate spares and
+        #: their reverse adjacency (:func:`demanded_spares`).
+        self.needed_idx = struct.needed_idx
+        self.cand = struct.cand
+        self.rev_pos = struct.rev_pos
+        self.rev_mask = struct.rev_mask
         self.criterion = criterion
         self.concurrent = criterion.name == "multiplexed"
         self.deadline = int(criterion.deadline)
@@ -253,6 +386,8 @@ class _FunnelContext:
             for d, j in enumerate(lst):
                 self.nbr_pos[i, d] = j
                 self.nbr_mask[i, d] = True
+        #: the same adjacency for the bit-sliced BFS (:func:`_bfs_packed`).
+        self.nbr_idx = _padded_neighbours(self.nbr_pos, self.nbr_mask)
         #: the same adjacency as tuples, for the residue's index view.
         self.phys_nbrs: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(lst) for lst in nbr_lists
@@ -344,23 +479,22 @@ class _FunnelContext:
 
         The verdict equals :meth:`_residue_run` (the oracle): the repair
         assignment is the same Hopcroft–Karp matching ``plan_local_repair``
-        computes — left side the faulty needed primaries in ``needed_idx``
-        order, edges their alive adjacent spares in ``struct.adj`` order —
-        faulty primaries outside the needed set become dead cells, and the
-        same A* searches run over the view.
+        computes (:func:`_index_matching`) — left side the faulty needed
+        primaries in ``needed_idx`` order, edges their alive adjacent
+        spares in ``struct.adj`` order — faulty primaries outside the
+        needed set become dead cells, and the same A* searches run over
+        the view.
         """
         faulty = np.flatnonzero(~row)
         slots = self.needed_slot[faulty]
         left: List[int] = []
-        edges: List[Tuple[int, int]] = []
+        spares: List[List[int]] = []
         adj = self.adj
         for cell, slot in zip(faulty.tolist(), slots.tolist()):
             if slot >= 0:
                 left.append(cell)
-                edges.extend((cell, s) for s in adj[slot] if row[s])
-        matching = hopcroft_karp(
-            BipartiteGraph(left, [s for _, s in edges], edges)
-        )
+                spares.append([s for s in adj[slot] if row[s]])
+        matching = _index_matching(left, spares)
         if len(matching) < len(left):  # unreachable: residue rows are GOOD
             return False
         live = self._primary_list[:]
@@ -444,6 +578,72 @@ class _FunnelContext:
         return self._evaluate_run(chip, remap)
 
     # -- the funnel --------------------------------------------------------
+    def _distances(
+        self, allowed: np.ndarray, start: np.ndarray, target: np.ndarray, runs: int
+    ) -> np.ndarray:
+        """Per-run BFS distances over a packed ``allowed`` from one start
+        set to one target set, both shared by every run."""
+        shape = (runs, start.size)
+        return _bfs_packed(
+            allowed,
+            _pack_runs(np.broadcast_to(start, shape)),
+            _pack_runs(np.broadcast_to(target, shape)),
+            self.nbr_idx,
+            runs,
+        )
+
+    def route_images(self, alive: np.ndarray) -> np.ndarray:
+        """Per-run mask of the cells a logical route's images can use.
+
+        Alive primaries map to themselves; a faulty needed primary maps to
+        an alive adjacent spare.  So every image is an alive primary or an
+        alive spare adjacent to a faulty needed primary of the run — the
+        stage-4 BFS subgraph.
+        """
+        images = alive & self.primary_mask
+        if self.cand.size:
+            images[:, self.cand] = alive[:, self.cand] & demanded_spares(
+                self.rev_pos, self.rev_mask, ~alive[:, self.needed_idx]
+            )
+        return images
+
+    def route_clear(self, alive: np.ndarray) -> np.ndarray:
+        """Stage 3 on runs with every site alive: exact success.
+
+        Every leg connects through alive primaries, within the deadline
+        in total.  Sequential legs only.
+        """
+        allowed = _pack_runs(alive & self.primary_mask)
+        total = np.zeros(alive.shape[0], dtype=np.int64)
+        feasible = np.ones(alive.shape[0], dtype=bool)
+        for src_node, dst_node in self.leg_nodes:
+            dist = self._distances(allowed, src_node, dst_node, alive.shape[0])
+            feasible &= dist >= 0
+            total += np.where(dist > 0, dist, 0)
+        return feasible & (total <= self.deadline)
+
+    def unreachable(self, alive: np.ndarray) -> np.ndarray:
+        """Stage 4 on matching-GOOD runs: exact failure.
+
+        Some leg's anchors cannot reach each other through
+        :meth:`route_images`, or the per-leg BFS lower bounds already
+        exceed the deadline (sum for sequential legs, max for the
+        concurrent makespan).
+        """
+        allowed = _pack_runs(self.route_images(alive))
+        bound = np.zeros(alive.shape[0], dtype=np.int64)
+        dead = np.zeros(alive.shape[0], dtype=bool)
+        for src_anchor, dst_anchor in self.leg_anchors:
+            dist = self._distances(allowed, src_anchor, dst_anchor, alive.shape[0])
+            dead |= dist < 0
+            leg_bound = np.where(dist > 0, dist, 0)
+            if self.concurrent:
+                # Concurrent makespan >= the slowest droplet's moves.
+                bound = np.maximum(bound, leg_bound)
+            else:
+                bound += leg_bound
+        return dead | (bound > self.deadline)
+
     def evaluate(
         self, alive: np.ndarray, verdict: np.ndarray
     ) -> Tuple[np.ndarray, CriterionStats]:
@@ -469,51 +669,17 @@ class _FunnelContext:
                     undecided & alive[:, self.site_cols].all(axis=1)
                 )
                 if rows.size:
-                    sub = alive[rows]
-                    allowed = sub & self.primary_mask
-                    total = np.zeros(rows.size, dtype=np.int64)
-                    feasible = np.ones(rows.size, dtype=bool)
-                    for src_node, dst_node in self.leg_nodes:
-                        dist = _bfs_distances(
-                            allowed,
-                            np.broadcast_to(src_node, sub.shape),
-                            np.broadcast_to(dst_node, sub.shape),
-                            self.nbr_pos,
-                            self.nbr_mask,
-                        )
-                        feasible &= dist >= 0
-                        total += np.where(dist > 0, dist, 0)
-                    clear = feasible & (total <= self.deadline)
-                    cleared = rows[clear]
+                    cleared = rows[self.route_clear(alive[rows])]
                     ok[cleared] = True
                     undecided[cleared] = False
-                    stats.route_clear = int(clear.sum())
+                    stats.route_clear = int(cleared.size)
 
-            # 4. physical reachability / distance lower bound (exact fail).
+            # 4. reachability / distance lower bound over route images.
             if undecided.any():
                 rows = np.flatnonzero(undecided)
-                sub = alive[rows]
-                bound = np.zeros(rows.size, dtype=np.int64)
-                dead = np.zeros(rows.size, dtype=bool)
-                for src_anchor, dst_anchor in self.leg_anchors:
-                    dist = _bfs_distances(
-                        sub,
-                        np.broadcast_to(src_anchor, sub.shape),
-                        np.broadcast_to(dst_anchor, sub.shape),
-                        self.nbr_pos,
-                        self.nbr_mask,
-                    )
-                    dead |= dist < 0
-                    leg_bound = np.where(dist > 0, dist, 0)
-                    if self.concurrent:
-                        # Concurrent makespan >= the slowest droplet's moves.
-                        bound = np.maximum(bound, leg_bound)
-                    else:
-                        bound += leg_bound
-                fail = dead | (bound > self.deadline)
-                failed = rows[fail]
+                failed = rows[self.unreachable(alive[rows])]
                 undecided[failed] = False
-                stats.unreachable = int(fail.sum())
+                stats.unreachable = int(failed.size)
 
         # 5. residue: the real routers decide what's left, on a view.
         with _profile.phase("funnel_residue"):

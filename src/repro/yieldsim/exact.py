@@ -18,43 +18,16 @@ Two optimizations keep 20 cells tractable (2^20 = 1M subsets):
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.chip.biochip import Biochip
 from repro.errors import SimulationError
+from repro.yieldsim.kernel import kuhn_repairable
 
 __all__ = ["exact_yield", "MAX_EXACT_CELLS"]
 
 #: Hard cap: 2^22 subsets is a few seconds; beyond that use Monte-Carlo.
 MAX_EXACT_CELLS = 22
-
-
-def _repairable(
-    faulty: Set[int],
-    needed_positions: Dict[int, int],
-    adjacency: Sequence[Tuple[int, ...]],
-) -> bool:
-    """Kuhn matching feasibility on integer cell indices."""
-    match_right: Dict[int, int] = {}
-
-    def try_augment(j: int, visited: Set[int]) -> bool:
-        for s in adjacency[j]:
-            if s in faulty or s in visited:
-                continue
-            visited.add(s)
-            owner = match_right.get(s)
-            if owner is None or try_augment(owner, visited):
-                match_right[s] = j
-                return True
-        return False
-
-    for cell in faulty:
-        j = needed_positions.get(cell)
-        if j is None:
-            continue
-        if not try_augment(j, set()):
-            return False
-    return True
 
 
 def exact_yield(
@@ -100,8 +73,9 @@ def exact_yield(
     total = 0.0
     # Gray-code walk over all subsets: subset(g) where g = i ^ (i >> 1);
     # consecutive subsets differ in exactly one bit.
-    faulty: Set[int] = set()
-    weight_faulty = 0  # |faulty| tracked incrementally
+    alive = [True] * n  # per-cell survival, the matcher's spare check
+    weight_faulty = 0  # number of faulty cells, tracked incrementally
+    faulty_needed: Set[int] = set()  # needed positions of faulty primaries
     # Precompute p^a * q^b table to avoid pow in the hot loop.
     pow_p = [p**k for k in range(n + 1)]
     pow_q = [q**k for k in range(n + 1)]
@@ -113,15 +87,18 @@ def exact_yield(
         new_gray = i ^ (i >> 1)
         changed_bit = (gray ^ new_gray).bit_length() - 1
         gray = new_gray
-        if changed_bit in faulty:
-            faulty.discard(changed_bit)
-            weight_faulty -= 1
-        else:
-            faulty.add(changed_bit)
-            weight_faulty += 1
+        was_alive = alive[changed_bit]
+        alive[changed_bit] = not was_alive
+        weight_faulty += 1 if was_alive else -1
+        j = needed_positions.get(changed_bit)
+        if j is not None:
+            if was_alive:
+                faulty_needed.add(j)
+            else:
+                faulty_needed.discard(j)
         weight = pow_p[n - weight_faulty] * pow_q[weight_faulty]
         if weight == 0.0:
             continue
-        if _repairable(faulty, needed_positions, adjacency):
+        if kuhn_repairable(adjacency, faulty_needed, alive):
             total += weight
     return total

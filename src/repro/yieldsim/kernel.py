@@ -70,6 +70,7 @@ __all__ = [
     "PointSpec",
     "classify_repairable",
     "count_repairable",
+    "demanded_spares",
     "kuhn_repairable",
     "survival_batch_sizes",
     "fixed_fault_alive",
@@ -173,15 +174,11 @@ class RepairStructure:
         self.adj_cand: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(pos_of[s] for s in lst) for lst in self.adj
         )
-        #: (k, S) float32 incidence matrix for the demand matmul.
-        self.inc = np.zeros((self.needed_count, max(self.n_cand, 1)), dtype=np.float32)
-        for j, lst in enumerate(self.adj):
-            for s in lst:
-                self.inc[j, pos_of[s]] = 1.0
         #: maximum primary->spare degree; <= 1 enables a closed-form screen.
         self.max_degree = max_deg
         # Reverse adjacency (candidate spare -> needed primaries), padded,
-        # for the degree-<=-1 fast path's demand computation.
+        # for the spare-demand gathers (:func:`demanded_spares`, the
+        # degree-<=-1 closed form).
         members: list = [[] for _ in range(self.n_cand)]
         for j, lst in enumerate(self.adj):
             for s in lst:
@@ -205,6 +202,21 @@ class RepairStructure:
         if self._geometry is None:
             self._geometry = DefectGeometry.from_chip(self.chip)
         return self._geometry
+
+
+def demanded_spares(
+    rev_pos: np.ndarray, rev_mask: np.ndarray, faulty: np.ndarray
+) -> np.ndarray:
+    """Which candidate spares a faulty needed primary is adjacent to.
+
+    ``faulty`` is ``(runs, k)`` over the needed slots; ``rev_pos`` and
+    ``rev_mask`` are a :class:`RepairStructure`'s padded reverse
+    adjacency.  Returns the ``(runs, max(S, 1))`` mask of candidate
+    spares adjacent to at least one faulty needed primary of the run —
+    the spares its repair matching may use.  A gather, not a matmul:
+    it runs on one core.
+    """
+    return (faulty[:, rev_pos] & rev_mask).any(axis=2)
 
 
 def kuhn_repairable(
@@ -438,8 +450,9 @@ def classify_repairable(
         deg = avail.sum(axis=2)
         nf = fa.sum(axis=1)
 
-        demand = fa.astype(np.float32) @ struct.inc
-        union = ((demand > 0.0) & ca).sum(axis=1)
+        union = (demanded_spares(struct.rev_pos, struct.rev_mask, fa) & ca).sum(
+            axis=1
+        )
         hall_bad = union < nf
         if hall_bad.any():
             verdict[rows[hall_bad]] = BAD

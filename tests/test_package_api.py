@@ -84,6 +84,7 @@ UNREFERENCED_ALLOWLIST = {
     "repro.yieldsim.montecarlo:YieldSimulator.run_fixed_faults": "oracle entry point",
     "repro.yieldsim.exact:exact_yield": "exact-enumeration oracle",
     "repro.functional.funnel:_FunnelContext._residue_run": "object-level residue oracle",
+    "repro.functional.funnel:_bfs_distances": "boolean-mask entry to the bit-sliced BFS",
     "repro.yieldsim.executors:InlineExecutor": "in-process executor for tests and perfbench",
     "repro.yieldsim.resilience:FaultInjectingExecutor": "chaos-test double",
     "repro.yieldsim.cachestore:FaultInjectingStore": "chaos-test double",
