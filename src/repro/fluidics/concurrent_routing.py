@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.chip.biochip import Biochip
 from repro.errors import RoutingError
@@ -70,6 +70,48 @@ class ConcurrentPlan:
         return traj[min(t, len(traj) - 1)]
 
 
+class _CellMoves:
+    """One :meth:`ConcurrentRouter.plan` call's memo of the router's answers.
+
+    ``neighbors[cell]`` is ``router.neighbors(cell)``, or ``None`` when the
+    cell is unusable; ``moves[cell]`` lists a usable cell's moves in
+    expansion order — wait, then the router's neighbours — each paired with
+    its own ``neighbors`` entry.  The chip cannot change during one plan,
+    so every answer is asked of the router once.
+    """
+
+    __slots__ = ("router", "neighbors", "moves")
+
+    def __init__(self, router: Router):
+        self.router = router
+        self.neighbors: Dict[Hashable, Optional[List[Hashable]]] = {}
+        self.moves: Dict[
+            Hashable, List[Tuple[Hashable, Optional[List[Hashable]]]]
+        ] = {}
+
+    def neighbors_of(self, cell: Hashable) -> Optional[List[Hashable]]:
+        try:
+            return self.neighbors[cell]
+        except KeyError:
+            router = self.router
+            out = router.neighbors(cell) if router.usable(cell, set()) else None
+            self.neighbors[cell] = out
+            return out
+
+    def moves_of(
+        self, cell: Hashable
+    ) -> List[Tuple[Hashable, Optional[List[Hashable]]]]:
+        out = self.moves.get(cell)
+        if out is None:
+            known, neighbors_of = self.neighbors, self.neighbors_of
+            out = [
+                (nxt, known[nxt] if nxt in known else neighbors_of(nxt))
+                for nxt in [cell, *known[cell]]
+            ]
+            self.moves[cell] = out
+        return out
+
+
 class ConcurrentRouter:
     """Prioritized time-expanded planner over one chip.
 
@@ -113,10 +155,11 @@ class ConcurrentRouter:
             horizon = 2 * total + 4 * len(requests) + 8
 
         last_error: Optional[RoutingError] = None
+        cells = _CellMoves(self.router)
         for rotation in range(len(requests)):
             order = list(requests[rotation:]) + list(requests[:rotation])
             try:
-                return self._plan_in_order(order, horizon)
+                return self._plan_in_order(order, horizon, cells)
             except RoutingError as exc:
                 last_error = exc
         raise RoutingError(
@@ -145,11 +188,14 @@ class ConcurrentRouter:
         return a == b or b in self.router.neighbors(a) or a in self.router.neighbors(b)
 
     def _plan_in_order(
-        self, order: Sequence[RouteRequest], horizon: int
+        self,
+        order: Sequence[RouteRequest],
+        horizon: int,
+        cells: _CellMoves,
     ) -> ConcurrentPlan:
         planned: Dict[str, List[Hashable]] = {}
         for request in order:
-            trajectory = self._plan_single(request, planned, horizon)
+            trajectory = self._plan_single(request, planned, horizon, cells)
             planned[request.name] = trajectory
         # Pad everything to the common makespan.
         makespan = max(len(t) for t in planned.values())
@@ -159,89 +205,108 @@ class ConcurrentRouter:
         }
         return ConcurrentPlan(trajectories=trajectories)
 
-    def _others_at(
-        self, planned: Dict[str, List[Hashable]], t: int
-    ) -> List[Hashable]:
-        return [
-            traj[min(t, len(traj) - 1)] for traj in planned.values()
-        ]
-
-    def _legal(
-        self,
-        cell: Hashable,
-        t: int,
-        planned: Dict[str, List[Hashable]],
-    ) -> bool:
-        """May a droplet occupy ``cell`` at step ``t``?  (static+dynamic)
-
-        The dynamic constraint is symmetric: this droplet at ``t`` must not
-        conflict with an already-planned droplet's cell at ``t - 1`` (we
-        would trail into its meniscus) *nor* at ``t + 1`` (it would trail
-        into ours), so all three time slices are checked.
-        """
-        if not self.router.usable(cell, set()):
-            return False
-        for step in (t - 1, t, t + 1):
-            if step < 0:
-                continue
-            for other in self._others_at(planned, step):
-                if self._conflicts(cell, other):
-                    return False
-        return True
-
     def _plan_single(
         self,
         request: RouteRequest,
         planned: Dict[str, List[Hashable]],
         horizon: int,
+        cells: _CellMoves,
     ) -> List[Hashable]:
-        """A* over (cell, time); waiting costs one step like moving."""
-        start = (request.source, 0)
-        if not self._legal(request.source, 0, planned):
+        """A* over (cell, time); waiting costs one step like moving.
+
+        A droplet may occupy ``cell`` at step ``t`` iff the cell is usable
+        and does not conflict (:meth:`_conflicts`) with any already-planned
+        droplet's cell at steps ``t - 1``, ``t`` or ``t + 1``: the dynamic
+        rule is symmetric, this droplet must neither trail into another's
+        meniscus nor be trailed into.  The planned trajectories are fixed
+        for the whole search, so each window's reservation is built once:
+        the cells occupied in it and the union of their halos (a halo is a
+        cell plus its neighbours).  ``cell`` conflicts with an occupant
+        ``o`` iff ``cell`` lies in ``o``'s halo or ``o`` is one of
+        ``cell``'s neighbours — both sides are tested, the router's
+        adjacency need not be symmetric.  Past the longest trajectory every
+        droplet is parked, so the window key is clamped there.
+        """
+        trajs = list(planned.values())
+        high = max((len(traj) for traj in trajs), default=0)
+        # occupied[s]: the planned droplets' cells at step s (s == high
+        # repeats the parked cells); halos[s]: those cells and their
+        # neighbours.
+        neighbors_of = cells.neighbors_of
+        occupied = [
+            {traj[min(s, len(traj) - 1)] for traj in trajs}
+            for s in range(high + 1)
+        ]
+        halos = []
+        for step_cells in occupied:
+            halo = set(step_cells)
+            for other in step_cells:
+                halo.update(neighbors_of(other))
+            halos.append(halo)
+        # Reservation of the window t-1..t+1, for t = 0..high.
+        window_occupied = [
+            set().union(*occupied[max(t - 1, 0) : t + 2]) for t in range(high + 1)
+        ]
+        window_halo = [
+            set().union(*halos[max(t - 1, 0) : t + 2]) for t in range(high + 1)
+        ]
+
+        source, target = request.source, request.target
+        source_nbrs = neighbors_of(source)
+        if (
+            source_nbrs is None
+            or source in window_halo[0]
+            or not window_occupied[0].isdisjoint(source_nbrs)
+        ):
             raise RoutingError(
                 f"{request.name}: source {request.source} conflicts with "
                 "an already-planned droplet"
             )
+        # Once arrived the droplet parks forever, so it may stop at the
+        # target only after the last step whose occupants conflict with it.
+        target_nbrs = neighbors_of(target)
+        parked_from = 0
+        for step in range(high, -1, -1):
+            if target in halos[step] or not occupied[step].isdisjoint(target_nbrs):
+                parked_from = step + 1
+                break
+
+        moves, moves_of = cells.moves, cells.moves_of
+        distance = self.router.distance
+        push, pop = heapq.heappush, heapq.heappop
         counter = itertools.count()
-        open_heap = [
-            (self.router.distance(request.source, request.target), next(counter), start)
-        ]
-        g: Dict[Tuple[Hashable, int], int] = {start: 0}
+        start = (source, 0)
+        open_heap = [(distance(source, target), next(counter), start)]
+        # Every move costs one step, so a state's cost is its time and the
+        # first discovery of a state is its best: ``came`` doubles as the
+        # seen set.
         came: Dict[Tuple[Hashable, int], Tuple[Hashable, int]] = {}
         while open_heap:
-            _, _, (cell, t) = heapq.heappop(open_heap)
-            if cell == request.target and self._parked_ok(
-                request.target, t, planned
-            ):
-                return self._reconstruct(came, (cell, t))
+            state = pop(open_heap)[2]
+            cell, t = state
+            if cell == target and t >= parked_from:
+                return self._reconstruct(came, state)
             if t >= horizon:
                 continue
-            for nxt in [cell] + self.router.neighbors(cell):
-                state = (nxt, t + 1)
-                if not self._legal(nxt, t + 1, planned):
+            nt = t + 1
+            key = nt if nt < high else high
+            reserved, reserved_halo = window_occupied[key], window_halo[key]
+            for nxt, nxt_nbrs in moves.get(cell) or moves_of(cell):
+                if (
+                    nxt_nbrs is None
+                    or nxt in reserved_halo
+                    or not reserved.isdisjoint(nxt_nbrs)
+                ):
                     continue
-                tentative = g[(cell, t)] + 1
-                if tentative < g.get(state, 1 << 30):
-                    g[state] = tentative
-                    came[state] = (cell, t)
-                    priority = tentative + self.router.distance(nxt, request.target)
-                    heapq.heappush(open_heap, (priority, next(counter), state))
+                nstate = (nxt, nt)
+                if nstate in came:
+                    continue
+                came[nstate] = state
+                push(open_heap, (nt + distance(nxt, target), next(counter), nstate))
         raise RoutingError(
             f"{request.name}: no route {request.source} -> {request.target} "
             f"within horizon {horizon}"
         )
-
-    def _parked_ok(
-        self, cell: Hashable, t: int, planned: Dict[str, List[Hashable]]
-    ) -> bool:
-        """Once arrived, the droplet parks forever: verify no future
-        conflict with droplets still moving."""
-        high = max((len(traj) for traj in planned.values()), default=0)
-        for step in range(t, high + 1):
-            for other in self._others_at(planned, step):
-                if self._conflicts(cell, other):
-                    return False
-        return True
 
     @staticmethod
     def _reconstruct(

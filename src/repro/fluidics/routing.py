@@ -122,30 +122,39 @@ class Router:
         if src == dst:
             return [src]
 
-        heuristic = self.distance
+        neighbors, usable, heuristic = self.neighbors, self.usable, self.distance
+        push, pop = heapq.heappush, heapq.heappop
         counter = itertools.count()
         open_heap = [(heuristic(src, dst), next(counter), src)]
         g_score: Dict[Hashable, int] = {src: 0}
         came_from: Dict[Hashable, Hashable] = {}
         closed: Set[Hashable] = set()
         while open_heap:
-            _, _, current = heapq.heappop(open_heap)
+            current = pop(open_heap)[2]
             if current == dst:
                 return self._reconstruct(came_from, current)
             if current in closed:
                 continue
             closed.add(current)
-            for neighbor in self.neighbors(current):
-                if neighbor in closed or not self.usable(neighbor, blocked_set):
+            tentative = g_score[current] + 1
+            for neighbor in neighbors(current):
+                if neighbor in closed:
                     continue
-                tentative = g_score[current] + 1
-                if tentative < g_score.get(neighbor, float("inf")):
-                    g_score[neighbor] = tentative
-                    came_from[neighbor] = current
-                    heapq.heappush(
-                        open_heap,
-                        (tentative + heuristic(neighbor, dst), next(counter), neighbor),
-                    )
+                known = g_score.get(neighbor)
+                if known is None:
+                    # First sight: an unusable cell is closed for good (a
+                    # known one was usable when it was first pushed).
+                    if not usable(neighbor, blocked_set):
+                        closed.add(neighbor)
+                        continue
+                elif tentative >= known:
+                    continue
+                g_score[neighbor] = tentative
+                came_from[neighbor] = current
+                push(
+                    open_heap,
+                    (tentative + heuristic(neighbor, dst), next(counter), neighbor),
+                )
         raise RoutingError(f"no usable route from {src} to {dst}")
 
     def spacing_halo(self, droplet_cells: Iterable[Hashable]) -> Set[Hashable]:

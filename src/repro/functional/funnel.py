@@ -61,8 +61,9 @@ The funnel, in order (every stage is exact — never a heuristic):
    copy — stays as the oracle :meth:`_FunnelContext._residue_run`, which
    ``tests/test_functional.py`` holds equal to the view on every
    matching-GOOD run of its grids.  On a shared 2-vCPU Xeon host (n=60,
-   p=0.9) a residue run costs ~0.03-0.12 ms for the routing criterion and
-   ~1.8 ms for the multiplexed one, 9-19x less than the oracle.
+   p=0.9) a residue run costs ~0.05-0.14 ms for the routing criterion and
+   ~0.9-1.1 ms for the multiplexed one; the oracle costs 14-19x and ~4x
+   more (``docs/functional_yield.md``).
 
 Per-(structure, criterion) precomputation — site placement, anchor
 masks, padded physical adjacency, the structure's reverse spare
@@ -474,16 +475,15 @@ class _FunnelContext:
         self._work_chip: Optional[Biochip] = None
 
     # -- residue: index-space evaluator ------------------------------------
-    def _index_run(self, row: np.ndarray) -> bool:
-        """Decide one matching-GOOD run on an :class:`_IndexRouter` view.
+    def _index_view(self, row: np.ndarray) -> Optional[_IndexRouter]:
+        """One matching-GOOD run's repaired array as an :class:`_IndexRouter`.
 
-        The verdict equals :meth:`_residue_run` (the oracle): the repair
-        assignment is the same Hopcroft–Karp matching ``plan_local_repair``
-        computes (:func:`_index_matching`) — left side the faulty needed
-        primaries in ``needed_idx`` order, edges their alive adjacent
-        spares in ``struct.adj`` order — faulty primaries outside the
-        needed set become dead cells, and the same A* searches run over
-        the view.
+        The repair assignment is the same Hopcroft–Karp matching
+        ``plan_local_repair`` computes (:func:`_index_matching`) — left
+        side the faulty needed primaries in ``needed_idx`` order, edges
+        their alive adjacent spares in ``struct.adj`` order — and faulty
+        primaries outside the needed set become dead cells.  ``None`` when
+        the matching leaves a needed primary unrepaired.
         """
         faulty = np.flatnonzero(~row)
         slots = self.needed_slot[faulty]
@@ -495,8 +495,8 @@ class _FunnelContext:
                 left.append(cell)
                 spares.append([s for s in adj[slot] if row[s]])
         matching = _index_matching(left, spares)
-        if len(matching) < len(left):  # unreachable: residue rows are GOOD
-            return False
+        if len(matching) < len(left):
+            return None
         live = self._primary_list[:]
         for cell in faulty[self.unneeded_primary_mask[faulty]].tolist():
             live[cell] = False
@@ -505,7 +505,18 @@ class _FunnelContext:
         for primary, spare in matching.items():
             image[primary] = spare
             inverse[spare] = primary
-        view = _IndexRouter(self, live, image, inverse)
+        return _IndexRouter(self, live, image, inverse)
+
+    def _index_run(self, row: np.ndarray) -> bool:
+        """Decide one matching-GOOD run on its :meth:`_index_view`.
+
+        The verdict equals :meth:`_residue_run` (the oracle): the view
+        holds the oracle's repair remap and the same A* searches run over
+        it.
+        """
+        view = self._index_view(row)
+        if view is None:  # unreachable: residue rows are matching-GOOD
+            return False
         try:
             if self.concurrent:
                 plan = ConcurrentRouter(self.chip, router=view).plan(

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chip.builders import plain_chip
-from repro.designs.catalog import DTMB_2_6
+from repro.designs.catalog import DTMB_2_6, DTMB_3_6
 from repro.designs.interstitial import build_chip, build_with_primary_count
 from repro.errors import RoutingError, SchedulingError
 from repro.fluidics.controller import ElectrodeController
@@ -25,6 +28,18 @@ from repro.reconfig.remap import CellRemap
 @pytest.fixture
 def chip():
     return plain_chip(RectRegion(9, 9))
+
+
+def _pinned_router():
+    """A repaired DTMB(2,6) n=60 chip on which A* routes Hex(7, 1) ->
+    Hex(0, 9) in 9 moves although 8 suffice."""
+    chip = build_with_primary_count(DTMB_2_6, 60).build()
+    chip.apply_fault_map(
+        Hex(q, r) for q, r in ((-1, 8), (0, 9), (1, 5), (2, 0), (2, 5), (4, 0))
+    )
+    plan = plan_local_repair(chip)
+    assert plan.complete
+    return Router(chip, CellRemap(chip, plan))
 
 
 class TestRouter:
@@ -117,14 +132,7 @@ class TestRouter:
         one such leg so that neither a "shortest paths" claim nor a change
         of search goes unnoticed.
         """
-        chip = build_with_primary_count(DTMB_2_6, 60).build()
-        chip.apply_fault_map(
-            Hex(q, r)
-            for q, r in ((-1, 8), (0, 9), (1, 5), (2, 0), (2, 5), (4, 0))
-        )
-        plan = plan_local_repair(chip)
-        assert plan.complete
-        router = Router(chip, CellRemap(chip, plan))
+        router = _pinned_router()
         src, dst = Hex(7, 1), Hex(0, 9)
         assert len(router.route(src, dst)) - 1 == 9
 
@@ -137,6 +145,97 @@ class TestRouter:
                     dist[nbr] = dist[cell] + 1
                     queue.append(nbr)
         assert dist[dst] == 8
+
+
+def _reference_route(router, src, dst, blocked=()):
+    """``Router.route``'s A* loop as it was before its locals were bound:
+    the pinned reference for path identity."""
+    blocked_set = set(blocked)
+    blocked_set.discard(src)
+    if not router.usable(src, set()):
+        raise RoutingError(f"source cell {src} is not usable")
+    if not router.usable(dst, blocked_set):
+        raise RoutingError(f"destination cell {dst} is not usable")
+    if src == dst:
+        return [src]
+    heuristic = router.distance
+    counter = itertools.count()
+    open_heap = [(heuristic(src, dst), next(counter), src)]
+    g_score = {src: 0}
+    came_from = {}
+    closed = set()
+    while open_heap:
+        _, _, current = heapq.heappop(open_heap)
+        if current == dst:
+            return router._reconstruct(came_from, current)
+        if current in closed:
+            continue
+        closed.add(current)
+        for neighbor in router.neighbors(current):
+            if neighbor in closed or not router.usable(neighbor, blocked_set):
+                continue
+            tentative = g_score[current] + 1
+            if tentative < g_score.get(neighbor, float("inf")):
+                g_score[neighbor] = tentative
+                came_from[neighbor] = current
+                heapq.heappush(
+                    open_heap,
+                    (tentative + heuristic(neighbor, dst), next(counter), neighbor),
+                )
+    raise RoutingError(f"no usable route from {src} to {dst}")
+
+
+def _route_outcome(route, *args):
+    """The path, or the error's message."""
+    try:
+        return route(*args)
+    except RoutingError as exc:
+        return str(exc)
+
+
+def _random_remapped_routers(per_design=6):
+    """Routers over random repaired DTMB(2,6) and DTMB(3,6) n=60 chips
+    with at least one spare in use."""
+    rng = np.random.default_rng(3)
+    for spec in (DTMB_2_6, DTMB_3_6):
+        base = build_with_primary_count(spec, 60).build()
+        coords = list(base.coords)
+        made = 0
+        while made < per_design:
+            chip = base.copy()
+            chip.apply_fault_map(
+                coords[i] for i in np.flatnonzero(rng.random(len(coords)) < 0.1)
+            )
+            plan = plan_local_repair(chip)
+            if plan.complete and plan.assignment:
+                made += 1
+                yield Router(chip, CellRemap(chip, plan))
+
+
+def test_astar_paths_equal_reference_loop():
+    """Full paths, not only lengths: routes from a few sources to every
+    usable cell of each remapped chip, bare and with a droplet's spacing
+    halo blocked, equal the reference loop's (or raise its error).  The
+    first chip is the one whose A* leg exceeds the shortest path."""
+    rng = np.random.default_rng(4)
+    pinned = _pinned_router()
+    assert len(_reference_route(pinned, Hex(7, 1), Hex(0, 9))) - 1 == 9
+    routes = 0
+    for i, router in enumerate(
+        itertools.chain([pinned], _random_remapped_routers())
+    ):
+        cells = [c.coord for c in router.chip.primaries() if router.usable(c.coord, set())]
+        blocked = router.spacing_halo([cells[int(rng.integers(len(cells)))]])
+        sources = [cells[int(j)] for j in rng.choice(len(cells), size=3, replace=False)]
+        if i == 0:
+            sources.append(Hex(7, 1))
+        for src in sources:
+            for dst in cells:
+                for block in ((), blocked):
+                    want = _route_outcome(_reference_route, router, src, dst, block)
+                    assert _route_outcome(router.route, src, dst, block) == want
+                    routes += isinstance(want, list)
+    assert routes > 2500
 
 
 class TestScheduler:
