@@ -70,7 +70,9 @@ def get_engine(
     bit-identical whatever ``jobs``/``shard_runs`` you pick,
     ``cache_dir`` makes repeated points free, and ``cache_url`` mounts
     a shared :class:`~repro.yieldsim.cachestore.CacheStore` (a path,
-    ``file://``, ``http://`` or ``memory://`` URL) behind it.
+    ``file://``, ``http://`` or ``memory://`` URL) behind it.  With
+    ``jobs > 1`` the engine keeps one worker pool across calls; release
+    it with ``close()`` or use the engine as a context manager.
     """
     from repro.yieldsim.engine import SweepEngine
 

@@ -503,7 +503,11 @@ def _run_experiment(args: argparse.Namespace) -> int:
         )
     run = _artifact_run(args)
     engine = _engine_from_args(args)
-    result = _execute(experiment, args, engine)
+    try:
+        result = _execute(experiment, args, engine)
+    finally:
+        if engine is not None:
+            engine.close()
     _print_result(result, args)
     if args.csv:
         write_csv(args.csv, result.headers, result.rows)
@@ -559,6 +563,7 @@ def _run_all(args: argparse.Namespace) -> int:
     run = _artifact_run(args)
     experiments = registry.all_experiments()
     executor = None
+    engine = None
     if args.experiment_jobs == 1:
         engine = _engine_from_args(args)
         tracer = engine.tracer if engine is not None else None
@@ -592,7 +597,9 @@ def _run_all(args: argparse.Namespace) -> int:
                 run.add(result)
     finally:
         if executor is not None:
-            executor.shutdown()
+            executor.close()
+        if engine is not None:
+            engine.close()
     if run is not None:
         manifest = run.finalize()
         _emit(f"\nwrote {manifest} ({run.added} experiments)")

@@ -33,7 +33,9 @@ body.
 Compute runs on a worker thread (`asyncio.to_thread`) under a process-wide
 lock: the engine itself parallelizes across its executor, and the lock
 keeps the shared engine's accounting coherent.  The event loop stays free
-to accept, coalesce and stream while a computation is running.
+to accept, coalesce and stream while a computation is running.  With
+``--jobs N`` the engine's worker pool is forked at the first request that
+needs it and serves every later one; it is closed after the drain.
 """
 
 from __future__ import annotations
@@ -1013,6 +1015,8 @@ async def _serve(
     finally:
         for signum in installed:
             loop.remove_signal_handler(signum)
+        # The engine's worker pool lives as long as the server.
+        server.engine.close()
 
 
 def serve_forever(config: ServeConfig, engine: Optional[SweepEngine] = None) -> int:
@@ -1020,7 +1024,8 @@ def serve_forever(config: ServeConfig, engine: Optional[SweepEngine] = None) -> 
 
     SIGTERM and SIGINT both shut down gracefully: the listener closes
     first, then in-flight requests get up to ``config.drain_timeout``
-    seconds to finish before the process exits.
+    seconds to finish, then the engine is closed (releasing its worker
+    pool) before the process exits.
     """
     ensure_configured("info")
     server = ReproServer(config, engine=engine)
@@ -1100,8 +1105,9 @@ class BackgroundServer:
         """Stop accepting, drain in-flight requests, join with ``deadline``.
 
         The server thread closes its listener immediately, gives active
-        requests up to the config's ``drain_timeout`` to finish, then
-        exits; ``deadline`` bounds how long this call waits for all of
+        requests up to the config's ``drain_timeout`` to finish, closes
+        the engine (releasing its worker pool), then exits; ``deadline``
+        bounds how long this call waits for all of
         that.  A still-alive thread after the deadline is a daemon — it
         cannot outlive the process — so ``stop`` always returns.
         """

@@ -205,10 +205,13 @@ class SweepEngine:
         executor, but use the spawned batch streams rather than the
         legacy single stream.
     executor:
-        An explicit :class:`~repro.yieldsim.executors.Executor` backend.
-        ``None`` (default) derives one from ``jobs`` per run —
+        An explicit :class:`~repro.yieldsim.executors.Executor` backend,
+        which stays the caller's to close.  ``None`` (default) derives
+        one from ``jobs`` at the first run and keeps it for the engine's
+        lifetime —
         :class:`~repro.yieldsim.executors.SerialExecutor` for ``jobs=1``,
-        :class:`~repro.yieldsim.executors.PoolExecutor` otherwise.  Pass
+        :class:`~repro.yieldsim.executors.PoolExecutor` otherwise, whose
+        worker pool every later run reuses until :meth:`close`.  Pass
         an :class:`~repro.yieldsim.executors.InlineExecutor` to count
         compute units deterministically in tests.
     retry:
@@ -265,6 +268,8 @@ class SweepEngine:
         self.dtype = dtype
         self.shard_runs = shard_runs
         self.executor = executor
+        #: the executor derived from ``jobs`` (built lazily, closed by close())
+        self._own_executor: Optional[Executor] = None
         self.retry = retry
         self.checkpoint = checkpoint
         self.cache_store = cache_store
@@ -359,8 +364,16 @@ class SweepEngine:
         successes, trials)`` observes every in-order fold of a computed
         point (cumulative values; one call for a flat point), which is
         what ``repro serve`` streams as per-fold NDJSON progress.
+
+        Without an explicit ``executor``, every call runs on the engine's
+        own executor, so a ``jobs > 1`` engine forks its worker pool once
+        and reuses it until :meth:`close`.
         """
-        executor = self.executor if self.executor is not None else default_executor(self.jobs)
+        executor = self.executor
+        if executor is None:
+            if self._own_executor is None:
+                self._own_executor = default_executor(self.jobs)
+            executor = self._own_executor
         outcomes = self.scheduler.run(
             tasks, executor, progress=self.progress, on_fold=on_fold,
         )
@@ -391,6 +404,22 @@ class SweepEngine:
             )
             estimates.append(YieldEstimate(successes=out.successes, trials=out.trials))
         return estimates
+
+    def close(self) -> None:
+        """Release the worker pool the engine built (idempotent).
+
+        An explicit ``executor`` is left alone: it is the caller's to
+        close.  A :meth:`run_points` after ``close`` starts a new pool.
+        """
+        if self._own_executor is not None:
+            self._own_executor.close()
+            self._own_executor = None
+
+    def __enter__(self) -> "SweepEngine":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # -- conveniences ----------------------------------------------------------
     def survival_estimates(

@@ -16,10 +16,11 @@ Backends
     scheduler degenerates to a strict in-order fold — the reference
     semantics every other backend must reproduce.
 :class:`PoolExecutor`
-    ``concurrent.futures.ProcessPoolExecutor``-backed.  The pool is
-    created lazily at ``start`` (and only when there is more than one
-    unit to run), sized ``min(jobs, units)``; with one unit it behaves
-    exactly like :class:`SerialExecutor`.
+    ``concurrent.futures.ProcessPoolExecutor``-backed.  One pool, sized
+    ``jobs``, serves every run: it is created lazily by the first
+    ``start`` whose run holds more than one unit and kept until
+    ``close``; a one-unit run behaves exactly like
+    :class:`SerialExecutor`.
 :class:`InlineExecutor`
     A test double: immediate in-process execution like
     :class:`SerialExecutor`, but with a configurable ``capacity`` so the
@@ -29,14 +30,17 @@ Backends
     assert exactly how many compute units a request cost.
 
 Executors are reusable: ``start``/``shutdown`` bracket one scheduler run,
-and a fresh run may follow (``PoolExecutor`` spawns a fresh pool each
-time; the inline backends keep their counters across runs).
+and a fresh run may follow on the same workers (``PoolExecutor`` keeps
+its pool across runs; the inline backends keep their counters).
+``close`` releases whatever workers an executor holds; it is idempotent,
+and a run after it starts fresh workers.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import Any, Callable, Optional, Protocol, Set, runtime_checkable
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
+from typing import Any, Callable, List, Optional, Protocol, Set, runtime_checkable
 
 from repro.errors import SimulationError
 
@@ -109,7 +113,10 @@ class Executor(Protocol):
         """
 
     def shutdown(self) -> None:
-        """End the current run, releasing any workers."""
+        """End the current run; workers stay for the next one."""
+
+    def close(self) -> None:
+        """Release any workers (idempotent; a later run starts fresh ones)."""
 
 
 class SerialExecutor:
@@ -133,6 +140,9 @@ class SerialExecutor:
         return set(futures)
 
     def shutdown(self) -> None:
+        pass
+
+    def close(self) -> None:
         pass
 
 
@@ -182,20 +192,32 @@ class InlineExecutor:
     def shutdown(self) -> None:
         pass
 
+    def close(self) -> None:
+        pass
+
 
 class PoolExecutor:
     """``ProcessPoolExecutor``-backed execution across worker processes.
 
-    The pool is created per run at :meth:`start`, and only when the run
-    holds more than one unit — a single-unit run (or ``jobs=1``) executes
-    inline, exactly like :class:`SerialExecutor`, so tiny requests never
-    pay process spin-up.
+    One pool of ``jobs`` workers lives as long as the executor: the first
+    run that holds more than one unit creates it at :meth:`start`, and
+    every later such run reuses its workers, so a long-lived engine
+    (``repro serve``, a ``--jobs`` sweep over many experiments) forks once
+    and each worker keeps the per-chip repair structures it has built.  A
+    single-unit run (or ``jobs=1``) executes inline, exactly like
+    :class:`SerialExecutor`, so tiny requests never touch the pool.
+    :meth:`shutdown` ends a run — it cancels the run's still-queued units
+    and keeps the workers — and :meth:`close` releases them.
 
     A broken pool (a worker died hard enough to poison it —
     ``BrokenProcessPool``) is recoverable: :meth:`rebuild` discards the
     poisoned pool and spawns a fresh one at the same size, and the retry
     layer resubmits whatever was in flight.  ``rebuilds`` counts how many
-    times that happened over the executor's lifetime.
+    times that happened over the executor's lifetime.  A pool that is
+    still broken when its run ends, or whose run gave up on a hung unit
+    (:meth:`retire`), is released at :meth:`shutdown` without waiting, so
+    the next run starts on fresh workers rather than a poisoned or
+    half-occupied pool.
     """
 
     name = "pool"
@@ -205,23 +227,29 @@ class PoolExecutor:
             raise SimulationError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_size = 0
+        #: whether the current run sends its units to the pool
+        self._active = False
+        #: the current run's submissions to the current pool
+        self._futures: List[Future] = []
+        self._retired = False
         #: lifetime count of broken pools replaced via rebuild()
         self.rebuilds = 0
 
     @property
     def capacity(self) -> int:
-        return self.jobs if self._pool is not None else 1
+        return self.jobs if self._active else 1
 
     def start(self, units_hint: int) -> None:
-        if self.jobs > 1 and units_hint > 1:
-            self._pool_size = min(self.jobs, units_hint)
-            self._pool = ProcessPoolExecutor(max_workers=self._pool_size)
+        self._active = self.jobs > 1 and units_hint > 1
+        if self._active and self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
 
     def submit(self, fn: Callable[..., Any], *args: Any) -> UnitFuture:
-        if self._pool is None:
+        if not self._active:
             return ImmediateFuture(fn(*args))
-        return self._pool.submit(fn, *args)
+        future = self._pool.submit(fn, *args)
+        self._futures.append(future)
+        return future
 
     def wait_any(
         self, futures: Set[UnitFuture], timeout: Optional[float] = None
@@ -236,14 +264,42 @@ class PoolExecutor:
         """Replace a poisoned pool with a fresh one at the same size."""
         if self._pool is None:
             raise SimulationError("no process pool to rebuild")
-        self._pool.shutdown(wait=False, cancel_futures=True)
-        self._pool = ProcessPoolExecutor(max_workers=self._pool_size)
+        self._release(wait=False)
+        self._pool = ProcessPoolExecutor(max_workers=self.jobs)
         self.rebuilds += 1
 
+    def retire(self) -> None:
+        """Release the pool without waiting once the current run ends.
+
+        The retry layer calls this when it abandons a unit past its
+        deadline: the worker running it may stay stuck, and a pool kept
+        for later runs would quietly lose that worker's capacity.
+        """
+        self._retired = True
+
     def shutdown(self) -> None:
+        broken = False
+        for future in self._futures:
+            future.cancel()
+            broken = broken or (
+                future.done() and not future.cancelled()
+                and isinstance(future.exception(), BrokenProcessPool)
+            )
+        self._futures.clear()
+        if broken or self._retired:
+            self._release(wait=False)
+        self._active = False
+        self._retired = False
+
+    def close(self) -> None:
+        self.shutdown()
+        self._release(wait=True)
+
+    def _release(self, wait: bool) -> None:
         if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool.shutdown(wait=wait, cancel_futures=True)
             self._pool = None
+        self._futures.clear()
 
 
 def default_executor(jobs: int = 1) -> Executor:

@@ -230,7 +230,10 @@ class UnitRunner:
     (resubmission is always safe under the engine's purity contract):
     the pool is rebuilt via the executor's ``rebuild()`` hook and every
     in-flight unit is resubmitted, bounded by the policy's
-    ``pool_rebuilds`` (default 2 without a policy).
+    ``pool_rebuilds`` (default 2 without a policy).  A unit cancelled
+    past its deadline also calls the executor's ``retire()`` hook (where
+    it has one), so a long-lived pool does not carry a stuck worker into
+    later runs.
 
     Per-token incident counts accumulate in :attr:`incidents` so the
     engine can attribute recovery work to individual sweep points.
@@ -474,6 +477,11 @@ class UnitRunner:
                     if now - unit.started > self.policy.unit_timeout:
                         future.cancel()
                         del self._inflight[future]
+                        # Its worker may stay stuck: let the executor
+                        # retire that pool once the run ends.
+                        retire = getattr(self.executor, "retire", None)
+                        if retire is not None:
+                            retire()
                         self.stats.timeouts += 1
                         self._note(unit.token, "timeouts")
                         self._incident("unit_timeout", unit, late=False)
@@ -595,8 +603,9 @@ class FaultInjectingExecutor:
     which is what lets a schedule fault "the first attempt of every 3rd
     unit" and the chaos lane assert that the retried run's numbers equal
     the clean run's bit for bit.  ``injected`` counts faults by mode;
-    ``rebuild`` passes through to the inner executor so pool-kill drills
-    can recover.
+    ``rebuild``, ``retire`` and ``close`` pass through to the inner
+    executor so pool-kill and hang drills recover exactly as an
+    unwrapped pool does.
     """
 
     def __init__(
@@ -651,6 +660,14 @@ class FaultInjectingExecutor:
 
     def shutdown(self) -> None:
         self.inner.shutdown()
+
+    def close(self) -> None:
+        self.inner.close()
+
+    def retire(self) -> None:
+        retire = getattr(self.inner, "retire", None)
+        if retire is not None:
+            retire()
 
     def rebuild(self) -> None:
         rebuild = getattr(self.inner, "rebuild", None)

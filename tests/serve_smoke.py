@@ -17,6 +17,10 @@ the offline results:
    two remote store implementations.
 5. ``GET /metrics`` must carry a ``# TYPE`` line for every metric family
    listed in ``docs/observability.md``.
+6. A pooled server (``SweepEngine(jobs=2, shard_runs=…)``) must answer
+   three sequential sharded cold ``POST /points`` exactly as an offline
+   serial engine does, on one worker pool that is gone once the server
+   stops — no child process is left behind.
 
 Exits non-zero on any mismatch.  Run as::
 
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import multiprocessing
 import pathlib
 import re
 import sys
@@ -36,6 +41,8 @@ import urllib.request
 
 RUNS = 200
 SEED = 2005
+#: the pooled leg's shard size: each of its points folds four shards
+SHARD_RUNS = 150
 
 
 def post(base: str, path: str, body: dict, timeout: float = 600) -> dict:
@@ -212,8 +219,44 @@ def main() -> int:
         assert stats["points"]["computed"] == 3
         assert stats["bundles"]["computed"] == 1
         assert stats["cache_objects"]["count"] == 1
-        print("serve smoke passed")
+
+    pooled_leg()
+    print("serve smoke passed")
     return 0
+
+
+def pooled_leg() -> None:
+    """Sequential sharded cold points on one long-lived worker pool."""
+    from repro.designs.catalog import DTMB_2_6
+    from repro.designs.interstitial import build_with_primary_count
+    from repro.serve import BackgroundServer, ServeConfig
+    from repro.yieldsim.engine import EnginePoint, SweepEngine
+    from repro.yieldsim.kernel import PointSpec
+
+    chip = build_with_primary_count(DTMB_2_6, 60).build()
+    seeds = (SEED, SEED + 1, SEED + 2)
+    offline = SweepEngine(shard_runs=SHARD_RUNS).run_points([
+        EnginePoint(chip, PointSpec("survival", 0.95, 4 * SHARD_RUNS, seed))
+        for seed in seeds
+    ])
+    engine = SweepEngine(jobs=2, shard_runs=SHARD_RUNS)
+    with BackgroundServer(ServeConfig(port=0), engine=engine) as handle:
+        base = f"http://127.0.0.1:{handle.port}"
+        for seed, reference in zip(seeds, offline):
+            served = post(base, "/points", {
+                "kind": "survival", "param": 0.95, "runs": 4 * SHARD_RUNS,
+                "seed": seed, "design": "DTMB(2,6)", "n": 60,
+            })
+            assert (served["successes"], served["trials"]) == (
+                reference.successes, reference.trials
+            ), (seed, served, reference)
+        assert multiprocessing.active_children(), "no worker pool was used"
+    left = multiprocessing.active_children()
+    assert not left, f"worker processes outlived the server: {left}"
+    print(
+        f"pooled server OK: {len(seeds)} sharded cold points == offline "
+        "serial engine; no worker left after stop"
+    )
 
 
 if __name__ == "__main__":

@@ -12,6 +12,9 @@ estimates and screen/funnel counter totals.
 
 from __future__ import annotations
 
+import os
+import time
+
 import pytest
 
 from repro.functional import RoutingCriterion
@@ -153,6 +156,92 @@ class TestMixedPlan:
             self._observe(make_executor(), dtmb26_chip, dtmb16_chip)
             == reference
         )
+
+
+def _pid_after(delay):
+    """A unit that reports which process ran it (module-level: picklable)."""
+    time.sleep(delay)
+    return os.getpid()
+
+
+def _run_pids(executor, units=2):
+    """One executor run of ``units`` slow units; the worker PIDs used.
+
+    Each unit outlasts the dispatch of the next, so a two-worker pool
+    runs two units on two different workers.
+    """
+    executor.start(units)
+    try:
+        futures = [executor.submit(_pid_after, 0.3) for _ in range(units)]
+        return {future.result() for future in futures}
+    finally:
+        executor.shutdown()
+
+
+class TestPoolLifetime:
+    """One pool per executor lifetime: runs reuse its workers, close()
+    releases them, and reuse never changes a number."""
+
+    def test_runs_reuse_workers_until_close(self):
+        executor = PoolExecutor(2)
+        try:
+            first = _run_pids(executor)
+            assert len(first) == 2 and os.getpid() not in first
+            assert _run_pids(executor) == first
+            executor.close()
+            assert not _run_pids(executor) & first
+        finally:
+            executor.close()
+
+    def test_close_is_idempotent(self):
+        executor = PoolExecutor(2)
+        executor.close()  # never started
+        _run_pids(executor)
+        executor.close()
+        executor.close()
+        assert executor.capacity == 1
+
+    def test_single_unit_run_stays_inline(self):
+        executor = PoolExecutor(2)
+        try:
+            assert _run_pids(executor, units=1) == {os.getpid()}
+            assert executor.capacity == 1
+        finally:
+            executor.close()
+
+    @staticmethod
+    def _calls(engine, dtmb26_chip, dtmb16_chip):
+        """Consecutive run_points calls over different chips: estimates,
+        (effective, adaptive) log and screen stats after each call."""
+        calls = [
+            [EnginePoint(dtmb26_chip, PointSpec("survival", 0.93, 2500, 41)),
+             EnginePoint(dtmb26_chip, PointSpec("fixed", 3, 600, 42))],
+            [EnginePoint(dtmb16_chip, PointSpec("survival", 0.90, 3000, 43),
+                         stop=RULE)],
+            [EnginePoint(dtmb16_chip, PointSpec("survival", 0.95, 1800, 44)),
+             EnginePoint(dtmb26_chip, PointSpec("survival", 0.97, 2200, 45),
+                         stop=RULE)],
+        ]
+        seen = []
+        for tasks in calls:
+            estimates = [(e.successes, e.trials) for e in engine.run_points(tasks)]
+            log = [(r.effective, r.adaptive) for r in engine.point_log]
+            seen.append((estimates, log, engine.screen_stats.as_dict()))
+        return seen
+
+    def test_consecutive_runs_on_one_pool_match_serial(
+        self, dtmb26_chip, dtmb16_chip
+    ):
+        reference = self._calls(
+            SweepEngine(shard_runs=500), dtmb26_chip, dtmb16_chip
+        )
+        with SweepEngine(jobs=2, shard_runs=500) as engine:
+            assert self._calls(engine, dtmb26_chip, dtmb16_chip) == reference
+        assert reference[1][1][-1][1] is True  # the adaptive point is logged
+        # A closed engine starts a new pool on its next run.
+        again = self._calls(engine, dtmb26_chip, dtmb16_chip)
+        engine.close()
+        assert [call[0] for call in again] == [call[0] for call in reference]
 
 
 class TestInlineExecutorObservability:

@@ -164,6 +164,18 @@ class TestFlatFaultIdentity:
 
 # -- pool survival ------------------------------------------------------------
 
+class RecordingPool(PoolExecutor):
+    """A pool executor that records the pool each run starts on."""
+
+    def __init__(self, jobs):
+        super().__init__(jobs)
+        self.pools = []
+
+    def start(self, units_hint):
+        super().start(units_hint)
+        self.pools.append(self._pool)
+
+
 class TestPoolSurvival:
     def test_killed_worker_breaks_then_rebuilds_the_pool(self, dtmb26_chip):
         clean = flat_estimates(dtmb26_chip)
@@ -188,6 +200,59 @@ class TestPoolSurvival:
         assert flat_estimates(dtmb26_chip, engine) == clean
         assert engine.resilience.timeouts >= 1
         assert engine.resilience.retries >= 1
+
+    def test_timed_out_pool_is_retired_for_the_next_run(self, dtmb26_chip):
+        # A long-lived pool must not carry a worker stuck on an abandoned
+        # unit into later runs: each run that cancels a hung unit hands
+        # its pool back, and the next run starts on a fresh one.
+        other = [(p, seed + 100) for p, seed in GRID]
+        clean = [
+            flat_estimates(dtmb26_chip),
+            SweepEngine().survival_estimates(dtmb26_chip, other, RUNS),
+        ]
+        inner = RecordingPool(jobs=2)
+        executor = FaultInjectingExecutor(
+            inner, FaultSchedule(hang_every=3), hang_seconds=2.0
+        )
+        engine = SweepEngine(
+            executor=executor,
+            retry=RetryPolicy(attempts=3, backoff_base=0.0, unit_timeout=0.25),
+        )
+        try:
+            assert flat_estimates(dtmb26_chip, engine) == clean[0]
+            second = engine.survival_estimates(dtmb26_chip, other, RUNS)
+            assert [(e.successes, e.trials) for e in second] == [
+                (e.successes, e.trials) for e in clean[1]
+            ]
+        finally:
+            executor.close()
+        assert executor.injected["hang"] == 2
+        assert engine.resilience.timeouts >= 2
+        first_pool, second_pool = inner.pools
+        assert first_pool is not None and second_pool is not None
+        assert second_pool is not first_pool
+
+    def test_pool_left_broken_is_released_at_run_end(self, dtmb26_chip):
+        # A run that gives up on a broken pool must not hand the next run
+        # a poisoned pool (and a spurious rebuild incident).
+        inner = PoolExecutor(jobs=2)
+        killer = FaultInjectingExecutor(
+            inner, FaultSchedule(kill_every=1, fault_attempts=99)
+        )
+        try:
+            with pytest.raises(UnitFailure):
+                SweepEngine(
+                    executor=killer,
+                    retry=RetryPolicy(attempts=3, backoff_base=0.0,
+                                      pool_rebuilds=0),
+                ).survival_estimates(dtmb26_chip, GRID, RUNS)
+            engine = SweepEngine(executor=inner)
+            assert flat_estimates(dtmb26_chip, engine) == flat_estimates(
+                dtmb26_chip
+            )
+            assert engine.resilience.pool_rebuilds == 0
+        finally:
+            inner.close()
 
     def test_late_but_complete_result_is_kept_serially(self, dtmb26_chip):
         # A serial executor computes inside submit(), so a "hang" merely

@@ -16,7 +16,14 @@ The headline claims under test:
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import pathlib
+import re
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -386,6 +393,79 @@ class TestCoalescing:
             assert [status for status, _ in results] == [500] * 3
             for _, error in results:
                 assert error["error"] == "InternalError"
+
+
+#: A sharded cold point: four 300-run shards, so a jobs=2 engine runs it
+#: on its worker pool.
+SHARD_RUNS = 300
+SHARDED_BODY = dict(POINT_BODY, runs=4 * SHARD_RUNS)
+
+
+def _offline_sharded(seed):
+    """``(successes, trials)`` of ``SHARDED_BODY`` at ``seed``, computed
+    offline on a serial engine."""
+    from repro.designs.catalog import DTMB_2_6
+    from repro.designs.interstitial import build_with_primary_count
+
+    chip = build_with_primary_count(DTMB_2_6, 60).build()
+    [estimate] = SweepEngine(shard_runs=SHARD_RUNS).run_points(
+        [EnginePoint(chip, PointSpec("survival", 0.95, 4 * SHARD_RUNS, seed))]
+    )
+    return estimate.successes, estimate.trials
+
+
+class TestPooledServer:
+    """A ``jobs > 1`` engine keeps one worker pool for the server's
+    lifetime and releases it when the server stops."""
+
+    def test_pool_serves_requests_and_leaves_no_workers(self):
+        before = set(multiprocessing.active_children())
+        engine = SweepEngine(jobs=2, shard_runs=SHARD_RUNS)
+        with BackgroundServer(ServeConfig(port=0), engine=engine) as handle:
+            url = f"http://127.0.0.1:{handle.port}"
+            for seed in (1, 2):
+                status, served = http(
+                    url, "/points", dict(SHARDED_BODY, seed=seed)
+                )
+                assert status == 200
+                assert (served["successes"], served["trials"]) == (
+                    _offline_sharded(seed)
+                )
+            assert set(multiprocessing.active_children()) - before
+        assert not set(multiprocessing.active_children()) - before
+
+    def test_sigterm_exits_within_the_drain_timeout(self):
+        drain = 10.0
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--jobs", "2", "--shard-runs", str(SHARD_RUNS),
+             "--drain-timeout", str(drain)],
+            stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        try:
+            port = None
+            for line in proc.stderr:
+                found = re.search(r"listening on http://[^:]+:(\d+)", line)
+                if found:
+                    port = int(found.group(1))
+                    break
+            assert port is not None, "server never reported its port"
+            status, served = http(
+                f"http://127.0.0.1:{port}", "/points",
+                dict(SHARDED_BODY, seed=3),
+            )
+            assert status == 200
+            assert (served["successes"], served["trials"]) == (
+                _offline_sharded(3)
+            )
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=drain) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.communicate(timeout=30)
 
 
 class TestBundles:
