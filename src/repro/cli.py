@@ -46,8 +46,9 @@ count a fault map as a success only if the repaired chip still schedules
 the named assay's droplet routes (see :mod:`repro.functional`); the
 ``fig7-functional``/``fig9-functional``/``scenario-multiplexed`` packs
 report the matching-vs-functional yield gap directly.
-``repro all --experiment-jobs N`` runs whole experiments in parallel
-worker processes, one experiment per worker, with per-experiment output
+``--jobs N`` is the one parallelism knob: a single experiment spreads its
+sweep points over N worker processes, and ``repro all --jobs N`` runs up
+to N whole experiments side by side, one per worker, with output
 byte-identical to the serial loop.
 ``--csv`` exports the rows of any tabular experiment;
 ``--out DIR`` writes the full artifact bundle (CSV + JSON + report +
@@ -61,7 +62,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CriterionError, ExperimentError, FaultModelError, ServeError
 from repro.experiments import registry
@@ -73,7 +74,8 @@ from repro.viz.export import write_csv
 from repro.yieldsim.cachestore import store_from_url
 from repro.yieldsim.defects import ModelFamily, family_from_spec
 from repro.yieldsim.engine import SweepEngine
-from repro.yieldsim.resilience import DEFAULT_RETRY_POLICY, RetryPolicy
+from repro.yieldsim.executors import default_executor
+from repro.yieldsim.resilience import DEFAULT_RETRY_POLICY, RetryPolicy, UnitRunner
 
 __all__ = [
     "main",
@@ -119,14 +121,15 @@ def add_engine_options(p: argparse.ArgumentParser) -> None:
     never its numbers."""
     p.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes for Monte-Carlo sweeps (results are "
+        help="worker processes for Monte-Carlo sweeps; under `all`, "
+             "whole experiments run side by side instead (results are "
              "bit-identical to serial execution)",
     )
     p.add_argument(
         "--shard-runs", type=int, default=None, metavar="N",
         help="split any point bigger than N runs into N-run shards with "
-             "SeedSequence-spawned seeds and (with --jobs) spread them "
-             "across the worker pool",
+             "SeedSequence-spawned seeds and (with --jobs, outside `all`) "
+             "spread them across the worker pool",
     )
     p.add_argument(
         "--cache", "--cache-dir", type=str, default=None, metavar="DIR",
@@ -150,8 +153,9 @@ def add_engine_options(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--unit-timeout", type=float, default=None, metavar="S",
-        help="treat any compute unit still running after S seconds as "
-             "failed and retry it under the --retries budget",
+        help="retry a compute unit still running after S seconds under "
+             "the --retries budget; a pool (--jobs N>1, except under "
+             "`all`) preempts it, a serial engine only counts it as late",
     )
     p.add_argument(
         "--checkpoint", action="store_true",
@@ -523,7 +527,7 @@ def _run_experiment(args: argparse.Namespace) -> int:
 def _all_worker(
     name: str, args: argparse.Namespace
 ) -> Tuple[ExperimentResult, List[dict]]:
-    """One `repro all --experiment-jobs` experiment, in a worker process.
+    """One `repro all --jobs N` experiment, in a worker process.
 
     ``args`` is the parent's command line with serial engine settings:
     parallelism comes from running experiments side by side.  The worker
@@ -544,60 +548,61 @@ def _all_worker(
 def _run_all(args: argparse.Namespace) -> int:
     """Every registered experiment, printed and written in registry order.
 
-    With ``--experiment-jobs N`` whole experiments run in up to N worker
-    processes through the same :class:`~repro.yieldsim.executors.Executor`
-    seam the point scheduler uses; stdout, artifacts and the merged trace
-    come out exactly as the serial loop writes them.
+    ``--jobs 1`` computes them in this process, one after another.  With
+    ``--jobs N`` whole experiments run side by side in up to N worker
+    processes, each on a serial engine, as units of a policy-free
+    :class:`UnitRunner` (the point scheduler's loop): a failing
+    experiment raises its own exception, and a worker that dies hard is
+    survived by rebuilding the pool.  Stdout, artifacts and the merged
+    trace come out exactly as the serial loop writes them.
     """
     if args.csv:
         return _fail(
             "`all` cannot write a single CSV; use --out DIR for "
             "per-experiment artifacts"
         )
-    if args.experiment_jobs < 1:
-        return _fail(f"--experiment-jobs must be >= 1, got {args.experiment_jobs}")
     # A malformed flag must fail before any Monte-Carlo budget is spent.
     _target_ci_from_args(args)
     _model_family_from_args(args)
     _criterion_from_args(args)
     run = _artifact_run(args)
     experiments = registry.all_experiments()
-    executor = None
-    engine = None
-    if args.experiment_jobs == 1:
+    runner = engine = None
+    if args.jobs == 1:
         engine = _engine_from_args(args)
         tracer = engine.tracer if engine is not None else None
     else:
-        from repro.yieldsim.executors import default_executor
-
         _engine_kwargs(args)  # validate here; each worker builds its own
         tracer = Tracer() if args.trace else None
         # --log-file stays parent-only: one writer per file.
         worker_args = argparse.Namespace(
-            **{**vars(args), "jobs": 1, "experiment_jobs": 1, "log_file": None}
+            **{**vars(args), "jobs": 1, "log_file": None}
         )
-        executor = default_executor(min(args.experiment_jobs, len(experiments)))
+        runner = UnitRunner(
+            default_executor(min(args.jobs, len(experiments))), None
+        )
+    done: Dict[int, Tuple[ExperimentResult, List[dict]]] = {}
     try:
-        if executor is not None:
-            executor.start(len(experiments))
-            futures = [
-                executor.submit(_all_worker, experiment.name, worker_args)
-                for experiment in experiments
-            ]
+        if runner is not None:
+            runner.executor.start(len(experiments))
+            for index, experiment in enumerate(experiments):
+                runner.submit(index, _all_worker, (experiment.name, worker_args))
         for index, experiment in enumerate(experiments):
             _emit(f"\n=== {experiment.name} ===")
-            if executor is None:
+            if runner is None:
                 result = _execute(experiment, args, engine)
             else:
-                result, events = futures[index].result()
+                while index not in done:
+                    done.update(runner.collect())
+                result, events = done.pop(index)
                 if tracer is not None:
                     tracer.extend(events)
             _print_result(result, args)
             if run is not None:
                 run.add(result)
     finally:
-        if executor is not None:
-            executor.close()
+        if runner is not None:
+            runner.executor.close()
         if engine is not None:
             engine.close()
     if run is not None:
@@ -738,13 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("all", help="regenerate every registered experiment")
     common(p)
-    p.add_argument(
-        "--experiment-jobs", type=int, default=1, metavar="N",
-        help="run up to N whole experiments in parallel worker processes "
-             "(each worker computes its experiment serially; stdout, "
-             "artifacts and the manifest are byte-identical to "
-             "--experiment-jobs 1)",
-    )
     p.set_defaults(handler=_run_all)
 
     p = sub.add_parser("list", help="list the registered experiments")

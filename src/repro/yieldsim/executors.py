@@ -202,7 +202,7 @@ class PoolExecutor:
     One pool of ``jobs`` workers lives as long as the executor: the first
     run that holds more than one unit creates it at :meth:`start`, and
     every later such run reuses its workers, so a long-lived engine
-    (``repro serve``, a ``--jobs`` sweep over many experiments) forks once
+    (``repro serve``, one ``--jobs`` experiment's many sweeps) forks once
     and each worker keeps the per-chip repair structures it has built.  A
     single-unit run (or ``jobs=1``) executes inline, exactly like
     :class:`SerialExecutor`, so tiny requests never touch the pool.

@@ -181,9 +181,9 @@ class TestGenericDispatch:
             assert len(prov.digest) == 64 and int(prov.digest, 16) >= 0
 
     def test_results_pickle_round_trip(self, results):
-        """`repro all --experiment-jobs` ships real results between
-        processes: the experiment crosses as a registry reference and the
-        charts re-render from the unpickled raw result."""
+        """`repro all --jobs N` ships real results between processes:
+        the experiment crosses as a registry reference and the charts
+        re-render from the unpickled raw result."""
         for name, result in results.items():
             # Pickle before the lazy charts render, as a worker does.
             fresh = dataclasses.replace(result, _charts=None)
@@ -546,7 +546,7 @@ class TestCLI:
             ["fig9", "--jobs", "0"],
             ["fig9", "--shard-runs", "0"],
             ["fig9", "--seed", "-3"],
-            ["all", "--experiment-jobs", "0"],
+            ["all", "--jobs", "0"],
         ],
     )
     def test_bad_numeric_flag_is_a_cli_error(self, argv, capsys):

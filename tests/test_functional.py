@@ -561,13 +561,11 @@ def test_cli_rejects_malformed_criterion(capsys):
 @pytest.mark.slow
 @pytest.mark.parametrize(
     "extra",
-    [[], ["--adaptive", "--jobs", "2"], ["--trace"]],
-    ids=["flat", "adaptive-jobs2", "trace"],
+    [[], ["--adaptive"], ["--trace"]],
+    ids=["flat", "adaptive", "trace"],
 )
-def test_cli_all_experiment_jobs_bit_identical(
-    extra, tmp_path, monkeypatch, capsys
-):
-    """`repro all --experiment-jobs N` is the serial loop run side by side.
+def test_cli_all_jobs_bit_identical(extra, tmp_path, monkeypatch, capsys):
+    """`repro all --jobs N` is the serial loop run side by side.
 
     Stdout, every per-experiment file, the adaptive-budget notes on stderr
     (in registry order) and the merged trace all match the serial run.
@@ -597,10 +595,8 @@ def test_cli_all_experiment_jobs_bit_identical(
         ]
         return out, captured.out.replace(str(out), "OUT"), notes
 
-    serial_dir, serial_out, serial_notes = run_all("serial")
-    shard_dir, shard_out, shard_notes = run_all(
-        "shard", "--experiment-jobs", "3"
-    )
+    serial_dir, serial_out, serial_notes = run_all("serial", "--jobs", "1")
+    shard_dir, shard_out, shard_notes = run_all("shard", "--jobs", "3")
 
     assert serial_out == shard_out
     for root, _dirs, files in os.walk(serial_dir):

@@ -15,7 +15,12 @@ Run standalone with ``pytest -m chaos``; the suite also runs in tier 1.
 
 from __future__ import annotations
 
+import dataclasses
+import filecmp
 import json
+import logging
+import multiprocessing
+import os
 import threading
 import time
 import urllib.error
@@ -268,6 +273,62 @@ class TestPoolSurvival:
         )
         assert flat_estimates(dtmb26_chip, engine) == clean
         assert engine.resilience.timeouts >= 1
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers must inherit the patched registry",
+    )
+    def test_repro_all_survives_a_killed_experiment_worker(
+        self, tmp_path, monkeypatch, capsys, caplog
+    ):
+        # `repro all --jobs N` runs whole experiments as UnitRunner units:
+        # a worker that dies mid-experiment breaks the pool, the pool is
+        # rebuilt, and the rerun experiment's bytes are unchanged.
+        from repro.cli import main
+        from repro.experiments import registry
+
+        parent, marker = os.getpid(), tmp_path / "killed"
+        victim = registry.get("fig13")
+
+        def die_once(**kwargs):
+            if not marker.exists():
+                assert os.getpid() != parent, "experiment ran in the parent"
+                marker.touch()
+                os._exit(3)
+            return victim.runner(**kwargs)
+
+        crashy = dataclasses.replace(victim, runner=die_once)
+        monkeypatch.setitem(registry._REGISTRY, victim.name, crashy)
+        subset = [registry.get("table1"), crashy, registry.get("fig2")]
+        monkeypatch.setattr(registry, "all_experiments", lambda: subset)
+        # An earlier --log-* configuration may have detached repro.*.
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+
+        def run_all(label, jobs):
+            out = tmp_path / label
+            argv = ["all", "--runs", "60", "--seed", "9", "--jobs", jobs]
+            assert main(argv + ["--out", str(out)]) == 0
+            return out, capsys.readouterr().out.replace(str(out), "OUT")
+
+        with caplog.at_level(logging.WARNING, logger="repro.resilience"):
+            pooled_dir, pooled_out = run_all("pooled", "2")
+        assert marker.exists()
+        assert any(
+            getattr(record, "repro_event", None) == "pool_rebuild"
+            for record in caplog.records
+        )
+        serial_dir, serial_out = run_all("serial", "1")
+        assert pooled_out == serial_out
+        files = sorted(
+            path.relative_to(serial_dir)
+            for path in serial_dir.rglob("*")
+            if path.is_file() and path.name != "manifest.json"
+        )
+        assert len(files) >= len(subset)
+        for rel in files:
+            assert filecmp.cmp(
+                serial_dir / rel, pooled_dir / rel, shallow=False
+            ), f"{rel} differs after the pool rebuild"
 
 
 # -- fold-level checkpoint resume ---------------------------------------------
