@@ -38,6 +38,12 @@ class Biochip:
     are lattice neighbors and both are in the array.  Health does not change
     adjacency — a droplet simply may not be routed onto a faulty cell, which
     is a policy enforced by the fluidics and reconfiguration layers.
+
+    The cell coordinates and roles are fixed once the chip is built; only
+    health and labels change.  Per-chip memos rely on this:
+    :func:`~repro.yieldsim.defects.geometry_for` and
+    :func:`~repro.yieldsim.scheduler.chip_identity` derive a chip's
+    geometry and its cache identity once and reuse them for its lifetime.
     """
 
     def __init__(self, cells: Iterable[Cell], name: str = "biochip"):

@@ -61,6 +61,12 @@ class Cell:
     label:
         Optional human-readable annotation ("mixer", "detector",
         "sample source"...) used by the assay layer and the renderers.
+
+    Once the cell is part of a :class:`~repro.chip.biochip.Biochip`, its
+    ``coord`` and ``role`` must not change: the chip's geometry
+    (:func:`~repro.yieldsim.defects.geometry_for`) and cache identity
+    (:func:`~repro.yieldsim.scheduler.chip_identity`) are computed once
+    per chip from them.  ``health`` and ``label`` may change freely.
     """
 
     coord: Hashable

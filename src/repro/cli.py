@@ -505,9 +505,10 @@ def _run_experiment(args: argparse.Namespace) -> int:
             f"{experiment.name} does not accept --criterion "
             "(its success predicate is part of the experiment definition)"
         )
-    run = _artifact_run(args)
+    # Bad engine flags fail before --out is created.
     engine = _engine_from_args(args)
     try:
+        run = _artifact_run(args)
         result = _execute(experiment, args, engine)
     finally:
         if engine is not None:
@@ -565,7 +566,6 @@ def _run_all(args: argparse.Namespace) -> int:
     _target_ci_from_args(args)
     _model_family_from_args(args)
     _criterion_from_args(args)
-    run = _artifact_run(args)
     experiments = registry.all_experiments()
     runner = engine = None
     if args.jobs == 1:
@@ -583,6 +583,8 @@ def _run_all(args: argparse.Namespace) -> int:
         )
     done: Dict[int, Tuple[ExperimentResult, List[dict]]] = {}
     try:
+        # Bad engine flags failed above, before --out is created.
+        run = _artifact_run(args)
         if runner is not None:
             runner.executor.start(len(experiments))
             for index, experiment in enumerate(experiments):

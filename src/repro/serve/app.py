@@ -41,6 +41,7 @@ needs it and serves every later one; it is closed after the drain.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import hashlib
 import json
 import logging
@@ -48,7 +49,7 @@ import signal
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Awaitable, Callable, Dict, Optional, Tuple
+from typing import Awaitable, Callable, Dict, Iterator, Optional, Tuple
 
 from repro.chip.biochip import Biochip
 from repro.designs.catalog import ALL_DESIGNS
@@ -75,7 +76,7 @@ from repro.yieldsim.cachestore import (
 from repro.yieldsim.defects import family_from_spec
 from repro.yieldsim.engine import SweepEngine
 from repro.yieldsim.kernel import PointSpec
-from repro.yieldsim.scheduler import EnginePoint, chip_payload, payload_digest
+from repro.yieldsim.scheduler import EnginePoint, chip_identity
 from repro.yieldsim.stats import YieldEstimate, wilson_half_width
 
 __all__ = ["ServeConfig", "ReproServer", "BackgroundServer", "serve_forever"]
@@ -222,7 +223,7 @@ class ReproServer:
                     f"unknown design {request.design!r}; catalog has: {known}"
                 )
             chip = build_with_primary_count(spec, request.n).build()
-            digest = payload_digest(chip_payload(chip))
+            _, digest = chip_identity(chip)
             built = (chip, digest)
             self._chips[key] = built
             self._chips_by_digest[digest] = chip
@@ -286,6 +287,21 @@ class ReproServer:
         return knobs
 
     # -- compute (leader side) -------------------------------------------------
+    @contextlib.contextmanager
+    def _computing(self) -> Iterator[None]:
+        """Hold the compute lock; drop the point records the turn appended.
+
+        Every request appends to ``engine.point_log`` (``registry.execute``
+        reads its own slice of it), and the server reads none of it once
+        the request is answered, so a long-running server keeps none.
+        """
+        with self._compute_lock:
+            log0 = len(self.engine.point_log)
+            try:
+                yield
+            finally:
+                del self.engine.point_log[log0:]
+
     async def _lead(
         self, cmap: CoalescingMap, entry: InflightEntry,
         work: Callable[[], object],
@@ -322,7 +338,7 @@ class ReproServer:
             )
 
         def work() -> Tuple[YieldEstimate, Optional[Dict[str, object]]]:
-            with self._compute_lock:
+            with self._computing():
                 tracer = Tracer() if trace else None
                 previous = self.engine.tracer
                 if tracer is not None:
@@ -345,7 +361,7 @@ class ReproServer:
         knobs: Dict[str, object],
     ) -> Dict[str, object]:
         """Run one experiment and build its bundle (persisted with --out)."""
-        with self._compute_lock:
+        with self._computing():
             result = registry.execute(
                 experiment,
                 runs=request.runs,

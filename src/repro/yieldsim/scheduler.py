@@ -31,6 +31,7 @@ import hashlib
 import json
 import os
 import time
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
@@ -85,6 +86,7 @@ __all__ = [
     "PointCache",
     "PointOutcome",
     "PointScheduler",
+    "chip_identity",
     "chip_payload",
     "payload_digest",
 ]
@@ -152,6 +154,40 @@ def payload_digest(payload: Dict[str, object]) -> str:
     """Stable SHA-256 digest of a chip payload."""
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=list)
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
+
+
+#: A chip's canonical payload and its :func:`payload_digest`.
+ChipIdentity = Tuple[Dict[str, object], str]
+
+#: Per chip, ``needed`` (as a frozenset, or None) -> its identity.  Weak
+#: keys so chips die normally; the values hold plain data only, never
+#: the chip, or a key could not die.
+_IDENTITIES: "weakref.WeakKeyDictionary[Biochip, Dict[object, ChipIdentity]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def chip_identity(
+    chip: Biochip, needed: Optional[Iterable[Hashable]] = None
+) -> ChipIdentity:
+    """The memoized ``(chip_payload(chip, needed), payload digest)``.
+
+    Computed once per chip object and needed set, like
+    :func:`~repro.yieldsim.defects.geometry_for`: a chip's coordinates
+    and roles never change after construction, and health and labels do
+    not enter the payload.  The payload is shared by every caller, so it
+    is read-only.  Two threads filling the memo for one chip at once
+    compute equal values, and ``setdefault`` hands both the one stored.
+    """
+    marker = None if needed is None else frozenset(needed)
+    entries = _IDENTITIES.get(chip)
+    if entries is None:
+        entries = _IDENTITIES.setdefault(chip, {})
+    identity = entries.get(marker)
+    if identity is None:
+        payload = chip_payload(chip, marker)
+        identity = entries.setdefault(marker, (payload, payload_digest(payload)))
+    return identity
 
 
 def structure_from_payload(payload: Dict[str, object]) -> RepairStructure:
@@ -621,9 +657,9 @@ class PointScheduler:
 
     def key_for(self, task: EnginePoint) -> str:
         """The point-cache key (request identity) of one task."""
-        payload = chip_payload(task.chip, task.needed)
+        _, digest = chip_identity(task.chip, task.needed)
         return self.cache.key(
-            payload_digest(payload), task.spec,
+            digest, task.spec,
             stop=task.stop, batch=self.task_batch(task),
         )
 
@@ -673,18 +709,11 @@ class PointScheduler:
                 successes=out.successes, hit=hit,
             )
 
-        # Canonical payload/digest per distinct chip object (and needed set).
-        seen: Dict[Tuple[int, Optional[Tuple[Hashable, ...]]], str] = {}
         payload_by_digest: Dict[str, Dict[str, object]] = {}
         digests: List[str] = []
         for task in tasks:
-            marker = (id(task.chip), task.needed)
-            digest = seen.get(marker)
-            if digest is None:
-                payload = chip_payload(task.chip, task.needed)
-                digest = payload_digest(payload)
-                seen[marker] = digest
-                payload_by_digest[digest] = payload
+            payload, digest = chip_identity(task.chip, task.needed)
+            payload_by_digest[digest] = payload
             digests.append(digest)
 
         # Cache pass.

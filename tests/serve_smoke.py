@@ -21,6 +21,11 @@ the offline results:
    three sequential sharded cold ``POST /points`` exactly as an offline
    serial engine does, on one worker pool that is gone once the server
    stops — no child process is left behind.
+7. A cached server must answer 50 repeats of one cold point from the
+   cache: every repeat equal to the first response except for
+   ``coalesced``, 50 more hits and no more misses in ``/stats``, the
+   response's ``chip_digest`` equal to the offline payload digest, and
+   a repeat addressed by ``chip_digest`` alone hitting the same key.
 
 Exits non-zero on any mismatch.  Run as::
 
@@ -43,6 +48,8 @@ RUNS = 200
 SEED = 2005
 #: the pooled leg's shard size: each of its points folds four shards
 SHARD_RUNS = 150
+#: the cached leg's repeats of its one cold point
+HITS = 50
 
 
 def post(base: str, path: str, body: dict, timeout: float = 600) -> dict:
@@ -221,6 +228,7 @@ def main() -> int:
         assert stats["cache_objects"]["count"] == 1
 
     pooled_leg()
+    cached_leg()
     print("serve smoke passed")
     return 0
 
@@ -256,6 +264,57 @@ def pooled_leg() -> None:
     print(
         f"pooled server OK: {len(seeds)} sharded cold points == offline "
         "serial engine; no worker left after stop"
+    )
+
+
+def cached_leg() -> None:
+    """One cold point, then cache hits over HTTP on a cached server."""
+    from repro.designs.catalog import DTMB_2_6
+    from repro.designs.interstitial import build_with_primary_count
+    from repro.serve import BackgroundServer, ServeConfig
+    from repro.yieldsim.engine import SweepEngine
+    from repro.yieldsim.scheduler import chip_payload, payload_digest
+
+    def engine_stats(base: str) -> dict:
+        with urllib.request.urlopen(base + "/stats", timeout=30) as response:
+            return json.loads(response.read())["engine"]
+
+    def answer(payload: dict) -> dict:
+        return {k: v for k, v in payload.items() if k != "coalesced"}
+
+    body = {
+        "kind": "survival", "param": 0.95, "runs": RUNS, "seed": SEED,
+        "design": "DTMB(2,6)", "n": 60,
+    }
+    chip = build_with_primary_count(DTMB_2_6, 60).build()
+    cache_dir = tempfile.TemporaryDirectory(prefix="serve-smoke-cache-")
+    engine = SweepEngine(cache_dir=cache_dir.name)
+    with cache_dir, BackgroundServer(ServeConfig(port=0), engine=engine) as handle:
+        base = f"http://127.0.0.1:{handle.port}"
+        first = post(base, "/points", body)
+        before = engine_stats(base)
+        for _ in range(HITS):
+            repeat = post(base, "/points", body)
+            assert answer(repeat) == answer(first), (repeat, first)
+        after = engine_stats(base)
+        assert after["cache_hits"] - before["cache_hits"] == HITS, (before, after)
+        assert after["cache_misses"] == before["cache_misses"], (before, after)
+        offline = payload_digest(chip_payload(chip))
+        assert first["chip_digest"] == offline, (first["chip_digest"], offline)
+
+        by_digest = {k: v for k, v in body.items() if k not in ("design", "n")}
+        by_digest["chip_digest"] = first["chip_digest"]
+        served = post(base, "/points", by_digest)
+        assert served["key"] == first["key"], (served["key"], first["key"])
+        assert (served["successes"], served["trials"]) == (
+            first["successes"], first["trials"]
+        )
+        last = engine_stats(base)
+        assert last["cache_hits"] == after["cache_hits"] + 1, (after, last)
+        assert last["cache_misses"] == after["cache_misses"], (after, last)
+    print(
+        f"cached server OK: {HITS} repeats of one cold point == its first "
+        "answer, all cache hits; chip_digest == offline payload digest"
     )
 
 

@@ -554,6 +554,20 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith(f"repro: error: {argv[1]} must be >= ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["all", "--jobs", "0"],
+            ["fig7", "--jobs", "0"],
+            ["fig7", "--shard-runs", "0"],
+        ],
+    )
+    def test_bad_engine_flag_creates_no_out_dir(self, argv, tmp_path, capsys):
+        out = tmp_path / "X"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("repro: error: ")
+        assert not out.exists()
+
     def test_unwritable_out_fails_cleanly(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("not a directory")

@@ -395,6 +395,52 @@ class TestCoalescing:
                 assert error["error"] == "InternalError"
 
 
+#: Four points on two chips, each cheap to compute once.
+HIT_BODIES = [
+    dict(POINT_BODY, runs=200, design=design, seed=seed)
+    for design in ("DTMB(2,6)", "DTMB(1,6)")
+    for seed in (1, 2)
+]
+
+
+class TestCacheHits:
+    """A hit on a warm server re-derives nothing per chip and keeps
+    nothing per request."""
+
+    def test_hits_serialize_each_chip_at_most_once(self, tmp_path, monkeypatch):
+        from repro.yieldsim import scheduler
+
+        calls = []
+        real = scheduler.chip_payload
+
+        def counting(chip, needed=None):
+            calls.append(chip)
+            return real(chip, needed)
+
+        monkeypatch.setattr(scheduler, "chip_payload", counting)
+        engine = SweepEngine(cache_dir=str(tmp_path))
+        with BackgroundServer(ServeConfig(port=0), engine=engine) as handle:
+            url = f"http://127.0.0.1:{handle.port}"
+            for body in HIT_BODIES:
+                assert http(url, "/points", body)[0] == 200
+            for i in range(100):
+                assert http(url, "/points", HIT_BODIES[i % 4])[0] == 200
+        assert engine.cache_hits == 100 and engine.cache_misses == 4
+        # At most one call per chip (the parent made two per request).
+        assert len({id(chip) for chip in calls}) == len(calls) <= 2
+
+    def test_hits_leave_the_point_log_unchanged(self, tmp_path):
+        engine = SweepEngine(cache_dir=str(tmp_path))
+        with BackgroundServer(ServeConfig(port=0), engine=engine) as handle:
+            url = f"http://127.0.0.1:{handle.port}"
+            assert http(url, "/points", HIT_BODIES[0])[0] == 200
+            before = len(engine.point_log)
+            for _ in range(200):
+                assert http(url, "/points", HIT_BODIES[0])[0] == 200
+            assert engine.cache_hits == 200
+            assert len(engine.point_log) == before
+
+
 #: A sharded cold point: four 300-run shards, so a jobs=2 engine runs it
 #: on its worker pool.
 SHARD_RUNS = 300

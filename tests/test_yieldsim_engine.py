@@ -9,6 +9,9 @@ bit-identical.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,7 @@ from repro.yieldsim.engine import (
     chip_payload,
     payload_digest,
 )
+from repro.yieldsim.scheduler import chip_identity
 from repro.yieldsim.kernel import (
     BAD,
     GOOD,
@@ -296,6 +300,52 @@ class TestResultCache:
         warm = SweepEngine(cache_dir=str(tmp_path), shard_runs=400)
         warm.survival_estimates(dtmb26_chip, [(0.95, 6)], 1000)
         assert (warm.cache_hits, warm.cache_misses) == (1, 0)
+
+
+class TestChipIdentity:
+    """``chip_identity`` is ``chip_payload`` + ``payload_digest``, computed
+    once per chip object and needed set."""
+
+    @staticmethod
+    def expected(chip, needed=None):
+        payload = chip_payload(chip, needed)
+        return payload, payload_digest(payload)
+
+    def test_identity_equals_payload_and_digest(self, dtmb26_chip):
+        assert chip_identity(dtmb26_chip) == self.expected(dtmb26_chip)
+        clone = dtmb26_chip.copy()
+        assert chip_identity(clone) == self.expected(dtmb26_chip)
+
+    def test_health_and_labels_do_not_enter_the_identity(self, dtmb26_chip):
+        clone = dtmb26_chip.copy(name="renamed")
+        clone.mark_faulty(clone.coords[0])
+        clone.set_label(clone.coords[1], "mixer")
+        assert chip_identity(clone) == self.expected(clone)
+        assert chip_identity(clone)[1] == chip_identity(dtmb26_chip)[1]
+
+    def test_needed_order_does_not_matter(self, dtmb26_chip):
+        needed = tuple(c.coord for c in dtmb26_chip.primaries())[:5]
+        forward = chip_identity(dtmb26_chip, needed)
+        backward = chip_identity(dtmb26_chip, needed[::-1])
+        assert forward == backward == self.expected(dtmb26_chip, needed)
+        assert forward[1] != chip_identity(dtmb26_chip)[1]
+
+    def test_second_call_returns_the_same_object(self, dtmb26_chip):
+        needed = tuple(c.coord for c in dtmb26_chip.primaries())[:3]
+        assert chip_identity(dtmb26_chip) is chip_identity(dtmb26_chip)
+        assert chip_identity(dtmb26_chip, needed) is chip_identity(
+            dtmb26_chip, list(needed)
+        )
+
+    def test_identity_cache_lets_chips_die(self, small_region):
+        """The memo must not keep its chip alive: callers that build a
+        fresh chip per request would otherwise grow without bound."""
+        chip = build_chip(DTMB_2_6, small_region)
+        chip_identity(chip)
+        alive = weakref.ref(chip)
+        del chip
+        gc.collect()
+        assert alive() is None
 
 
 class TestEngineMatchesSeedNumbers:
