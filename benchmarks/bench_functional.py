@@ -28,9 +28,9 @@ from conftest import report
 from repro.designs.catalog import DTMB_2_6, DTMB_3_6, DTMB_4_4
 from repro.designs.interstitial import build_with_primary_count
 from repro.experiments import scenario_functional
-from repro.functional import RoutingCriterion, criterion_successes
+from repro.functional import RoutingCriterion
 from repro.yieldsim.defects import IIDBernoulli
-from repro.yieldsim.kernel import RepairStructure
+from repro.yieldsim.kernel import RepairStructure, model_successes
 
 #: (design, primaries) rows of the funnel throughput table — the Figure 9
 #: sweep targets, plus the pathological DTMB(4,4).
@@ -52,8 +52,8 @@ def test_bench_funnel_hit_rates(benchmark, runs):
         out = {}
         for name, struct in structs:
             start = time.perf_counter()
-            _got, _stats, crit = criterion_successes(
-                struct, IIDBernoulli(P), criterion, runs, seed=2005
+            _got, _stats, crit = model_successes(
+                struct, IIDBernoulli(P), runs, seed=2005, criterion=criterion
             )
             out[name] = (time.perf_counter() - start, crit)
         return out

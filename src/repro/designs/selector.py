@@ -34,7 +34,7 @@ def _survival_yield(
     Consumes the exact stream of ``YieldSimulator(chip).run_survival(p,
     runs, seed)`` and returns the identical estimate.
     """
-    successes, _ = model_successes(
+    successes, _, _ = model_successes(
         struct, IIDBernoulli(p), runs, seed, dtype=np.float64
     )
     return YieldEstimate(successes=successes, trials=runs)

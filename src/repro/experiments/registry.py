@@ -354,38 +354,24 @@ class Provenance:
     #: like resilience: manifest only, never the stable dict.
     timings: Optional[Dict[str, float]] = None
 
-    def _defect_model_block(self) -> Dict[str, object]:
-        """The ``defect_models`` entry, present only for model dispatches.
+    def _plugin_blocks(self) -> Dict[str, object]:
+        """The ``defect_models`` and ``criteria`` entries, each present only
+        when the dispatch used that kind of plug-in.
 
-        Omitted (not emptied) for the classic i.i.d./fixed regimes so
-        their artifacts stay byte-identical to pre-subsystem bundles.
+        Omitted (not emptied) for the classic i.i.d./fixed regimes and the
+        default matching verdict, so their artifacts stay byte-identical
+        to pre-subsystem bundles.
         """
-        if not self.defect_models:
-            return {}
-        return {
-            "defect_models": [
-                {"name": name, "digest": digest}
-                for name, digest in self.defect_models
-            ]
-        }
-
-    def _criteria_block(self) -> Dict[str, object]:
-        """The ``criteria`` entry, present only for criterion dispatches.
-
-        Same omission contract as :meth:`_defect_model_block`: default
-        matching dispatches emit nothing, keeping their artifacts
-        byte-identical to pre-subsystem bundles.  The funnel counters are
-        volatile telemetry (cache hits have none), so they appear in
-        ``as_dict`` — the manifest — but never in :meth:`stable_dict`.
-        """
-        if not self.criteria:
-            return {}
-        return {
-            "criteria": [
-                {"spec": spec, "digest": digest}
-                for spec, digest in self.criteria
-            ]
-        }
+        blocks: Dict[str, object] = {}
+        for key, label, pairs in (
+            ("defect_models", "name", self.defect_models),
+            ("criteria", "spec", self.criteria),
+        ):
+            if pairs:
+                blocks[key] = [
+                    {label: text, "digest": digest} for text, digest in pairs
+                ]
+        return blocks
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -419,11 +405,11 @@ class Provenance:
                 # One [kind, param, requested, effective] row per executed
                 # Monte-Carlo point, in execution order.
                 "points": [list(point) for point in self.mc_points],
-                # Which failure-map distributions produced those points.
-                **self._defect_model_block(),
-                # Which success predicates judged them, plus the merged
-                # screen-vs-residue funnel counters of the computation.
-                **self._criteria_block(),
+                # Which failure-map distributions produced those points and
+                # which success predicates judged them, plus the merged
+                # screen-vs-residue funnel counters of the computation
+                # (volatile telemetry: manifest only, never stable_dict).
+                **self._plugin_blocks(),
                 **(
                     {"criterion_funnel": dict(self.criterion_funnel)}
                     if self.criterion_funnel is not None
@@ -453,8 +439,7 @@ class Provenance:
             "stop_rule": self.stop_rule,
             "mc_runs_requested": self.mc_runs_requested,
             "mc_runs_effective": self.mc_runs_effective,
-            **self._defect_model_block(),
-            **self._criteria_block(),
+            **self._plugin_blocks(),
             "digest": self.digest,
         }
 
@@ -691,19 +676,17 @@ def execute(
     for point in points:
         if point.timings:
             merge_into(timings, point.timings)
-        if point.model is not None and point.model_digest is not None:
-            pair = (point.model, point.model_digest)
-            if pair not in models:
-                models.append(pair)
-        if point.criterion is not None and point.criterion_digest is not None:
-            pair = (point.criterion, point.criterion_digest)
-            if pair not in criteria:
-                criteria.append(pair)
-            if point.funnel is not None:
-                if funnel is None:
-                    funnel = dict.fromkeys(point.funnel, 0)
-                for key, value in point.funnel.items():
-                    funnel[key] = funnel.get(key, 0) + int(value)
+        for pairs, text, digest in (
+            (models, point.model, point.model_digest),
+            (criteria, point.criterion, point.criterion_digest),
+        ):
+            if text is not None and digest is not None and (text, digest) not in pairs:
+                pairs.append((text, digest))
+        if point.funnel is not None:
+            if funnel is None:
+                funnel = dict.fromkeys(point.funnel, 0)
+            for key, value in point.funnel.items():
+                funnel[key] = funnel.get(key, 0) + int(value)
 
     report = experiment.render_report(raw, options)
     epilogue = experiment.render_epilogue(raw)

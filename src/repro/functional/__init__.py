@@ -4,11 +4,11 @@ A *criterion* decides what counts as a successful run of the Monte-Carlo
 yield simulation: the paper's bipartite-matching verdict
 (:class:`MatchingCriterion`, the default), or the stricter functional
 question — after remapping, does the assay still route and schedule?
-(:class:`RoutingCriterion`, :class:`MultiplexedCriterion`).  Criteria are
-the success-side mirror of the defect-model subsystem on the sampling
-side: content-digested for cache keys and provenance, vectorized through
-an exact screen funnel (:mod:`repro.functional.funnel`) so the expensive
-fluidics stack only runs on the ambiguous residue.
+(:class:`RoutingCriterion`, :class:`MultiplexedCriterion`).  Criteria
+plug into the kernel's one sampling loop the way defect models do, on
+the same spec grammar and digest (:mod:`repro.specs`), and are
+vectorized through an exact screen funnel (:mod:`repro.functional.funnel`)
+so the expensive fluidics stack only runs on the ambiguous residue.
 """
 
 from repro.functional.criteria import (
@@ -20,11 +20,7 @@ from repro.functional.criteria import (
     available_criteria,
     criterion_from_spec,
 )
-from repro.functional.funnel import (
-    context_for,
-    criterion_successes,
-    evaluate_functional,
-)
+from repro.functional.funnel import context_for, evaluate_functional
 from repro.functional.sites import (
     multiplexed_endpoints,
     routing_sites,
@@ -39,7 +35,6 @@ __all__ = [
     "MultiplexedCriterion",
     "available_criteria",
     "criterion_from_spec",
-    "criterion_successes",
     "evaluate_functional",
     "context_for",
     "spread_primary_sites",

@@ -4,8 +4,9 @@ The paper's yield metric declares a chip repaired as soon as a bipartite
 spare matching exists (``yieldsim/kernel.py``).  The ROADMAP's north-star
 workload is stricter: after remapping, the droplet routes of a real assay
 must still schedule within a deadline.  This module makes that predicate
-pluggable — the success-side mirror of :mod:`repro.yieldsim.defects` on
-the sampling side:
+pluggable — the success-side plug-in beside the defect models of
+:mod:`repro.yieldsim.defects`, on the same :class:`repro.specs.Plugin`
+base and spec grammar:
 
 :class:`MatchingCriterion`
     Today's behavior — a run succeeds iff the matching verdict is GOOD.
@@ -23,10 +24,12 @@ the sampling side:
     :class:`~repro.fluidics.concurrent_routing.ConcurrentRouter` with
     makespan within ``deadline`` time steps.
 
-Every criterion carries a stable content ``digest()`` (the defect-model
-convention) that enters engine cache keys and manifest provenance, and a
-vectorized ``evaluate_batch(struct, alive, verdict)`` that decides a whole
-survival batch at once through the screen funnel in
+Every criterion carries a stable content ``digest()``
+(:meth:`repro.specs.Plugin.digest`) that enters engine cache keys and
+manifest provenance, and a vectorized
+``evaluate_batch(struct, alive, verdict)`` that the kernel's one sampling
+loop (:func:`repro.yieldsim.kernel.model_successes`) calls on each
+classified slice; it decides the slice at once through the screen funnel in
 :mod:`repro.functional.funnel` — cheap exact screens first, route search
 only on the ambiguous residue.  :class:`CriterionStats` counts
 where each run was decided, stage by stage, exactly as
@@ -39,16 +42,15 @@ where each run was decided, stage by stage, exactly as
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Mapping, Protocol, Tuple, runtime_checkable
+from typing import ClassVar, Dict, Mapping, Tuple
 
 import numpy as np
 
 from repro.assays.library import PANEL, assay_by_analyte
 from repro.errors import AssayError, CriterionError
 from repro.obs.counters import CriterionStats
+from repro.specs import Plugin, require_keys, split_spec
 from repro.yieldsim.kernel import GOOD, RepairStructure
 
 __all__ = [
@@ -61,60 +63,14 @@ __all__ = [
     "available_criteria",
 ]
 
-@runtime_checkable
-class SuccessCriterion(Protocol):
-    """What makes a sampled fault map a *success* for yield purposes."""
 
-    name: str
+class SuccessCriterion(Plugin):
+    """What makes a sampled fault map a *success* for yield purposes.
 
-    def params(self) -> Dict[str, object]:
-        """JSON-serializable parameters, the content identity."""
-        ...
+    ``validate`` raises :class:`CriterionError` on a chip it cannot use.
+    """
 
-    def digest(self) -> str:
-        """Stable content digest of (name, params) — the cache identity."""
-        ...
-
-    def validate(self, n_cells: int) -> None:
-        """Raise :class:`CriterionError` if unusable on an n-cell chip."""
-        ...
-
-    def evaluate_batch(
-        self, struct: RepairStructure, alive: np.ndarray, verdict: np.ndarray
-    ) -> Tuple[np.ndarray, CriterionStats]:
-        """Per-run success for a survival batch.
-
-        ``alive`` is the boolean ``(runs, n_cells)`` survival matrix;
-        ``verdict`` the matching funnel's GOOD/BAD verdicts for the same
-        rows.  Returns a boolean success vector plus stage counters.
-        """
-        ...
-
-
-def _digest(name: str, params: Mapping[str, object]) -> str:
-    blob = json.dumps(
-        {"criterion": name, "params": dict(params)},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    # Short digest, the DefectModel convention: engine cache keys re-hash
-    # the whole point identity, and manifests list one entry per criterion.
-    return hashlib.sha256(blob.encode("ascii")).hexdigest()[:16]
-
-
-class _CriterionBase:
-    """Shared digest/describe plumbing for the concrete criteria."""
-
-    name: ClassVar[str] = "?"
-
-    def params(self) -> Dict[str, object]:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def digest(self) -> str:
-        return _digest(self.name, self.params())
-
-    def validate(self, n_cells: int) -> None:
-        """Most criteria fit any chip; subclasses tighten this."""
+    kind: ClassVar[str] = "criterion"
 
     def spec(self) -> str:
         """The canonical ``NAME[:k=v,...]`` spelling (CLI round-trip)."""
@@ -125,12 +81,20 @@ class _CriterionBase:
             items.append(f"{key}={value}")
         return self.name + (":" + ",".join(items) if items else "")
 
-    def describe(self) -> str:
-        return self.spec()
+    def evaluate_batch(
+        self, struct: RepairStructure, alive: np.ndarray, verdict: np.ndarray
+    ) -> Tuple[np.ndarray, CriterionStats]:  # pragma: no cover - overridden
+        """Per-run success for a survival batch.
+
+        ``alive`` is the boolean ``(runs, n_cells)`` survival matrix;
+        ``verdict`` the matching funnel's GOOD/BAD verdicts for the same
+        rows.  Returns a boolean success vector plus stage counters.
+        """
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
-class MatchingCriterion(_CriterionBase):
+class MatchingCriterion(SuccessCriterion):
     """The paper's criterion: success iff a saturating matching exists.
 
     Evaluates to exactly the kernel verdict, so results equal the default
@@ -153,8 +117,20 @@ class MatchingCriterion(_CriterionBase):
         return ok, stats
 
 
+def _funnel_batch(
+    criterion: SuccessCriterion,
+    struct: RepairStructure,
+    alive: np.ndarray,
+    verdict: np.ndarray,
+) -> Tuple[np.ndarray, CriterionStats]:
+    """``evaluate_batch`` of the route criteria: the screen funnel."""
+    from repro.functional.funnel import evaluate_functional
+
+    return evaluate_functional(struct, criterion, alive, verdict)
+
+
 @dataclass(frozen=True)
-class RoutingCriterion(_CriterionBase):
+class RoutingCriterion(SuccessCriterion):
     """Success iff the named assay's routes schedule after remapping.
 
     The assay's droplet program — sample and reagent transported to a mix
@@ -189,16 +165,11 @@ class RoutingCriterion(_CriterionBase):
                 "route program (needs 4 separated primary sites)"
             )
 
-    def evaluate_batch(
-        self, struct: RepairStructure, alive: np.ndarray, verdict: np.ndarray
-    ) -> Tuple[np.ndarray, CriterionStats]:
-        from repro.functional.funnel import evaluate_functional
-
-        return evaluate_functional(struct, self, alive, verdict)
+    evaluate_batch = _funnel_batch
 
 
 @dataclass(frozen=True)
-class MultiplexedCriterion(_CriterionBase):
+class MultiplexedCriterion(SuccessCriterion):
     """Success iff k concurrent assay routes plan within a makespan.
 
     One sample -> detector route per listed assay, planned *together* by
@@ -242,12 +213,7 @@ class MultiplexedCriterion(_CriterionBase):
                 f"{len(self.assays)} separated concurrent routes"
             )
 
-    def evaluate_batch(
-        self, struct: RepairStructure, alive: np.ndarray, verdict: np.ndarray
-    ) -> Tuple[np.ndarray, CriterionStats]:
-        from repro.functional.funnel import evaluate_functional
-
-        return evaluate_functional(struct, self, alive, verdict)
+    evaluate_batch = _funnel_batch
 
 
 # -- the NAME[:k=v,...] spec syntax -------------------------------------------
@@ -261,24 +227,11 @@ def _parse_int(name: str, key: str, value: str) -> int:
         ) from None
 
 
-def _require_keys(
-    name: str, params: Mapping[str, str], allowed: Tuple[str, ...]
-) -> None:
-    unknown = set(params) - set(allowed)
-    if unknown:
-        raise CriterionError(
-            f"unknown parameter(s) {sorted(unknown)} for criterion "
-            f"{name!r} (accepts: {sorted(allowed) or 'none'})"
-        )
-
-
 def _build_matching(params: Mapping[str, str]) -> MatchingCriterion:
-    _require_keys("matching", params, ())
     return MatchingCriterion()
 
 
 def _build_routing(params: Mapping[str, str]) -> RoutingCriterion:
-    _require_keys("routing", params, ("assay", "deadline"))
     kwargs: Dict[str, object] = {}
     if "assay" in params:
         kwargs["assay"] = params["assay"]
@@ -288,7 +241,6 @@ def _build_routing(params: Mapping[str, str]) -> RoutingCriterion:
 
 
 def _build_multiplexed(params: Mapping[str, str]) -> MultiplexedCriterion:
-    _require_keys("multiplexed", params, ("assays", "deadline"))
     kwargs: Dict[str, object] = {}
     if "assays" in params:
         assays = tuple(
@@ -302,10 +254,11 @@ def _build_multiplexed(params: Mapping[str, str]) -> MultiplexedCriterion:
     return MultiplexedCriterion(**kwargs)
 
 
+#: name -> (accepted parameter keys, builder)
 _BUILDERS = {
-    "matching": _build_matching,
-    "routing": _build_routing,
-    "multiplexed": _build_multiplexed,
+    "matching": ((), _build_matching),
+    "routing": (("assay", "deadline"), _build_routing),
+    "multiplexed": (("assays", "deadline"), _build_multiplexed),
 }
 
 
@@ -322,24 +275,15 @@ def criterion_from_spec(spec: str) -> SuccessCriterion:
     returned criterion is fully validated against the assay panel; chip
     size is checked later, per point, by ``PointSpec.validate``.
     """
-    text = spec.strip()
-    name, _, tail = text.partition(":")
-    name = name.strip().lower()
-    builder = _BUILDERS.get(name)
-    if builder is None:
+    name, params = split_spec(spec, CriterionError, "criterion")
+    entry = _BUILDERS.get(name)
+    if entry is None:
         raise CriterionError(
             f"unknown criterion {name!r} "
             f"(available: {', '.join(available_criteria())})"
         )
-    params: Dict[str, str] = {}
-    if tail.strip():
-        for item in tail.split(","):
-            key, eq, value = item.partition("=")
-            if not eq or not key.strip():
-                raise CriterionError(
-                    f"criterion parameter {item!r} is not of the form k=v"
-                )
-            params[key.strip()] = value.strip()
+    allowed, builder = entry
+    require_keys(name, params, allowed, CriterionError, "criterion")
     criterion = builder(params)
     # Panel/deadline sanity now; n_cells checked per chip at dispatch.
     criterion.validate(8 * max(1, len(getattr(criterion, "assays", ("x",)))))

@@ -71,10 +71,11 @@ adjacency, the fault-free baseline verdict — is
 cached on the :class:`~repro.yieldsim.kernel.RepairStructure` via a weak
 map, the ``geometry_for`` idiom of :mod:`repro.yieldsim.defects`.
 
-:func:`criterion_successes` is the criterion twin of
-:func:`repro.yieldsim.kernel.model_successes`: identical sampling loop
-and RNG stream (same ~8 MB batches from the same generator), with the
-criterion evaluated on cache-sized sub-slices of each batch.
+The criterion runs inside the kernel's one sampling loop,
+:func:`repro.yieldsim.kernel.model_successes`: it draws and classifies
+each slice exactly as for a matching point, then hands the slice and its
+verdicts to the criterion's ``evaluate_batch`` (which lands here), so a
+functional point consumes the same RNG stream as the matching point.
 """
 
 from __future__ import annotations
@@ -93,7 +94,6 @@ from repro.errors import (
     RoutingError,
     SimulationError,
 )
-from repro.faults.injection import RngLike, make_rng
 from repro.fluidics.concurrent_routing import ConcurrentRouter, RouteRequest
 from repro.fluidics.controller import ElectrodeController
 from repro.fluidics.operations import Discard, Dispense, Operation, Transport
@@ -104,18 +104,12 @@ from repro.obs import profile as _profile
 from repro.functional.sites import multiplexed_endpoints, routing_sites, site_legs
 from repro.reconfig.local import RepairPlan, plan_local_repair
 from repro.reconfig.remap import CellRemap
-from repro.yieldsim.defects import DefectModel
-from repro.yieldsim.kernel import (
-    _CLASSIFY_BYTES,
-    GOOD,
-    RepairStructure,
-    ScreenStats,
-    classify_repairable,
-    demanded_spares,
-    survival_batch_sizes,
-)
+from repro.yieldsim.kernel import GOOD, RepairStructure, demanded_spares
 
-__all__ = ["evaluate_functional", "criterion_successes", "context_for"]
+# Not called here: perfbench/harness.py wraps this binding by attribute.
+from repro.yieldsim.kernel import classify_repairable  # noqa: F401
+
+__all__ = ["evaluate_functional", "context_for"]
 
 #: Per-structure cache of funnel contexts, keyed by criterion digest.
 _CONTEXTS: "weakref.WeakKeyDictionary[RepairStructure, Dict[str, _FunnelContext]]" = (
@@ -731,44 +725,3 @@ def evaluate_functional(
             f"survival matrix must be (runs, {struct.n_cells}), got {alive.shape}"
         )
     return context_for(struct, criterion).evaluate(alive, verdict)
-
-
-def criterion_successes(
-    struct: RepairStructure,
-    model: DefectModel,
-    criterion: SuccessCriterion,
-    runs: int,
-    seed: RngLike = None,
-    dtype: type = np.float32,
-) -> Tuple[int, ScreenStats, CriterionStats]:
-    """Functional successes among ``runs`` fault maps from a defect model.
-
-    The criterion twin of :func:`repro.yieldsim.kernel.model_successes`:
-    the sampling loop (generator, ~8 MB batches) is replicated exactly, so
-    a functional point consumes the *identical RNG stream* as the matching
-    point at equal (chip, model, runs, seed, dtype) — the property that
-    keeps serial == pool == sharded bit-identity for functional points.
-    Each batch is classified by the matching funnel, then decided by the
-    criterion funnel in cache-sized sub-slices.
-    """
-    if runs < 1:
-        raise SimulationError(f"runs must be >= 1, got {runs}")
-    criterion.validate(struct.n_cells)
-    rng = make_rng(seed)
-    geometry = struct.geometry
-    successes = 0
-    screen_total = ScreenStats()
-    crit_total = CriterionStats()
-    sub = max(1, _CLASSIFY_BYTES // max(1, struct.n_cells))
-    for size in survival_batch_sizes(runs, struct.n_cells):
-        with _profile.phase("funnel_sample"):
-            alive = model.sample_batch(geometry, size, rng, dtype=dtype)
-        for start in range(0, alive.shape[0], sub):
-            rows = alive[start:start + sub]
-            with _profile.phase("funnel_classify"):
-                verdict, stats = classify_repairable(struct, rows)
-            screen_total.merge(stats)
-            got, cstats = criterion.evaluate_batch(struct, rows, verdict)
-            successes += int(got.sum())
-            crit_total.merge(cstats)
-    return successes, screen_total, crit_total

@@ -48,7 +48,7 @@ import logging
 import signal
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Awaitable, Callable, Dict, Iterator, Optional, Tuple
 
 from repro.chip.biochip import Biochip
@@ -249,10 +249,9 @@ class ReproServer:
             family = family_from_spec(request.defect_model)
             model = family(chip, request.param)
             spec = PointSpec.from_model(
-                model, request.runs, request.seed, param=request.param
+                model, request.runs, request.seed, param=request.param,
+                criterion=criterion,
             )
-            if criterion is not None:
-                spec = replace(spec, criterion=criterion)
         else:
             spec = PointSpec(
                 request.kind, request.param, request.runs, request.seed,

@@ -8,11 +8,10 @@ variation (Stapper's negative-binomial statistics) and systematic
 center-to-edge gradients.  This module makes the failure-map distribution a
 first-class, pluggable axis of every sweep:
 
-* :class:`DefectModel` — the protocol: a named, parameterized, digestable
+* :class:`DefectModel` — the base: a named, parameterized, digestable
   model with one vectorized ``sample_batch(geometry, n_runs, rng)`` that
   returns a boolean ``(runs, cells)`` survival matrix.  The engine treats
-  models as opaque: anything satisfying the protocol can ride every sweep,
-  cache and manifest.
+  models as opaque: any subclass can ride every sweep, cache and manifest.
 * :class:`IIDBernoulli` — the paper's assumption; draw-for-draw identical
   to the historical engine stream, so swapping it in changes nothing.
 * :class:`FixedCount` — exactly-m-fault maps (the Figure 13 regime).
@@ -40,8 +39,7 @@ serial == parallel == sharded bit-identity) applies to every model.
 
 from __future__ import annotations
 
-import hashlib
-import json
+import math
 import weakref
 from dataclasses import dataclass
 from typing import (
@@ -49,11 +47,8 @@ from typing import (
     ClassVar,
     Dict,
     List,
-    Mapping,
     Optional,
-    Protocol,
     Tuple,
-    runtime_checkable,
 )
 
 import numpy as np
@@ -62,6 +57,7 @@ from repro.chip.biochip import Biochip
 from repro.errors import FaultModelError
 from repro.geometry.hex import Hex, axial_to_pixel
 from repro.geometry.square import Square
+from repro.specs import Plugin, require_keys, split_spec
 
 __all__ = [
     "DefectModel",
@@ -162,6 +158,8 @@ class DefectGeometry:
             frontier = [start]
             seen = {start}
             for _ in range(radius):
+                if not frontier:  # the whole component is in: stop early
+                    break
                 nxt: List[int] = []
                 for cell in frontier:
                     for nb in self.neighbor_lists[cell]:
@@ -211,15 +209,15 @@ def geometry_for(chip: Biochip) -> DefectGeometry:
     return geom
 
 
-# -- the protocol -------------------------------------------------------------
+# -- the base -----------------------------------------------------------------
 
-@runtime_checkable
-class DefectModel(Protocol):
+class DefectModel(Plugin):
     """What the kernel/engine/sweeps require of a failure-map distribution.
 
     Implementations are small frozen dataclasses, so they are hashable,
     picklable (they travel to engine worker processes inside
     :class:`~repro.yieldsim.kernel.PointSpec`) and cheap to rebuild.
+    ``validate`` raises :class:`FaultModelError` for a chip it cannot target.
 
     ``sample_batch`` must draw only from the Generator it is given and
     must consume a stream that depends on its parameters alone — never on
@@ -235,24 +233,17 @@ class DefectModel(Protocol):
     construction (see :func:`repro.yieldsim.sweeps.defect_model_sweep`).
     """
 
-    name: ClassVar[str]
+    kind: ClassVar[str] = "model"
+
+    def describe(self) -> str:
+        """``name(k=v, ...)``, the label reports print."""
+        inner = ", ".join(f"{k}={v}" for k, v in self.params().items())
+        return f"{self.name}({inner})"
 
     @property
-    def severity(self) -> float:
+    def severity(self) -> float:  # pragma: no cover - overridden
         """Headline scalar for reports and point records."""
-        ...
-
-    def params(self) -> Dict[str, object]:
-        """The model's parameters, JSON-serializable."""
-        ...
-
-    def digest(self) -> str:
-        """Stable content digest of (name, params) — the cache identity."""
-        ...
-
-    def validate(self, n_cells: int) -> None:
-        """Raise :class:`FaultModelError` if the model cannot target a chip."""
-        ...
+        raise NotImplementedError
 
     def sample_batch(
         self,
@@ -260,46 +251,15 @@ class DefectModel(Protocol):
         n_runs: int,
         rng: np.random.Generator,
         dtype: type = np.float32,
-    ) -> np.ndarray:
+    ) -> np.ndarray:  # pragma: no cover - overridden
         """Boolean ``(n_runs, n_cells)`` survival matrix (True = alive)."""
-        ...
-
-
-def _digest(name: str, params: Mapping[str, object]) -> str:
-    blob = json.dumps(
-        {"model": name, "params": dict(params)},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    # Short digest, the StopRule.digest() convention: engine cache keys
-    # re-hash the whole point identity, and manifests list one entry per
-    # calibrated model, so 64 bits keeps them collision-safe *and* small.
-    return hashlib.sha256(blob.encode("ascii")).hexdigest()[:16]
-
-
-class _ModelBase:
-    """Shared digest/validate plumbing for the concrete models."""
-
-    name: ClassVar[str] = "?"
-
-    def params(self) -> Dict[str, object]:  # pragma: no cover - overridden
         raise NotImplementedError
-
-    def digest(self) -> str:
-        return _digest(self.name, self.params())
-
-    def validate(self, n_cells: int) -> None:
-        """Most models fit any chip; FixedCount overrides."""
-
-    def describe(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in self.params().items())
-        return f"{self.name}({inner})"
 
 
 # -- concrete models ----------------------------------------------------------
 
 @dataclass(frozen=True)
-class IIDBernoulli(_ModelBase):
+class IIDBernoulli(DefectModel):
     """Independent per-cell survival with probability p — the paper's model.
 
     Draw-for-draw identical to the historical engine stream
@@ -356,7 +316,7 @@ def fixed_fault_alive(
 
 
 @dataclass(frozen=True)
-class FixedCount(_ModelBase):
+class FixedCount(DefectModel):
     """Exactly ``m`` faulty cells, uniformly without replacement (Fig. 13).
 
     Sampled at a common seed, the fault sets are nested across m (the
@@ -397,7 +357,7 @@ class FixedCount(_ModelBase):
 
 
 @dataclass(frozen=True)
-class SpotDefects(_ModelBase):
+class SpotDefects(DefectModel):
     """Compound-Poisson spot defects: centers kill everything in a radius.
 
     ``rate`` is the expected number of defect centers *per cell* (so a
@@ -423,8 +383,10 @@ class SpotDefects(_ModelBase):
     name: ClassVar[str] = "spot"
 
     def __post_init__(self) -> None:
-        if self.rate < 0:
-            raise FaultModelError(f"defect rate must be >= 0, got {self.rate}")
+        if not 0 <= self.rate < math.inf:
+            raise FaultModelError(
+                f"defect rate must be finite and >= 0, got {self.rate}"
+            )
         if self.radius < 0:
             raise FaultModelError(f"spot radius must be >= 0, got {self.radius}")
         if self.rate_cap is not None and self.rate_cap < self.rate:
@@ -548,7 +510,7 @@ class SpotDefects(_ModelBase):
 
 
 @dataclass(frozen=True)
-class NegativeBinomialClustered(_ModelBase):
+class NegativeBinomialClustered(DefectModel):
     """Stapper-style rate mixing: each run draws its own failure rate.
 
     The per-run failure rate is ``Gamma(alpha, q/alpha)`` (mean ``q = 1-p``,
@@ -569,9 +531,9 @@ class NegativeBinomialClustered(_ModelBase):
             raise FaultModelError(
                 f"survival probability must be in [0, 1], got {self.p}"
             )
-        if not self.alpha > 0:
+        if not 0 < self.alpha < math.inf:
             raise FaultModelError(
-                f"dispersion alpha must be > 0, got {self.alpha}"
+                f"dispersion alpha must be finite and > 0, got {self.alpha}"
             )
 
     @property
@@ -598,7 +560,7 @@ class NegativeBinomialClustered(_ModelBase):
 
 
 @dataclass(frozen=True)
-class RadialGradient(_ModelBase):
+class RadialGradient(DefectModel):
     """Center-to-edge survival ramp: wafer-scale process gradients.
 
     Cell survival interpolates from ``p_center`` at the chip centroid to
@@ -671,8 +633,10 @@ class RadialGradient(_ModelBase):
             raise FaultModelError(
                 f"mean survival must be in [0, 1], got {mean_p}"
             )
-        if spread < 0:
-            raise FaultModelError(f"gradient spread must be >= 0, got {spread}")
+        if not 0 <= spread < math.inf:
+            raise FaultModelError(
+                f"gradient spread must be finite and >= 0, got {spread}"
+            )
         t_mean = float((geometry.radial_t ** power).mean())
         # mean = p_center - spread * t_mean; clamp spread into the box.
         limit = spread
@@ -705,17 +669,12 @@ class ModelFamily:
     def __call__(self, chip: Biochip, p: float) -> "DefectModel":
         return self.build(chip, p)
 
-    def describe(self) -> str:
-        return self.spec
-
 
 def _build_iid(params: Dict[str, float]) -> Callable[[Biochip, float], DefectModel]:
-    _require_keys("iid", params, ())
     return lambda chip, p: IIDBernoulli(p)
 
 
 def _build_spot(params: Dict[str, float]) -> Callable[[Biochip, float], DefectModel]:
-    _require_keys("spot", params, ("radius",))
     raw = params.get("radius", 1)
     if raw != int(raw):
         raise FaultModelError(
@@ -734,27 +693,26 @@ def _build_spot(params: Dict[str, float]) -> Callable[[Biochip, float], DefectMo
 
 
 def _build_negbin(params: Dict[str, float]) -> Callable[[Biochip, float], DefectModel]:
-    _require_keys("negbin", params, ("alpha",))
-    alpha = float(params.get("alpha", 2.0))
+    alpha = params.get("alpha", 2.0)
     return lambda chip, p: NegativeBinomialClustered(p, alpha)
 
 
 def _build_gradient(
     params: Dict[str, float],
 ) -> Callable[[Biochip, float], DefectModel]:
-    _require_keys("gradient", params, ("spread", "power"))
-    spread = float(params.get("spread", 0.05))
-    power = float(params.get("power", 1.0))
+    spread = params.get("spread", 0.05)
+    power = params.get("power", 1.0)
     return lambda chip, p: RadialGradient.calibrate(
         geometry_for(chip), p, spread, power
     )
 
 
-_FAMILIES: Dict[str, Callable[[Dict[str, float]], Callable[[Biochip, float], DefectModel]]] = {
-    "iid": _build_iid,
-    "spot": _build_spot,
-    "negbin": _build_negbin,
-    "gradient": _build_gradient,
+#: name -> (accepted parameter keys, builder)
+_FAMILIES = {
+    "iid": ((), _build_iid),
+    "spot": (("radius",), _build_spot),
+    "negbin": (("alpha",), _build_negbin),
+    "gradient": (("spread", "power"), _build_gradient),
 }
 
 
@@ -763,49 +721,37 @@ def available_families() -> Tuple[str, ...]:
     return tuple(sorted(_FAMILIES))
 
 
-def _require_keys(
-    name: str, params: Mapping[str, float], allowed: Tuple[str, ...]
-) -> None:
-    unknown = set(params) - set(allowed)
-    if unknown:
+def _finite(key: str, value: str) -> float:
+    try:
+        number = float(value)
+    except ValueError:
+        number = math.nan
+    if not math.isfinite(number):
         raise FaultModelError(
-            f"unknown parameter(s) {sorted(unknown)} for defect model "
-            f"{name!r} (accepts: {sorted(allowed) or 'none'})"
+            f"defect-model parameter {key!r} needs a finite numeric value, "
+            f"got {value!r}"
         )
+    return number
 
 
 def family_from_spec(spec: str) -> ModelFamily:
     """Parse ``NAME[:k=v,...]`` (the CLI ``--defect-model`` syntax).
 
     Examples: ``iid``, ``spot``, ``spot:radius=2``, ``negbin:alpha=0.5``,
-    ``gradient:spread=0.08,power=2``.  The family maps each sweep
-    survival probability p to a model of matched severity (spot models
-    are calibrated per chip to kill ``1 - p`` of cells in expectation;
-    gradients ramp around a mean of p).
+    ``gradient:spread=0.08,power=2``.  Every value must be a finite
+    number.  The family maps each sweep survival probability p to a
+    model of matched severity (spot models are calibrated per chip to
+    kill ``1 - p`` of cells in expectation; gradients ramp around a mean
+    of p).
     """
-    text = spec.strip()
-    name, _, tail = text.partition(":")
-    name = name.strip().lower()
-    builder = _FAMILIES.get(name)
-    if builder is None:
+    name, raw = split_spec(spec, FaultModelError, "defect-model")
+    entry = _FAMILIES.get(name)
+    if entry is None:
         raise FaultModelError(
             f"unknown defect model {name!r} "
             f"(available: {', '.join(available_families())})"
         )
-    params: Dict[str, float] = {}
-    if tail.strip():
-        for item in tail.split(","):
-            key, sep, value = item.partition("=")
-            if not sep or not key.strip():
-                raise FaultModelError(
-                    f"malformed defect-model parameter {item!r} "
-                    "(expected k=v)"
-                )
-            try:
-                params[key.strip()] = float(value)
-            except ValueError:
-                raise FaultModelError(
-                    f"defect-model parameter {key.strip()!r} needs a "
-                    f"numeric value, got {value!r}"
-                ) from None
-    return ModelFamily(name=name, spec=text, build=builder(params))
+    allowed, builder = entry
+    require_keys(name, raw, allowed, FaultModelError, "defect model")
+    params = {key: _finite(key, value) for key, value in raw.items()}
+    return ModelFamily(name=name, spec=spec.strip(), build=builder(params))

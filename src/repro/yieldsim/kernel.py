@@ -51,7 +51,8 @@ import numpy as np
 from repro.chip.biochip import Biochip
 from repro.errors import SimulationError
 from repro.faults.injection import RngLike, make_rng
-from repro.obs.counters import ScreenStats
+from repro.obs import profile as _profile
+from repro.obs.counters import CriterionStats, ScreenStats
 from repro.yieldsim.defects import (
     DefectGeometry,
     DefectModel,
@@ -69,7 +70,6 @@ __all__ = [
     "ScreenStats",
     "PointSpec",
     "classify_repairable",
-    "count_repairable",
     "demanded_spares",
     "kuhn_repairable",
     "survival_batch_sizes",
@@ -475,24 +475,6 @@ def classify_repairable(
     return verdict, stats
 
 
-def count_repairable(
-    struct: RepairStructure, alive: np.ndarray
-) -> Tuple[int, ScreenStats]:
-    """Number of repairable runs in a survival matrix, plus funnel stats.
-
-    Classifies in cache-sized row slices (see :data:`_CLASSIFY_BYTES`);
-    verdicts are per-run, so slicing cannot change the counts.
-    """
-    sub = max(1, _CLASSIFY_BYTES // max(1, struct.n_cells))
-    successes = 0
-    total = ScreenStats()
-    for start in range(0, alive.shape[0], sub):
-        verdict, stats = classify_repairable(struct, alive[start:start + sub])
-        successes += int((verdict == GOOD).sum())
-        total.merge(stats)
-    return successes, total
-
-
 # -- within-point sharding: per-shard seed derivation -------------------------
 
 def point_entropy(seed: object) -> int:
@@ -570,15 +552,21 @@ def model_successes(
     runs: int,
     seed: RngLike = None,
     dtype: type = np.float32,
-) -> Tuple[int, ScreenStats]:
+    criterion: Optional[object] = None,
+) -> Tuple[int, ScreenStats, Optional[CriterionStats]]:
     """Successes among ``runs`` fault maps drawn from a defect model.
 
-    The one sampling loop behind every point regime: the model draws each
-    ~8 MB batch of survival rows from the point's Generator (the exact
-    batching of :func:`survival_batch_sizes`, so legacy streams are
-    preserved model-for-model), and the screening funnel decides them.
-    The result is a deterministic function of
-    (chip, model params, runs, seed, dtype).  With
+    The one sampling loop behind every point: the model draws each ~8 MB
+    batch of survival rows from the point's Generator (the exact batching
+    of :func:`survival_batch_sizes`, so legacy streams are preserved
+    model-for-model), and the screening funnel classifies it in
+    cache-sized slices (:data:`_CLASSIFY_BYTES`).  A run succeeds iff its
+    verdict is GOOD or, with a ``criterion`` (a duck-typed
+    :class:`repro.functional.SuccessCriterion`), iff
+    ``criterion.evaluate_batch(struct, rows, verdict)`` accepts it — on
+    the same draws and verdicts either way.  Returns ``(successes, screen
+    stats, criterion stats or None)``, a deterministic function of
+    (chip, model, criterion, runs, seed, dtype).  With
     :class:`~repro.yieldsim.defects.IIDBernoulli` and ``dtype=np.float64``
     it consumes the exact RNG stream of ``YieldSimulator.run_survival``
     (same batching, same draws), so the count is bit-identical to the
@@ -586,16 +574,30 @@ def model_successes(
     """
     if runs < 1:
         raise SimulationError(f"runs must be >= 1, got {runs}")
+    funnel = None
+    if criterion is not None:
+        criterion.validate(struct.n_cells)
+        funnel = CriterionStats()
     rng = make_rng(seed)
     geometry = struct.geometry
+    sub = max(1, _CLASSIFY_BYTES // max(1, struct.n_cells))
     successes = 0
-    total = ScreenStats()
+    screen = ScreenStats()
     for size in survival_batch_sizes(runs, struct.n_cells):
-        alive = model.sample_batch(geometry, size, rng, dtype=dtype)
-        got, stats = count_repairable(struct, alive)
-        successes += got
-        total.merge(stats)
-    return successes, total
+        with _profile.phase("funnel_sample"):
+            alive = model.sample_batch(geometry, size, rng, dtype=dtype)
+        for start in range(0, size, sub):
+            rows = alive[start:start + sub]
+            with _profile.phase("funnel_classify"):
+                verdict, stats = classify_repairable(struct, rows)
+            screen.merge(stats)
+            if funnel is None:
+                successes += int((verdict == GOOD).sum())
+            else:
+                got, cstats = criterion.evaluate_batch(struct, rows, verdict)
+                successes += int(got.sum())
+                funnel.merge(cstats)
+    return successes, screen, funnel
 
 
 @dataclass(frozen=True)
@@ -636,6 +638,7 @@ class PointSpec:
         runs: int,
         seed: object = None,
         param: Optional[float] = None,
+        criterion: Optional[object] = None,
     ) -> "PointSpec":
         """A ``"model"``-kind point; ``param`` defaults to the severity."""
         return cls(
@@ -644,6 +647,7 @@ class PointSpec:
             runs=runs,
             seed=seed,
             model=model,
+            criterion=criterion,
         )
 
     def validate(self, n_cells: int) -> None:

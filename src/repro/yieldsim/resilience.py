@@ -543,23 +543,14 @@ def _run_with_fault(
     raise SimulationError(f"unknown fault mode {mode!r}")
 
 
-def _hash_draw(seed: int, ordinal: int) -> Tuple[float, int]:
-    """A deterministic (uniform in [0,1), pick) pair per (seed, unit)."""
-    digest = hashlib.sha256(f"fault:{seed}:{ordinal}".encode("ascii")).digest()
-    u = int.from_bytes(digest[:8], "big") / float(1 << 64)
-    return u, int.from_bytes(digest[8:12], "big")
-
-
 @dataclass(frozen=True)
 class FaultSchedule:
     """Which units fault, how, and for how many attempts — deterministically.
 
     Periodic rules (``crash_every=3`` faults every 3rd logical unit) give
-    the exact grids the chaos lane asserts on; ``rate`` + ``seed`` draw
-    seeded random faults over ``modes`` for soak-style tests.  Faults
-    apply to the first ``fault_attempts`` attempts of a unit, so with the
-    default of 1 every retry succeeds; raise it to test attempt
-    exhaustion.  ``preempt_after`` simulates eviction: once that many
+    the exact grids the chaos lane asserts on.  Faults apply to the first
+    ``fault_attempts`` attempts of a unit, so with the default of 1 every
+    retry succeeds; raise it to test attempt exhaustion.  ``preempt_after`` simulates eviction: once that many
     submissions have happened, every further submit raises
     :class:`Preemption`, killing the run mid-flight (checkpoints stay on
     disk for the resume-path tests).
@@ -569,9 +560,6 @@ class FaultSchedule:
     hang_every: Optional[int] = None
     corrupt_every: Optional[int] = None
     kill_every: Optional[int] = None
-    rate: float = 0.0
-    seed: int = 0
-    modes: Tuple[str, ...] = ("crash", "corrupt")
     fault_attempts: int = 1
     preempt_after: Optional[int] = None
 
@@ -588,10 +576,6 @@ class FaultSchedule:
         for mode, every in periodic:
             if every is not None and every > 0 and (ordinal + 1) % every == 0:
                 return mode
-        if self.rate > 0:
-            u, pick = _hash_draw(self.seed, ordinal)
-            if u < self.rate:
-                return self.modes[pick % len(self.modes)]
         return None
 
 

@@ -223,8 +223,8 @@ def _structure_for(digest: str, payload: Dict[str, object]) -> RepairStructure:
 #: What a compute unit reports per point beside its success count: the
 #: matching-screen counters, the criterion-funnel counters (``None`` for
 #: default matching points) and the point's phase timings (``wall_s``,
-#: ``cpu_s`` and any funnel phases).  Counters are results-adjacent and
-#: executor-independent; timings are telemetry only.
+#: ``cpu_s`` and the sampling loop's ``funnel_*`` phases).  Counters are
+#: results-adjacent and executor-independent; timings are telemetry only.
 PointTelemetry = Tuple[ScreenStats, Optional[CriterionStats], Dict[str, float]]
 
 
@@ -252,18 +252,10 @@ def compute_unit(
     for spec, runs, seed in items:
         wall0, cpu0 = time.perf_counter(), time.process_time()
         with _profile.capture() as timings:
-            if spec.criterion is None:
-                got, screen = model_successes(
-                    struct, point_model(spec), runs, seed, dtype=dtype
-                )
-                funnel = None
-            else:
-                from repro.functional.funnel import criterion_successes
-
-                got, screen, funnel = criterion_successes(
-                    struct, point_model(spec), spec.criterion, runs, seed,
-                    dtype=dtype,
-                )
+            got, screen, funnel = model_successes(
+                struct, point_model(spec), runs, seed, dtype=dtype,
+                criterion=spec.criterion,
+            )
         timings["wall_s"] = time.perf_counter() - wall0
         timings["cpu_s"] = time.process_time() - cpu0
         successes.append(got)

@@ -15,13 +15,12 @@ digested into cache keys.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.errors import SimulationError
+from repro.specs import short_digest
 
 __all__ = [
     "wilson_interval",
@@ -143,18 +142,15 @@ class StopRule:
 
     def digest(self) -> str:
         """Stable short digest of the rule, for point-cache keys."""
-        blob = json.dumps(
+        return short_digest(
             {
                 "target": self.target_half_width,
                 "min": self.min_runs,
                 "max": self.max_runs,
                 "batch": self.batch_runs,
                 "z": self.z,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+            }
         )
-        return hashlib.sha256(blob.encode("ascii")).hexdigest()[:16]
 
     def describe(self) -> str:
         """Human-readable rule, for ``repro show`` and reports."""

@@ -17,7 +17,7 @@ bit-identical to the default serial engine either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.chip.biochip import Biochip
@@ -174,9 +174,9 @@ def survival_sweep(
         model_names = []
         for chip, p, pseed in point_args:
             instance = model(chip, p)
-            spec_point = PointSpec.from_model(instance, runs, pseed, param=p)
-            if criterion is not None:
-                spec_point = replace(spec_point, criterion=criterion)
+            spec_point = PointSpec.from_model(
+                instance, runs, pseed, param=p, criterion=criterion
+            )
             tasks.append(EnginePoint(chip, spec_point, stop=stop))
             model_names.append(instance.name)
     estimates = engine.run_points(tasks)

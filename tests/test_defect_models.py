@@ -33,14 +33,25 @@ from repro.yieldsim.defects import (
 )
 from repro.yieldsim.engine import EnginePoint, SweepEngine
 from repro.yieldsim.kernel import (
+    GOOD,
     PointSpec,
     RepairStructure,
-    count_repairable,
+    classify_repairable,
     model_successes,
     point_model,
     survival_batch_sizes,
 )
 from repro.yieldsim.sweeps import defect_model_sweep, survival_sweep
+
+#: Specs with a non-finite number.  Each once crashed (a NaN or infinite
+#: spot radius), killed every cell (an infinite Gamma shape) or silently
+#: became i.i.d. (a NaN gradient spread); the parser now rejects them.
+NON_FINITE_SPECS = (
+    "spot:radius=nan",
+    "spot:radius=inf",
+    "negbin:alpha=inf",
+    "gradient:spread=nan",
+)
 
 ALL_MODELS = (
     IIDBernoulli(0.95),
@@ -67,6 +78,15 @@ class TestGeometry:
         idx, mask = geometry.ball(0)
         assert (mask.sum(axis=1) == 1).all()
         assert (idx[:, 0] == np.arange(geometry.n_cells)).all()
+
+    def test_huge_radius_ball_stops_at_the_chip(self, dtmb26_chip):
+        """A radius past the chip's diameter (say ``spot:radius=1e9`` in a
+        served request) is the whole component, found without walking
+        the radius out step by step."""
+        geometry = geometry_for(dtmb26_chip)
+        idx, mask = geometry.ball(10**9)
+        want_idx, want_mask = geometry.ball(geometry.n_cells)
+        assert (idx == want_idx).all() and (mask == want_mask).all()
 
     def test_geometry_cached_per_chip(self, dtmb26_chip):
         assert geometry_for(dtmb26_chip) is geometry_for(dtmb26_chip)
@@ -151,6 +171,11 @@ class TestProtocol:
         with pytest.raises(FaultModelError):
             NegativeBinomialClustered(0.9, alpha=0.0)
         with pytest.raises(FaultModelError):
+            NegativeBinomialClustered(0.9, alpha=float("inf"))
+        for rate in (float("nan"), float("inf")):
+            with pytest.raises(FaultModelError):
+                SpotDefects(rate)
+        with pytest.raises(FaultModelError):
             RadialGradient(1.2, 0.9)
 
 
@@ -226,6 +251,9 @@ class TestDistributions:
         # A perfect process has no room for a gradient: degenerates cleanly.
         flat = RadialGradient.calibrate(geometry, 1.0, spread=0.08)
         assert flat.p_center == flat.p_edge == 1.0
+        # A NaN spread would clamp to zero and quietly become i.i.d.
+        with pytest.raises(FaultModelError):
+            RadialGradient.calibrate(geometry, 0.95, spread=float("nan"))
 
 
 class TestCRNNesting:
@@ -273,9 +301,9 @@ class TestBitIdentity:
         legacy = 0
         for size in survival_batch_sizes(runs, struct.n_cells):
             alive = rng.random((size, struct.n_cells), dtype=dtype) < p
-            got, _ = count_repairable(struct, alive)
-            legacy += got
-        via_model, _ = model_successes(
+            verdict, _ = classify_repairable(struct, alive)
+            legacy += int((verdict == GOOD).sum())
+        via_model, _, _ = model_successes(
             struct, IIDBernoulli(p), runs, seed, dtype=dtype
         )
         assert legacy == via_model
@@ -400,8 +428,8 @@ class TestSeedNormalization:
         engine's shard plumbing needs no int round-trip."""
         struct = RepairStructure(dtmb26_chip)
         ss = np.random.SeedSequence(99, spawn_key=(3,))
-        got_a, _ = model_successes(struct, IIDBernoulli(0.95), 400, seed=ss)
-        got_b, _ = model_successes(
+        got_a, _, _ = model_successes(struct, IIDBernoulli(0.95), 400, seed=ss)
+        got_b, _, _ = model_successes(
             struct,
             IIDBernoulli(0.95),
             400,
@@ -439,6 +467,9 @@ class TestModelFamilies:
             family_from_spec("spot:radius=abc")
         with pytest.raises(FaultModelError):
             family_from_spec("spot:bogus=1")
+        for text in NON_FINITE_SPECS:
+            with pytest.raises(FaultModelError, match="finite"):
+                family_from_spec(text)
 
     def test_survival_sweep_model_knob_labels_points(self):
         points = survival_sweep(
@@ -532,3 +563,6 @@ class TestCLIDefectModel:
         code = main(["fig9", "--defect-model", "spot:radius=?"])
         assert code == 2
         assert "numeric" in capsys.readouterr().err
+        for text in NON_FINITE_SPECS:
+            assert main(["fig9", "--runs", "10", "--defect-model", text]) == 2
+            assert capsys.readouterr().err.startswith("repro: error: ")

@@ -163,8 +163,8 @@ class TestShardedBitIdentity:
         struct = RepairStructure(dtmb26_chip)
         rng0 = np.random.default_rng(shard_seed(21, 0))
         rng1 = np.random.default_rng(shard_seed(21, 1))
-        got0, _ = model_successes(struct, IIDBernoulli(0.95), 500, seed=rng0)
-        got1, _ = model_successes(struct, IIDBernoulli(0.95), 300, seed=rng1)
+        got0, _, _ = model_successes(struct, IIDBernoulli(0.95), 500, seed=rng0)
+        got1, _, _ = model_successes(struct, IIDBernoulli(0.95), 300, seed=rng1)
         assert est.successes == got0 + got1
 
     def test_shard_runs_validation(self):

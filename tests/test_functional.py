@@ -33,12 +33,11 @@ from repro.functional import (
     MultiplexedCriterion,
     RoutingCriterion,
     criterion_from_spec,
-    criterion_successes,
     evaluate_functional,
 )
 from repro.fluidics.concurrent_routing import ConcurrentRouter
 from repro.functional.funnel import _bfs_distances, context_for
-from repro.yieldsim.defects import IIDBernoulli
+from repro.yieldsim.defects import IIDBernoulli, family_from_spec
 from repro.yieldsim.engine import SweepEngine
 from repro.yieldsim.kernel import (
     GOOD,
@@ -95,18 +94,32 @@ def test_criterion_digests_distinct():
 
 # -- matching criterion: bit-identical to the kernel --------------------------
 
-def test_matching_criterion_equals_kernel():
-    struct = RepairStructure(_chip(DTMB_2_6, 60))
-    model = IIDBernoulli(0.93)
-    base, base_stats = model_successes(struct, model, 500, seed=123)
-    got, stats, crit = criterion_successes(
-        struct, model, MatchingCriterion(), 500, seed=123
+@pytest.mark.parametrize("model_spec", ["iid", "negbin", "spot"])
+@pytest.mark.parametrize(
+    "criterion",
+    [MatchingCriterion(), RoutingCriterion(), MultiplexedCriterion()],
+    ids=["matching", "routing", "multiplexed"],
+)
+def test_matching_criterion_equals_kernel(model_spec, criterion):
+    """A criterion rides the kernel's one sampling loop: same draws, same
+    verdicts, so its screen stats equal the criterion-less point's, and
+    only the matching criterion reproduces its count."""
+    chip = _chip(DTMB_2_6, 60)
+    struct = RepairStructure(chip)
+    model = family_from_spec(model_spec)(chip, 0.93)
+    base, base_stats, none = model_successes(struct, model, 500, seed=123)
+    assert none is None
+    got, stats, crit = model_successes(
+        struct, model, 500, seed=123, criterion=criterion
     )
-    assert got == base
     assert stats.as_dict() == base_stats.as_dict()
     assert crit.runs == 500
     assert crit.matching_fail == 500 - base
-    assert crit.residue == 0  # matching never pays the scheduler
+    if isinstance(criterion, MatchingCriterion):
+        assert got == base
+        assert crit.residue == 0  # matching never pays the scheduler
+    else:
+        assert got <= base
 
 
 # -- the funnel is exact ------------------------------------------------------
@@ -337,8 +350,8 @@ def test_dtmb44_functional_collapse():
     struct = RepairStructure(_chip(DTMB_4_4, 60))
     ctx = context_for(struct, RoutingCriterion())
     assert not ctx.baseline_ok
-    got, _, crit = criterion_successes(
-        struct, IIDBernoulli(0.99), RoutingCriterion(), 200, seed=5
+    got, _, crit = model_successes(
+        struct, IIDBernoulli(0.99), 200, seed=5, criterion=RoutingCriterion()
     )
     assert got == 0
     assert crit.matching_fail < 200  # matching finds repairs; routing fails

@@ -187,6 +187,11 @@ class TestValidation:
         assert status == 400, error
         assert error["error"] in ("ServeError", "SimulationError")
 
+    def test_non_finite_defect_model_is_400(self, base):
+        body = dict(POINT_BODY, defect_model="spot:radius=nan")
+        status, error = http(base, "/points", body)
+        assert status == 400 and error["error"] == "FaultModelError", error
+
     def test_request_dataclasses_reject_bad_input_eagerly(self):
         with pytest.raises(ServeError):
             PointRequest.from_dict({"param": 0.9, "runs": 100})
@@ -563,6 +568,7 @@ class TestBundles:
                 for name, body in (
                     ("table1", {"defect_model": "negbin"}),
                     ("fig9", {"defect_model": "bogus"}),
+                    ("fig9", {"defect_model": "negbin:alpha=inf"}),
                     ("table1", {"criterion": "routing"}),
                 ):
                     status, _ = http(url, f"/experiments/{name}", body)

@@ -97,14 +97,14 @@ class TestScreeningKernel:
         struct = RepairStructure(dtmb26_chip)
         for i, p in enumerate((0.88, 0.94, 0.99)):
             expected = sim.run_survival(p, runs=1500, seed=40 + i).successes
-            got, _ = model_successes(
+            got, _, _ = model_successes(
                 struct, IIDBernoulli(p), 1500, seed=40 + i, dtype=np.float64
             )
             assert got == expected
 
     def test_screen_resolves_majority_without_matching(self, dtmb26_chip):
         struct = RepairStructure(dtmb26_chip)
-        _, stats = model_successes(struct, IIDBernoulli(0.97), 4000, seed=3)
+        _, stats, _ = model_successes(struct, IIDBernoulli(0.97), 4000, seed=3)
         assert stats.runs == 4000
         # At paper-regime p the screen decides nearly everything.
         assert stats.residue < 0.05 * stats.runs
@@ -113,7 +113,7 @@ class TestScreeningKernel:
     def test_degree_one_design_never_needs_matching(self):
         struct = RepairStructure(build_flower_chip(60))
         assert struct.max_degree == 1
-        _, stats = model_successes(struct, IIDBernoulli(0.9), 2000, seed=5)
+        _, stats, _ = model_successes(struct, IIDBernoulli(0.9), 2000, seed=5)
         assert stats.residue == 0
 
     def test_kuhn_reference_agrees_with_simulator(self, dtmb26_chip):
