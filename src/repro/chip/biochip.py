@@ -40,7 +40,8 @@ class Biochip:
     is a policy enforced by the fluidics and reconfiguration layers.
 
     The cell coordinates and roles are fixed once the chip is built; only
-    health and labels change.  Per-chip memos rely on this:
+    health and labels change.  Per-chip memos rely on this: the role
+    counts are taken once in ``__init__``, and
     :func:`~repro.yieldsim.defects.geometry_for` and
     :func:`~repro.yieldsim.scheduler.chip_identity` derive a chip's
     geometry and its cache identity once and reuse them for its lifetime.
@@ -69,6 +70,9 @@ class Biochip:
             coord: tuple(n for n in coord.neighbors() if n in self._cells)
             for coord in self._order
         }
+        # Roles are fixed, so the role counts are too.
+        self._primary_count = sum(1 for c in self._cells.values() if c.is_primary)
+        self._spare_count = len(self._cells) - self._primary_count
 
     # -- container protocol ---------------------------------------------------
     def __contains__(self, coord: Hashable) -> bool:
@@ -103,11 +107,11 @@ class Biochip:
 
     @property
     def primary_count(self) -> int:
-        return sum(1 for c in self if c.is_primary)
+        return self._primary_count
 
     @property
     def spare_count(self) -> int:
-        return sum(1 for c in self if c.is_spare)
+        return self._spare_count
 
     def redundancy_ratio(self) -> float:
         """Spares / primaries — the paper's RR metric (Definition 2)."""
@@ -187,6 +191,8 @@ class Biochip:
         clone._cells = {c.coord: Cell(c.coord, c.role, c.health, c.label) for c in self}
         clone._order = self._order
         clone._adjacency = self._adjacency
+        clone._primary_count = self._primary_count
+        clone._spare_count = self._spare_count
         return clone
 
     def edges(self) -> List[Tuple[Hashable, Hashable]]:

@@ -104,7 +104,13 @@ from repro.obs import profile as _profile
 from repro.functional.sites import multiplexed_endpoints, routing_sites, site_legs
 from repro.reconfig.local import RepairPlan, plan_local_repair
 from repro.reconfig.remap import CellRemap
-from repro.yieldsim.kernel import GOOD, RepairStructure, demanded_spares
+from repro.yieldsim.kernel import (
+    GOOD,
+    RepairStructure,
+    _gather_or,
+    _pack_runs,
+    demanded_spares,
+)
 
 # Not called here: perfbench/harness.py wraps this binding by attribute.
 from repro.yieldsim.kernel import classify_repairable  # noqa: F401
@@ -115,24 +121,6 @@ __all__ = ["evaluate_functional", "context_for"]
 _CONTEXTS: "weakref.WeakKeyDictionary[RepairStructure, Dict[str, _FunnelContext]]" = (
     weakref.WeakKeyDictionary()
 )
-
-
-def _pack_runs(mask: np.ndarray) -> np.ndarray:
-    """Bit-slice a ``(runs, cells)`` mask into ``(cells, ceil(runs/8))`` uint8.
-
-    Row ``c`` holds cell ``c`` for every run, eight runs per byte in
-    ``np.packbits`` order (run ``r`` is bit ``7 - r % 8`` of byte
-    ``r // 8``); pad bits past the last run are clear.  A mask broadcast
-    from one row — the funnel's shared start and target sets — packs
-    without reading its ``runs`` copies.
-    """
-    runs = mask.shape[0]
-    width = -(-runs // 8)
-    if runs and mask.strides[0] == 0:
-        packed = np.zeros((mask.shape[1], width), dtype=np.uint8)
-        packed[mask[0]] = np.packbits(np.ones(runs, dtype=bool))
-        return packed
-    return np.ascontiguousarray(np.packbits(mask, axis=0).T)
 
 
 def _padded_neighbours(nbr_pos: np.ndarray, nbr_mask: np.ndarray) -> np.ndarray:
@@ -182,9 +170,7 @@ def _bfs_packed(
             reached, allowed = reached[:, keep], allowed[:, keep]
             target = target[:, keep]
         level += 1
-        grow = reached[nbr_idx[:, 0]]
-        for d in range(1, nbr_idx.shape[1]):
-            grow |= reached[nbr_idx[:, d]]
+        grow = _gather_or(reached, nbr_idx)
         grow &= allowed
         grow &= ~reached[:cells]
         reached[:cells] |= grow

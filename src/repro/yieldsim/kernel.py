@@ -11,10 +11,21 @@ decide fall through to the integer Kuhn matching.
 The funnel, in order:
 
 1. **zero-fault**: runs with no faulty needed primary are good.
-2. **dead end**: a faulty primary with zero surviving adjacent spares
-   makes the run bad (Hall's condition fails on a singleton set).
-3. **peeling** (iterated to a fixed point, all runs at once):
+2. **packed first round**: one pass of bit algebra over the whole batch,
+   runs packed eight per byte (:func:`_pack_runs`).  A run in which some
+   faulty needed primary has zero surviving adjacent spares is bad
+   (Hall's condition fails on a singleton set).  A run in which every
+   faulty needed primary has a surviving adjacent spare that no *other*
+   faulty needed primary is adjacent to is good: those private spares
+   are distinct, so they form a saturating matching.  These are exactly
+   the runs the peel loop's first iteration would mark dead or peel to
+   completion, so they count as ``bad_dead_end``/``good_peeled`` and
+   every :class:`ScreenStats` field means what it did before the round
+   existed.  Only the undecided runs, compacted, go on.
+3. **peeling** (iterated to a fixed point over the undecided runs):
 
+   * *dead ends* — a faulty primary left with no surviving spare makes
+     the run bad.
    * *forced moves* — a faulty primary with exactly one surviving spare
      must take it.  Two primaries forced onto the same spare make the
      run bad; otherwise the assignment is committed and both endpoints
@@ -22,7 +33,7 @@ The funnel, in order:
    * *private spares* — a surviving spare demanded by exactly one faulty
      primary can be greedily committed to it.
 
-   Both reductions are feasibility-preserving in *both* directions (the
+   Both commits are feasibility-preserving in *both* directions (the
    standard exchange argument: a demand-1 spare is used by no other
    faulty primary in any matching, and a degree-1 primary has no other
    choice), so peeling never changes the verdict — it only shrinks the
@@ -190,6 +201,15 @@ class RepairStructure:
             for d, j in enumerate(lst):
                 self.rev_pos[s, d] = j
                 self.rev_mask[s, d] = True
+        #: :attr:`adj_pos`/:attr:`rev_pos` with every padded slot sent to
+        #: row S/k: the all-zero last row of the packed round's
+        #: (S + 1)- and (k + 1)-row bit matrices.
+        self.adj_bits_idx = np.where(
+            self.adj_mask, self.adj_pos, self.n_cand
+        ).astype(np.intp)
+        self.rev_bits_idx = np.where(
+            self.rev_mask, self.rev_pos, self.needed_count
+        ).astype(np.intp)
 
     @property
     def geometry(self) -> DefectGeometry:
@@ -202,6 +222,24 @@ class RepairStructure:
         if self._geometry is None:
             self._geometry = DefectGeometry.from_chip(self.chip)
         return self._geometry
+
+
+def _pack_runs(mask: np.ndarray) -> np.ndarray:
+    """Bit-slice a ``(runs, cells)`` mask into ``(cells, ceil(runs/8))`` uint8.
+
+    Row ``c`` holds cell ``c`` for every run, eight runs per byte in
+    ``np.packbits`` order (run ``r`` is bit ``7 - r % 8`` of byte
+    ``r // 8``); pad bits past the last run are clear.  A mask broadcast
+    from one row — the functional funnel's shared start and target sets —
+    packs without reading its ``runs`` copies.
+    """
+    runs = mask.shape[0]
+    width = -(-runs // 8)
+    if runs and mask.strides[0] == 0:
+        packed = np.zeros((mask.shape[1], width), dtype=np.uint8)
+        packed[mask[0]] = np.packbits(np.ones(runs, dtype=bool))
+        return packed
+    return np.ascontiguousarray(np.packbits(mask, axis=0).T)
 
 
 def demanded_spares(
@@ -290,6 +328,57 @@ def _classify_degree_one(
     return verdict, stats
 
 
+def _bit_rows(mask: np.ndarray) -> np.ndarray:
+    """:func:`_pack_runs` plus one all-zero last row.
+
+    The zero row is the gather target of padded adjacency slots.
+    """
+    packed = _pack_runs(mask)
+    return np.vstack([packed, np.zeros((1, packed.shape[1]), dtype=np.uint8)])
+
+
+def _gather_or(rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``rows[idx[:, 0]] | rows[idx[:, 1]] | ...`` — one row per ``idx`` row."""
+    acc = rows[idx[:, 0]]
+    for d in range(1, idx.shape[1]):
+        acc |= rows[idx[:, d]]
+    return acc
+
+
+def _packed_round(
+    struct: RepairStructure, faulty: np.ndarray, ca: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The packed first round: ``(dead, open)`` bit rows over the batch.
+
+    ``faulty`` is ``(runs, k)`` over the needed slots and ``ca`` the
+    ``(runs, S)`` candidate-spare survival.  Both results are packed run
+    rows in :func:`_pack_runs` bit order with every pad bit clear.
+    ``dead`` marks runs with a faulty needed primary that has no
+    surviving candidate.  ``open`` marks runs with a faulty needed
+    primary that has no surviving *private* candidate, one adjacent to no
+    other faulty needed primary; a faulty run outside ``open`` is good.
+    """
+    fw = _bit_rows(faulty)                   # (k + 1, ceil(runs / 8))
+    aw = _bit_rows(ca)                       # (S + 1, ceil(runs / 8))
+    k = struct.needed_count
+    dead = np.bitwise_or.reduce(
+        fw[:k] & ~_gather_or(aw, struct.adj_bits_idx), axis=0
+    )
+    # Per spare: demanded by at least one / at least two faulty primaries.
+    rev = struct.rev_bits_idx
+    one = fw[rev[:, 0]]
+    two = np.zeros_like(one)
+    for d in range(1, rev.shape[1]):
+        x = fw[rev[:, d]]
+        two |= one & x
+        one |= x
+    aw[:-1] &= one & ~two                    # surviving private spares
+    open_ = np.bitwise_or.reduce(
+        fw[:k] & ~_gather_or(aw, struct.adj_bits_idx), axis=0
+    )
+    return dead, open_
+
+
 def classify_repairable(
     struct: RepairStructure, alive: np.ndarray
 ) -> Tuple[np.ndarray, ScreenStats]:
@@ -309,8 +398,7 @@ def classify_repairable(
     verdict = np.full(n_runs, UNDECIDED, dtype=np.int8)
 
     faulty_full = ~alive[:, struct.needed_idx]
-    nf0 = faulty_full.sum(axis=1)
-    zero = nf0 == 0
+    zero = ~faulty_full.any(axis=1)
     verdict[zero] = GOOD
     stats.zero_fault = int(zero.sum())
     if zero.all():
@@ -325,6 +413,38 @@ def classify_repairable(
     if struct.max_degree <= 1:
         return _classify_degree_one(struct, alive, faulty_full, verdict, stats)
 
+    ca = alive[:, struct.cand]
+    dead, open_ = _packed_round(struct, faulty_full, ca)
+    # Pad bits are clear, so every set bit is a run of this batch.
+    bad = np.flatnonzero(np.unpackbits(dead))
+    verdict[bad] = BAD
+    stats.bad_dead_end = int(bad.size)
+    rows = np.flatnonzero(np.unpackbits(open_ & ~dead))
+    if rows.size:
+        verdict[rows] = _peel_and_match(struct, faulty_full[rows], ca[rows], stats)
+    # Every other faulty run holds a private spare per faulty primary:
+    # the peel loop's first iteration would commit them all at once.
+    good = verdict == UNDECIDED
+    verdict[good] = GOOD
+    stats.good_peeled += int(good.sum())
+    return verdict, stats
+
+
+def _peel_and_match(
+    struct: RepairStructure, faulty_full: np.ndarray, ca: np.ndarray, stats: ScreenStats
+) -> np.ndarray:
+    """Verdicts of the runs the packed round left open, compacted.
+
+    ``faulty_full`` is their ``(runs, k)`` faulty needed mask (every run
+    has a faulty primary) and ``ca`` their ``(runs, S)`` candidate-spare
+    survival, which the peel loop's commits overwrite.  Runs only ever
+    interact with themselves, so each run's path through the peel loop,
+    the Hall bounds and the Kuhn residue — and the stage ``stats`` counts
+    it under — is the one it would take in the full batch.
+    """
+    n_runs = faulty_full.shape[0]
+    verdict = np.full(n_runs, UNDECIDED, dtype=np.int8)
+    nf0 = faulty_full.sum(axis=1)
     S = struct.n_cand
     # One *entry* per (run, faulty needed primary).  All peeling state is
     # per-entry, so each iteration costs O(active entries), not O(runs x k).
@@ -340,7 +460,7 @@ def classify_repairable(
     keys = (re * key_dtype(S))[:, None] + struct.adj_pos[je].astype(key_dtype, copy=False)
     sv = struct.adj_mask[je]                 # (E, D) structural validity
     # Flat availability of every (run, candidate-spare); commits clear bits.
-    ca_flat = alive[:, struct.cand].reshape(-1).copy()
+    ca_flat = ca.reshape(-1)
     row_left = nf0.astype(np.int64)          # unresolved entries per run
 
     stuck_re: list = []                      # entries handed to the final stage
@@ -429,7 +549,7 @@ def classify_repairable(
     undecided = verdict == UNDECIDED
     peeled_good = undecided & (row_left == 0)
     verdict[peeled_good] = GOOD
-    stats.good_peeled = int(peeled_good.sum())
+    stats.good_peeled += int(peeled_good.sum())
 
     if stuck_re:
         s_re = np.concatenate(stuck_re)
@@ -464,7 +584,7 @@ def classify_repairable(
             stats.good_hall += int(hall_good.sum())
 
         residue = np.nonzero(~(hall_bad | hall_good))[0]
-        stats.residue = int(residue.size)
+        stats.residue += int(residue.size)
         for row in residue:
             # Peeling is feasibility-preserving, so matching the still-
             # unmatched faulty primaries onto the still-available
@@ -472,7 +592,7 @@ def classify_repairable(
             good = kuhn_repairable(struct.adj_cand, np.flatnonzero(fa[row]), ca[row])
             verdict[rows[row]] = GOOD if good else BAD
             stats.residue_good += int(good)
-    return verdict, stats
+    return verdict
 
 
 # -- within-point sharding: per-shard seed derivation -------------------------

@@ -6,6 +6,8 @@ import pytest
 
 from repro.chip.biochip import Biochip
 from repro.chip.cell import Cell, CellHealth, CellRole
+from repro.designs.catalog import ALL_DESIGNS
+from repro.designs.interstitial import build_chip
 from repro.errors import ChipError
 from repro.geometry.hex import Hex
 from repro.geometry.hexgrid import RectRegion
@@ -32,6 +34,14 @@ class TestConstruction:
         assert len(chip) == 7
         assert chip.primary_count == 6
         assert chip.spare_count == 1
+
+    @pytest.mark.parametrize("spec", ALL_DESIGNS, ids=lambda s: s.name)
+    def test_role_counts_equal_a_fresh_walk(self, spec):
+        chip = build_chip(spec, RectRegion(9, 7))
+        for each in (chip, chip.copy()):
+            assert each.primary_count == len(each.primaries())
+            assert each.spare_count == len(each.spares())
+            assert each.primary_count + each.spare_count == len(each)
 
     def test_iteration_deterministic(self):
         chip = tiny_chip()
