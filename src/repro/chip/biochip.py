@@ -45,6 +45,11 @@ class Biochip:
     :func:`~repro.yieldsim.defects.geometry_for` and
     :func:`~repro.yieldsim.scheduler.chip_identity` derive a chip's
     geometry and its cache identity once and reuse them for its lifetime.
+
+    Catalog layouts are built once per process
+    (:meth:`~repro.designs.interstitial.FitResult.build`): callers get
+    copies of one pristine chip (:meth:`copy`), each with its own cells,
+    while all copies share the immutable coordinate order and adjacency.
     """
 
     def __init__(self, cells: Iterable[Cell], name: str = "biochip"):

@@ -66,7 +66,10 @@ class Cell:
     ``coord`` and ``role`` must not change: the chip's geometry
     (:func:`~repro.yieldsim.defects.geometry_for`) and cache identity
     (:func:`~repro.yieldsim.scheduler.chip_identity`) are computed once
-    per chip from them.  ``health`` and ``label`` may change freely.
+    per chip from them.  ``health`` and ``label`` may change freely and
+    belong to one chip only: every copy of a chip gets its own cells, while
+    the copies share the immutable coordinate structure.  Catalog layouts
+    are built once per process and handed out as such copies.
     """
 
     coord: Hashable

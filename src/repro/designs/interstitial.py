@@ -9,11 +9,17 @@ Two builders are provided:
 
 The coset search matters: sliding the spare pattern by a lattice translation
 changes how the pattern is clipped at the array boundary, and therefore the
-exact primary count for a fixed footprint.
+exact primary count for a fixed footprint.  :func:`rect_role_counts` gives
+those per-coset counts without building anything.
+
+Catalog layouts are built once per process: fits and the pristine chip of
+each fit sit in small bounded memos, and :meth:`FitResult.build` hands out
+copies of that chip.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
@@ -31,8 +37,14 @@ __all__ = [
     "build_chip",
     "build_with_primary_count",
     "build_flower_chip",
+    "rect_role_counts",
     "FitResult",
 ]
+
+#: Bound of each layout memo.  A whole ``repro all`` uses about a dozen
+#: distinct layouts; ``repro serve`` accepts any ``n``, so the memos must
+#: stay bounded.
+_LAYOUT_MEMO = 64
 
 
 def build_chip(
@@ -63,13 +75,22 @@ class FitResult:
     spare_count: int
 
     def build(self, name: Optional[str] = None) -> Biochip:
-        """Construct the chip this fit describes."""
-        return build_chip(
-            self.spec,
-            RectRegion(self.cols, self.rows),
-            self.offset,
-            name=name or f"{self.spec.name} n={self.primary_count}",
+        """A fresh chip of the layout this fit describes.
+
+        The layout is built once per process and kept pristine; each call
+        returns a :meth:`~repro.chip.biochip.Biochip.copy` of it, with its
+        own cells (health and labels) but sharing the immutable coordinate
+        order and adjacency.
+        """
+        return _template(self).copy(
+            name or f"{self.spec.name} n={self.primary_count}"
         )
+
+
+@functools.lru_cache(maxsize=_LAYOUT_MEMO)
+def _template(fit: FitResult) -> Biochip:
+    """The pristine chip of ``fit``; only ever copied, never handed out."""
+    return build_chip(fit.spec, RectRegion(fit.cols, fit.rows), fit.offset)
 
 
 def _candidate_shapes(total_cells_target: float, max_dim: int) -> Iterator[Tuple[int, int]]:
@@ -89,6 +110,7 @@ def _candidate_shapes(total_cells_target: float, max_dim: int) -> Iterator[Tuple
         yield (cols, rows)
 
 
+@functools.lru_cache(maxsize=_LAYOUT_MEMO)
 def _coset_table(lattice, period: int) -> np.ndarray:
     """Spare membership of every residue class, for every lattice coset.
 
@@ -96,19 +118,21 @@ def _coset_table(lattice, period: int) -> np.ndarray:
     column ``i * period + j`` is the residue class ``(q mod period,
     r mod period) == (i, j)``.  ``h`` lies in the coset iff ``h - offset``
     lies in the base lattice, so each row is the base tile rolled by the
-    offset.
+    offset.  Memoized per lattice, so the table is shared and read-only.
     """
     base = np.array(
         [[Hex(i, j) in lattice for j in range(period)] for i in range(period)],
         dtype=np.int64,
     )
-    return np.stack(
+    table = np.stack(
         [
             np.roll(base, (dq, dr), axis=(0, 1)).ravel()
             for dq in range(period)
             for dr in range(period)
         ]
     )
+    table.flags.writeable = False
+    return table
 
 
 def _residue_counts(cols: int, rows: int, period: int) -> np.ndarray:
@@ -119,6 +143,25 @@ def _residue_counts(cols: int, rows: int, period: int) -> np.ndarray:
     return np.bincount(residue.ravel(), minlength=period * period)
 
 
+def rect_role_counts(
+    spec: DesignSpec, cols: int, rows: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(primaries, spares)`` of ``spec`` on ``RectRegion(cols, rows)``.
+
+    One entry per lattice coset ``Hex(dq, dr)`` at index ``dq * T + dr``
+    (``T`` the lattice period), so index 0 is the untranslated pattern
+    that :func:`build_chip` lays by default.  Nothing is built: the
+    region's cells are counted per residue class and each coset's spare
+    count is one product with the coset membership table.
+    """
+    period = lattice_period(spec.spare_lattice)
+    spares = _coset_table(spec.spare_lattice, period) @ _residue_counts(
+        cols, rows, period
+    )
+    return cols * rows - spares, spares
+
+
+@functools.lru_cache(maxsize=_LAYOUT_MEMO)
 def build_with_primary_count(
     spec: DesignSpec,
     n: int,
@@ -129,21 +172,18 @@ def build_with_primary_count(
     Searches rectangle shapes (most square first) and, per shape, every
     lattice coset ``Hex(dq, dr)`` with ``0 <= dq, dr < T`` in row-major
     order, where ``T`` is the lattice period; the first exact fit wins, so
-    repeated calls return the same layout.  Membership depends only on the
-    residues ``(q mod T, r mod T)``, so the search never builds a region:
-    each shape's cells are counted per residue class and every coset's
-    spare count is one product with the coset membership table.  Raises
-    :class:`DesignError` if no footprint up to ``max_dim`` per side fits.
+    repeated calls return the same layout.  The search never builds a
+    region (see :func:`rect_role_counts`), and its result is memoized per
+    process.  Raises :class:`DesignError` if no footprint up to
+    ``max_dim`` per side fits.
     """
     if n < 1:
         raise DesignError(f"primary count must be >= 1, got {n}")
     density = float(spec.primary_density)
     target_cells = n / density
     period = lattice_period(spec.spare_lattice)
-    table = _coset_table(spec.spare_lattice, period)
     for cols, rows in _candidate_shapes(target_cells, max_dim):
-        spares = table @ _residue_counts(cols, rows, period)
-        primaries = cols * rows - spares
+        primaries, spares = rect_role_counts(spec, cols, rows)
         fits = np.flatnonzero((primaries == n) & (spares > 0))
         if fits.size:
             k = int(fits[0])

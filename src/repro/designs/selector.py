@@ -10,6 +10,7 @@ redundancy ratio ⇒ smallest area) that clears the target.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -24,6 +25,16 @@ from repro.yieldsim.kernel import RepairStructure, model_successes
 from repro.yieldsim.stats import YieldEstimate
 
 __all__ = ["DesignRecommendation", "recommend_design"]
+
+
+@functools.lru_cache(maxsize=64)
+def _structure(spec: DesignSpec, n: int) -> RepairStructure:
+    """The repair structure of ``spec``'s exact-``n`` layout, built once.
+
+    Structures are read-only, so every recommendation for the same
+    design and size shares one.
+    """
+    return RepairStructure(build_with_primary_count(spec, n).build())
 
 
 def _survival_yield(
@@ -106,8 +117,7 @@ def recommend_design(
     candidates: List[Tuple[str, YieldEstimate]] = []
     chosen: Optional[DesignSpec] = None
     for i, spec in enumerate(ordered):
-        struct = RepairStructure(build_with_primary_count(spec, n).build())
-        estimate = _survival_yield(struct, p, runs, seed + i)
+        estimate = _survival_yield(_structure(spec, n), p, runs, seed + i)
         candidates.append((spec.name, estimate))
         score = estimate.lo if confident else estimate.value
         if chosen is None and score >= target_yield:

@@ -118,9 +118,9 @@ def hex_ring(center: Hex, radius: int) -> List[Hex]:
     """The cells at exactly ``radius`` moves from ``center``.
 
     ``radius == 0`` returns ``[center]``.  For ``radius >= 1`` the ring has
-    ``6 * radius`` cells, listed CCW starting from the cell ``radius`` steps
-    east... actually starting from direction 4 (SW corner) per the standard
-    ring-walk construction; the starting point is deterministic.
+    ``6 * radius`` cells: it starts at the corner ``radius`` steps from
+    ``center`` in direction 4 (SW) and walks ``radius`` steps in each of
+    the directions 0 to 5 (E, NE, NW, W, SW, SE) in turn, counter-clockwise.
     """
     if radius < 0:
         raise GeometryError(f"ring radius must be >= 0, got {radius}")

@@ -45,9 +45,9 @@ def axial_to_offset(h: Hex) -> Tuple[int, int]:
 class HexRegion:
     """Abstract finite set of hex cells.
 
-    Subclasses must populate ``self._cells`` (an ordered tuple) before
-    calling ``super().__init__()`` is complete; this base class provides the
-    shared set algebra and adjacency-restricted queries.
+    Subclasses compute their cells and pass them to ``super().__init__``,
+    which sorts and deduplicates them; this base class provides the shared
+    set algebra and adjacency-restricted queries.
     """
 
     _cells: Tuple[Hex, ...]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro.designs.boundary import ModulePlacement, SpareRowArray
@@ -18,18 +19,18 @@ from repro.designs.catalog import (
     table1_rows,
 )
 from repro.designs.interstitial import (
-    _coset_table,
-    _residue_counts,
     build_chip,
     build_flower_chip,
     build_with_primary_count,
+    rect_role_counts,
 )
 from repro.designs.spec import DesignSpec
 from repro.designs.verify import inspect_structure, verify_design
 from repro.errors import DesignError
 from repro.geometry.hex import Hex
-from repro.geometry.hexgrid import RectRegion
+from repro.geometry.hexgrid import RectRegion, axial_to_offset
 from repro.geometry.lattice import CongruenceLattice, lattice_period
+from repro.yieldsim.scheduler import chip_identity
 
 
 class TestCatalog:
@@ -125,11 +126,10 @@ class TestPrimaryCountFits:
         # Every shape and coset: the arithmetic spare count equals the
         # count of region cells inside the translated lattice.
         period = lattice_period(spec.spare_lattice)
-        table = _coset_table(spec.spare_lattice, period)
         for cols in range(2, 13):
             for rows in range(2, 13):
                 region = RectRegion(cols, rows)
-                spares = table @ _residue_counts(cols, rows, period)
+                _, spares = rect_role_counts(spec, cols, rows)
                 for dq in range(period):
                     for dr in range(period):
                         lattice = spec.spare_lattice.translated(Hex(dq, dr))
@@ -165,6 +165,84 @@ class TestPrimaryCountFits:
         spec = next(d for d in ALL_DESIGNS if d.name == name)
         fit = build_with_primary_count(spec, n)
         assert (fit.cols, fit.rows, fit.offset) == (cols, rows, Hex(dq, dr))
+
+
+class TestLayoutCopies:
+    """``FitResult.build`` copies one memoized layout per fit."""
+
+    def test_builds_are_distinct_chips_with_distinct_cells(self):
+        fit = build_with_primary_count(DTMB_2_6, 100)
+        a, b = fit.build(), fit.build()
+        assert a is not b
+        for coord in a.coords:
+            assert a[coord] is not b[coord]
+
+    def test_health_and_labels_do_not_leak(self):
+        fit = build_with_primary_count(DTMB_3_6, 60)
+        a, b = fit.build(), fit.build()
+        coord = a.primaries()[0].coord
+        a.mark_faulty(coord)
+        a.set_label(coord, "mixer")
+        c = fit.build()
+        for other in (b, c):
+            assert other.faulty_cells() == []
+            assert other[coord].label is None
+        assert a[coord].is_faulty and a[coord].label == "mixer"
+
+    def test_copies_share_coordinate_structure(self):
+        fit = build_with_primary_count(DTMB_1_6, 60)
+        a, b = fit.build(), fit.build()
+        assert a.coords is b.coords
+        for coord in a.coords:
+            assert a.neighbors(coord) is b.neighbors(coord)
+
+    @pytest.mark.parametrize("spec", ALL_DESIGNS, ids=lambda s: s.name)
+    @pytest.mark.parametrize("n", [60, 100])
+    def test_copy_equals_direct_build(self, spec, n):
+        fit = build_with_primary_count(spec, n)
+        direct = build_chip(
+            spec,
+            RectRegion(fit.cols, fit.rows),
+            fit.offset,
+            name=f"{spec.name} n={fit.primary_count}",
+        )
+        for name in (None, "custom"):
+            copy = fit.build(name)
+            assert copy.name == (name or direct.name)
+            assert chip_identity(copy)[1] == chip_identity(direct)[1]
+
+
+class TestRectRoleCounts:
+    @pytest.mark.parametrize("spec", ALL_DESIGNS, ids=lambda s: s.name)
+    def test_counts_equal_built_chip(self, spec):
+        # In offset coordinates a cols x rows rectangle is the first cols
+        # columns of the first rows rows of the 40 x 40 one, so its role
+        # counts are 2-D prefix sums of one built 40 x 40 chip per coset.
+        size = 40
+        period = lattice_period(spec.spare_lattice)
+        spares_in = []  # per coset, in rect_role_counts order
+        for dq in range(period):
+            for dr in range(period):
+                chip = build_chip(spec, RectRegion(size, size), Hex(dq, dr))
+                primaries, spares = rect_role_counts(spec, size, size)
+                k = dq * period + dr
+                assert (chip.primary_count, chip.spare_count) == (
+                    primaries[k], spares[k]
+                )
+                spare = np.zeros((size, size), dtype=np.int64)
+                for cell in chip.spares():
+                    col, row = axial_to_offset(cell.coord)
+                    spare[row, col] = 1
+                spares_in.append(spare.cumsum(axis=0).cumsum(axis=1))
+        expected = np.stack(spares_in, axis=-1)
+        for cols in range(2, size + 1):
+            for rows in range(2, size + 1):
+                primaries, spares = rect_role_counts(spec, cols, rows)
+                want = expected[rows - 1, cols - 1]
+                np.testing.assert_array_equal(spares, want, err_msg=f"{cols}x{rows}")
+                np.testing.assert_array_equal(
+                    primaries, cols * rows - want, err_msg=f"{cols}x{rows}"
+                )
 
 
 class TestFlowerChip:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.designs.catalog import DTMB_1_6, TABLE1_DESIGNS
+from repro.designs.catalog import DTMB_1_6, DTMB_4_4, TABLE1_DESIGNS
 from repro.designs.interstitial import build_with_primary_count
 from repro.designs.selector import recommend_design
 from repro.errors import DesignError, SimulationError
@@ -24,6 +24,19 @@ class TestRecommendDesign:
         assert rec.feasible
         assert rec.chosen is not DTMB_1_6
         assert float(rec.chosen.redundancy_ratio) >= 0.5
+
+    def test_candidate_estimates_pinned(self):
+        # Captured from the selector that built a fresh repair structure
+        # per call; repeated calls share one per design and must agree.
+        for _ in range(2):
+            rec = recommend_design(0.95, p=0.94, n=100, runs=1500, seed=2)
+            assert [(name, e.successes, e.trials) for name, e in rec.candidates] == [
+                ("DTMB(1,6)", 295, 1500),
+                ("DTMB(2,6)", 1144, 1500),
+                ("DTMB(3,6)", 1440, 1500),
+                ("DTMB(4,4)", 1487, 1500),
+            ]
+            assert rec.chosen is DTMB_4_4
 
     def test_impossible_target_reports_infeasible(self):
         rec = recommend_design(0.999, p=0.80, n=100, runs=600, seed=3)

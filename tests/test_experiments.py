@@ -6,6 +6,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.designs.spec import DesignSpec
+from repro.errors import ChipError
+from repro.geometry.lattice import CongruenceLattice
 from repro.experiments import (
     ablation_defects,
     ablation_hexsquare,
@@ -42,6 +45,36 @@ class TestTable1:
 
     def test_report_renders(self):
         assert "DTMB(4,4)" in table1.run().format_report()
+
+    def test_report_pinned(self):
+        # Captured from the object-level table this counting one replaced.
+        assert table1.run().format_report() == (
+            "design     RR (s/p)  RR (paper)  RR 8x8  RR 16x16  RR 32x32  RR 64x64\n"
+            "---------  --------  ----------  ------  --------  --------  --------\n"
+            "DTMB(1,6)  0.1667    0.1667      0.1636  0.1689    0.1663    0.1666\n"
+            "DTMB(2,6)  0.3333    0.3333      0.3333  0.3333    0.3333    0.3333\n"
+            "DTMB(3,6)  0.5000    0.5000      0.6000  0.5238    0.5238    0.5059\n"
+            "DTMB(4,4)  1.0000    1.0000      1.0000  1.0000    1.0000    1.0000"
+        )
+
+    def test_degenerate_sizes_raise_the_builder_errors(self):
+        with pytest.raises(
+            ChipError,
+            match=r"^redundancy ratio undefined: chip has no primary cells$",
+        ):
+            table1.run(sizes=(1,))
+        odd = DesignSpec(
+            name="odd", s=4, p=4, spare_lattice=CongruenceLattice(a=1, b=0, m=2, c=1)
+        )
+        with pytest.raises(
+            ChipError,
+            match=r"^lattice CongruenceLattice\(1q \+ 0r ≡ 1 mod 2\) places no "
+            r"spares inside the region; enlarge the region or check the congruence$",
+        ):
+            table1.run(designs=(odd,), sizes=(1,))
+        assert table1.run(designs=(odd,), sizes=(2, 3)).rows == (
+            ("odd", "1.0000", "nan", "1.0000", "0.8000"),
+        )
 
 
 class TestFig2:

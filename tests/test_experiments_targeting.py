@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.designs import selector
+from repro.designs.catalog import TABLE1_DESIGNS
 from repro.experiments import design_targeting
 
 
@@ -49,3 +51,39 @@ class TestTargeting:
         text = result.format_report()
         assert "Y>=0.90" in text
         assert "0.93" in text
+
+
+# Captured from the selector that built a fresh repair structure per
+# recommendation: sharing one per design must not move a single choice.
+PINNED_2005 = {
+    (0.90, 0.80): "DTMB(3,6)", (0.90, 0.90): "DTMB(4,4)",
+    (0.90, 0.95): "-", (0.90, 0.99): "-",
+    (0.93, 0.80): "DTMB(3,6)", (0.93, 0.90): "DTMB(3,6)",
+    (0.93, 0.95): "DTMB(4,4)", (0.93, 0.99): "-",
+    (0.96, 0.80): "DTMB(2,6)", (0.96, 0.90): "DTMB(3,6)",
+    (0.96, 0.95): "DTMB(3,6)", (0.96, 0.99): "-",
+    (0.99, 0.80): "DTMB(1,6)", (0.99, 0.90): "DTMB(2,6)",
+    (0.99, 0.95): "DTMB(2,6)", (0.99, 0.99): "DTMB(3,6)",
+}
+
+
+def test_default_grid_pinned():
+    assert design_targeting.run(runs=500, seed=2005).table == PINNED_2005
+
+
+def test_one_repair_structure_per_design(monkeypatch):
+    built = []
+
+    class Counting(selector.RepairStructure):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(selector, "RepairStructure", Counting)
+    selector._structure.cache_clear()
+    try:
+        for seed in (1, 2):
+            design_targeting.run(runs=200, seed=seed)
+    finally:
+        selector._structure.cache_clear()
+    assert len(built) == len(TABLE1_DESIGNS) == 4
