@@ -116,10 +116,11 @@ def run(
         kill = max(1, int(fault_fraction * len(coords)))
         connected = 0
         trials = max(1, pairs // 3)
+        working = chip.copy()
         for t in range(trials):
-            working = chip.copy()
             dead = rng.choice(len(coords), size=kill, replace=False)
             dead_set = {coords[i] for i in dead}
+            working.clear_faults()
             working.apply_fault_map(dead_set)
             alive = [c for c in coords if c not in dead_set]
             if len(alive) < 2:

@@ -95,9 +95,9 @@ def run(
     disagreements = 0
     mismatches = 0
     for t in range(trials):
-        working = chip.copy()
-        working.apply_fault_map(bernoulli_faults(working, p, seed=seed + t))
-        graph: BipartiteGraph = build_repair_graph(working)
+        chip.clear_faults()
+        chip.apply_fault_map(bernoulli_faults(chip, p, seed=seed + t))
+        graph: BipartiteGraph = build_repair_graph(chip)
         outcomes: Dict[str, bool] = {}
         for name, algorithm in MATCHING_ALGORITHMS.items():
             start = time.perf_counter()

@@ -18,6 +18,11 @@ manifest provenance names the defect model and its content digest.
 * ``scenario-gradient`` — one design under three matched regimes: i.i.d.,
   a center-to-edge survival gradient, and Stapper-style negative-binomial
   rate mixing.
+
+``fig7-clustered`` and ``scenario-gradient`` return one
+:class:`~repro.experiments.report.RegimeComparison` (i.i.d. baseline
+first); ``fig9-clustered`` extends :class:`~repro.experiments.fig9.Fig9Result`
+with a defect-model column.
 """
 
 from __future__ import annotations
@@ -26,13 +31,14 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.designs.catalog import DTMB_2_6
-from repro.designs.interstitial import build_flower_chip
+from repro.designs.interstitial import build_flower_chip, build_with_primary_count
 from repro.designs.spec import DesignSpec
-from repro.experiments.fig9 import DEFAULT_DESIGNS, DEFAULT_NS
+from repro.experiments.fig9 import DEFAULT_DESIGNS, DEFAULT_NS, Fig9Result
 from repro.experiments.registry import DEFAULT_STOP_RULE, BudgetPolicy, register
-from repro.experiments.report import format_table
+from repro.experiments.report import RegimeComparison
 from repro.viz.plot import ascii_chart
 from repro.yieldsim.defects import (
+    DefectModel,
     IIDBernoulli,
     NegativeBinomialClustered,
     RadialGradient,
@@ -43,70 +49,29 @@ from repro.yieldsim.defects import (
 from repro.yieldsim.engine import SweepEngine
 from repro.yieldsim.montecarlo import DEFAULT_RUNS
 from repro.yieldsim.stats import StopRule
-from repro.yieldsim.sweeps import (
-    DEFAULT_P_GRID,
-    SurvivalPoint,
-    defect_model_sweep,
-    survival_sweep,
-)
+from repro.yieldsim.sweeps import DEFAULT_P_GRID, defect_model_sweep, survival_sweep
 
 __all__ = [
-    "Fig7ClusteredResult",
     "Fig9ClusteredResult",
-    "GradientScenarioResult",
     "run_fig7_clustered",
     "run_fig9_clustered",
     "run_gradient",
 ]
 
 
+def _regime_yields(
+    chip, ps: Sequence[float], regimes: Dict[str, List[DefectModel]], **sweep
+) -> Dict[str, Dict[float, float]]:
+    """Yield per regime and p, all regimes in one engine call: one worker
+    pool, full-width load balancing, per-point seeds as in separate calls."""
+    flat = [model for models in regimes.values() for model in models]
+    points = iter(defect_model_sweep(chip, flat, **sweep))
+    return {
+        name: {p: next(points).yield_value for p in ps} for name in regimes
+    }
+
+
 # -- fig7-clustered -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class Fig7ClusteredResult:
-    """i.i.d. vs severity-matched spot defects on the flower array."""
-
-    n: int
-    radius: int
-    ps: Tuple[float, ...]
-    iid: Dict[float, float]
-    clustered: Dict[float, float]
-
-    @property
-    def headers(self) -> List[str]:
-        return ["p", "yield (iid)", f"yield (spot r={self.radius})", "gap"]
-
-    @property
-    def rows(self) -> List[Tuple[object, ...]]:
-        return [
-            (
-                f"{p:.2f}",
-                f"{self.iid[p]:.4f}",
-                f"{self.clustered[p]:.4f}",
-                f"{self.iid[p] - self.clustered[p]:.4f}",
-            )
-            for p in self.ps
-        ]
-
-    def gaps(self) -> List[float]:
-        return [self.iid[p] - self.clustered[p] for p in self.ps]
-
-    def format_report(self) -> str:
-        return format_table(self.headers, self.rows)
-
-    def format_chart(self) -> str:
-        series = {
-            "iid": [(p, self.iid[p]) for p in self.ps],
-            f"spot r={self.radius}": [(p, self.clustered[p]) for p in self.ps],
-        }
-        return ascii_chart(
-            series,
-            title=f"Figure 7 scenario: DTMB(1,6) n={self.n}, "
-            "independent vs clustered defects",
-            y_label="yield",
-            x_label="cell survival probability p (matched expected faults)",
-        )
-
 
 @register(
     "fig7-clustered",
@@ -118,7 +83,8 @@ class Fig7ClusteredResult:
     charts=lambda raw: (("iid-vs-clustered", raw.format_chart()),),
     epilogue=lambda raw: (
         "",
-        f"max independence-assumption gap: {max(raw.gaps()):.4f}",
+        "max independence-assumption gap: "
+        f"{raw.gap(raw.columns[-1][0]):.4f}",
     ),
 )
 def run_fig7_clustered(
@@ -130,7 +96,7 @@ def run_fig7_clustered(
     ps: Sequence[float] = DEFAULT_P_GRID,
     radius: int = 1,
     stop: Optional[StopRule] = None,
-) -> Fig7ClusteredResult:
+) -> RegimeComparison:
     """Monte-Carlo yield of the flower array, i.i.d. vs spot defects.
 
     At each p the spot model is calibrated (closed form, no sampling) to
@@ -140,46 +106,31 @@ def run_fig7_clustered(
     """
     chip = build_flower_chip(n)
     geometry = geometry_for(chip)
-    # One engine call for both regimes: one worker pool, full-width load
-    # balancing, and per-point seeds identical to separate calls.
-    models = [IIDBernoulli(p) for p in ps] + [
-        SpotDefects.calibrate(geometry, 1.0 - p, radius) for p in ps
-    ]
-    points = defect_model_sweep(
-        chip, models, runs=runs, seed=seed, engine=engine, stop=stop
-    )
-    return Fig7ClusteredResult(
-        n=n,
-        radius=radius,
+    spot = f"spot r={radius}"
+    regimes = {
+        "iid": [IIDBernoulli(p) for p in ps],
+        spot: [SpotDefects.calibrate(geometry, 1.0 - p, radius) for p in ps],
+    }
+    return RegimeComparison(
         ps=tuple(ps),
-        iid={p: pt.yield_value for p, pt in zip(ps, points[: len(ps)])},
-        clustered={p: pt.yield_value for p, pt in zip(ps, points[len(ps):])},
+        columns=(("iid", "yield (iid)"), (spot, f"yield ({spot})")),
+        yields=_regime_yields(
+            chip, ps, regimes, runs=runs, seed=seed, engine=engine, stop=stop
+        ),
+        title=f"Figure 7 scenario: DTMB(1,6) n={n}, "
+        "independent vs clustered defects",
+        x_label="cell survival probability p (matched expected faults)",
+        gap_column=True,
     )
 
 
 # -- fig9-clustered -----------------------------------------------------------
 
 @dataclass(frozen=True)
-class Fig9ClusteredResult:
+class Fig9ClusteredResult(Fig9Result):
     """The Figure 9 sweep rerun under a clustered defect model."""
 
     radius: int
-    points: Tuple[SurvivalPoint, ...]
-
-    def series(self, n: int) -> Dict[str, List[Tuple[float, float]]]:
-        out: Dict[str, List[Tuple[float, float]]] = {}
-        for point in self.points:
-            if point.n == n:
-                out.setdefault(point.design, []).append(
-                    (point.p, point.yield_value)
-                )
-        return out
-
-    def yield_at(self, design: str, n: int, p: float) -> float:
-        for point in self.points:
-            if point.design == design and point.n == n and abs(point.p - p) < 1e-9:
-                return point.yield_value
-        raise KeyError(f"no point for {design} n={n} p={p}")
 
     @property
     def headers(self) -> List[str]:
@@ -188,20 +139,9 @@ class Fig9ClusteredResult:
     @property
     def rows(self) -> List[Tuple[object, ...]]:
         return [
-            (
-                pt.design,
-                pt.n,
-                f"{pt.p:.2f}",
-                pt.model,
-                f"{pt.yield_value:.4f}",
-                f"{pt.estimate.lo:.4f}",
-                f"{pt.estimate.hi:.4f}",
-            )
-            for pt in self.points
+            (*row[:3], pt.model, *row[3:])
+            for pt, row in zip(self.points, super().rows)
         ]
-
-    def format_report(self) -> str:
-        return format_table(self.headers, self.rows)
 
     def format_chart(self, n: int) -> str:
         return ascii_chart(
@@ -257,61 +197,6 @@ def run_fig9_clustered(
 
 # -- scenario-gradient --------------------------------------------------------
 
-@dataclass(frozen=True)
-class GradientScenarioResult:
-    """One design under i.i.d., radial-gradient and rate-mixing regimes."""
-
-    design: str
-    n: int
-    spread: float
-    alpha: float
-    ps: Tuple[float, ...]
-    yields: Dict[str, Dict[float, float]]  # regime -> p -> yield
-
-    REGIMES = ("iid", "gradient", "negbin")
-
-    @property
-    def headers(self) -> List[str]:
-        return [
-            "p",
-            "yield (iid)",
-            f"yield (gradient Δ{self.spread:g})",
-            f"yield (negbin α={self.alpha:g})",
-        ]
-
-    @property
-    def rows(self) -> List[Tuple[object, ...]]:
-        return [
-            (
-                f"{p:.2f}",
-                *(f"{self.yields[regime][p]:.4f}" for regime in self.REGIMES),
-            )
-            for p in self.ps
-        ]
-
-    def gap(self, regime: str) -> float:
-        """Worst yield shortfall of a regime vs the i.i.d. assumption."""
-        return max(
-            self.yields["iid"][p] - self.yields[regime][p] for p in self.ps
-        )
-
-    def format_report(self) -> str:
-        return format_table(self.headers, self.rows)
-
-    def format_chart(self) -> str:
-        series = {
-            regime: [(p, self.yields[regime][p]) for p in self.ps]
-            for regime in self.REGIMES
-        }
-        return ascii_chart(
-            series,
-            title=f"Gradient scenario: {self.design} n={self.n} "
-            "under matched spatial regimes",
-            y_label="yield",
-            x_label="mean cell survival probability p",
-        )
-
-
 @register(
     "scenario-gradient",
     title="Wafer-gradient and rate-mixing defect scenarios",
@@ -337,7 +222,7 @@ def run_gradient(
     spread: float = 0.06,
     alpha: float = 1.0,
     stop: Optional[StopRule] = None,
-) -> GradientScenarioResult:
+) -> RegimeComparison:
     """Compare i.i.d., gradient and negative-binomial regimes at equal mean.
 
     All three regimes are calibrated to the same mean cell survival p at
@@ -346,8 +231,6 @@ def run_gradient(
     across runs — so the table isolates how the *shape* of the failure
     distribution moves yield at constant average severity.
     """
-    from repro.designs.interstitial import build_with_primary_count
-
     chip = build_with_primary_count(spec, n).build()
     geometry = geometry_for(chip)
     regimes = {
@@ -357,21 +240,17 @@ def run_gradient(
         ],
         "negbin": [NegativeBinomialClustered(p, alpha) for p in ps],
     }
-    # All regimes in one engine call (one pool, one load-balanced batch);
-    # per-point seeds are shared either way, so the split is cosmetic.
-    flat = [model for models in regimes.values() for model in models]
-    points = defect_model_sweep(
-        chip, flat, runs=runs, seed=seed, engine=engine, stop=stop
-    )
-    yields: Dict[str, Dict[float, float]] = {}
-    for i, regime in enumerate(regimes):
-        block = points[i * len(ps): (i + 1) * len(ps)]
-        yields[regime] = {p: pt.yield_value for p, pt in zip(ps, block)}
-    return GradientScenarioResult(
-        design=spec.name,
-        n=n,
-        spread=spread,
-        alpha=alpha,
+    return RegimeComparison(
         ps=tuple(ps),
-        yields=yields,
+        columns=(
+            ("iid", "yield (iid)"),
+            ("gradient", f"yield (gradient Δ{spread:g})"),
+            ("negbin", f"yield (negbin α={alpha:g})"),
+        ),
+        yields=_regime_yields(
+            chip, ps, regimes, runs=runs, seed=seed, engine=engine, stop=stop
+        ),
+        title=f"Gradient scenario: {spec.name} n={n} "
+        "under matched spatial regimes",
+        x_label="mean cell survival probability p",
     )

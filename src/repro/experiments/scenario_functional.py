@@ -22,6 +22,10 @@ difference is exact per run, not two noisy estimates.
 * ``scenario-multiplexed`` — one design under three success predicates
   of increasing strictness: matching, single-assay routing, and two
   concurrent assays sharing the fabric under a tight makespan deadline.
+
+``fig7-functional`` and ``scenario-multiplexed`` return one
+:class:`~repro.experiments.report.RegimeComparison` (matching baseline
+first); ``fig9-functional`` pairs two Figure 9 sweeps.
 """
 
 from __future__ import annotations
@@ -32,8 +36,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.designs.catalog import DTMB_2_6, DTMB_3_6, DTMB_4_4
 from repro.designs.interstitial import build_flower_chip
 from repro.designs.spec import DesignSpec
+from repro.experiments.fig9 import Fig9Result
 from repro.experiments.registry import DEFAULT_STOP_RULE, BudgetPolicy, register
-from repro.experiments.report import format_table
+from repro.experiments.report import RegimeComparison, format_table
 from repro.functional import MultiplexedCriterion, RoutingCriterion
 from repro.viz.plot import ascii_chart
 from repro.yieldsim.engine import SweepEngine
@@ -47,9 +52,7 @@ from repro.yieldsim.sweeps import (
 )
 
 __all__ = [
-    "Fig7FunctionalResult",
     "Fig9FunctionalResult",
-    "MultiplexedScenarioResult",
     "run_fig7_functional",
     "run_fig9_functional",
     "run_multiplexed",
@@ -65,58 +68,6 @@ MULTIPLEXED_P_GRID: Tuple[float, ...] = (0.90, 0.93, 0.96, 0.99)
 
 # -- fig7-functional ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Fig7FunctionalResult:
-    """Matching vs routing-aware yield on the flower array."""
-
-    n: int
-    assay: str
-    deadline: int
-    ps: Tuple[float, ...]
-    matching: Dict[float, float]
-    functional: Dict[float, float]
-
-    @property
-    def headers(self) -> List[str]:
-        return [
-            "p",
-            "yield (matching)",
-            f"yield (routing {self.assay}, d={self.deadline})",
-            "gap",
-        ]
-
-    @property
-    def rows(self) -> List[Tuple[object, ...]]:
-        return [
-            (
-                f"{p:.2f}",
-                f"{self.matching[p]:.4f}",
-                f"{self.functional[p]:.4f}",
-                f"{self.matching[p] - self.functional[p]:.4f}",
-            )
-            for p in self.ps
-        ]
-
-    def gaps(self) -> List[float]:
-        return [self.matching[p] - self.functional[p] for p in self.ps]
-
-    def format_report(self) -> str:
-        return format_table(self.headers, self.rows)
-
-    def format_chart(self) -> str:
-        series = {
-            "matching": [(p, self.matching[p]) for p in self.ps],
-            "routing": [(p, self.functional[p]) for p in self.ps],
-        }
-        return ascii_chart(
-            series,
-            title=f"Figure 7 scenario: DTMB(1,6) n={self.n}, "
-            "matching vs routing-aware yield",
-            y_label="yield",
-            x_label="cell survival probability p",
-        )
-
-
 @register(
     "fig7-functional",
     title="DTMB(1,6) flower array: matching vs routing-aware yield",
@@ -127,7 +78,7 @@ class Fig7FunctionalResult:
     charts=lambda raw: (("matching-vs-routing", raw.format_chart()),),
     epilogue=lambda raw: (
         "",
-        f"max matching-vs-functional gap: {max(raw.gaps()):.4f}",
+        f"max matching-vs-functional gap: {raw.gap('routing'):.4f}",
     ),
 )
 def run_fig7_functional(
@@ -140,7 +91,7 @@ def run_fig7_functional(
     assay: str = "glucose",
     deadline: int = 200,
     stop: Optional[StopRule] = None,
-) -> Fig7FunctionalResult:
+) -> RegimeComparison:
     """Matching vs functional yield of the flower array, same fault maps.
 
     Both columns use the identical per-point seeds, so every run's fault
@@ -157,13 +108,20 @@ def run_fig7_functional(
     func = eng.survival_estimates(
         chip, schedule, runs, stop=stop, criterion=criterion
     )
-    return Fig7FunctionalResult(
-        n=n,
-        assay=assay,
-        deadline=deadline,
+    return RegimeComparison(
         ps=tuple(ps),
-        matching={p: est.value for p, est in zip(ps, base)},
-        functional={p: est.value for p, est in zip(ps, func)},
+        columns=(
+            ("matching", "yield (matching)"),
+            ("routing", f"yield (routing {assay}, d={deadline})"),
+        ),
+        yields={
+            "matching": {p: est.value for p, est in zip(ps, base)},
+            "routing": {p: est.value for p, est in zip(ps, func)},
+        },
+        title=f"Figure 7 scenario: DTMB(1,6) n={n}, "
+        "matching vs routing-aware yield",
+        x_label="cell survival probability p",
+        gap_column=True,
     )
 
 
@@ -187,13 +145,7 @@ class Fig9FunctionalResult:
 
     def series(self, n: int) -> Dict[str, List[Tuple[float, float]]]:
         """Per-design functional-yield series at one array size."""
-        out: Dict[str, List[Tuple[float, float]]] = {}
-        for point in self.functional:
-            if point.n == n:
-                out.setdefault(point.design, []).append(
-                    (point.p, point.yield_value)
-                )
-        return out
+        return Fig9Result(points=self.functional).series(n)
 
     @property
     def headers(self) -> List[str]:
@@ -289,67 +241,6 @@ def run_fig9_functional(
 
 # -- scenario-multiplexed -----------------------------------------------------
 
-@dataclass(frozen=True)
-class MultiplexedScenarioResult:
-    """One design under matching, routing and multiplexed criteria."""
-
-    design: str
-    n: int
-    assays: Tuple[str, ...]
-    routing_deadline: int
-    multiplexed_deadline: int
-    ps: Tuple[float, ...]
-    yields: Dict[str, Dict[float, float]]  # criterion -> p -> yield
-
-    CRITERIA = ("matching", "routing", "multiplexed")
-
-    @property
-    def headers(self) -> List[str]:
-        return [
-            "p",
-            "yield (matching)",
-            f"yield (routing, d={self.routing_deadline})",
-            f"yield (multiplexed x{len(self.assays)}, "
-            f"d={self.multiplexed_deadline})",
-        ]
-
-    @property
-    def rows(self) -> List[Tuple[object, ...]]:
-        return [
-            (
-                f"{p:.2f}",
-                *(
-                    f"{self.yields[criterion][p]:.4f}"
-                    for criterion in self.CRITERIA
-                ),
-            )
-            for p in self.ps
-        ]
-
-    def gap(self, criterion: str) -> float:
-        """Worst yield shortfall of a criterion vs plain matching."""
-        return max(
-            self.yields["matching"][p] - self.yields[criterion][p]
-            for p in self.ps
-        )
-
-    def format_report(self) -> str:
-        return format_table(self.headers, self.rows)
-
-    def format_chart(self) -> str:
-        series = {
-            criterion: [(p, self.yields[criterion][p]) for p in self.ps]
-            for criterion in self.CRITERIA
-        }
-        return ascii_chart(
-            series,
-            title=f"Multiplexed scenario: {self.design} n={self.n} "
-            "under stricter success criteria",
-            y_label="yield",
-            x_label="cell survival probability p",
-        )
-
-
 @register(
     "scenario-multiplexed",
     title="Concurrent-assay functional yield under a makespan deadline",
@@ -376,7 +267,7 @@ def run_multiplexed(
     routing_deadline: int = 200,
     multiplexed_deadline: int = 14,
     stop: Optional[StopRule] = None,
-) -> MultiplexedScenarioResult:
+) -> RegimeComparison:
     """Yield under three success predicates of increasing strictness.
 
     All three sweeps share point seeds, so every fault map is judged
@@ -404,12 +295,18 @@ def run_multiplexed(
             stop=stop, criterion=criterion,
         )
         yields[name] = {p: pt.yield_value for p, pt in zip(ps, points)}
-    return MultiplexedScenarioResult(
-        design=spec.name,
-        n=n,
-        assays=tuple(assays),
-        routing_deadline=routing_deadline,
-        multiplexed_deadline=multiplexed_deadline,
+    return RegimeComparison(
         ps=tuple(ps),
+        columns=(
+            ("matching", "yield (matching)"),
+            ("routing", f"yield (routing, d={routing_deadline})"),
+            (
+                "multiplexed",
+                f"yield (multiplexed x{len(assays)}, d={multiplexed_deadline})",
+            ),
+        ),
         yields=yields,
+        title=f"Multiplexed scenario: {spec.name} n={n} "
+        "under stricter success criteria",
+        x_label="cell survival probability p",
     )

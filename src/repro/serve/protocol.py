@@ -140,6 +140,8 @@ class PointRequest:
     def validate(self) -> None:
         if self.runs < 1:
             raise ServeError(f"runs must be >= 1, got {self.runs}")
+        if self.seed < 0:
+            raise ServeError(f"seed must be >= 0, got {self.seed}")
         if self.design is None and self.chip_digest is None:
             raise ServeError(
                 "point request must name a chip: either design (+ n) "
@@ -214,6 +216,8 @@ class BundleRequest:
         )
         if request.runs < 1:
             raise ServeError(f"runs must be >= 1, got {request.runs}")
+        if request.seed < 0:
+            raise ServeError(f"seed must be >= 0, got {request.seed}")
         if request.target_ci is not None and not request.target_ci > 0:
             raise ServeError(
                 f"target_ci must be > 0, got {request.target_ci}"

@@ -96,10 +96,10 @@ UNREFERENCED_ALLOWLIST = {
     "repro.obs.trace:span_signature": "checks trace determinism",
     "repro.designs.catalog:table1_rows": "checks the catalog against Table 1",
     "repro.experiments.fig2:Fig2Result.max_collateral": "checks the Fig. 2 cost series",
+    "repro.experiments.ablation_defects:DefectModelAblationResult.gaps": "checks the ablation's gaps",
     "repro.experiments.fig9:Fig9Result.yield_at": "reads Fig. 9 points in benches",
     "repro.experiments.fig11:Fig11Result.yield_at": "reads Fig. 11 points in benches",
     "repro.experiments.fig13:Fig13Result.yield_at": "reads Fig. 13 points in benches",
-    "repro.experiments.scenario_clustered:Fig9ClusteredResult.yield_at": "reads clustered points",
     "repro.yieldsim.stats:YieldEstimate.consistent_with": "compares estimates in tests",
     "repro.yieldsim.stats:YieldEstimate.clearly_above": "compares estimates in tests",
     "repro.obs.counters:ScreenStats.screened": "checks kernel funnel counters",

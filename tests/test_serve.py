@@ -180,12 +180,15 @@ class TestValidation:
             dict(POINT_BODY, target_ci=-1.0),                  # bad target
             dict(POINT_BODY, kind="fixed", param=3,
                  defect_model="negbin"),                       # fixed + model
+            dict(POINT_BODY, seed=-1),                         # negative seed
         ],
     )
-    def test_bad_point_requests_are_400(self, base, body):
+    def test_bad_point_requests_are_400(self, server, base, body):
+        leaders = server.server.points.leaders
         status, error = http(base, "/points", body)
         assert status == 400, error
         assert error["error"] in ("ServeError", "SimulationError")
+        assert server.server.points.leaders == leaders
 
     def test_non_finite_defect_model_is_400(self, base):
         body = dict(POINT_BODY, defect_model="spot:radius=nan")
@@ -570,6 +573,7 @@ class TestBundles:
                     ("fig9", {"defect_model": "bogus"}),
                     ("fig9", {"defect_model": "negbin:alpha=inf"}),
                     ("table1", {"criterion": "routing"}),
+                    ("fig9", {"runs": 100, "seed": -3}),
                 ):
                     status, _ = http(url, f"/experiments/{name}", body)
                     assert status == 400, (name, body)
