@@ -61,6 +61,7 @@ reproduction.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -313,8 +314,10 @@ def _engine_kwargs(args: argparse.Namespace) -> dict:
     unit_timeout = getattr(args, "unit_timeout", None)
     if retries is not None and retries < 0:
         raise ExperimentError(f"--retries must be >= 0, got {retries}")
-    if unit_timeout is not None and unit_timeout <= 0:
-        raise ExperimentError(f"--unit-timeout must be > 0, got {unit_timeout}")
+    if unit_timeout is not None and not 0 < unit_timeout < math.inf:
+        raise ExperimentError(
+            f"--unit-timeout must be finite and > 0, got {unit_timeout}"
+        )
     if retries is not None or unit_timeout is not None:
         attempts = (
             retries + 1 if retries is not None else DEFAULT_RETRY_POLICY.attempts
@@ -393,8 +396,8 @@ def _target_ci_from_args(args: argparse.Namespace) -> Optional[float]:
     target = getattr(args, "target_ci", None)
     if target is None:
         return None
-    if target <= 0:
-        raise ExperimentError(f"--target-ci must be > 0, got {target}")
+    if not 0 < target < math.inf:
+        raise ExperimentError(f"--target-ci must be finite and > 0, got {target}")
     return target
 
 
@@ -506,6 +509,7 @@ def _run_experiment(args: argparse.Namespace) -> int:
             "(its success predicate is part of the experiment definition)"
         )
     # Bad engine flags fail before --out is created.
+    _target_ci_from_args(args)
     engine = _engine_from_args(args)
     try:
         run = _artifact_run(args)

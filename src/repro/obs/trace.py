@@ -7,12 +7,13 @@ trace-event JSON object format, so a written file opens directly in
 Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
 
 Span identity is deterministic: names, categories, and args derive from
-logical-unit digests (the same ``unit_digest`` the ``FaultSchedule``
-keys on), point indices, and fold counters — never from wall-clock
-values.  :func:`span_signature` strips the volatile fields
-(timestamps, durations, pids, tids) from :meth:`Tracer.to_dict` and
-returns the canonical event sequence, which is byte-for-byte reproducible for a fixed seed on a
-deterministic executor; ``tests/test_obs.py`` pins that.
+logical-unit digests (``repro.yieldsim.resilience.unit_digest``, which
+the chaos lane's fault schedules also key on), point indices, and fold
+counters — never from wall-clock values.  :func:`span_signature` strips
+the volatile fields (timestamps, durations, pids, tids) from
+:meth:`Tracer.to_dict` and returns the canonical event sequence, which
+is byte-for-byte reproducible for a fixed seed on a deterministic
+executor; ``tests/test_obs.py`` pins that.
 
 Tracers are cheap and thread-safe; an unused tracer costs one lock and
 a list.  Every call site treats ``tracer=None`` as "off" with zero

@@ -15,7 +15,8 @@ single Monte-Carlo run is spent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
 from repro.errors import ReproError, ServeError
@@ -53,7 +54,16 @@ def _as_int(value: object, name: str) -> int:
 def _as_number(value: object, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ServeError(f"{name} must be a number, got {value!r}")
+    # json.loads accepts the NaN and Infinity tokens.
+    if not math.isfinite(value):
+        raise ServeError(f"{name} must be finite, got {value!r}")
     return float(value)
+
+
+def _as_bool(value: object, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ServeError(f"{name} must be true or false, got {value!r}")
+    return value
 
 
 def _as_optional_str(value: object, name: str) -> Optional[str]:
@@ -126,13 +136,13 @@ class PointRequest:
             chip_digest=_as_optional_str(data.get("chip_digest"), "chip_digest"),
             defect_model=_as_optional_str(data.get("defect_model"), "defect_model"),
             criterion=_as_optional_str(data.get("criterion"), "criterion"),
-            adaptive=bool(data.get("adaptive", False)),
+            adaptive=_as_bool(data.get("adaptive", False), "adaptive"),
             target_ci=(
                 None if data.get("target_ci") is None
                 else _as_number(data["target_ci"], "target_ci")
             ),
-            stream=bool(data.get("stream", False)),
-            trace=bool(data.get("trace", False)),
+            stream=_as_bool(data.get("stream", False), "stream"),
+            trace=_as_bool(data.get("trace", False), "trace"),
         )
         request.validate()
         return request
@@ -161,12 +171,9 @@ class PointRequest:
 
     def stop_rule(self) -> Optional[StopRule]:
         """The adaptive rule this request opts into, or None for flat."""
-        if not (self.adaptive or self.target_ci is not None):
-            return None
-        rule = registry.DEFAULT_STOP_RULE
-        if self.target_ci is not None:
-            rule = replace(rule, target_half_width=float(self.target_ci))
-        return rule
+        return registry.BudgetPolicy(
+            stop_rule=registry.DEFAULT_STOP_RULE
+        ).resolve_stop(self.adaptive, target=self.target_ci)
 
 
 @dataclass(frozen=True)
@@ -206,7 +213,7 @@ class BundleRequest:
             experiment=experiment,
             runs=_as_int(data.get("runs", registry.DEFAULT_CLI_RUNS), "runs"),
             seed=_as_int(data.get("seed", registry.DEFAULT_SEED), "seed"),
-            adaptive=bool(data.get("adaptive", False)),
+            adaptive=_as_bool(data.get("adaptive", False), "adaptive"),
             target_ci=(
                 None if data.get("target_ci") is None
                 else _as_number(data["target_ci"], "target_ci")

@@ -43,12 +43,8 @@ remote's answer back locally; writes land in both.  Every remote failure
 a **miss plus a logged incident** (``StoreStats.remote_errors``, folded
 into :class:`~repro.yieldsim.resilience.ResilienceStats` and the manifest
 provenance), never an exception: a dead remote costs recomputation, not
-the run.
-
-:class:`FaultInjectingStore` is the chaos harness for all of the above —
-a deterministic wrapper injecting failed calls, garbage bodies, truncated
-uploads and slow reads, mirroring
-:class:`~repro.yieldsim.resilience.FaultInjectingExecutor`.
+the run.  The chaos lane checks that contract by wrapping a store in
+the fault-injecting double of ``tests/chaos.py``.
 """
 
 from __future__ import annotations
@@ -57,7 +53,6 @@ import hashlib
 import json
 import logging
 import os
-import time
 import urllib.error
 import urllib.request
 from typing import Callable, Dict, List, Optional, Protocol, runtime_checkable
@@ -68,7 +63,6 @@ from repro.obs.events import get_logger, log_event
 
 __all__ = [
     "CacheStore",
-    "FaultInjectingStore",
     "HTTPStore",
     "LocalStore",
     "MemoryStore",
@@ -624,90 +618,6 @@ class TieredCache:
         except Exception as exc:
             self._incident("list", "*", repr(exc))
         return sorted(keys)
-
-
-# -- chaos harness ------------------------------------------------------------
-
-class FaultInjectingStore:
-    """Deterministic transport-fault wrapper for the chaos lane.
-
-    Mirrors :class:`~repro.yieldsim.resilience.FaultSchedule`: every
-    fault fires on a fixed cadence of calls, so a chaos test is exactly
-    reproducible.  ``*_every=n`` fires on the n-th, 2n-th, ... call of
-    that operation:
-
-    * ``get_error_every`` — the read raises :class:`StoreError`
-      (connection refused, 500, timeout — the transport died).
-    * ``get_garbage_every`` — the read returns a garbage body (a proxy
-      mangled it; digests must catch it downstream).
-    * ``get_slow_every`` — the read sleeps ``slow_seconds`` first (a
-      saturated remote; correctness must not depend on latency).
-    * ``put_error_every`` — the upload raises :class:`StoreError`.
-    * ``put_truncate_every`` — only a prefix of the payload is uploaded
-      (a dropped connection mid-PUT).
-
-    ``injected`` counts fired faults by mode.
-    """
-
-    name = "faulty"
-
-    def __init__(
-        self,
-        inner: CacheStore,
-        *,
-        get_error_every: Optional[int] = None,
-        get_garbage_every: Optional[int] = None,
-        get_slow_every: Optional[int] = None,
-        put_error_every: Optional[int] = None,
-        put_truncate_every: Optional[int] = None,
-        slow_seconds: float = 0.01,
-    ) -> None:
-        self.inner = inner
-        self.get_error_every = get_error_every
-        self.get_garbage_every = get_garbage_every
-        self.get_slow_every = get_slow_every
-        self.put_error_every = put_error_every
-        self.put_truncate_every = put_truncate_every
-        self.slow_seconds = slow_seconds
-        self.gets = 0
-        self.puts = 0
-        self.injected: Dict[str, int] = {
-            "get_error": 0, "get_garbage": 0, "get_slow": 0,
-            "put_error": 0, "put_truncate": 0,
-        }
-
-    @staticmethod
-    def _fires(every: Optional[int], count: int) -> bool:
-        return every is not None and every > 0 and count % every == 0
-
-    def get(self, key: str) -> Optional[bytes]:
-        self.gets += 1
-        if self._fires(self.get_slow_every, self.gets):
-            self.injected["get_slow"] += 1
-            time.sleep(self.slow_seconds)
-        if self._fires(self.get_error_every, self.gets):
-            self.injected["get_error"] += 1
-            raise StoreError("injected transport failure on get")
-        if self._fires(self.get_garbage_every, self.gets):
-            self.injected["get_garbage"] += 1
-            return b"\x00\xffinjected garbage body\x00"
-        return self.inner.get(key)
-
-    def put(self, key: str, data: bytes) -> bool:
-        self.puts += 1
-        if self._fires(self.put_error_every, self.puts):
-            self.injected["put_error"] += 1
-            raise StoreError("injected transport failure on put")
-        if self._fires(self.put_truncate_every, self.puts):
-            self.injected["put_truncate"] += 1
-            data = data[: max(1, len(data) // 2)]
-        return self.inner.put(key, data)
-
-    def exists(self, key: str) -> bool:
-        return self.inner.exists(key)
-
-    def list_keys(self) -> List[str]:
-        return self.inner.list_keys()
 
 
 # -- URL dispatch -------------------------------------------------------------

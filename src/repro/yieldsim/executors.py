@@ -22,12 +22,16 @@ Backends
     ``close``; a one-unit run behaves exactly like
     :class:`SerialExecutor`.
 :class:`InlineExecutor`
-    A test double: immediate in-process execution like
-    :class:`SerialExecutor`, but with a configurable ``capacity`` so the
-    scheduler exercises its speculative submit/discard logic
-    deterministically without processes, and with cumulative
-    ``submitted``/``completed``/``cancelled`` counters so tests can
-    assert exactly how many compute units a request cost.
+    Immediate in-process execution like :class:`SerialExecutor`, but
+    with a configurable ``capacity`` so the scheduler exercises its
+    speculative submit/discard logic deterministically without
+    processes, and with cumulative ``submitted``/``completed``/``cancelled``
+    counters so the test suite and perfbench can count exactly how many
+    compute units a request cost.
+
+The chaos lane's fault-injecting wrapper, which makes units of any of
+these backends crash, hang or kill their worker, is test code and lives
+in ``tests/chaos.py``.
 
 Executors are reusable: ``start``/``shutdown`` bracket one scheduler run,
 and a fresh run may follow on the same workers (``PoolExecutor`` keeps

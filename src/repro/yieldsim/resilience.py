@@ -1,4 +1,4 @@
-"""Fault tolerance for the execution stack: retries, timeouts, fault injection.
+"""Fault tolerance for the execution stack: retries, timeouts, pool rebuilds.
 
 The engine's seed-derivation contract makes recovery *free of semantics*:
 every compute unit — a chunk of flat points or one fold of a batched
@@ -21,12 +21,8 @@ that property into an execution policy:
     that was in flight).  Because a resubmitted unit recomputes the
     identical value, a run that survived any number of incidents is
     **bit-identical** to an uninterrupted one — the property the chaos
-    test lane (``pytest -m chaos``) enforces.
-:class:`FaultInjectingExecutor` / :class:`FaultSchedule`
-    The test harness for everything above: wraps any executor and, from
-    a deterministic fault schedule, makes chosen units crash, hang past
-    the timeout, return corrupted payloads, kill their worker process,
-    or preempt the whole run mid-flight.
+    test lane (``pytest -m chaos``) enforces by wrapping the executor in
+    the fault-injecting doubles of ``tests/chaos.py``.
 :class:`ResilienceStats`
     Incident counters (retries, timeouts, corrupt payloads, pool
     rebuilds, checkpoint resumes, quarantined cache entries) shared by
@@ -44,7 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import os
+import math
 import pickle
 import time
 from concurrent.futures import BrokenExecutor
@@ -68,10 +64,6 @@ __all__ = [
     "RetryPolicy",
     "ResilienceStats",
     "UnitRunner",
-    "FaultSchedule",
-    "FaultInjectingExecutor",
-    "InjectedFault",
-    "Preemption",
     "DEFAULT_RETRY_POLICY",
     "unit_digest",
 ]
@@ -82,10 +74,10 @@ _log = get_logger("resilience")
 def unit_digest(fn: Callable[..., Any], args: Tuple[Any, ...]) -> str:
     """Content digest identifying a logical compute unit.
 
-    A pure function of the unit's (function, args) payload — the same
-    identity a :class:`FaultSchedule` keys on and the tracer stamps on
-    unit spans, so a chaos-lane incident and its trace span name the
-    same unit.
+    A pure function of the unit's (function, args) payload — the identity
+    the tracer stamps on unit spans and the chaos lane's fault schedules
+    key on, so an injected incident and its trace span name the same
+    unit.
     """
     blob = pickle.dumps(
         (getattr(fn, "__module__", ""), getattr(fn, "__qualname__", ""), args)
@@ -93,29 +85,15 @@ def unit_digest(fn: Callable[..., Any], args: Tuple[Any, ...]) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-class InjectedFault(RuntimeError):
-    """The failure a :class:`FaultInjectingExecutor` crash-mode unit raises.
-
-    Deliberately *not* a :class:`~repro.errors.ReproError`: an injected
-    crash stands in for arbitrary worker failure (OOM kill, segfault,
-    preempted VM), which the retry machinery must handle without knowing
-    anything about it.
-    """
-
-
-class Preemption(Exception):
-    """The whole run was preempted (simulated SIGKILL mid-sweep).
-
-    Raised by a :class:`FaultSchedule` with ``preempt_after`` set once
-    enough units have been submitted.  It is never retried — preemption
-    kills the process, not a unit — so it propagates out of
-    :meth:`UnitRunner.collect` and the scheduler run dies exactly as a
-    real eviction would, leaving any fold checkpoints on disk for the
-    next run to resume from.
-    """
-
-
 # -- the retry policy ---------------------------------------------------------
+
+#: Growth factor and cap (seconds) of the backoff between attempts.
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX = 2.0
+#: How many times one scheduler run rebuilds a broken process pool,
+#: with or without a retry policy.
+POOL_REBUILDS = 2
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -123,20 +101,16 @@ class RetryPolicy:
 
     ``attempts`` is the *total* number of times a unit may execute (so
     ``attempts=3`` means one try plus two retries).  ``delay(n)`` after
-    the ``n``-th failure is ``backoff_base * backoff_factor**(n-1)``
-    capped at ``backoff_max`` — a pure function of ``n``, so recovery
+    the ``n``-th failure is ``backoff_base * BACKOFF_FACTOR**(n-1)``
+    capped at ``BACKOFF_MAX`` — a pure function of ``n``, so recovery
     timing is reproducible.  ``unit_timeout`` (seconds of wall clock per
     unit execution) turns a hung unit into a retryable incident; ``None``
-    waits forever.  ``pool_rebuilds`` bounds how many times a broken
-    process pool is rebuilt within one scheduler run.
+    waits forever.
     """
 
     attempts: int = 3
     backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 2.0
     unit_timeout: Optional[float] = None
-    pool_rebuilds: int = 2
 
     def __post_init__(self) -> None:
         if self.attempts < 1:
@@ -145,21 +119,9 @@ class RetryPolicy:
             raise SimulationError(
                 f"backoff_base must be >= 0, got {self.backoff_base}"
             )
-        if self.backoff_factor < 1:
+        if self.unit_timeout is not None and not 0 < self.unit_timeout < math.inf:
             raise SimulationError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-        if self.backoff_max < 0:
-            raise SimulationError(
-                f"backoff_max must be >= 0, got {self.backoff_max}"
-            )
-        if self.unit_timeout is not None and not self.unit_timeout > 0:
-            raise SimulationError(
-                f"unit_timeout must be > 0, got {self.unit_timeout}"
-            )
-        if self.pool_rebuilds < 0:
-            raise SimulationError(
-                f"pool_rebuilds must be >= 0, got {self.pool_rebuilds}"
+                f"unit_timeout must be finite and > 0, got {self.unit_timeout}"
             )
 
     def delay(self, failures: int) -> float:
@@ -167,18 +129,17 @@ class RetryPolicy:
         if failures < 1:
             return 0.0
         return min(
-            self.backoff_max,
-            self.backoff_base * self.backoff_factor ** (failures - 1),
+            BACKOFF_MAX, self.backoff_base * BACKOFF_FACTOR ** (failures - 1)
         )
 
     def as_dict(self) -> Dict[str, object]:
         return {
             "attempts": self.attempts,
             "backoff_base": self.backoff_base,
-            "backoff_factor": self.backoff_factor,
-            "backoff_max": self.backoff_max,
+            "backoff_factor": BACKOFF_FACTOR,
+            "backoff_max": BACKOFF_MAX,
             "unit_timeout": self.unit_timeout,
-            "pool_rebuilds": self.pool_rebuilds,
+            "pool_rebuilds": POOL_REBUILDS,
         }
 
 
@@ -229,11 +190,10 @@ class UnitRunner:
     ``BrokenProcessPool`` is survived whether or not a policy is set
     (resubmission is always safe under the engine's purity contract):
     the pool is rebuilt via the executor's ``rebuild()`` hook and every
-    in-flight unit is resubmitted, bounded by the policy's
-    ``pool_rebuilds`` (default 2 without a policy).  A unit cancelled
-    past its deadline also calls the executor's ``retire()`` hook (where
-    it has one), so a long-lived pool does not carry a stuck worker into
-    later runs.
+    in-flight unit is resubmitted, at most :data:`POOL_REBUILDS` times
+    per run.  A unit cancelled past its deadline also calls the
+    executor's ``retire()`` hook (where it has one), so a long-lived
+    pool does not carry a stuck worker into later runs.
 
     Per-token incident counts accumulate in :attr:`incidents` so the
     engine can attribute recovery work to individual sweep points.
@@ -245,15 +205,11 @@ class UnitRunner:
         policy: Optional[RetryPolicy],
         stats: Optional[ResilienceStats] = None,
         *,
-        clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
         tracer: Optional[Tracer] = None,
     ):
         self.executor = executor
         self.policy = policy
         self.stats = stats if stats is not None else ResilienceStats()
-        self.clock = clock
-        self.sleep = sleep
         self.tracer = tracer
         self._inflight: Dict[Any, _Unit] = {}
         self._rebuilds = 0
@@ -312,11 +268,9 @@ class UnitRunner:
         """Execute one attempt of ``unit`` (retrying inline failures)."""
         while True:
             unit.attempts += 1
-            unit.started = self.clock()
+            unit.started = time.monotonic()
             try:
                 future = self.executor.submit(unit.fn, *unit.args)
-            except Preemption:
-                raise
             except BrokenExecutor as exc:
                 self._rebuild_or_raise(unit, exc)
                 continue
@@ -336,30 +290,27 @@ class UnitRunner:
                 del self._inflight[future]
 
     # -- recovery decisions ----------------------------------------------------
-    def _retry_or_raise(self, unit: _Unit, exc: BaseException, kind: str) -> None:
+    def _retry_or_raise(self, unit: _Unit, exc: Exception, kind: str) -> None:
         """Account one failed attempt; back off for a retry or give up."""
         if self.policy is None:
-            if isinstance(exc, Exception):
-                raise exc
-            raise UnitFailure(f"unit {unit.token!r} failed: {exc!r}") from exc
+            raise exc
         if unit.attempts >= self.policy.attempts:
             raise UnitFailure(
                 f"unit {unit.token!r} failed after {unit.attempts} "
                 f"attempts: {exc!r}"
-            ) from (exc if isinstance(exc, BaseException) else None)
+            ) from exc
         self.stats.retries += 1
         self._note(unit.token, kind)
         self._incident("unit_retry", unit, kind=kind, error=repr(exc))
-        self.sleep(self.policy.delay(unit.attempts))
+        time.sleep(self.policy.delay(unit.attempts))
 
     def _rebuild_or_raise(self, unit: _Unit, exc: BaseException) -> None:
         """Rebuild a broken pool (bounded), or give the run up."""
-        limit = self.policy.pool_rebuilds if self.policy is not None else 2
         rebuild = getattr(self.executor, "rebuild", None)
-        if rebuild is None or self._rebuilds >= limit:
+        if rebuild is None or self._rebuilds >= POOL_REBUILDS:
             raise UnitFailure(
                 f"process pool broke and cannot be rebuilt "
-                f"(rebuilds used: {self._rebuilds}/{limit}): {exc!r}"
+                f"(rebuilds used: {self._rebuilds}/{POOL_REBUILDS}): {exc!r}"
             ) from exc
         self._rebuilds += 1
         self.stats.pool_rebuilds += 1
@@ -369,7 +320,7 @@ class UnitRunner:
         )
         rebuild()
         if self.policy is not None:
-            self.sleep(self.policy.delay(self._rebuilds))
+            time.sleep(self.policy.delay(self._rebuilds))
 
     def _drain_pool_break(self, first: _Unit, exc: BaseException) -> List[_Unit]:
         """A broken pool dooms *every* in-flight future: rebuild once and
@@ -391,7 +342,7 @@ class UnitRunner:
     def _next_timeout(self) -> Optional[float]:
         if self.policy is None or self.policy.unit_timeout is None:
             return None
-        now = self.clock()
+        now = time.monotonic()
         deadlines = [
             unit.started + self.policy.unit_timeout
             for unit in self._inflight.values()
@@ -423,7 +374,7 @@ class UnitRunner:
             done = self.executor.wait_any(
                 set(self._inflight), timeout=self._next_timeout()
             )
-            now = self.clock()
+            now = time.monotonic()
             to_retry: List[_Unit] = []
             for future in done:
                 unit = self._inflight.pop(future, None)
@@ -431,8 +382,6 @@ class UnitRunner:
                     continue  # drained by an earlier pool break this round
                 try:
                     value = future.result()
-                except Preemption:
-                    raise
                 except BrokenExecutor as exc:
                     to_retry.extend(self._drain_pool_break(unit, exc))
                     continue
@@ -497,166 +446,3 @@ class UnitRunner:
             for unit in to_retry:
                 self._launch(unit)
         return out
-
-
-# -- fault injection ----------------------------------------------------------
-
-#: Offset applied by corrupt-mode faults: large enough that any success
-#: count is pushed far out of its [0, runs] bounds, so result validation
-#: must catch it.
-_CORRUPT_OFFSET = 1_000_000_007
-
-
-def _corrupt_payload(value: Any) -> Any:
-    """A plausible-shaped but wrong unit payload (what bit-rot returns)."""
-    if isinstance(value, tuple) and value:
-        head = value[0]
-        if isinstance(head, bool) or head is None:
-            return ("__corrupted__",) + value[1:]
-        if isinstance(head, int):
-            return (head + _CORRUPT_OFFSET,) + value[1:]
-        if isinstance(head, list):
-            return (
-                [
-                    v + _CORRUPT_OFFSET if isinstance(v, int) else v
-                    for v in head
-                ],
-            ) + value[1:]
-    return ("__corrupted__", value)
-
-
-def _run_with_fault(
-    mode: str, hang_seconds: float, fn: Callable[..., Any], *args: Any
-) -> Any:
-    """Execute one faulted unit (module-level so process pools can pickle it)."""
-    if mode == "crash":
-        raise InjectedFault("injected unit crash")
-    if mode == "kill":
-        # Kill the hosting process without cleanup: in a worker this
-        # breaks the whole pool (the BrokenProcessPool drill).
-        os._exit(3)
-    if mode == "hang":
-        time.sleep(hang_seconds)
-        return fn(*args)
-    if mode == "corrupt":
-        return _corrupt_payload(fn(*args))
-    raise SimulationError(f"unknown fault mode {mode!r}")
-
-
-@dataclass(frozen=True)
-class FaultSchedule:
-    """Which units fault, how, and for how many attempts — deterministically.
-
-    Periodic rules (``crash_every=3`` faults every 3rd logical unit) give
-    the exact grids the chaos lane asserts on.  Faults apply to the first
-    ``fault_attempts`` attempts of a unit, so with the default of 1 every
-    retry succeeds; raise it to test attempt exhaustion.  ``preempt_after`` simulates eviction: once that many
-    submissions have happened, every further submit raises
-    :class:`Preemption`, killing the run mid-flight (checkpoints stay on
-    disk for the resume-path tests).
-    """
-
-    crash_every: Optional[int] = None
-    hang_every: Optional[int] = None
-    corrupt_every: Optional[int] = None
-    kill_every: Optional[int] = None
-    fault_attempts: int = 1
-    preempt_after: Optional[int] = None
-
-    def fault_for(self, ordinal: int, attempt: int) -> Optional[str]:
-        """The fault mode for attempt ``attempt`` of logical unit ``ordinal``."""
-        if attempt > self.fault_attempts:
-            return None
-        periodic = (
-            ("crash", self.crash_every),
-            ("hang", self.hang_every),
-            ("corrupt", self.corrupt_every),
-            ("kill", self.kill_every),
-        )
-        for mode, every in periodic:
-            if every is not None and every > 0 and (ordinal + 1) % every == 0:
-                return mode
-        return None
-
-
-class FaultInjectingExecutor:
-    """Wraps any executor and injects scheduled faults into its units.
-
-    Logical units are identified by a digest of their (function, args)
-    payload, so a *retried* unit keeps its ordinal and attempt count —
-    which is what lets a schedule fault "the first attempt of every 3rd
-    unit" and the chaos lane assert that the retried run's numbers equal
-    the clean run's bit for bit.  ``injected`` counts faults by mode;
-    ``rebuild``, ``retire`` and ``close`` pass through to the inner
-    executor so pool-kill and hang drills recover exactly as an
-    unwrapped pool does.
-    """
-
-    def __init__(
-        self,
-        inner: Any,
-        schedule: FaultSchedule,
-        hang_seconds: float = 0.05,
-    ):
-        self.inner = inner
-        self.schedule = schedule
-        self.hang_seconds = hang_seconds
-        #: logical-unit digest -> [ordinal, attempts seen]
-        self._units: Dict[str, List[int]] = {}
-        self._submissions = 0
-        self.injected: Dict[str, int] = {}
-
-    @property
-    def name(self) -> str:
-        return f"fault({self.inner.name})"
-
-    @property
-    def capacity(self) -> int:
-        return self.inner.capacity
-
-    def _unit_key(self, fn: Callable[..., Any], args: Tuple[Any, ...]) -> str:
-        return unit_digest(fn, args)
-
-    def start(self, units_hint: int) -> None:
-        self.inner.start(units_hint)
-
-    def submit(self, fn: Callable[..., Any], *args: Any) -> Any:
-        if (
-            self.schedule.preempt_after is not None
-            and self._submissions >= self.schedule.preempt_after
-        ):
-            raise Preemption(
-                f"simulated preemption after {self._submissions} submissions"
-            )
-        self._submissions += 1
-        state = self._units.setdefault(
-            self._unit_key(fn, args), [len(self._units), 0]
-        )
-        state[1] += 1
-        mode = self.schedule.fault_for(state[0], state[1])
-        if mode is None:
-            return self.inner.submit(fn, *args)
-        self.injected[mode] = self.injected.get(mode, 0) + 1
-        return self.inner.submit(_run_with_fault, mode, self.hang_seconds, fn, *args)
-
-    def wait_any(self, futures: Any, timeout: Optional[float] = None) -> Any:
-        return self.inner.wait_any(futures, timeout=timeout)
-
-    def shutdown(self) -> None:
-        self.inner.shutdown()
-
-    def close(self) -> None:
-        self.inner.close()
-
-    def retire(self) -> None:
-        retire = getattr(self.inner, "retire", None)
-        if retire is not None:
-            retire()
-
-    def rebuild(self) -> None:
-        rebuild = getattr(self.inner, "rebuild", None)
-        if rebuild is None:
-            raise SimulationError(
-                f"executor {self.inner.name!r} cannot rebuild"
-            )
-        rebuild()

@@ -109,9 +109,10 @@ class StopRule:
     z: float = Z_95
 
     def __post_init__(self) -> None:
-        if not self.target_half_width > 0.0:
+        if not 0.0 < self.target_half_width < math.inf:
             raise SimulationError(
-                f"target half-width must be > 0, got {self.target_half_width}"
+                f"target half-width must be finite and > 0, "
+                f"got {self.target_half_width}"
             )
         if self.min_runs < 1:
             raise SimulationError(f"min_runs must be >= 1, got {self.min_runs}")

@@ -60,6 +60,9 @@ class TestStopRuleContract:
             StopRule(target_half_width=0.0)
         with pytest.raises(SimulationError):
             StopRule(target_half_width=-0.01)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(SimulationError):
+                StopRule(target_half_width=bad)
         with pytest.raises(SimulationError):
             StopRule(target_half_width=0.01, min_runs=0)
         with pytest.raises(SimulationError):

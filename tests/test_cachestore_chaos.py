@@ -6,7 +6,7 @@ garbage bodies, truncated uploads, saturated links — degrades to a local
 miss plus a logged incident, and the numbers (and published artifacts)
 stay byte-identical to a run with no remote at all.  Each test here
 injects one fault family deterministically through
-:class:`~repro.yieldsim.cachestore.FaultInjectingStore` (or a genuinely
+:class:`chaos.FaultInjectingStore` (or a genuinely
 dead HTTP endpoint) and asserts exactly that.
 
 Run standalone with ``pytest -m chaos``; the suite also runs in tier 1.
@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import pytest
 
+from chaos import FaultInjectingStore
+
 from repro.errors import StoreError
 from repro.experiments import registry
 from repro.yieldsim.cachestore import (
-    FaultInjectingStore,
     HTTPStore,
     MemoryStore,
     SharedFSStore,

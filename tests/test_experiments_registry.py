@@ -560,6 +560,10 @@ class TestCLI:
             ["all", "--jobs", "0"],
             ["fig7", "--jobs", "0"],
             ["fig7", "--shard-runs", "0"],
+            ["fig9", "--target-ci", "nan"],
+            ["fig13", "--unit-timeout", "nan"],
+            ["fig13", "--jobs", "2", "--shard-runs", "50", "--retries", "1",
+             "--unit-timeout", "inf"],
         ],
     )
     def test_bad_engine_flag_creates_no_out_dir(self, argv, tmp_path, capsys):

@@ -15,6 +15,8 @@ import urllib.request
 
 import pytest
 
+from chaos import FaultInjectingExecutor, FaultSchedule
+
 from repro.obs.events import (
     configure_logging,
     get_logger,
@@ -27,13 +29,7 @@ from repro.serve import BackgroundServer, ServeConfig
 from repro.yieldsim.engine import EnginePoint, SweepEngine
 from repro.yieldsim.executors import SerialExecutor
 from repro.yieldsim.kernel import PointSpec
-from repro.yieldsim.resilience import (
-    FaultInjectingExecutor,
-    FaultSchedule,
-    ResilienceStats,
-    RetryPolicy,
-    unit_digest,
-)
+from repro.yieldsim.resilience import ResilienceStats, RetryPolicy, unit_digest
 
 RUNS = 400
 

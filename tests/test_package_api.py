@@ -86,8 +86,6 @@ UNREFERENCED_ALLOWLIST = {
     "repro.functional.funnel:_FunnelContext._residue_run": "object-level residue oracle",
     "repro.functional.funnel:_bfs_distances": "boolean-mask entry to the bit-sliced BFS",
     "repro.yieldsim.executors:InlineExecutor": "in-process executor for tests and perfbench",
-    "repro.yieldsim.resilience:FaultInjectingExecutor": "chaos-test double",
-    "repro.yieldsim.cachestore:FaultInjectingStore": "chaos-test double",
     "repro.serve.app:BackgroundServer": "in-thread server for tests and smoke scripts",
     # Validators the CI smoke scripts run over emitted telemetry.
     "repro.obs.trace:validate_trace": "CI trace validator",

@@ -5,7 +5,7 @@ function of (chip payload, spec, shard seed), so any unit may crash,
 hang, return garbage, take its worker process down, or be preempted
 mid-sweep — and the recovered run must still produce results
 *bit-identical* to an uninterrupted one.  These tests inject each fault
-mode deterministically (:class:`~repro.yieldsim.resilience.FaultSchedule`)
+mode deterministically (:class:`chaos.FaultSchedule`)
 and assert exactly that, plus the supporting machinery: fold-level
 checkpoint resume, corrupt cache/checkpoint quarantine, pool rebuilds,
 and the serving layer's saturation/deadline/promotion/drain behaviour.
@@ -28,19 +28,19 @@ import urllib.request
 
 import pytest
 
+from chaos import (
+    FaultInjectingExecutor,
+    FaultSchedule,
+    InjectedFault,
+    Preemption,
+)
+
 from repro.errors import SimulationError, UnitFailure
 from repro.serve import BackgroundServer, ServeConfig
 from repro.yieldsim.engine import EnginePoint, SweepEngine
 from repro.yieldsim.executors import InlineExecutor, PoolExecutor, SerialExecutor
 from repro.yieldsim.kernel import PointSpec
-from repro.yieldsim.resilience import (
-    FaultInjectingExecutor,
-    FaultSchedule,
-    InjectedFault,
-    Preemption,
-    RetryPolicy,
-    UnitRunner,
-)
+from repro.yieldsim.resilience import RetryPolicy, UnitRunner
 from repro.yieldsim.stats import StopRule
 
 pytestmark = pytest.mark.chaos
@@ -76,10 +76,11 @@ def faulted_engine(schedule, inner=None, **engine_kwargs):
 
 class TestRetryPolicy:
     def test_backoff_is_a_pure_function_of_the_attempt(self):
-        policy = RetryPolicy(
-            attempts=5, backoff_base=0.1, backoff_factor=2.0, backoff_max=0.3
-        )
-        assert [policy.delay(n) for n in range(1, 5)] == [0.1, 0.2, 0.3, 0.3]
+        # Doubling from backoff_base, capped at BACKOFF_MAX = 2.0 s.
+        policy = RetryPolicy(attempts=5, backoff_base=0.3)
+        assert [policy.delay(n) for n in range(1, 6)] == [
+            0.3, 0.6, 1.2, 2.0, 2.0,
+        ]
         assert policy.delay(0) == 0.0
         # Two evaluations agree exactly: no jitter, no clock reads.
         assert policy.delay(3) == policy.delay(3)
@@ -90,15 +91,21 @@ class TestRetryPolicy:
         with pytest.raises(SimulationError):
             RetryPolicy(backoff_base=-0.1)
         with pytest.raises(SimulationError):
-            RetryPolicy(backoff_factor=0.5)
-        with pytest.raises(SimulationError):
             RetryPolicy(unit_timeout=0.0)
-        with pytest.raises(SimulationError):
-            RetryPolicy(pool_rebuilds=-1)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(SimulationError):
+                RetryPolicy(unit_timeout=bad)
 
     def test_as_dict_round_trips(self):
         policy = RetryPolicy(attempts=4, unit_timeout=1.5)
-        assert RetryPolicy(**policy.as_dict()) == policy
+        payload = policy.as_dict()
+        # /health also reports the fixed backoff shape and rebuild budget.
+        assert payload == {
+            "attempts": 4, "backoff_base": 0.05, "backoff_factor": 2.0,
+            "backoff_max": 2.0, "unit_timeout": 1.5, "pool_rebuilds": 2,
+        }
+        settable = [field.name for field in dataclasses.fields(RetryPolicy)]
+        assert RetryPolicy(**{k: payload[k] for k in settable}) == policy
 
 
 # -- flat sweeps under injected faults ---------------------------------------
@@ -245,11 +252,11 @@ class TestPoolSurvival:
             inner, FaultSchedule(kill_every=1, fault_attempts=99)
         )
         try:
+            # Every attempt kills its worker: the run spends its two
+            # pool rebuilds, then gives up with the pool broken.
             with pytest.raises(UnitFailure):
                 SweepEngine(
-                    executor=killer,
-                    retry=RetryPolicy(attempts=3, backoff_base=0.0,
-                                      pool_rebuilds=0),
+                    executor=killer, retry=FAST,
                 ).survival_estimates(dtmb26_chip, GRID, RUNS)
             engine = SweepEngine(executor=inner)
             assert flat_estimates(dtmb26_chip, engine) == flat_estimates(

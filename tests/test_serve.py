@@ -181,6 +181,10 @@ class TestValidation:
             dict(POINT_BODY, kind="fixed", param=3,
                  defect_model="negbin"),                       # fixed + model
             dict(POINT_BODY, seed=-1),                         # negative seed
+            dict(POINT_BODY, adaptive="false"),                # string flag
+            dict(POINT_BODY, stream="no"),
+            dict(POINT_BODY, trace=1),
+            dict(POINT_BODY, target_ci=float("inf")),          # Infinity token
         ],
     )
     def test_bad_point_requests_are_400(self, server, base, body):
@@ -574,6 +578,8 @@ class TestBundles:
                     ("fig9", {"defect_model": "negbin:alpha=inf"}),
                     ("table1", {"criterion": "routing"}),
                     ("fig9", {"runs": 100, "seed": -3}),
+                    ("fig9", {"adaptive": "false"}),
+                    ("fig9", {"target_ci": float("inf")}),
                 ):
                     status, _ = http(url, f"/experiments/{name}", body)
                     assert status == 400, (name, body)
