@@ -12,8 +12,11 @@ join two logical cells at lattice distance 2 (one of them served by a
 spare), the heuristic can overestimate, and A* may return a route longer
 than the shortest one (by one move in every measured case).  The
 functional criteria score the routes this router plans, so the search
-stays as it is.  :meth:`Router.reachable` serves callers that want plain
-reachability.
+stays as it is.  Each cell is expanded at most once, so when every
+logical edge spans at most ``k`` lattice steps this is weighted A* with
+weight ``k``, and a route is at most ``k`` times the shortest:
+:mod:`repro.functional.funnel` decides most routing runs from that bound
+and a BFS, without calling :meth:`Router.route`.
 """
 
 from __future__ import annotations

@@ -7,6 +7,27 @@ criterion layer: a cascade of *exact* vectorized screens decides most runs
 of a survival batch at once, and only the ambiguous residue pays for
 route search.
 
+**The weighted-A* bound.**  The routing criterion scores the routes
+:meth:`Router.route <repro.fluidics.routing.Router.route>` plans: A* over
+logical cells with the lattice distance ``h`` as heuristic, each cell
+expanded at most once.  Under a repair remap a logical edge joins two
+primaries whose *images* are physically adjacent, and each image is the
+primary itself or, for a needed primary, one of its ``struct.adj``
+spares.  Let ``k`` (:attr:`_FunnelContext.k`) be the largest lattice
+distance between two primaries with physically adjacent candidate images:
+a static property of the structure, 2 or 3 on the catalog designs.  Every
+logical edge of every repaired run spans at most ``k`` lattice steps, so
+by the triangle inequality ``h/k`` is a consistent heuristic, and the
+router runs weighted A* with weight ``k`` and no reopening.  Such a search
+returns a path at most ``k`` times the shortest (Pohl, "Heuristic search
+viewed as path finding in a graph", *AI* 1970; Likhachev, Gordon and
+Thrun, "ARA*: Anytime A* with provable bounds on sub-optimality", NIPS
+2003).  So for sequential legs with shortest logical lengths ``d*``, the
+A* total ``L`` obeys ``Σd* <= L <= k·Σd*``: the run fails if some leg is
+disconnected or ``Σd* > deadline``, and succeeds if
+``k·Σd* <= deadline``, whatever path A* would pick.  Stages 3 and 5 rest
+on this.
+
 The funnel, in order (every stage is exact — never a heuristic):
 
 1. **matching fail** — a run the kernel already classified BAD has no
@@ -23,11 +44,11 @@ The funnel, in order (every stage is exact — never a heuristic):
    through alive primary cells is a valid logical route under *any*
    complete remap (alive primaries map to themselves, so consecutive
    cells stay logically adjacent and usable).  A bit-sliced multi-run BFS
-   over the alive-primary subgraph computes per-leg distances; if every
-   leg connects and the distances sum within the deadline, the run
-   succeeds.  This subsumes the untouched-baseline-route fast path — a
-   surviving baseline route is one such alive-primary path — and also
-   covers detours around faults.
+   over the alive-primary subgraph computes per-leg distances ``d_ap``;
+   since ``d* <= d_ap``, the run succeeds if every leg connects and
+   ``k·Σd_ap <= deadline`` (the bound above).  This subsumes the
+   untouched-baseline-route fast path — a surviving baseline route is one
+   such alive-primary path — and also covers detours around faults.
 4. **reachability / distance bound** (one-sided fail) — a logical
    route's physical images form a walk from the source's anchor set (the
    cell itself, plus its adjacent spares when the matching may remap it)
@@ -40,34 +61,44 @@ The funnel, in order (every stage is exact — never a heuristic):
    max for the concurrent makespan), the run fails — whatever the
    scheduler would try.
 
-   Both BFS screens run bit-sliced (:func:`_bfs_packed`): masks are
+   The BFS screens run bit-sliced (:func:`_bfs_packed`): masks are
    packed eight runs per byte along the run axis, one level is a gather
    of every cell's neighbour rows OR-reduced, and byte columns leave the
-   working set once none of their runs can still change distance.
-5. **residue** — whatever remains is decided by the real route search
-   on an index-space view of the repaired chip (:class:`_IndexRouter`):
-   the run's repair assignment is the Hopcroft–Karp matching
-   ``plan_local_repair`` computes, on the same graph in the same visiting
-   order (:func:`_index_matching`, over cell indices); faulty primaries
-   outside the needed set become routed-around dead cells; and the
-   inherited :class:`~repro.fluidics.routing.Router`
-   A* (:class:`RoutingCriterion`) or
-   :class:`~repro.fluidics.concurrent_routing.ConcurrentRouter`
-   (:class:`MultiplexedCriterion`) runs over cell indices with per-context
-   adjacency and heuristic tables.  No chip health, repair graph of cell
-   objects, :class:`~repro.reconfig.remap.CellRemap` or scheduler is
-   built per run.  The object-level path — ``plan_local_repair``, the
-   ``CellRemap`` and the real scheduler or concurrent router on a chip
-   copy — stays as the oracle :meth:`_FunnelContext._residue_run`, which
+   working set once none of their runs can still change distance.  The
+   legs of one screen ride side by side as extra byte columns of a single
+   BFS (:func:`_leg_distances`), so each level's Python cost is paid once
+   for all legs.
+5. **residue** — each remaining run gets its repair assignment, the
+   Hopcroft–Karp matching ``plan_local_repair`` computes, on the same
+   graph in the same visiting order (:func:`_index_matching`, over cell
+   indices); faulty primaries outside the needed set become
+   routed-around dead cells.  A repaired run's logical graph is the
+   physical subgraph on its *image set* (alive primaries plus the
+   assigned spares), so for the routing criterion one packed BFS over the
+   exact image sets of every residue run, anchored at each leg's images,
+   gives ``d*`` per leg (:meth:`_FunnelContext.bound_screen`), and the
+   weighted-A* bound decides the run.  Only runs with
+   ``Σd* <= deadline < k·Σd*`` are searched: on an index-space view of
+   the repaired chip (:class:`_IndexRouter`), the inherited
+   :class:`~repro.fluidics.routing.Router` A* runs over cell indices
+   with per-context adjacency and heuristic tables.  The multiplexed
+   criterion always runs
+   :class:`~repro.fluidics.concurrent_routing.ConcurrentRouter` on the
+   view, since the bound does not cover its makespan.  No chip health,
+   repair graph of cell objects, :class:`~repro.reconfig.remap.CellRemap`
+   or scheduler is built per run.  The object-level path —
+   ``plan_local_repair``, the ``CellRemap`` and the real scheduler or
+   concurrent router on a chip copy — stays as the oracle
+   :meth:`_FunnelContext._residue_run`, which
    ``tests/test_functional.py`` holds equal to the view on every
    matching-GOOD run of its grids.  On a shared 2-vCPU Xeon host (n=60,
-   p=0.9) a residue run costs ~0.05-0.14 ms for the routing criterion and
-   ~0.9-1.1 ms for the multiplexed one; the oracle costs 14-19x and ~4x
-   more (``docs/functional_yield.md``).
+   p=0.9) a residue run's A* costs ~0.05-0.14 ms for the routing
+   criterion and ~0.9-1.1 ms for the multiplexed one; the oracle costs
+   14-19x and ~4x more (``docs/functional_yield.md``).
 
 Per-(structure, criterion) precomputation — site placement, anchor
 masks, padded physical adjacency, the structure's reverse spare
-adjacency, the fault-free baseline verdict — is
+adjacency, the edge bound ``k``, the fault-free baseline verdict — is
 cached on the :class:`~repro.yieldsim.kernel.RepairStructure` via a weak
 map, the ``geometry_for`` idiom of :mod:`repro.yieldsim.defects`.
 
@@ -204,6 +235,45 @@ def _bfs_distances(
         _padded_neighbours(nbr_pos, nbr_mask),
         allowed.shape[0],
     )
+
+
+def _leg_distances(
+    allowed: np.ndarray,
+    legs: Sequence[Tuple[np.ndarray, np.ndarray]],
+    nbr_idx: np.ndarray,
+    runs: int,
+) -> np.ndarray:
+    """``(len(legs), runs)`` BFS distances of every leg in one packed BFS.
+
+    ``allowed`` is a packed ``(cells, ceil(runs / 8))`` mask
+    (:func:`_pack_runs`) and ``legs`` holds each leg's packed
+    ``(start, target)`` pair of the same shape.  The legs ride side by
+    side as extra byte columns: ``allowed`` is tiled once per leg and one
+    :func:`_bfs_packed` runs them all, so each level's Python cost is paid
+    once, not once per leg.
+    """
+    width = allowed.shape[1]
+    dist = _bfs_packed(
+        np.tile(allowed, len(legs)),
+        np.concatenate([start for start, _ in legs], axis=1),
+        np.concatenate([target for _, target in legs], axis=1),
+        nbr_idx,
+        len(legs) * width * 8,
+    )
+    return dist.reshape(len(legs), width * 8)[:, :runs]
+
+
+def _broadcast_legs(
+    legs: Sequence[Tuple[np.ndarray, np.ndarray]], runs: int
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Packed per-leg ``(start, target)`` masks shared by ``runs`` runs."""
+    return [
+        (
+            _pack_runs(np.broadcast_to(start, (runs, start.size))),
+            _pack_runs(np.broadcast_to(target, (runs, target.size))),
+        )
+        for start, target in legs
+    ]
 
 
 def _index_matching(
@@ -448,6 +518,30 @@ class _FunnelContext:
         self._primary_list: List[bool] = self.primary_mask.tolist()
         self._identity: List[int] = list(range(n))
 
+        # -- the weighted-A* bound (module docstring) ----------------------
+        # ``owners[c]``: the primaries cell ``c`` may serve as image — a
+        # primary itself, and a needed primary's ``struct.adj`` spares.
+        owners: List[List[int]] = [[] for _ in range(n)]
+        for p in primary_cols:
+            owners[p].append(p)
+        for p, spares in zip(struct.needed_idx.tolist(), struct.adj):
+            for spare in spares:
+                owners[spare].append(p)
+        pairs = {
+            (p, q)
+            for a, nbrs in enumerate(nbr_lists)
+            for b in nbrs
+            for p in owners[a]
+            for q in owners[b]
+            if p != q
+        }
+        #: the largest lattice distance a logical edge of any repaired run
+        #: can span (at least 1: a metric-free lattice gets ``h = 0``,
+        #: plain uniform-cost search, which is exact).
+        self.k = max(
+            [1] + [lattice.distance(coords[p], coords[q]) for p, q in pairs]
+        )
+
         # -- fault-free baseline (the S2 verdict) -------------------------
         self.baseline_ok = self._index_run(np.ones(n, dtype=bool))
 
@@ -455,15 +549,14 @@ class _FunnelContext:
         self._work_chip: Optional[Biochip] = None
 
     # -- residue: index-space evaluator ------------------------------------
-    def _index_view(self, row: np.ndarray) -> Optional[_IndexRouter]:
-        """One matching-GOOD run's repaired array as an :class:`_IndexRouter`.
+    def _index_assignment(self, row: np.ndarray) -> Optional[Dict[int, int]]:
+        """One run's repair assignment, faulty needed primary → spare.
 
-        The repair assignment is the same Hopcroft–Karp matching
-        ``plan_local_repair`` computes (:func:`_index_matching`) — left
-        side the faulty needed primaries in ``needed_idx`` order, edges
-        their alive adjacent spares in ``struct.adj`` order — and faulty
-        primaries outside the needed set become dead cells.  ``None`` when
-        the matching leaves a needed primary unrepaired.
+        The same Hopcroft–Karp matching ``plan_local_repair`` computes
+        (:func:`_index_matching`) — left side the faulty needed primaries
+        in ``needed_idx`` order, edges their alive adjacent spares in
+        ``struct.adj`` order.  ``None`` when the matching leaves a needed
+        primary unrepaired.
         """
         faulty = np.flatnonzero(~row)
         slots = self.needed_slot[faulty]
@@ -475,10 +568,20 @@ class _FunnelContext:
                 left.append(cell)
                 spares.append([s for s in adj[slot] if row[s]])
         matching = _index_matching(left, spares)
-        if len(matching) < len(left):
+        return matching if len(matching) == len(left) else None
+
+    def _index_view(self, row: np.ndarray) -> Optional[_IndexRouter]:
+        """One matching-GOOD run's repaired array as an :class:`_IndexRouter`.
+
+        The repair remap is :meth:`_index_assignment`'s, and faulty
+        primaries outside the needed set become dead cells.  ``None`` when
+        the matching leaves a needed primary unrepaired.
+        """
+        matching = self._index_assignment(row)
+        if matching is None:
             return None
         live = self._primary_list[:]
-        for cell in faulty[self.unneeded_primary_mask[faulty]].tolist():
+        for cell in np.flatnonzero(self.unneeded_primary_mask & ~row).tolist():
             live[cell] = False
         image = self._identity[:]
         inverse = self._identity[:]
@@ -569,20 +672,6 @@ class _FunnelContext:
         return self._evaluate_run(chip, remap)
 
     # -- the funnel --------------------------------------------------------
-    def _distances(
-        self, allowed: np.ndarray, start: np.ndarray, target: np.ndarray, runs: int
-    ) -> np.ndarray:
-        """Per-run BFS distances over a packed ``allowed`` from one start
-        set to one target set, both shared by every run."""
-        shape = (runs, start.size)
-        return _bfs_packed(
-            allowed,
-            _pack_runs(np.broadcast_to(start, shape)),
-            _pack_runs(np.broadcast_to(target, shape)),
-            self.nbr_idx,
-            runs,
-        )
-
     def route_images(self, alive: np.ndarray) -> np.ndarray:
         """Per-run mask of the cells a logical route's images can use.
 
@@ -601,17 +690,19 @@ class _FunnelContext:
     def route_clear(self, alive: np.ndarray) -> np.ndarray:
         """Stage 3 on runs with every site alive: exact success.
 
-        Every leg connects through alive primaries, within the deadline
-        in total.  Sequential legs only.
+        Every leg connects through alive primaries, and ``k`` times the
+        total alive-primary distance fits the deadline.  Sequential legs
+        only.
         """
-        allowed = _pack_runs(alive & self.primary_mask)
-        total = np.zeros(alive.shape[0], dtype=np.int64)
-        feasible = np.ones(alive.shape[0], dtype=bool)
-        for src_node, dst_node in self.leg_nodes:
-            dist = self._distances(allowed, src_node, dst_node, alive.shape[0])
-            feasible &= dist >= 0
-            total += np.where(dist > 0, dist, 0)
-        return feasible & (total <= self.deadline)
+        runs = alive.shape[0]
+        dist = _leg_distances(
+            _pack_runs(alive & self.primary_mask),
+            _broadcast_legs(self.leg_nodes, runs),
+            self.nbr_idx,
+            runs,
+        )
+        total = np.maximum(dist, 0).sum(axis=0)
+        return (dist >= 0).all(axis=0) & (self.k * total <= self.deadline)
 
     def unreachable(self, alive: np.ndarray) -> np.ndarray:
         """Stage 4 on matching-GOOD runs: exact failure.
@@ -621,19 +712,48 @@ class _FunnelContext:
         exceed the deadline (sum for sequential legs, max for the
         concurrent makespan).
         """
-        allowed = _pack_runs(self.route_images(alive))
-        bound = np.zeros(alive.shape[0], dtype=np.int64)
-        dead = np.zeros(alive.shape[0], dtype=bool)
-        for src_anchor, dst_anchor in self.leg_anchors:
-            dist = self._distances(allowed, src_anchor, dst_anchor, alive.shape[0])
-            dead |= dist < 0
-            leg_bound = np.where(dist > 0, dist, 0)
-            if self.concurrent:
-                # Concurrent makespan >= the slowest droplet's moves.
-                bound = np.maximum(bound, leg_bound)
-            else:
-                bound += leg_bound
-        return dead | (bound > self.deadline)
+        runs = alive.shape[0]
+        dist = _leg_distances(
+            _pack_runs(self.route_images(alive)),
+            _broadcast_legs(self.leg_anchors, runs),
+            self.nbr_idx,
+            runs,
+        )
+        legs = np.maximum(dist, 0)
+        # Concurrent makespan >= the slowest droplet's moves.
+        bound = legs.max(axis=0) if self.concurrent else legs.sum(axis=0)
+        return (dist < 0).any(axis=0) | (bound > self.deadline)
+
+    def bound_screen(
+        self, alive: np.ndarray, matchings: Sequence[Dict[int, int]]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Stage 5's weighted-A* screen: per-run ``(fail, success)`` masks.
+
+        ``matchings`` holds each run's :meth:`_index_assignment`.  One
+        packed BFS over each run's exact image set (alive primaries plus
+        assigned spares), from ``image[src]`` to ``image[dst]``, gives
+        every leg's shortest logical length ``d*``: a run fails if some
+        leg is disconnected or ``Σd* > deadline``, and succeeds if
+        ``k·Σd* <= deadline`` (module docstring).  Runs in neither mask
+        need A*.  Sequential legs only.
+        """
+        runs, cells = alive.shape
+        images = alive & self.primary_mask
+        for i, matching in enumerate(matchings):
+            images[i, list(matching.values())] = True
+        at = np.arange(runs)
+        legs = []
+        for leg in self.leg_idx:
+            anchors = []
+            for endpoint in leg:
+                mask = np.zeros((runs, cells), dtype=bool)
+                mask[at, [m.get(endpoint, endpoint) for m in matchings]] = True
+                anchors.append(_pack_runs(mask))
+            legs.append((anchors[0], anchors[1]))
+        dist = _leg_distances(_pack_runs(images), legs, self.nbr_idx, runs)
+        total = np.maximum(dist, 0).sum(axis=0)
+        fail = (dist < 0).any(axis=0) | (total > self.deadline)
+        return fail, ~fail & (self.k * total <= self.deadline)
 
     def evaluate(
         self, alive: np.ndarray, verdict: np.ndarray
@@ -672,14 +792,24 @@ class _FunnelContext:
                 undecided[failed] = False
                 stats.unreachable = int(failed.size)
 
-        # 5. residue: the real routers decide what's left, on a view.
+        # 5. residue: the weighted-A* bound on each run's repair assignment
+        # (sequential legs), then the real router on a view for the rest.
         with _profile.phase("funnel_residue"):
             rows = np.flatnonzero(undecided)
             stats.residue = int(rows.size)
-            for r in rows:
-                got = self._index_run(alive[r])
-                ok[r] = got
-                stats.residue_ok += int(got)
+            if self.concurrent:
+                got = np.array(
+                    [self._index_run(alive[r]) for r in rows], dtype=bool
+                )
+            else:
+                # Residue rows are matching-GOOD: every assignment exists.
+                fail, got = self.bound_screen(
+                    alive[rows], [self._index_assignment(alive[r]) for r in rows]
+                )
+                for i in np.flatnonzero(~(fail | got)):
+                    got[i] = self._index_run(alive[rows[i]])
+            ok[rows] = got
+            stats.residue_ok = int(got.sum())
         return ok, stats
 
 

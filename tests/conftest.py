@@ -29,3 +29,18 @@ def dtmb16_chip(small_region):
 @pytest.fixture
 def dtmb44_chip(small_region):
     return build_chip(DTMB_4_4, small_region)
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--reverse-order",
+        action="store_true",
+        default=False,
+        help="run the collected tests in reverse order, to catch tests "
+        "that pass only because of the state an earlier test leaves",
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--reverse-order"):
+        items.reverse()

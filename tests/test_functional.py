@@ -281,6 +281,115 @@ def test_index_residue_matches_object_oracle(
     if criterion is THREE_ASSAYS:
         assert accepted > 0
         assert orders > plans  # some runs retried a rotated order
+
+
+# -- the weighted-A* bound ----------------------------------------------------
+
+#: The routing grids of ``test_index_residue_matches_object_oracle``.
+ROUTING_GRIDS = [
+    (DTMB_1_6, 60, RoutingCriterion(deadline=200), 1),
+    (DTMB_2_6, 60, RoutingCriterion(deadline=200), 1),
+    (DTMB_2_6, 60, RoutingCriterion(deadline=18), 1),
+    (DTMB_3_6, 60, RoutingCriterion(deadline=200), 1),
+    (DTMB_3_6, 60, RoutingCriterion(deadline=18), 1),
+    (DTMB_4_4, 24, RoutingCriterion(deadline=200), 1),
+    (DTMB_2_6, 60, RoutingCriterion(deadline=200), 2),
+]
+ROUTING_GRID_IDS = [
+    "dtmb16-routing200",
+    "dtmb26-routing200",
+    "dtmb26-routing18",
+    "dtmb36-routing200",
+    "dtmb36-routing18",
+    "dtmb44-routing200",
+    "dtmb26-half-needed-routing200",
+]
+
+
+def _good_rows(struct, batch=80):
+    """The matching-GOOD rows of the index-residue grids' batches."""
+    rng = make_rng(11)
+    for p in (0.80, 0.88, 0.93, 0.97):
+        alive = IIDBernoulli(p).sample_batch(struct.geometry, batch, rng)
+        verdict, _ = classify_repairable(struct, alive)
+        yield alive[verdict == GOOD]
+
+
+@pytest.mark.parametrize(
+    "spec,n,criterion,needed_stride", ROUTING_GRIDS, ids=ROUTING_GRID_IDS
+)
+def test_edge_bound_covers_every_view_edge(spec, n, criterion, needed_stride):
+    """``k`` bounds the lattice span of every logical edge of every view,
+    so ``h/k`` is a consistent heuristic for the view's A*."""
+    from repro.fluidics.routing import Router
+
+    struct = _structure(spec, n, needed_stride)
+    ctx = context_for(struct, criterion)
+    coords = ctx.chip.coords
+    lattice = Router(ctx.chip)
+    widest = edges = 0
+    for rows in _good_rows(struct):
+        for row in rows:
+            view = ctx._index_view(row)
+            for u in range(len(coords)):
+                if not view.usable(u, set()):
+                    continue
+                for v in view.neighbors(u):
+                    widest = max(widest, lattice.distance(coords[u], coords[v]))
+                    edges += 1
+    assert edges > 0
+    assert 1 <= widest <= ctx.k
+
+
+@pytest.mark.parametrize(
+    "spec,n,criterion,needed_stride", ROUTING_GRIDS, ids=ROUTING_GRID_IDS
+)
+def test_bound_screen_matches_index_run(spec, n, criterion, needed_stride):
+    """Every run the stage-5 screen decides gets ``_index_run``'s verdict."""
+    struct = _structure(spec, n, needed_stride)
+    ctx = context_for(struct, criterion)
+    decided = 0
+    for rows in _good_rows(struct):
+        if not rows.shape[0]:
+            continue
+        matchings = [ctx._index_assignment(row) for row in rows]
+        fail, success = ctx.bound_screen(rows, matchings)
+        assert not (fail & success).any()
+        for row, failed, cleared in zip(rows, fail, success):
+            if failed or cleared:
+                assert ctx._index_run(row) == bool(cleared)
+                decided += 1
+    assert decided > 0
+
+
+@pytest.mark.parametrize(
+    "spec", [DTMB_2_6, DTMB_3_6], ids=lambda spec: spec.name
+)
+def test_tight_deadline_still_reaches_astar(spec, monkeypatch):
+    """At deadline 18 the bound leaves runs undecided: the funnel's
+    residue still plans real A* routes for them."""
+    from repro.fluidics.routing import Router
+
+    struct = _structure(spec, 60)
+    criterion = RoutingCriterion(deadline=18)
+    context_for(struct, criterion)  # its baseline routes are not counted
+    calls = 0
+    route = Router.route
+
+    def counting_route(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return route(self, *args, **kwargs)
+
+    monkeypatch.setattr(Router, "route", counting_route)
+    rng = make_rng(11)
+    for p in (0.80, 0.88, 0.93, 0.97):
+        alive = IIDBernoulli(p).sample_batch(struct.geometry, 80, rng)
+        verdict, _ = classify_repairable(struct, alive)
+        evaluate_functional(struct, criterion, alive, verdict)
+    assert calls > 0
+
+
 def _full_bfs_distances(allowed, start, target, nbr_pos, nbr_mask):
     """Reference BFS: expand every run until no frontier grows."""
     reached = start & allowed

@@ -3,6 +3,8 @@
 * the bit-sliced :func:`_bfs_distances` equals a plain boolean full
   expansion at every run count, including the partial bytes of the
   packing, under both screen subgraphs;
+* :func:`_leg_distances`, every leg in one BFS, equals one
+  :func:`_bfs_distances` per leg;
 * stage 4 is an exact one-sided fail: every run it marks unreachable
   fails under the object-level oracle;
 * :func:`_index_matching` returns exactly the dict ``hopcroft_karp``
@@ -20,10 +22,20 @@ from repro.designs.catalog import DTMB_2_6, DTMB_3_6, DTMB_4_4
 from repro.designs.interstitial import build_with_primary_count
 from repro.faults.injection import make_rng
 from repro.functional import MultiplexedCriterion, RoutingCriterion
-from repro.functional.funnel import _bfs_distances, _index_matching, context_for
+from repro.functional.funnel import (
+    _bfs_distances,
+    _index_matching,
+    _leg_distances,
+    context_for,
+)
 from repro.reconfig.bipartite import BipartiteGraph, hopcroft_karp
 from repro.yieldsim.defects import IIDBernoulli
-from repro.yieldsim.kernel import GOOD, RepairStructure, classify_repairable
+from repro.yieldsim.kernel import (
+    GOOD,
+    RepairStructure,
+    _pack_runs,
+    classify_repairable,
+)
 
 
 def _structure(spec, n, needed_stride=1):
@@ -70,6 +82,42 @@ def test_bit_sliced_bfs_matches_full_expansion(spec, n):
                 reached += int((want > 0).sum())
                 unreached += int((want < 0).sum())
     assert reached > 0 and unreached > 0
+
+
+@pytest.mark.parametrize("spec", [DTMB_2_6, DTMB_4_4], ids=lambda s: s.name)
+def test_stacked_legs_match_one_bfs_per_leg(spec):
+    """The legs side by side as byte columns of one BFS, with per-run
+    start and target sets, at run counts with empty, partial and full
+    bytes."""
+    struct = _structure(spec, 60)
+    ctx = context_for(struct, RoutingCriterion())
+    rng = make_rng(37)
+    alive = IIDBernoulli(0.9).sample_batch(struct.geometry, 300, rng)
+    allowed_all = ctx.route_images(alive)
+    cells = allowed_all.shape[1]
+    legs_all = [
+        (rng.random((300, cells)) < 0.02, rng.random((300, cells)) < 0.02)
+        for _ in range(3)
+    ]
+    reached = 0
+    for runs in (0, 1, 7, 8, 9, 300):
+        allowed = allowed_all[:runs]
+        legs = [(src[:runs], dst[:runs]) for src, dst in legs_all]
+        want = np.array(
+            [
+                _bfs_distances(allowed, src, dst, ctx.nbr_pos, ctx.nbr_mask)
+                for src, dst in legs
+            ]
+        ).reshape(len(legs), runs)
+        got = _leg_distances(
+            _pack_runs(allowed),
+            [(_pack_runs(src), _pack_runs(dst)) for src, dst in legs],
+            ctx.nbr_idx,
+            runs,
+        )
+        assert np.array_equal(got, want)
+        reached += int((want > 0).sum())
+    assert reached > 0
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import logging
 import threading
 import urllib.request
 
@@ -18,6 +19,7 @@ import pytest
 from chaos import FaultInjectingExecutor, FaultSchedule
 
 from repro.obs.events import (
+    ROOT,
     configure_logging,
     get_logger,
     log_event,
@@ -316,8 +318,23 @@ class TestTimings:
 # -- the event log -------------------------------------------------------------
 
 class TestEventLog:
+    def setup_method(self):
+        root = logging.getLogger(ROOT)
+        self._found = (list(root.handlers), root.level, root.propagate)
+
     def teardown_method(self):
-        configure_logging("warning")  # leave the quiet default behind
+        # Put the ``repro`` logger back as this test found it: a left-over
+        # ``propagate = False`` hides every later ``repro.*`` record from
+        # ``caplog``.
+        root = logging.getLogger(ROOT)
+        for handler in list(root.handlers):
+            root.removeHandler(handler)
+            handler.close()
+        handlers, level, propagate = self._found
+        for handler in handlers:
+            root.addHandler(handler)
+        root.setLevel(level)
+        root.propagate = propagate
 
     def test_ndjson_lines_validate(self):
         sink = io.StringIO()
