@@ -36,6 +36,7 @@ from repro.functional import (
     evaluate_functional,
 )
 from repro.fluidics.concurrent_routing import ConcurrentRouter
+from repro.fluidics.routing import Router
 from repro.functional.funnel import _bfs_distances, context_for
 from repro.yieldsim.defects import IIDBernoulli, family_from_spec
 from repro.yieldsim.engine import SweepEngine
@@ -306,11 +307,11 @@ ROUTING_GRID_IDS = [
 ]
 
 
-def _good_rows(struct, batch=80):
-    """The matching-GOOD rows of the index-residue grids' batches."""
+def _good_rows(struct):
+    """The matching-GOOD rows of the index-residue grids' routing batches."""
     rng = make_rng(11)
     for p in (0.80, 0.88, 0.93, 0.97):
-        alive = IIDBernoulli(p).sample_batch(struct.geometry, batch, rng)
+        alive = IIDBernoulli(p).sample_batch(struct.geometry, 80, rng)
         verdict, _ = classify_repairable(struct, alive)
         yield alive[verdict == GOOD]
 
@@ -321,8 +322,6 @@ def _good_rows(struct, batch=80):
 def test_edge_bound_covers_every_view_edge(spec, n, criterion, needed_stride):
     """``k`` bounds the lattice span of every logical edge of every view,
     so ``h/k`` is a consistent heuristic for the view's A*."""
-    from repro.fluidics.routing import Router
-
     struct = _structure(spec, n, needed_stride)
     ctx = context_for(struct, criterion)
     coords = ctx.chip.coords
@@ -350,8 +349,6 @@ def test_bound_screen_matches_index_run(spec, n, criterion, needed_stride):
     ctx = context_for(struct, criterion)
     decided = 0
     for rows in _good_rows(struct):
-        if not rows.shape[0]:
-            continue
         matchings = [ctx._index_assignment(row) for row in rows]
         fail, success = ctx.bound_screen(rows, matchings)
         assert not (fail & success).any()
@@ -368,8 +365,6 @@ def test_bound_screen_matches_index_run(spec, n, criterion, needed_stride):
 def test_tight_deadline_still_reaches_astar(spec, monkeypatch):
     """At deadline 18 the bound leaves runs undecided: the funnel's
     residue still plans real A* routes for them."""
-    from repro.fluidics.routing import Router
-
     struct = _structure(spec, 60)
     criterion = RoutingCriterion(deadline=18)
     context_for(struct, criterion)  # its baseline routes are not counted
@@ -382,11 +377,9 @@ def test_tight_deadline_still_reaches_astar(spec, monkeypatch):
         return route(self, *args, **kwargs)
 
     monkeypatch.setattr(Router, "route", counting_route)
-    rng = make_rng(11)
-    for p in (0.80, 0.88, 0.93, 0.97):
-        alive = IIDBernoulli(p).sample_batch(struct.geometry, 80, rng)
-        verdict, _ = classify_repairable(struct, alive)
-        evaluate_functional(struct, criterion, alive, verdict)
+    for rows in _good_rows(struct):
+        verdict = np.full(rows.shape[0], GOOD)
+        evaluate_functional(struct, criterion, rows, verdict)
     assert calls > 0
 
 
