@@ -93,7 +93,8 @@ def run(
     (every primary owns its spare, as the cluster model assumes) with the
     smallest requested n; the analytical curve should match it within
     Monte-Carlo noise.  The check runs through the sweep engine's
-    screening kernel (closed-form for degree-1 designs, no matching).
+    screening kernel (on degree-1 designs its first peel iteration
+    decides every run, no matching).
 
     ``criterion`` replaces the check column's success predicate with a
     functional one (see :mod:`repro.functional`): the analytical curves

@@ -29,9 +29,10 @@ The screen->match funnel
 ------------------------
 Every point is simulated by :mod:`repro.yieldsim.kernel`: fault maps for
 all runs are drawn in bulk with numpy, a funnel of exact vectorized
-reductions (zero-fault / packed first round / dead-end / forced-move /
-private-spare peeling / Hall bounds) decides the overwhelming majority of runs, and only the
-ambiguous residue falls back to per-run integer Kuhn matching.  The
+reductions (zero-fault / dead-end, forced-move and private-spare peeling
+over runs packed eight per byte / Hall bounds) decides the overwhelming
+majority of runs, and only the ambiguous residue falls back to per-run
+integer Kuhn matching.  The
 funnel is *exact*, so the engine's numbers equal brute-force
 ``YieldSimulator`` matching run for run; with ``dtype=float64`` they are
 bit-identical to it.

@@ -11,38 +11,42 @@ decide fall through to the integer Kuhn matching.
 The funnel, in order:
 
 1. **zero-fault**: runs with no faulty needed primary are good.
-2. **packed first round**: one pass of bit algebra over the whole batch,
-   runs packed eight per byte (:func:`_pack_runs`).  A run in which some
-   faulty needed primary has zero surviving adjacent spares is bad
-   (Hall's condition fails on a singleton set).  A run in which every
-   faulty needed primary has a surviving adjacent spare that no *other*
-   faulty needed primary is adjacent to is good: those private spares
-   are distinct, so they form a saturating matching.  These are exactly
-   the runs the peel loop's first iteration would mark dead or peel to
-   completion, so they count as ``bad_dead_end``/``good_peeled`` and
-   every :class:`ScreenStats` field means what it did before the round
-   existed.  Only the undecided runs, compacted, go on.
-3. **peeling** (iterated to a fixed point over the undecided runs):
+2. **packed peel**, iterated to a fixed point over the whole batch with
+   runs packed eight per byte (:func:`_pack_runs`).  The state is three
+   sets of bit rows: ``F``, the unmatched faulty needed primaries;
+   ``A``, the available candidate spares; and the live runs.  Each
+   iteration applies, from one snapshot of that state:
 
-   * *dead ends* — a faulty primary left with no surviving spare makes
-     the run bad.
-   * *forced moves* — a faulty primary with exactly one surviving spare
+   * *dead ends* — a faulty primary left with no available spare makes
+     the run bad (``bad_dead_end``).
+   * *forced moves* — a faulty primary with exactly one available spare
      must take it.  Two primaries forced onto the same spare make the
-     run bad; otherwise the assignment is committed and both endpoints
-     leave the problem.
-   * *private spares* — a surviving spare demanded by exactly one faulty
-     primary can be greedily committed to it.
+     run bad (``bad_forced_conflict``).
+   * *private spares* — an available spare demanded by exactly one
+     unmatched faulty primary can be greedily committed to it.
 
-   Both commits are feasibility-preserving in *both* directions (the
-   standard exchange argument: a demand-1 spare is used by no other
-   faulty primary in any matching, and a degree-1 primary has no other
-   choice), so peeling never changes the verdict — it only shrinks the
-   residual problem, usually to nothing.
-4. **Hall bounds** on the residual: if the union of surviving candidate
-   spares is smaller than the number of unmatched faulty primaries the
-   run is bad; if every unmatched primary's surviving degree is at least
-   that number, Hall's condition holds and the run is good.
-5. **Kuhn residue**: whatever survives the screen (typically well under
+   Each forced spare leaves ``A`` and each committed primary leaves
+   ``F``; a run left with no unmatched faulty primary is good
+   (``good_peeled``).  Both commits are feasibility-preserving in *both*
+   directions (the standard exchange argument: a demand-1 spare is used
+   by no other faulty primary in any matching, and a degree-1 primary
+   has no other choice), so peeling never changes the verdict — it only
+   shrinks the residual problem, usually to nothing.  A private spare
+   stays in ``A``, and so do the other private spares of the primary
+   that took one: each was demanded by that primary alone, and ``F``
+   only shrinks, so no later degree, Hall union or Kuhn input reads it.
+   A run whose iteration commits nothing can never progress and is
+   frozen: every update is masked by the live rows, so its bits stop
+   changing.  Runs still live at :data:`_MAX_PEEL_ITERATIONS` are frozen
+   too.  On designs where every primary has at most one spare
+   (DTMB(1,6), the Figure 7 design) every faulty primary is forced, so
+   the first iteration decides every run.
+3. **Hall bounds** on the frozen runs, unpacked into dense rows: if the
+   union of available candidate spares is smaller than the number of
+   unmatched faulty primaries the run is bad; if every unmatched
+   primary's available degree is at least that number, Hall's condition
+   holds and the run is good.
+4. **Kuhn residue**: whatever survives the screen (typically well under
    a percent of runs at the paper's survival probabilities) is decided
    by exact augmenting-path matching on the *reduced* problem.
 
@@ -108,7 +112,7 @@ _MAX_PEEL_ITERATIONS = 64
 _BATCH_BYTES = 8_000_000
 
 #: Rows per *classification* sub-batch are chosen so the screen's working
-#: set (entry keys, gathers, demand counts) stays inside a ~2 MB L2 cache.
+#: set (survival rows, bit rows, gathers) stays inside a ~2 MB L2 cache.
 #: This only slices the already-drawn survival matrix — it never changes
 #: the RNG stream, and verdicts are per-run, so results are unaffected.
 _CLASSIFY_BYTES = 800_000
@@ -185,11 +189,10 @@ class RepairStructure:
         self.adj_cand: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(pos_of[s] for s in lst) for lst in self.adj
         )
-        #: maximum primary->spare degree; <= 1 enables a closed-form screen.
+        #: maximum primary->spare degree.
         self.max_degree = max_deg
         # Reverse adjacency (candidate spare -> needed primaries), padded,
-        # for the spare-demand gathers (:func:`demanded_spares`, the
-        # degree-<=-1 closed form).
+        # for the spare-demand gathers (:func:`demanded_spares`).
         members: list = [[] for _ in range(self.n_cand)]
         for j, lst in enumerate(self.adj):
             for s in lst:
@@ -202,7 +205,7 @@ class RepairStructure:
                 self.rev_pos[s, d] = j
                 self.rev_mask[s, d] = True
         #: :attr:`adj_pos`/:attr:`rev_pos` with every padded slot sent to
-        #: row S/k: the all-zero last row of the packed round's
+        #: row S/k: the all-zero last row of the packed peel's
         #: (S + 1)- and (k + 1)-row bit matrices.
         self.adj_bits_idx = np.where(
             self.adj_mask, self.adj_pos, self.n_cand
@@ -291,43 +294,6 @@ def kuhn_repairable(
     return True
 
 
-def _classify_degree_one(
-    struct: RepairStructure,
-    alive: np.ndarray,
-    faulty_full: np.ndarray,
-    verdict: np.ndarray,
-    stats: ScreenStats,
-) -> Tuple[np.ndarray, ScreenStats]:
-    """Closed-form screen for designs where every primary has <= 1 spare.
-
-    With singleton neighborhoods (DTMB(1,6), the Figure 7 design) no
-    matching is ever needed: a saturating assignment exists iff every
-    faulty needed primary's unique spare survives and no surviving spare
-    is demanded by two or more faulty primaries.
-    """
-    ca = alive[:, struct.cand]                      # (R, S)
-    spare_pos = struct.adj_pos[:, 0]                # (k,) unique spare per primary
-    has_spare = struct.adj_mask[:, 0]
-    spare_alive = ca[:, spare_pos] & has_spare      # (R, k)
-    dead_any = (faulty_full & ~spare_alive).any(axis=1)
-    demand = (faulty_full[:, struct.rev_pos] & struct.rev_mask).sum(
-        axis=2, dtype=np.uint8
-    )                                               # (R, S) faulty demand per spare
-    conflict_any = ((demand >= 2) & ca).any(axis=1)
-
-    undecided = verdict == UNDECIDED
-    bad_dead = undecided & dead_any
-    verdict[bad_dead] = BAD
-    stats.bad_dead_end = int(bad_dead.sum())
-    bad_conflict = undecided & ~dead_any & conflict_any
-    verdict[bad_conflict] = BAD
-    stats.bad_forced_conflict = int(bad_conflict.sum())
-    good = undecided & ~dead_any & ~conflict_any
-    verdict[good] = GOOD
-    stats.good_peeled = int(good.sum())
-    return verdict, stats
-
-
 def _bit_rows(mask: np.ndarray) -> np.ndarray:
     """:func:`_pack_runs` plus one all-zero last row.
 
@@ -339,44 +305,144 @@ def _bit_rows(mask: np.ndarray) -> np.ndarray:
 
 def _gather_or(rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """``rows[idx[:, 0]] | rows[idx[:, 1]] | ...`` — one row per ``idx`` row."""
-    acc = rows[idx[:, 0]]
+    acc = rows.take(idx[:, 0], axis=0)
     for d in range(1, idx.shape[1]):
-        acc |= rows[idx[:, d]]
+        acc |= rows.take(idx[:, d], axis=0)
     return acc
 
 
-def _packed_round(
-    struct: RepairStructure, faulty: np.ndarray, ca: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The packed first round: ``(dead, open)`` bit rows over the batch.
-
-    ``faulty`` is ``(runs, k)`` over the needed slots and ``ca`` the
-    ``(runs, S)`` candidate-spare survival.  Both results are packed run
-    rows in :func:`_pack_runs` bit order with every pad bit clear.
-    ``dead`` marks runs with a faulty needed primary that has no
-    surviving candidate.  ``open`` marks runs with a faulty needed
-    primary that has no surviving *private* candidate, one adjacent to no
-    other faulty needed primary; a faulty run outside ``open`` is good.
-    """
-    fw = _bit_rows(faulty)                   # (k + 1, ceil(runs / 8))
-    aw = _bit_rows(ca)                       # (S + 1, ceil(runs / 8))
-    k = struct.needed_count
-    dead = np.bitwise_or.reduce(
-        fw[:k] & ~_gather_or(aw, struct.adj_bits_idx), axis=0
-    )
-    # Per spare: demanded by at least one / at least two faulty primaries.
-    rev = struct.rev_bits_idx
-    one = fw[rev[:, 0]]
+def _gather_one_two(rows: np.ndarray, idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per ``idx`` row, the bits set in at least one / at least two of
+    ``rows[idx[:, 0]], rows[idx[:, 1]], ...``."""
+    one = rows.take(idx[:, 0], axis=0)
     two = np.zeros_like(one)
-    for d in range(1, rev.shape[1]):
-        x = fw[rev[:, d]]
+    for d in range(1, idx.shape[1]):
+        x = rows.take(idx[:, d], axis=0)
         two |= one & x
         one |= x
-    aw[:-1] &= one & ~two                    # surviving private spares
-    open_ = np.bitwise_or.reduce(
-        fw[:k] & ~_gather_or(aw, struct.adj_bits_idx), axis=0
-    )
-    return dead, open_
+    return one, two
+
+
+def _peel_round(
+    struct: RepairStructure, f: np.ndarray, a: np.ndarray, live: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One peel iteration over packed runs: ``(dead, clash, committed)``.
+
+    ``f`` holds the ``(k + 1)`` unmatched-faulty-primary rows and ``a``
+    the ``(S + 1)`` available-candidate rows (:func:`_bit_rows`), ``live``
+    the runs still peeling; every row is in :func:`_pack_runs` bit order.
+    ``dead`` marks live runs with an unmatched faulty primary that has no
+    available spare, ``clash`` the other live runs in which two primaries
+    are forced onto one spare, and ``committed`` (``(k, W)``) the
+    primaries of the remaining live runs that take a forced or private
+    spare.  Commits are applied in place: each forced spare leaves ``a``
+    and each committed primary leaves ``f``.
+    """
+    k = struct.needed_count
+    adj, rev = struct.adj_bits_idx, struct.rev_bits_idx
+    fk = f[:k]
+    one, two = _gather_one_two(a, adj)         # available spares per primary
+    dead = np.bitwise_or.reduce(fk & ~one, axis=0) & live
+    forced = np.zeros_like(f)
+    np.bitwise_and(fk, one & ~two, out=forced[:k])
+    forced_one, forced_two = _gather_one_two(forced, rev)
+    clash = np.bitwise_or.reduce(a[:-1] & forced_two, axis=0) & live & ~dead
+    ok = live & ~dead & ~clash
+    demand_one, demand_two = _gather_one_two(f, rev)
+    private = np.zeros_like(a)
+    np.bitwise_and(a[:-1], demand_one & ~demand_two, out=private[:-1])
+    committed = fk & (forced[:k] | _gather_or(private, adj)) & ok
+    a[:-1] &= ~(forced_one & ok)
+    fk &= ~committed
+    return dead, clash, committed
+
+
+def _packed_peel(
+    struct: RepairStructure,
+    faulty: np.ndarray,
+    ca: np.ndarray,
+    verdict: np.ndarray,
+    stats: ScreenStats,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Peel every run at once; return the frozen runs' dense residual.
+
+    ``faulty`` is the ``(runs, k)`` faulty needed mask and ``ca`` the
+    ``(runs, S)`` candidate-spare survival.  Runs the loop decides get
+    their ``verdict`` and ``stats`` count here.  Returns ``(rows, fa,
+    ca)``: the batch rows of the frozen runs, their ``(m, k)`` unmatched
+    faulty primaries and their ``(m, S)`` available candidates.
+    """
+    n_runs = faulty.shape[0]
+    k = struct.needed_count
+    f = _bit_rows(faulty)
+    a = _bit_rows(ca)
+    live = np.bitwise_or.reduce(f, axis=0)
+    # Rows: bad_dead_end, bad_forced_conflict, good_peeled, frozen.
+    fate = np.zeros((4, f.shape[1]), dtype=np.uint8)
+    for _ in range(_MAX_PEEL_ITERATIONS):
+        if not live.any():
+            break
+        dead, clash, committed = _peel_round(struct, f, a, live)
+        progressed = np.bitwise_or.reduce(committed, axis=0)
+        left = np.bitwise_or.reduce(f[:k], axis=0)
+        fate[0] |= dead
+        fate[1] |= clash
+        fate[2] |= progressed & ~left
+        # A run with no commit can never progress: its bits stop here.
+        fate[3] |= live & ~(dead | clash | progressed)
+        live = progressed & left
+    fate[3] |= live                              # iteration cap
+    # Pad bits are clear, so every set bit is a run of this batch.
+    dead, clash, good, frozen = np.unpackbits(fate, axis=1, count=n_runs).view(bool)
+    verdict[dead | clash] = BAD
+    verdict[good] = GOOD
+    stats.bad_dead_end = int(dead.sum())
+    stats.bad_forced_conflict = int(clash.sum())
+    stats.good_peeled = int(good.sum())
+    rows = np.flatnonzero(frozen)
+    byte, shift = rows >> 3, 7 - (rows & 7)
+    fa = ((f[:k, byte] >> shift) & 1).T.astype(bool)
+    ca = ((a[:-1, byte] >> shift) & 1).T.astype(bool)
+    return rows, fa, ca
+
+
+def _hall_and_kuhn(
+    struct: RepairStructure,
+    rows: np.ndarray,
+    fa: np.ndarray,
+    ca: np.ndarray,
+    verdict: np.ndarray,
+    stats: ScreenStats,
+) -> None:
+    """Decide the frozen runs: Hall bounds, then Kuhn on what they leave.
+
+    ``rows`` are the runs' batch rows, ``fa`` their ``(m, k)`` unmatched
+    faulty primaries and ``ca`` their ``(m, S)`` available candidates.
+    """
+    if not rows.size:
+        return
+    avail = ca[:, struct.adj_pos] & struct.adj_mask
+    deg = avail.sum(axis=2)
+    nf = fa.sum(axis=1)
+
+    union = (demanded_spares(struct.rev_pos, struct.rev_mask, fa) & ca).sum(axis=1)
+    hall_bad = union < nf
+    verdict[rows[hall_bad]] = BAD
+    stats.bad_hall = int(hall_bad.sum())
+    min_deg = np.where(fa, deg, struct.needed_count + 7).min(axis=1)
+    hall_good = ~hall_bad & (min_deg >= nf)
+    verdict[rows[hall_good]] = GOOD
+    stats.good_hall = int(hall_good.sum())
+
+    residue = np.flatnonzero(~(hall_bad | hall_good))
+    stats.residue = int(residue.size)
+    for row in residue:
+        # Peeling is feasibility-preserving, so matching the still-
+        # unmatched faulty primaries onto the still-available
+        # candidates decides the original fault map.
+        good = kuhn_repairable(struct.adj_cand, np.flatnonzero(fa[row]), ca[row])
+        verdict[rows[row]] = GOOD if good else BAD
+        stats.residue_good += int(good)
 
 
 def classify_repairable(
@@ -410,189 +476,13 @@ def classify_repairable(
         stats.bad_dead_end = int(bad.sum())
         return verdict, stats
 
-    if struct.max_degree <= 1:
-        return _classify_degree_one(struct, alive, faulty_full, verdict, stats)
-
-    ca = alive[:, struct.cand]
-    dead, open_ = _packed_round(struct, faulty_full, ca)
-    # Pad bits are clear, so every set bit is a run of this batch.
-    bad = np.flatnonzero(np.unpackbits(dead))
-    verdict[bad] = BAD
-    stats.bad_dead_end = int(bad.size)
-    rows = np.flatnonzero(np.unpackbits(open_ & ~dead))
-    if rows.size:
-        verdict[rows] = _peel_and_match(struct, faulty_full[rows], ca[rows], stats)
-    # Every other faulty run holds a private spare per faulty primary:
-    # the peel loop's first iteration would commit them all at once.
-    good = verdict == UNDECIDED
-    verdict[good] = GOOD
-    stats.good_peeled += int(good.sum())
-    return verdict, stats
-
-
-def _peel_and_match(
-    struct: RepairStructure, faulty_full: np.ndarray, ca: np.ndarray, stats: ScreenStats
-) -> np.ndarray:
-    """Verdicts of the runs the packed round left open, compacted.
-
-    ``faulty_full`` is their ``(runs, k)`` faulty needed mask (every run
-    has a faulty primary) and ``ca`` their ``(runs, S)`` candidate-spare
-    survival, which the peel loop's commits overwrite.  Runs only ever
-    interact with themselves, so each run's path through the peel loop,
-    the Hall bounds and the Kuhn residue — and the stage ``stats`` counts
-    it under — is the one it would take in the full batch.
-    """
-    n_runs = faulty_full.shape[0]
-    verdict = np.full(n_runs, UNDECIDED, dtype=np.int8)
-    nf0 = faulty_full.sum(axis=1)
-    S = struct.n_cand
-    # One *entry* per (run, faulty needed primary).  All peeling state is
-    # per-entry, so each iteration costs O(active entries), not O(runs x k).
-    k = struct.needed_count
-    flat = np.flatnonzero(faulty_full)
-    # int32 keys keep the hot arrays half-sized; fall back to int64 for
-    # batches too large to address that way (not reachable via the ~8 MB
-    # batching of the samplers below).
-    key_dtype = np.int32 if n_runs * S <= np.iinfo(np.int32).max else np.int64
-    re, je = np.divmod(flat, k)              # entry -> run row / primary pos
-    re = re.astype(key_dtype)
-    je = je.astype(np.int32)
-    keys = (re * key_dtype(S))[:, None] + struct.adj_pos[je].astype(key_dtype, copy=False)
-    sv = struct.adj_mask[je]                 # (E, D) structural validity
-    # Flat availability of every (run, candidate-spare); commits clear bits.
-    ca_flat = ca.reshape(-1)
-    row_left = nf0.astype(np.int64)          # unresolved entries per run
-
-    stuck_re: list = []                      # entries handed to the final stage
-    stuck_je: list = []
-
-    for _ in range(_MAX_PEEL_ITERATIONS):
-        if re.size == 0:
-            break
-        sp_alive = sv & ca_flat[keys]        # (E, D) usable spares per entry
-        deg = sp_alive.sum(axis=1, dtype=np.uint8)
-
-        # Dead ends: a faulty primary with no usable spare kills its run.
-        # Compress their rows away before the more expensive phases.
-        dead = deg == 0
-        if dead.any():
-            # Scatter-mark the dead rows (every entry row is still
-            # undecided here, so the mask counts them exactly).
-            newly = np.zeros(n_runs, dtype=bool)
-            newly[re[dead]] = True
-            verdict[newly] = BAD
-            stats.bad_dead_end += int(newly.sum())
-            live = verdict[re] == UNDECIDED
-            re, je, keys, sv = re[live], je[live], keys[live], sv[live]
-            sp_alive, deg = sp_alive[live], deg[live]
-            if re.size == 0:
-                break
-
-        # Forced moves: a degree-1 primary must take its only spare.  Two
-        # primaries forced onto the same spare are an exact infeasibility.
-        live = None                          # None == every entry is live
-        commit_key = np.full(re.size, -1, dtype=keys.dtype)
-        forced = deg == 1
-        if forced.any():
-            fe = np.flatnonzero(forced)
-            fd = sp_alive[fe].argmax(axis=1)
-            fkey = keys[fe, fd]
-            counts = np.bincount(fkey, minlength=n_runs * S)
-            dup = counts[fkey] >= 2
-            if dup.any():
-                clash = np.zeros(n_runs, dtype=bool)
-                clash[re[fe[dup]]] = True
-                verdict[clash] = BAD
-                stats.bad_forced_conflict += int(clash.sum())
-                live = verdict[re] == UNDECIDED
-                ok = live[fe]
-                fe, fkey = fe[ok], fkey[ok]
-            commit_key[fe] = fkey
-
-        # Private spares: a surviving spare demanded by exactly one live
-        # primary is committed to it.  Computed from the same pre-commit
-        # snapshot as the forced moves — a forced spare carries its
-        # forcer's demand, so forced and private picks can never collide,
-        # and two private picks of one spare are impossible by definition.
-        la = sp_alive if live is None else sp_alive & live[:, None]
-        demand = np.bincount(keys[la], minlength=n_runs * S)
-        priv = la & (demand[keys] == 1)
-        haspriv = priv.any(axis=1) & (commit_key < 0)
-        if haspriv.any():
-            pe = np.flatnonzero(haspriv)
-            pd = priv[pe].argmax(axis=1)
-            commit_key[pe] = keys[pe, pd]
-
-        committed = commit_key >= 0
-        if committed.any():
-            ca_flat[commit_key[committed]] = False
-            row_left -= np.bincount(re[committed], minlength=n_runs)
-
-        # Rows are independent, so a live row with no commit this
-        # iteration can never progress: hand its entries to the final
-        # stage now so the loop only iterates on shrinking work.
-        progressed = np.zeros(n_runs, dtype=bool)
-        progressed[re[committed]] = True
-        keep_base = ~committed if live is None else ~committed & live
-        stuck = keep_base & ~progressed[re]
-        if stuck.any():
-            stuck_re.append(re[stuck])
-            stuck_je.append(je[stuck])
-        keep = keep_base & ~stuck
-        re, je, keys, sv = re[keep], je[keep], keys[keep], sv[keep]
-    else:
-        # Iteration cap: whatever is left goes to the exact matcher.
-        if re.size:
-            stuck_re.append(re)
-            stuck_je.append(je)
-
-    undecided = verdict == UNDECIDED
-    peeled_good = undecided & (row_left == 0)
-    verdict[peeled_good] = GOOD
-    stats.good_peeled += int(peeled_good.sum())
-
-    if stuck_re:
-        s_re = np.concatenate(stuck_re)
-        s_je = np.concatenate(stuck_je)
-        live = verdict[s_re] == UNDECIDED
-        s_re, s_je = s_re[live], s_je[live]
-    else:
-        s_re = np.empty(0, np.int64)
-        s_je = s_re
-    if s_re.size:
-        rows, inverse = np.unique(s_re, return_inverse=True)
-        # Dense residual problem, one row per stuck run: usually a tiny
-        # fraction of the batch, so dense Hall bounds + Kuhn are cheap.
-        fa = np.zeros((rows.size, struct.needed_count), dtype=bool)
-        fa[inverse, s_je] = True
-        ca = ca_flat.reshape(n_runs, S)[rows]
-        avail = ca[:, struct.adj_pos] & struct.adj_mask
-        deg = avail.sum(axis=2)
-        nf = fa.sum(axis=1)
-
-        union = (demanded_spares(struct.rev_pos, struct.rev_mask, fa) & ca).sum(
-            axis=1
+    with _profile.phase("kernel_peel"):
+        rows, fa, ca = _packed_peel(
+            struct, faulty_full, alive[:, struct.cand], verdict, stats
         )
-        hall_bad = union < nf
-        if hall_bad.any():
-            verdict[rows[hall_bad]] = BAD
-            stats.bad_hall += int(hall_bad.sum())
-        min_deg = np.where(fa, deg, struct.needed_count + 7).min(axis=1)
-        hall_good = ~hall_bad & (min_deg >= nf)
-        if hall_good.any():
-            verdict[rows[hall_good]] = GOOD
-            stats.good_hall += int(hall_good.sum())
-
-        residue = np.nonzero(~(hall_bad | hall_good))[0]
-        stats.residue += int(residue.size)
-        for row in residue:
-            # Peeling is feasibility-preserving, so matching the still-
-            # unmatched faulty primaries onto the still-available
-            # candidates decides the original fault map.
-            good = kuhn_repairable(struct.adj_cand, np.flatnonzero(fa[row]), ca[row])
-            verdict[rows[row]] = GOOD if good else BAD
-            stats.residue_good += int(good)
-    return verdict
+    with _profile.phase("kernel_residue"):
+        _hall_and_kuhn(struct, rows, fa, ca, verdict, stats)
+    return verdict, stats
 
 
 # -- within-point sharding: per-shard seed derivation -------------------------

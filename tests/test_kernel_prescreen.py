@@ -1,10 +1,10 @@
-"""The packed first round of the matching kernel changes no output.
+"""The packed peel of the matching kernel changes no output.
 
-``classify_repairable`` decides most runs with one round of bit algebra
-over runs packed eight per byte before its per-entry peel loop.  The
-round is an optimisation only: every verdict and every
-:class:`ScreenStats` counter must equal what the kernel reported without
-it.  :func:`reference_classify` is that kernel, kept here as the
+``classify_repairable`` peels every run with bit algebra over runs
+packed eight per byte, where it once walked one entry per (run, faulty
+primary).  The packing is an optimisation only: every verdict and every
+:class:`ScreenStats` counter must equal what the per-entry peel loop
+reported.  :func:`reference_classify` is that kernel, kept here as the
 reference (``benchmarks/bench_kernel_screen.py`` imports it to repeat the
 check at the paper's budget).
 """
@@ -19,6 +19,7 @@ import pytest
 from repro.designs.catalog import ALL_DESIGNS, DTMB_2_6, DTMB_3_6, DTMB_4_4
 from repro.designs.interstitial import build_with_primary_count
 from repro.errors import SimulationError
+from repro.yieldsim import kernel
 from repro.yieldsim.defects import family_from_spec
 from repro.yieldsim.engine import SweepEngine
 from repro.yieldsim.kernel import (
@@ -28,9 +29,9 @@ from repro.yieldsim.kernel import (
     UNDECIDED,
     RepairStructure,
     ScreenStats,
-    _classify_degree_one,
+    _bit_rows,
     _pack_runs,
-    _packed_round,
+    _peel_round,
     classify_repairable,
     demanded_spares,
     kuhn_repairable,
@@ -41,11 +42,12 @@ from repro.yieldsim.sweeps import DEFAULT_P_GRID, survival_sweep
 def reference_classify(
     struct: RepairStructure, alive: np.ndarray
 ) -> Tuple[np.ndarray, ScreenStats]:
-    """``classify_repairable`` as it stood before the packed first round.
+    """``classify_repairable`` as it stood before any bit packing.
 
-    Kept verbatim (the whole batch goes through the per-entry peel loop)
-    so the packed round is held to the verdicts *and* the per-stage
-    counters of the loop it short-cuts.
+    Kept verbatim (the whole batch goes through the per-entry peel loop,
+    and designs with at most one spare per primary through their closed
+    form) so the packed peel is held to the verdicts *and* the per-stage
+    counters of the loop it replaces.
     """
     if alive.ndim != 2 or alive.shape[1] != struct.n_cells:
         raise SimulationError(
@@ -70,7 +72,32 @@ def reference_classify(
         return verdict, stats
 
     if struct.max_degree <= 1:
-        return _classify_degree_one(struct, alive, faulty_full, verdict, stats)
+        # Closed form for singleton neighborhoods (DTMB(1,6), the Figure 7
+        # design): no matching is ever needed.  A saturating assignment
+        # exists iff every faulty needed primary's unique spare survives
+        # and no surviving spare is demanded by two or more faulty
+        # primaries.
+        ca = alive[:, struct.cand]                      # (R, S)
+        spare_pos = struct.adj_pos[:, 0]                # (k,) unique spare per primary
+        has_spare = struct.adj_mask[:, 0]
+        spare_alive = ca[:, spare_pos] & has_spare      # (R, k)
+        dead_any = (faulty_full & ~spare_alive).any(axis=1)
+        demand = (faulty_full[:, struct.rev_pos] & struct.rev_mask).sum(
+            axis=2, dtype=np.uint8
+        )                                               # (R, S) faulty demand per spare
+        conflict_any = ((demand >= 2) & ca).any(axis=1)
+
+        undecided = verdict == UNDECIDED
+        bad_dead = undecided & dead_any
+        verdict[bad_dead] = BAD
+        stats.bad_dead_end = int(bad_dead.sum())
+        bad_conflict = undecided & ~dead_any & conflict_any
+        verdict[bad_conflict] = BAD
+        stats.bad_forced_conflict = int(bad_conflict.sum())
+        good = undecided & ~dead_any & ~conflict_any
+        verdict[good] = GOOD
+        stats.good_peeled = int(good.sum())
+        return verdict, stats
 
     S = struct.n_cand
     # One *entry* per (run, faulty needed primary).  All peeling state is
@@ -223,14 +250,20 @@ def reference_classify(
 
 
 def dense_round(struct: RepairStructure, alive: np.ndarray):
-    """The packed round's ``(dead, open)`` rows, from dense boolean algebra."""
+    """The first peel iteration's ``(dead, clash, committed)``, from dense
+    boolean algebra: per run, per run and ``(runs, k)``."""
     faulty = ~alive[:, struct.needed_idx]
     ca = alive[:, struct.cand]
-    reachable = (ca[:, struct.adj_pos] & struct.adj_mask).any(axis=2)
+    deg = (ca[:, struct.adj_pos] & struct.adj_mask).sum(axis=2)
+    dead = (faulty & (deg == 0)).any(axis=1)
+    forced = faulty & (deg == 1)
+    forced_on = (forced[:, struct.rev_pos] & struct.rev_mask).sum(axis=2)
+    clash = ~dead & (ca & (forced_on >= 2)).any(axis=1)
     demand = (faulty[:, struct.rev_pos] & struct.rev_mask).sum(axis=2)
     private = ca & (demand == 1)
     served = (private[:, struct.adj_pos] & struct.adj_mask).any(axis=2)
-    return (faulty & ~reachable).any(axis=1), (faulty & ~served).any(axis=1)
+    committed = faulty & (forced | served) & ~(dead | clash)[:, None]
+    return dead, clash, committed
 
 
 MODELS = ("iid", "negbin", "spot")
@@ -268,15 +301,46 @@ def test_packed_round_decides_the_dense_sets(spec, model):
     decided = 0
     for struct, p, alive in draws(spec, model):
         faulty = ~alive[:, struct.needed_idx]
-        dead, open_ = _packed_round(struct, faulty, alive[:, struct.cand])
-        want_dead, want_open = dense_round(struct, alive)
+        f = _bit_rows(faulty)
+        a = _bit_rows(alive[:, struct.cand])
+        live = np.bitwise_or.reduce(f, axis=0)
+        dead, clash, committed = _peel_round(struct, f, a, live)
+        want_dead, want_clash, want_committed = dense_round(struct, alive)
         runs = len(alive)
-        for bits, want in ((dead, want_dead), (open_, want_open)):
-            rows = np.unpackbits(bits)
-            assert (rows[:runs] == want).all(), (p, runs)
-            assert not rows[runs:].any(), (p, runs)    # pad bits stay clear
-        decided += int((want_dead | (faulty.any(axis=1) & ~want_open)).sum())
+        for bits, want in (
+            (dead, want_dead),
+            (clash, want_clash),
+            (committed, want_committed.T),
+            (f[:-1], (faulty & ~want_committed).T),
+        ):
+            rows = np.unpackbits(bits, axis=-1)
+            assert (rows[..., :runs] == want).all(), (p, runs)
+            assert not rows[..., runs:].any(), (p, runs)    # pad bits stay clear
+        peeled = faulty.any(axis=1) & (want_committed == faulty).all(axis=1)
+        decided += int((want_dead | want_clash | peeled).sum())
     assert decided > 0
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+@pytest.mark.parametrize("spec", ALL_DESIGNS, ids=lambda s: s.name)
+def test_iteration_cap_hands_live_runs_to_hall_and_kuhn(spec, cap, monkeypatch):
+    # The reference keeps its own bound: it read the constant at import.
+    monkeypatch.setattr(kernel, "_MAX_PEEL_ITERATIONS", cap)
+    past_peel = 0
+    for model in MODELS:
+        for struct, p, alive in draws(spec, model):
+            got, stats = classify_repairable(struct, alive)
+            want, _ = reference_classify(struct, alive)
+            assert (got == want).all(), (model, p, len(alive))
+            counts = stats.as_dict()
+            stages = sum(counts[name] for name in (
+                "zero_fault", "bad_dead_end", "bad_forced_conflict",
+                "good_peeled", "bad_hall", "good_hall", "residue",
+            ))
+            assert stages == counts["runs"] == len(alive), (model, p, counts)
+            past_peel += counts["bad_hall"] + counts["good_hall"] + counts["residue"]
+    if cap == 1 and spec is DTMB_3_6:
+        assert past_peel > 0
 
 
 @pytest.mark.parametrize("runs", [1, 7, 8, 9, 1003])
@@ -293,8 +357,8 @@ def test_pack_runs_bit_order_and_clear_padding(runs):
 
 #: ``survival_sweep([DTMB_2_6, DTMB_3_6, DTMB_4_4], [60, 120],
 #: DEFAULT_P_GRID, runs=500, seed=2005)`` on a fresh serial engine, as
-#: computed before the packed round existed: the round must not move a
-#: single run between counters, nor a single success.
+#: computed before the kernel packed runs into bits: the packing must not
+#: move a single run between counters, nor a single success.
 PINNED_SCREEN_STATS = {
     "bad_dead_end": 1936,
     "bad_forced_conflict": 664,

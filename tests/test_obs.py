@@ -314,6 +314,23 @@ class TestTimings:
         assert timings["funnel_screen_wall_s"] >= 0.0
         assert timings["funnel_sample_wall_s"] >= 0.0
 
+    def test_kernel_phases_nest_in_the_classify_phase(self):
+        from repro.experiments import registry
+
+        engine = SweepEngine()
+        result = registry.execute(
+            registry.get("fig9"), runs=60, seed=7, engine=engine
+        )
+        # At p = 1 every run is fault-free and never reaches the peel.
+        faulty = [r for r in engine.point_log if r.param < 1.0]
+        assert faulty
+        for record in faulty:
+            timings = record.timings
+            inner = timings["kernel_peel_wall_s"] + timings["kernel_residue_wall_s"]
+            assert inner <= timings["funnel_classify_wall_s"], timings
+        summed = result.provenance.as_dict()["engine"]["timings"]
+        assert "kernel_peel_wall_s" in summed and "kernel_residue_wall_s" in summed
+
 
 # -- the event log -------------------------------------------------------------
 
