@@ -59,6 +59,7 @@ from repro.obs.events import get_logger, log_event
 from repro.yieldsim.cachestore import (
     CacheStore,
     LocalStore,
+    TieredCache,
     decode_entry,
     encode_entry,
 )
@@ -394,21 +395,38 @@ class PointCache:
         """
         if self.backend is None:
             return None
-        entry = self._read(key, spec, batched)
+        entry = self._read(self.backend, key, spec, batched)
         if entry is None:
             self.misses += 1
             return None
         self.hits += 1
         return entry
 
+    def peek_local(
+        self, key: str, spec: PointSpec, batched: bool = False
+    ) -> Optional[Tuple[int, int]]:
+        """What :meth:`load` would find in the local tier, counting nothing.
+
+        Reads a :class:`~repro.yieldsim.cachestore.TieredCache`'s local
+        tier only, so no remote store is ever contacted.  A corrupt local
+        file quarantines exactly as a load would, and the load that
+        follows then counts its miss.
+        """
+        if self.backend is None:
+            return None
+        store = self.backend
+        if isinstance(store, TieredCache):
+            store = store.local
+        return self._read(store, key, spec, batched)
+
     def _read(
-        self, key: str, spec: PointSpec, batched: bool
+        self, store: "CacheStore", key: str, spec: PointSpec, batched: bool
     ) -> Optional[Tuple[int, int]]:
         if batched and spec.seed is None:
             # A seedless batched point has fresh entropy every time; a
             # cache entry for it would be a false hit.
             return None
-        blob = self.backend.get(key)
+        blob = store.get(key)
         if blob is None:
             return None
         # The store verified transport/storage integrity; decode_entry

@@ -26,6 +26,12 @@ the offline results:
    ``coalesced``, 50 more hits and no more misses in ``/stats``, the
    response's ``chip_digest`` equal to the offline payload digest, and
    a repeat addressed by ``chip_digest`` alone hitting the same key.
+8. While one thread posts a new cold point, the main thread sends 50
+   sequential repeats of an already-cached point, so a hit queues behind
+   the computation and the rest are answered on the event loop:
+   every repeat equal to the first response except for ``coalesced``,
+   50 more hits and exactly one more miss (the cold point) in
+   ``/stats``.
 
 Exits non-zero on any mismatch.  Run as::
 
@@ -41,6 +47,7 @@ import pathlib
 import re
 import sys
 import tempfile
+import threading
 import urllib.error
 import urllib.request
 
@@ -48,8 +55,11 @@ RUNS = 200
 SEED = 2005
 #: the pooled leg's shard size: each of its points folds four shards
 SHARD_RUNS = 150
-#: the cached leg's repeats of its one cold point
+#: the cached leg's repeats of its one cold point (and the mixed leg's
+#: repeats of its cached point)
 HITS = 50
+#: the mixed leg's cold point budget: long enough that a hit queues behind it
+MIXED_COLD_RUNS = 50_000
 
 
 def post(base: str, path: str, body: dict, timeout: float = 600) -> dict:
@@ -68,6 +78,16 @@ def post_stream(base: str, path: str, body: dict, timeout: float = 600) -> list:
     with urllib.request.urlopen(request, timeout=timeout) as response:
         assert response.status == 200, (path, response.status)
         return [json.loads(line) for line in response.read().splitlines()]
+
+
+def engine_stats(base: str) -> dict:
+    with urllib.request.urlopen(base + "/stats", timeout=30) as response:
+        return json.loads(response.read())["engine"]
+
+
+def answer(payload: dict) -> dict:
+    """A point response without ``coalesced``, which differs by timing."""
+    return {k: v for k, v in payload.items() if k != "coalesced"}
 
 
 def documented_families() -> list:
@@ -229,6 +249,7 @@ def main() -> int:
 
     pooled_leg()
     cached_leg()
+    mixed_leg()
     print("serve smoke passed")
     return 0
 
@@ -275,13 +296,6 @@ def cached_leg() -> None:
     from repro.yieldsim.engine import SweepEngine
     from repro.yieldsim.scheduler import chip_payload, payload_digest
 
-    def engine_stats(base: str) -> dict:
-        with urllib.request.urlopen(base + "/stats", timeout=30) as response:
-            return json.loads(response.read())["engine"]
-
-    def answer(payload: dict) -> dict:
-        return {k: v for k, v in payload.items() if k != "coalesced"}
-
     body = {
         "kind": "survival", "param": 0.95, "runs": RUNS, "seed": SEED,
         "design": "DTMB(2,6)", "n": 60,
@@ -315,6 +329,41 @@ def cached_leg() -> None:
     print(
         f"cached server OK: {HITS} repeats of one cold point == its first "
         "answer, all cache hits; chip_digest == offline payload digest"
+    )
+
+
+def mixed_leg() -> None:
+    """Cache hits sent while a cold point computes on another connection."""
+    from repro.serve import BackgroundServer, ServeConfig
+    from repro.yieldsim.engine import SweepEngine
+
+    body = {
+        "kind": "survival", "param": 0.95, "runs": RUNS, "seed": SEED,
+        "design": "DTMB(2,6)", "n": 60,
+    }
+    cold_body = dict(body, runs=MIXED_COLD_RUNS, seed=SEED + 1)
+    cache_dir = tempfile.TemporaryDirectory(prefix="serve-smoke-mixed-")
+    engine = SweepEngine(cache_dir=cache_dir.name)
+    with cache_dir, BackgroundServer(ServeConfig(port=0), engine=engine) as handle:
+        base = f"http://127.0.0.1:{handle.port}"
+        first = post(base, "/points", body)
+        before = engine_stats(base)
+        cold = []
+        thread = threading.Thread(
+            target=lambda: cold.append(post(base, "/points", cold_body))
+        )
+        thread.start()
+        for _ in range(HITS):
+            repeat = post(base, "/points", body)
+            assert answer(repeat) == answer(first), (repeat, first)
+        thread.join(timeout=600)
+        assert cold and cold[0]["trials"] == MIXED_COLD_RUNS, cold
+        after = engine_stats(base)
+        assert after["cache_hits"] - before["cache_hits"] == HITS, (before, after)
+        assert after["cache_misses"] - before["cache_misses"] == 1, (before, after)
+    print(
+        f"mixed server OK: {HITS} repeats during a cold point == the first "
+        "answer, all cache hits; one miss for the cold point"
     )
 
 

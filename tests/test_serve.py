@@ -316,6 +316,18 @@ class GatedEngine(SweepEngine):
         return super().run_points(tasks, on_fold=on_fold)
 
 
+class ThreadRecordingEngine(GatedEngine):
+    """A gated engine that records which thread ran each ``run_points``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.threads = []
+
+    def run_points(self, tasks, on_fold=None):
+        self.threads.append(threading.get_ident())
+        return super().run_points(tasks, on_fold=on_fold)
+
+
 def _wait_until(predicate, timeout=30):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -451,6 +463,151 @@ class TestCacheHits:
                 assert http(url, "/points", HIT_BODIES[0])[0] == 200
             assert engine.cache_hits == 200
             assert len(engine.point_log) == before
+
+    # A hit is answered on the event loop only while no computation holds
+    # the compute lock, and only from the local tier; everything else
+    # takes the worker-thread path.
+
+    def test_hit_during_a_compute_takes_the_thread_path(self, tmp_path):
+        engine = ThreadRecordingEngine(cache_dir=str(tmp_path))
+        engine.gate.set()
+        with BackgroundServer(ServeConfig(port=0), engine=engine) as handle:
+            url = f"http://127.0.0.1:{handle.port}"
+            server = handle.server
+            status, first = http(url, "/points", HIT_BODIES[0])
+            assert status == 200
+            engine.gate.clear()
+            results = {}
+
+            def request(name, body):
+                results[name] = http(url, "/points", body, timeout=300)
+
+            cold = threading.Thread(
+                target=request, args=("cold", HIT_BODIES[1])
+            )
+            cold.start()
+            # The cold point's leader holds the lock, parked at the gate.
+            assert _wait_until(server._compute_lock.locked)
+            hit = threading.Thread(target=request, args=("hit", HIT_BODIES[0]))
+            hit.start()
+            # The hit leads its own entry and waits for the lock.
+            assert _wait_until(lambda: len(server.points) == 2)
+            assert "hit" not in results
+            engine.gate.set()
+            cold.join(timeout=300)
+            hit.join(timeout=300)
+            loop = handle._thread.ident
+        assert results["hit"] == (200, first)
+        assert results["cold"][0] == 200
+        assert engine.cache_hits == 1 and engine.cache_misses == 2
+        assert server.points.leaders == 3 and server.points.followers == 0
+        assert loop not in engine.threads
+
+    def test_sequential_hits_count_one_hit_each(self, tmp_path):
+        hits = 25
+        engine = ThreadRecordingEngine(cache_dir=str(tmp_path))
+        engine.gate.set()
+        with BackgroundServer(ServeConfig(port=0), engine=engine) as handle:
+            url = f"http://127.0.0.1:{handle.port}"
+            status, first = http(url, "/points", HIT_BODIES[0])
+            assert status == 200
+            _, before = http(url, "/stats")
+            for _ in range(hits):
+                assert http(url, "/points", HIT_BODIES[0]) == (200, first)
+            _, after = http(url, "/stats")
+            loop = handle._thread.ident
+        runs = HIT_BODIES[0]["runs"]
+        delta = {
+            field: after["engine"][field] - before["engine"][field]
+            for field in (
+                "cache_hits", "cache_misses", "runs_requested", "runs_effective"
+            )
+        }
+        assert delta == {
+            "cache_hits": hits, "cache_misses": 0,
+            "runs_requested": hits * runs, "runs_effective": hits * runs,
+        }
+        assert after["points"]["computed"] - before["points"]["computed"] == hits
+        assert after["points"]["coalesced"] == before["points"]["coalesced"]
+        # The cold point computed on a worker thread, every hit on the loop.
+        assert engine.threads[0] != loop
+        assert engine.threads[1:] == [loop] * hits
+
+    def test_corrupt_local_entry_recomputes_off_the_loop(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.designs.catalog import DTMB_2_6
+        from repro.designs.interstitial import build_with_primary_count
+        from repro.yieldsim import scheduler
+
+        chip = build_with_primary_count(DTMB_2_6, 60).build()
+        [offline] = SweepEngine().run_points(
+            [EnginePoint(chip, PointSpec("survival", 0.95, RUNS, SEED))]
+        )
+        unit_threads = []
+        real = scheduler.compute_unit
+
+        def recording(*args, **kwargs):
+            unit_threads.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "compute_unit", recording)
+        engine = SweepEngine(cache_dir=str(tmp_path))
+        with BackgroundServer(ServeConfig(port=0), engine=engine) as handle:
+            url = f"http://127.0.0.1:{handle.port}"
+            status, first = http(url, "/points", POINT_BODY)
+            assert status == 200
+            (tmp_path / f"{first['key']}.json").write_bytes(b'{"succ')
+            _, before = http(url, "/stats")
+            assert http(url, "/points", POINT_BODY) == (200, first)
+            _, after = http(url, "/stats")
+            loop = handle._thread.ident
+        assert (first["successes"], first["trials"]) == (
+            offline.successes, offline.trials
+        )
+        assert (
+            after["resilience"]["quarantined"]
+            - before["resilience"]["quarantined"]
+        ) == 1
+        assert after["engine"]["cache_misses"] - before["engine"]["cache_misses"] == 1
+        assert after["engine"]["cache_hits"] == before["engine"]["cache_hits"]
+        assert len(unit_threads) == 2 and loop not in unit_threads
+
+    def test_remote_only_point_is_fetched_off_the_loop(self, tmp_path):
+        from repro.designs.catalog import DTMB_2_6
+        from repro.designs.interstitial import build_with_primary_count
+        from repro.yieldsim.cachestore import MemoryStore
+
+        class RecordingStore(MemoryStore):
+            def __init__(self):
+                super().__init__()
+                self.get_threads = []
+
+            def get(self, key):
+                self.get_threads.append(threading.get_ident())
+                return super().get(key)
+
+        remote = RecordingStore()
+        chip = build_with_primary_count(DTMB_2_6, 60).build()
+        [offline] = SweepEngine(cache_store=remote).run_points(
+            [EnginePoint(chip, PointSpec("survival", 0.95, RUNS, SEED))]
+        )
+        remote.get_threads.clear()
+        engine = SweepEngine(cache_dir=str(tmp_path), cache_store=remote)
+        with BackgroundServer(ServeConfig(port=0), engine=engine) as handle:
+            url = f"http://127.0.0.1:{handle.port}"
+            status, first = http(url, "/points", POINT_BODY)
+            assert status == 200
+            # Now written back to the local tier: a hit that never asks
+            # the remote.
+            assert http(url, "/points", POINT_BODY) == (200, first)
+            loop = handle._thread.ident
+        assert (first["successes"], first["trials"]) == (
+            offline.successes, offline.trials
+        )
+        assert len(remote.get_threads) == 1 and loop not in remote.get_threads
+        assert engine.store_stats.remote_hits == 1
+        assert engine.cache_hits == 2 and engine.cache_misses == 0
 
 
 #: A sharded cold point: four 300-run shards, so a jobs=2 engine runs it
