@@ -108,7 +108,7 @@ class StoreError(SimulationError):
     """A cache store was misconfigured or a transport call failed.
 
     Raised by :mod:`repro.yieldsim.cachestore` implementations; on the
-    engine's read/write path :class:`TieredCache` absorbs it (a remote
+    engine's read/write path the point cache absorbs it (a remote
     failure degrades to a cache miss plus a logged incident), so it only
     propagates for configuration errors or direct store use.
     """

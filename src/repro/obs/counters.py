@@ -154,7 +154,7 @@ class ResilienceStats(Counters):
 
 @dataclass
 class StoreStats(Counters):
-    """Tiered-cache traffic, snapshot/delta'd into manifest provenance."""
+    """Point-cache tier traffic, snapshot/delta'd into manifest provenance."""
 
     #: payloads served by the local tier
     local_hits: int = 0

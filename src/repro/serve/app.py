@@ -921,16 +921,16 @@ class ReproServer:
                 await self._send_error(writer, 404, f"no object {key}")
                 return
             digest = content_digest(payload)
+            tags = {"X-Repro-Digest": digest, "ETag": f'"{digest}"'}
             if headers.get("if-none-match", "").strip('"') == digest:
-                await self._send_json(
-                    writer, 304, {}, headers={"X-Repro-Digest": digest}
+                # A 304 has no content (RFC 9110 §15.4.5): the head only.
+                await self._send(
+                    writer, 304, None, "application/octet-stream", tags
                 )
                 return
             await self._send(
                 writer, 200, b"" if method == "HEAD" else payload,
-                "application/octet-stream",
-                headers={"X-Repro-Digest": digest, "ETag": f'"{digest}"'},
-                length=len(payload),
+                "application/octet-stream", tags, length=len(payload),
             )
             return
         if method == "PUT":
@@ -968,9 +968,10 @@ class ReproServer:
     ) -> None:
         """Write one response head, then ``body``.
 
-        ``body=None`` opens a stream: the head carries no Content-Length
-        and :meth:`_send_line` writes what follows.  ``length`` overrides
-        the Content-Length a HEAD answer advertises for its empty body.
+        ``body=None`` sends the head alone, with no Content-Length: a
+        stream whose lines :meth:`_send_line` writes next, or a 304.
+        ``length`` overrides the Content-Length a HEAD answer advertises
+        for its empty body.
         """
         lines = [
             f"HTTP/1.1 {status} {_HTTP_REASONS.get(status, 'OK')}",

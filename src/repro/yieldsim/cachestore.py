@@ -2,10 +2,10 @@
 
 PR 8 made every compute unit preemption-proof; this module makes the
 *results* shareable.  A :class:`CacheStore` is a tiny object protocol —
-``get``/``put``/``exists``/``list_keys`` over opaque byte payloads keyed
-by hex digests — with one invariant across every implementation: **a
-reader sees either nothing or a complete, digest-verified payload, never
-a torn or silently corrupted one.**  Four stores implement it:
+``get``/``put`` over opaque byte payloads keyed by hex digests — with one
+invariant across every implementation: **a reader sees either nothing or
+a complete, digest-verified payload, never a torn or silently corrupted
+one.**  Four stores implement it:
 
 :class:`LocalStore`
     Today's on-disk point-cache layout (``<dir>/<key>.json``), extracted
@@ -36,15 +36,13 @@ a torn or silently corrupted one.**  Four stores implement it:
     A dict.  The local tier when no cache directory is configured, and
     the workhorse of the test suite.
 
-:class:`TieredCache` composes a local tier in front of a remote store:
-reads go through the local tier, fall back to the remote, and write the
-remote's answer back locally; writes land in both.  Every remote failure
-— connection refused, timeout, HTTP 5xx, a corrupt payload — degrades to
-a **miss plus a logged incident** (``StoreStats.remote_errors``, folded
-into :class:`~repro.yieldsim.resilience.ResilienceStats` and the manifest
-provenance), never an exception: a dead remote costs recomputation, not
-the run.  The chaos lane checks that contract by wrapping a store in
-the fault-injecting double of ``tests/chaos.py``.
+The tiers themselves live in
+:class:`~repro.yieldsim.scheduler.PointCache`: a local store in front
+of an optional remote one, where every remote failure — connection
+refused, timeout, HTTP 5xx, a corrupt payload — degrades to a **miss
+plus a logged incident** (``StoreStats.remote_errors``, folded into
+:class:`~repro.yieldsim.resilience.ResilienceStats` and the manifest
+provenance), never an exception.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ import logging
 import os
 import urllib.error
 import urllib.request
-from typing import Callable, Dict, List, Optional, Protocol, runtime_checkable
+from typing import Dict, List, Optional, Protocol, runtime_checkable
 
 from repro.errors import StoreError
 from repro.obs.counters import ResilienceStats, StoreStats
@@ -68,7 +66,6 @@ __all__ = [
     "MemoryStore",
     "SharedFSStore",
     "StoreStats",
-    "TieredCache",
     "content_digest",
     "decode_entry",
     "encode_entry",
@@ -157,13 +154,6 @@ def decode_entry(blob: bytes) -> Optional[Dict[str, object]]:
     return data
 
 
-def entry_validator(key: str, blob: bytes) -> bool:
-    """Tier validator for point-cache traffic: the blob must be a valid
-    self-verifying entry.  Garbage from a faulty remote fails here and is
-    counted as a remote error instead of being written back locally."""
-    return decode_entry(blob) is not None
-
-
 # -- the protocol -------------------------------------------------------------
 
 @runtime_checkable
@@ -172,7 +162,7 @@ class CacheStore(Protocol):
 
     ``get`` returns a complete verified payload or ``None`` — it never
     raises on corrupt data (local stores quarantine and miss; transports
-    may raise on *transport* failure, which :class:`TieredCache` absorbs).
+    may raise on *transport* failure, which the point cache absorbs).
     ``put`` atomically stores a payload and returns ``True`` iff this
     call wrote it; on shared media it is put-if-absent, so concurrent
     writers of the same key converge on one object.
@@ -183,10 +173,6 @@ class CacheStore(Protocol):
     def get(self, key: str) -> Optional[bytes]: ...
 
     def put(self, key: str, data: bytes) -> bool: ...
-
-    def exists(self, key: str) -> bool: ...
-
-    def list_keys(self) -> List[str]: ...
 
 
 # -- implementations ----------------------------------------------------------
@@ -206,12 +192,6 @@ class MemoryStore:
         self._objects[_check_key(key)] = bytes(data)
         return True
 
-    def exists(self, key: str) -> bool:
-        return _check_key(key) in self._objects
-
-    def list_keys(self) -> List[str]:
-        return sorted(self._objects)
-
 
 class LocalStore:
     """The historical per-run cache directory, as a store.
@@ -220,8 +200,8 @@ class LocalStore:
     ``<dir>/<key><suffix>`` holding a self-verifying canonical JSON entry.
     The point cache keeps its entries under the default ``.json`` suffix
     and journals its fold checkpoints through a second store over the
-    same directory with ``suffix=".ckpt.json"``; the two key families
-    never list each other (a key is plain hex, so ``<key>.ckpt`` is not
+    same directory with ``suffix=".ckpt.json"``; the two never touch
+    each other's files (a key is plain hex, so ``<key>.ckpt`` is not
     one).  ``get`` verifies the embedded digest and quarantines anything
     else (renamed ``*.corrupt``, counted in ``stats.quarantined`` and
     logged as a ``quarantine`` event), so a legacy cache directory
@@ -295,21 +275,6 @@ class LocalStore:
             os.unlink(self._path(key))
         except OSError:
             pass
-
-    def exists(self, key: str) -> bool:
-        return os.path.isfile(self._path(key))
-
-    def list_keys(self) -> List[str]:
-        try:
-            names = os.listdir(self.root)
-        except OSError:
-            return []
-        cut = len(self.suffix)
-        return sorted(
-            name[:-cut]
-            for name in names
-            if name.endswith(self.suffix) and valid_key(name[:-cut])
-        )
 
 
 def _envelope(data: bytes) -> bytes:
@@ -409,9 +374,6 @@ class SharedFSStore:
                 except OSError:
                     pass
 
-    def exists(self, key: str) -> bool:
-        return os.path.isfile(self._path(key))
-
     def list_keys(self) -> List[str]:
         objects = os.path.join(self.root, "objects")
         found: List[str] = []
@@ -437,7 +399,8 @@ class HTTPStore:
     ``X-Repro-Digest`` so the server can reject a truncated body;
     ``get`` re-hashes the downloaded bytes against the digest the server
     declared.  Transport and server failures raise :class:`StoreError`
-    (for :class:`TieredCache` to absorb); a 404 is a plain miss.
+    (for the point cache to absorb); a 404 is a plain miss.  ``exists``
+    is the HEAD ``put`` sends first.
     """
 
     name = "http"
@@ -460,8 +423,8 @@ class HTTPStore:
         try:
             return urllib.request.urlopen(req, timeout=self.timeout)
         except urllib.error.HTTPError as exc:
+            exc.close()  # an error response holds its socket open
             if exc.code == 404:
-                exc.close()
                 return None
             raise StoreError(
                 f"{method} {url} failed: HTTP {exc.code}"
@@ -504,125 +467,10 @@ class HTTPStore:
         response.close()
         return True
 
-    def list_keys(self) -> List[str]:
-        response = self._request("GET", f"{self.base_url}/cache/keys")
-        if response is None:
-            return []
-        with response:
-            try:
-                payload = json.loads(response.read())
-            except ValueError as exc:
-                raise StoreError("cache key listing corrupt") from exc
-        keys = payload.get("keys", []) if isinstance(payload, dict) else []
-        return sorted(k for k in keys if valid_key(k))
-
-
-# -- the tiered cache ---------------------------------------------------------
-
-class TieredCache:
-    """Local read-through tier in front of a remote store.
-
-    * ``get``: local hit wins; on a local miss the remote is consulted
-      and its (validated) answer written back to the local tier.
-    * ``put``: lands in the local tier and is uploaded to the remote
-      (put-if-absent, so a warm fleet uploads each object once).
-    * Every remote failure — transport error, server error, corrupt
-      payload — is caught, counted (``stats.remote_errors``, folded into
-      ``resilience.remote_errors``) and logged; the call degrades to a
-      miss.  The compute path never sees an exception from the remote.
-
-    ``validator(key, blob) -> bool`` guards what the remote may inject
-    into the local tier; the engine passes :func:`entry_validator` so a
-    garbage body can never be written back as a point entry.
-    """
-
-    name = "tiered"
-
-    def __init__(
-        self,
-        local: CacheStore,
-        remote: CacheStore,
-        *,
-        stats: Optional[StoreStats] = None,
-        resilience: Optional[ResilienceStats] = None,
-        validator: Optional[Callable[[str, bytes], bool]] = None,
-    ) -> None:
-        self.local = local
-        self.remote = remote
-        self.stats = stats if stats is not None else StoreStats()
-        self.resilience = resilience
-        self.validator = validator
-
-    def _incident(self, op: str, key: str, detail: str) -> None:
-        self.stats.remote_errors += 1
-        if self.resilience is not None:
-            self.resilience.remote_errors += 1
-        store = getattr(self.remote, "name", "store")
-        log_event(
-            log, "remote_error", level=logging.WARNING,
-            msg=(
-                f"remote cache {store} {op} on {key} "
-                f"degraded to miss: {detail}"
-            ),
-            store=store, op=op, key=key[:16], error=detail,
-        )
-
-    def _valid(self, key: str, blob: bytes) -> bool:
-        return self.validator is None or self.validator(key, blob)
-
-    def get(self, key: str) -> Optional[bytes]:
-        blob = self.local.get(key)
-        if blob is not None and self._valid(key, blob):
-            self.stats.local_hits += 1
-            return blob
-        self.stats.local_misses += 1
-        try:
-            blob = self.remote.get(key)
-        except Exception as exc:
-            self._incident("get", key, repr(exc))
-            return None
-        if blob is None:
-            self.stats.remote_misses += 1
-            return None
-        if not self._valid(key, blob):
-            self._incident("get", key, "payload failed validation")
-            return None
-        self.stats.remote_hits += 1
-        self.stats.bytes_down += len(blob)
-        self.local.put(key, blob)
-        return blob
-
-    def put(self, key: str, data: bytes) -> bool:
-        stored = self.local.put(key, data)
-        try:
-            if self.remote.put(key, data):
-                self.stats.uploads += 1
-                self.stats.bytes_up += len(data)
-        except Exception as exc:
-            self._incident("put", key, repr(exc))
-        return stored
-
-    def exists(self, key: str) -> bool:
-        if self.local.exists(key):
-            return True
-        try:
-            return self.remote.exists(key)
-        except Exception as exc:
-            self._incident("exists", key, repr(exc))
-            return False
-
-    def list_keys(self) -> List[str]:
-        keys = set(self.local.list_keys())
-        try:
-            keys.update(self.remote.list_keys())
-        except Exception as exc:
-            self._incident("list", "*", repr(exc))
-        return sorted(keys)
-
 
 # -- URL dispatch -------------------------------------------------------------
 
-def store_from_url(url: str, timeout: float = 10.0) -> CacheStore:
+def store_from_url(url: str) -> CacheStore:
     """The store a ``--cache-url`` names.
 
     ``http://`` / ``https://`` → :class:`HTTPStore`;
@@ -632,7 +480,7 @@ def store_from_url(url: str, timeout: float = 10.0) -> CacheStore:
     if not isinstance(url, str) or not url:
         raise StoreError(f"invalid cache url {url!r}")
     if url.startswith(("http://", "https://")):
-        return HTTPStore(url, timeout=timeout)
+        return HTTPStore(url)
     if url.startswith("memory://"):
         return MemoryStore()
     if url.startswith("file://"):

@@ -7,10 +7,11 @@ Since the scheduler/executor split it is a thin facade over two layers:
 
 * :mod:`repro.yieldsim.scheduler` — the pure
   :class:`~repro.yieldsim.scheduler.PointScheduler`: chip payload
-  canonicalization, point-cache key derivation and the on-disk
-  :class:`~repro.yieldsim.scheduler.PointCache`, per-point fold plans,
-  compute-unit grouping, and the one strict in-order fold loop with
-  stop-rule speculation for adaptive points.
+  canonicalization, point-cache key derivation and the
+  :class:`~repro.yieldsim.scheduler.PointCache` with its local and
+  remote tiers, per-point fold plans, compute-unit grouping, and the
+  one strict in-order fold loop with stop-rule speculation for adaptive
+  points.
 * :mod:`repro.yieldsim.executors` — *where* compute units run: the
   :class:`~repro.yieldsim.executors.Executor` protocol with
   :class:`~repro.yieldsim.executors.SerialExecutor` (in-process),
@@ -83,14 +84,7 @@ import numpy as np
 
 from repro.chip.biochip import Biochip
 from repro.errors import SimulationError
-from repro.yieldsim.cachestore import (
-    CacheStore,
-    LocalStore,
-    MemoryStore,
-    StoreStats,
-    TieredCache,
-    entry_validator,
-)
+from repro.yieldsim.cachestore import CacheStore, StoreStats
 from repro.obs.trace import Tracer
 from repro.yieldsim.executors import Executor, default_executor
 from repro.yieldsim.kernel import PointSpec, ScreenStats
@@ -229,15 +223,14 @@ class SweepEngine:
         point cache itself.
     cache_store:
         A remote :class:`~repro.yieldsim.cachestore.CacheStore` (shared
-        filesystem or HTTP) layered behind the local cache as a
-        :class:`~repro.yieldsim.cachestore.TieredCache`: point reads
-        fall through to it, point writes are uploaded put-if-absent, so
-        a fleet of engines reuses each other's points.  Works with or
-        without ``cache_dir`` (without one, the local tier is in-memory
-        for the life of the engine).  A dead or corrupt remote degrades
-        to misses plus counted incidents (:attr:`store_stats`), never an
-        exception — and never changes any number.  Checkpoints stay
-        local-only.
+        filesystem or HTTP), the point cache's second tier: a local
+        miss reads through to it, point writes are uploaded
+        put-if-absent, so a fleet of engines reuses each other's points.
+        Works with or without ``cache_dir`` (without one, the local tier
+        is in-memory for the life of the engine).  A dead or corrupt
+        remote degrades to misses plus counted incidents
+        (:attr:`store_stats`), never an exception — and never changes
+        any number.  Checkpoints stay local-only.
     tracer:
         An :class:`~repro.obs.trace.Tracer` to record the unit lifecycle
         (points, chunks/shards, retries, folds, cache traffic) as Chrome
@@ -278,24 +271,10 @@ class SweepEngine:
         self.resilience = ResilienceStats()
         #: tier traffic counters (all zero unless a cache_store is set)
         self.store_stats = StoreStats()
-        store: Optional[CacheStore] = None
-        if cache_store is not None:
-            local: CacheStore = (
-                LocalStore(cache_dir, stats=self.resilience)
-                if cache_dir is not None
-                else MemoryStore()
-            )
-            store = TieredCache(
-                local,
-                cache_store,
-                stats=self.store_stats,
-                resilience=self.resilience,
-                validator=entry_validator,
-            )
         #: the pure scheduling core (key derivation, cache, fold order)
         self.cache = PointCache(
             cache_dir, np.dtype(dtype).name, stats=self.resilience,
-            store=store,
+            remote=cache_store, store_stats=self.store_stats,
         )
         self.scheduler = PointScheduler(
             self.cache, dtype=dtype, shard_runs=shard_runs,

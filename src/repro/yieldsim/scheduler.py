@@ -3,7 +3,8 @@
 This module is the scheduling half of the engine split.  It owns
 everything that determines *what* a sweep computes and in *what order*
 results fold together — chip payload canonicalization and digests,
-point-cache key derivation and the on-disk :class:`PointCache`, per-point
+point-cache key derivation and the :class:`PointCache` (a local tier
+over the cache directory in front of an optional remote store), per-point
 fold plans (one fold for a flat point, the shard plan for a sharded or
 adaptive one), compute-unit grouping, and the one strict in-order fold
 loop with stop-rule speculation for adaptive points.  It owns nothing about
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
+import logging
 import time
 import weakref
 from collections import deque
@@ -54,12 +55,12 @@ from repro.errors import SimulationError
 from repro.geometry.hex import Hex
 from repro.geometry.square import Square
 from repro.obs import profile as _profile
-from repro.obs.counters import CriterionStats, ScreenStats
+from repro.obs.counters import CriterionStats, ScreenStats, StoreStats
 from repro.obs.events import get_logger, log_event
 from repro.yieldsim.cachestore import (
     CacheStore,
     LocalStore,
-    TieredCache,
+    MemoryStore,
     decode_entry,
     encode_entry,
 )
@@ -93,6 +94,7 @@ __all__ = [
 ]
 
 _log = get_logger("scheduler")
+_store_log = get_logger("cachestore")
 
 #: Bump when the kernel/sampling semantics change, to invalidate caches.
 ENGINE_VERSION = 1
@@ -281,10 +283,10 @@ class EnginePoint:
     stop: Optional[StopRule] = None
 
 
-# -- the on-disk point cache --------------------------------------------------
+# -- the point cache and its tiers -------------------------------------------
 
 class PointCache:
-    """Content-addressed on-disk store of computed points.
+    """Content-addressed store of computed points, in up to two tiers.
 
     One small JSON file per point, keyed by a SHA-256 digest of
     (chip payload digest, regime, parameter, runs, seed, dtype, engine
@@ -293,20 +295,27 @@ class PointCache:
     the request/response identity of a point: the serving layer coalesces
     concurrent identical requests by exactly this string.
 
-    ``dir=None`` disables storage but keeps key derivation available;
-    hits/misses counters then stay zero, matching the engine's historical
-    accounting (misses are only counted when a cache is actually on).
-
-    Entry storage is delegated to a
-    :class:`~repro.yieldsim.cachestore.CacheStore`: by default a
+    The cache owns its tiers.  ``local`` is a
     :class:`~repro.yieldsim.cachestore.LocalStore` over ``cache_dir``
-    (byte-identical to the historical layout), but the engine can inject
-    a :class:`~repro.yieldsim.cachestore.TieredCache` to read through to
-    a shared remote store.  Fold checkpoints are deliberately **not**
-    routed through that store: they are mid-flight private state of one
-    run, meaningless to a fleet, and are journaled through a second
-    :class:`~repro.yieldsim.cachestore.LocalStore` over ``dir`` with the
-    ``.ckpt.json`` suffix.
+    (byte-identical to the historical layout), a
+    :class:`~repro.yieldsim.cachestore.MemoryStore` when only a
+    ``remote`` is set, or ``None``: then storage is off but key
+    derivation stays available, and hits/misses stay zero (misses are
+    only counted when a cache is actually on).  ``remote`` is an
+    optional shared :class:`~repro.yieldsim.cachestore.CacheStore`:
+    :meth:`load` reads the local tier first and on a miss reads the
+    remote, validates its entry and writes it back locally; :meth:`store`
+    writes locally, then uploads put-if-absent.  Every remote exception
+    or invalid body degrades to a miss plus one ``remote_error``
+    incident (``store_stats.remote_errors`` and ``stats.remote_errors``,
+    logged on ``repro.cachestore``); the compute path never sees it.
+    ``store_stats`` counts the tier traffic and moves only with a remote.
+
+    Fold checkpoints are deliberately **not** sent to the remote: they
+    are mid-flight private state of one run, meaningless to a fleet, and
+    are journaled through ``checkpoints``, a second
+    :class:`~repro.yieldsim.cachestore.LocalStore` over ``cache_dir``
+    with the ``.ckpt.json`` suffix.
 
     Every entry carries a content digest, verified on load: a truncated,
     bit-rotted or hand-edited file is *quarantined* (renamed ``*.corrupt``,
@@ -321,30 +330,24 @@ class PointCache:
     """
 
     def __init__(self, cache_dir: Optional[str], dtype_name: str,
-                 version: int = ENGINE_VERSION,
                  stats: Optional[ResilienceStats] = None,
-                 store: Optional["CacheStore"] = None):
-        if cache_dir is not None and os.path.exists(cache_dir) and not os.path.isdir(cache_dir):
-            raise SimulationError(
-                f"cache path {cache_dir!r} exists and is not a directory"
-            )
-        self.dir = cache_dir
+                 remote: Optional[CacheStore] = None,
+                 store_stats: Optional[StoreStats] = None):
         self.dtype_name = dtype_name
-        self.version = version
         self.hits = 0
         self.misses = 0
         self.stats = stats if stats is not None else ResilienceStats()
-        if store is not None:
-            self.backend: Optional[CacheStore] = store
-        elif cache_dir is not None:
-            self.backend = LocalStore(cache_dir, stats=self.stats)
-        else:
-            self.backend = None
-        self.checkpoints: Optional[LocalStore] = (
-            LocalStore(cache_dir, stats=self.stats, suffix=".ckpt.json")
-            if cache_dir is not None
-            else None
-        )
+        self.store_stats = store_stats if store_stats is not None else StoreStats()
+        self.remote = remote
+        self.local: Optional[CacheStore] = None
+        self.checkpoints: Optional[LocalStore] = None
+        if cache_dir is not None:
+            self.local = LocalStore(cache_dir, stats=self.stats)
+            self.checkpoints = LocalStore(
+                cache_dir, stats=self.stats, suffix=".ckpt.json"
+            )
+        elif remote is not None:
+            self.local = MemoryStore()
 
     # -- keys -----------------------------------------------------------------
     def key(
@@ -361,7 +364,7 @@ class PointCache:
             "runs": spec.runs,
             "seed": spec.seed,
             "dtype": self.dtype_name,
-            "version": self.version,
+            "version": ENGINE_VERSION,
         }
         if spec.model is not None:
             # The model's content digest keys the distribution: two models
@@ -391,61 +394,80 @@ class PointCache:
         """Cached ``(successes, effective trials)`` for a point, if valid.
 
         A non-hit counts as a miss (the point will have to be computed);
-        with no cache directory nothing is counted at all.
+        with no cache at all nothing is counted.
         """
-        if self.backend is None:
+        if self.local is None:
             return None
-        entry = self._read(self.backend, key, spec, batched)
-        if entry is None:
+        found = None
+        # A seedless batched point has fresh entropy every time; a cache
+        # entry for it would be a false hit, so no tier is read.
+        if not (batched and spec.seed is None):
+            found = _cached_point(self._fetch(key), spec, batched)
+        if found is None:
             self.misses += 1
             return None
         self.hits += 1
-        return entry
+        return found
 
     def peek_local(
         self, key: str, spec: PointSpec, batched: bool = False
     ) -> Optional[Tuple[int, int]]:
         """What :meth:`load` would find in the local tier, counting nothing.
 
-        Reads a :class:`~repro.yieldsim.cachestore.TieredCache`'s local
-        tier only, so no remote store is ever contacted.  A corrupt local
-        file quarantines exactly as a load would, and the load that
-        follows then counts its miss.
+        No remote store is ever contacted.  A corrupt local file
+        quarantines exactly as a load would, and the load that follows
+        then counts its miss.
         """
-        if self.backend is None:
+        if self.local is None or (batched and spec.seed is None):
             return None
-        store = self.backend
-        if isinstance(store, TieredCache):
-            store = store.local
-        return self._read(store, key, spec, batched)
-
-    def _read(
-        self, store: "CacheStore", key: str, spec: PointSpec, batched: bool
-    ) -> Optional[Tuple[int, int]]:
-        if batched and spec.seed is None:
-            # A seedless batched point has fresh entropy every time; a
-            # cache entry for it would be a false hit.
-            return None
-        blob = store.get(key)
+        blob = self.local.get(key)
         if blob is None:
             return None
-        # The store verified transport/storage integrity; decode_entry
-        # re-checks the embedded digest (the safety net for tiers that
-        # store arbitrary bytes) before semantic validation below.
+        return _cached_point(decode_entry(blob), spec, batched)
+
+    def _fetch(self, key: str) -> Optional[Dict[str, object]]:
+        """The decoded entry under ``key``: local tier, then the remote.
+
+        A valid remote entry is written back to the local tier.  Its body
+        is decoded once, and that dict is what the caller checks.
+        """
+        blob = self.local.get(key)  # type: ignore[union-attr]
+        if self.remote is None:
+            return decode_entry(blob) if blob is not None else None
+        if blob is not None:
+            self.store_stats.local_hits += 1
+            return decode_entry(blob)
+        self.store_stats.local_misses += 1
+        try:
+            blob = self.remote.get(key)
+        except Exception as exc:
+            self._incident("get", key, repr(exc))
+            return None
+        if blob is None:
+            self.store_stats.remote_misses += 1
+            return None
         data = decode_entry(blob)
         if data is None:
+            self._incident("get", key, "payload failed validation")
             return None
-        try:
-            successes = data["successes"]
-            trials = data["trials"]
-            if batched:
-                if data["requested"] != spec.runs or not 0 <= successes <= trials <= spec.runs:
-                    return None
-            elif trials != spec.runs or not 0 <= successes <= spec.runs:
-                return None
-            return int(successes), int(trials)
-        except (ValueError, KeyError, TypeError):
-            return None
+        self.store_stats.remote_hits += 1
+        self.store_stats.bytes_down += len(blob)
+        self.local.put(key, blob)  # type: ignore[union-attr]
+        return data
+
+    def _incident(self, op: str, key: str, detail: str) -> None:
+        """Count and log one remote failure that degraded to a miss."""
+        self.store_stats.remote_errors += 1
+        self.stats.remote_errors += 1
+        store = self.remote.name  # type: ignore[union-attr]
+        log_event(
+            _store_log, "remote_error", level=logging.WARNING,
+            msg=(
+                f"remote cache {store} {op} on {key} "
+                f"degraded to miss: {detail}"
+            ),
+            store=store, op=op, key=key[:16], error=detail,
+        )
 
     def store(
         self,
@@ -456,7 +478,7 @@ class PointCache:
         batched: bool = False,
         stop: Optional[StopRule] = None,
     ) -> None:
-        if self.backend is None or (batched and spec.seed is None):
+        if self.local is None or (batched and spec.seed is None):
             return
         entry: Dict[str, object] = {
             "successes": successes,
@@ -464,12 +486,21 @@ class PointCache:
             "kind": spec.kind,
             "param": spec.param,
             "seed": spec.seed,
-            "version": self.version,
+            "version": ENGINE_VERSION,
         }
         if batched:
             entry["requested"] = spec.runs
             entry["stop"] = stop.digest() if stop is not None else None
-        self.backend.put(key, encode_entry(entry))
+        blob = encode_entry(entry)
+        self.local.put(key, blob)
+        if self.remote is None:
+            return
+        try:
+            if self.remote.put(key, blob):
+                self.store_stats.uploads += 1
+                self.store_stats.bytes_up += len(blob)
+        except Exception as exc:
+            self._incident("put", key, repr(exc))
 
     # -- fold checkpoints ------------------------------------------------------
     def load_checkpoint(
@@ -526,13 +557,32 @@ class PointCache:
             "trials": outcome.trials,
             "stats": outcome.screen.as_dict(),
             "crit": outcome.funnel.as_dict() if outcome.funnel is not None else None,
-            "version": self.version,
+            "version": ENGINE_VERSION,
         }))
 
     def clear_checkpoint(self, key: str) -> None:
         """Drop a point's checkpoint (it completed; the final entry rules)."""
         if self.checkpoints is not None:
             self.checkpoints.delete(key)
+
+
+def _cached_point(
+    data: Optional[Dict[str, object]], spec: PointSpec, batched: bool
+) -> Optional[Tuple[int, int]]:
+    """``(successes, trials)`` of a decoded entry iff it answers ``spec``."""
+    if data is None:
+        return None
+    try:
+        successes = data["successes"]
+        trials = data["trials"]
+        if batched:
+            if data["requested"] != spec.runs or not 0 <= successes <= trials <= spec.runs:
+                return None
+        elif trials != spec.runs or not 0 <= successes <= spec.runs:
+            return None
+        return int(successes), int(trials)
+    except (ValueError, KeyError, TypeError):
+        return None
 
 
 # -- result validation --------------------------------------------------------

@@ -283,9 +283,3 @@ class FaultInjectingStore:
             self.injected["put_truncate"] += 1
             data = data[: max(1, len(data) // 2)]
         return self.inner.put(key, data)
-
-    def exists(self, key: str) -> bool:
-        return self.inner.exists(key)
-
-    def list_keys(self) -> List[str]:
-        return self.inner.list_keys()

@@ -202,7 +202,8 @@ def main() -> int:
         assert store.put(key, payload) is False  # put-if-absent over HTTP
         assert store.get(key) == payload
         assert store.exists(key)
-        assert key in store.list_keys()
+        with urllib.request.urlopen(base + "/cache/keys", timeout=30) as response:
+            assert key in json.loads(response.read())["keys"]
         assert SharedFSStore(objects_dir).get(key) == payload, (
             "object served over HTTP must be readable off the FS tree"
         )

@@ -3,9 +3,9 @@
 Three contracts are under test here:
 
 * **Store conformance** — every :class:`CacheStore` implementation
-  (memory, local, shared-FS, HTTP, tiered) agrees on get/put/exists/
-  list_keys semantics, and a reader sees either nothing or a complete
-  digest-verified payload.
+  (memory, local, shared-FS, HTTP) agrees on get/put semantics, and a
+  reader sees either nothing or a complete digest-verified payload; the
+  point cache's tiers read through, write back and upload once.
 * **Key discipline** — point-cache keys are canonical: equal idents
   collide, any differing ident field separates, and the entry encoding
   round-trips while any byte flip reads as a miss (Hypothesis-driven).
@@ -17,8 +17,11 @@ Three contracts are under test here:
 
 from __future__ import annotations
 
+import http.server
 import json
 import os
+import threading
+import urllib.error
 
 import pytest
 from hypothesis import given, settings
@@ -32,12 +35,10 @@ from repro.yieldsim.cachestore import (
     MemoryStore,
     SharedFSStore,
     StoreStats,
-    TieredCache,
     content_digest,
     decode_entry,
     encode_entry,
     entry_digest,
-    entry_validator,
     store_from_url,
     valid_key,
 )
@@ -45,6 +46,7 @@ from repro.yieldsim.engine import SweepEngine
 from repro.yieldsim.executors import InlineExecutor
 from repro.yieldsim.kernel import PointSpec
 from repro.yieldsim.resilience import ResilienceStats
+from repro.yieldsim import scheduler
 from repro.yieldsim.scheduler import PointCache
 from repro.yieldsim.stats import StopRule
 
@@ -70,7 +72,7 @@ def flat_estimates(chip, engine=None):
 
 # -- store conformance --------------------------------------------------------
 
-@pytest.fixture(params=["memory", "local", "sharedfs", "tiered", "http"])
+@pytest.fixture(params=["memory", "local", "sharedfs", "http"])
 def store(request, tmp_path):
     """Each CacheStore implementation, behind one protocol."""
     kind = request.param
@@ -80,8 +82,6 @@ def store(request, tmp_path):
         yield LocalStore(str(tmp_path / "local"))
     elif kind == "sharedfs":
         yield SharedFSStore(str(tmp_path / "shared"))
-    elif kind == "tiered":
-        yield TieredCache(MemoryStore(), SharedFSStore(str(tmp_path / "remote")))
     else:
         config = ServeConfig(port=0, cache_objects=str(tmp_path / "objects"))
         with BackgroundServer(config) as server:
@@ -92,8 +92,6 @@ class TestConformance:
     def test_absent_key_is_a_plain_miss(self, store):
         key = key_of(b"never stored")
         assert store.get(key) is None
-        assert not store.exists(key)
-        assert key not in store.list_keys()
 
     def test_round_trip_is_byte_exact(self, store):
         payloads = {key_of(entry_bytes(i)): entry_bytes(i) for i in range(4)}
@@ -101,8 +99,6 @@ class TestConformance:
             assert store.put(key, data)
         for key, data in payloads.items():
             assert store.get(key) == data
-            assert store.exists(key)
-        assert set(store.list_keys()) >= set(payloads)
 
     def test_repeat_put_never_changes_the_object(self, store):
         data = entry_bytes(7)
@@ -209,6 +205,33 @@ class TestHTTPStore:
         with pytest.raises(StoreError):
             store.put(key, b"anything")
 
+    def test_error_responses_release_their_socket(self):
+        class Busy(http.server.BaseHTTPRequestHandler):
+            def do_GET(self):
+                self.send_response(503)
+                self.send_header("Content-Length", "4")
+                self.end_headers()
+                self.wfile.write(b"busy")
+
+            def log_message(self, *args):
+                pass
+
+        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Busy)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            store = HTTPStore(f"http://127.0.0.1:{server.server_address[1]}")
+            with pytest.raises(StoreError) as excinfo:
+                store.get(key_of(b"anything"))
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=30)
+        response = excinfo.value.__cause__
+        assert isinstance(response, urllib.error.HTTPError)
+        assert response.code == 503
+        assert response.closed
+
     def test_server_tree_is_a_plain_sharedfs_store(self, tmp_path):
         config = ServeConfig(port=0, cache_objects=str(tmp_path))
         data = entry_bytes(6)
@@ -235,79 +258,109 @@ class TestStoreFromUrl:
             store_from_url("file://")
 
 
-# -- tiered semantics ---------------------------------------------------------
+# -- the point cache's tiers --------------------------------------------------
+
+SPEC = PointSpec(kind="survival", param=0.93, runs=200, seed=5)
+
+
+def tiered(remote, **kwargs):
+    """A point cache with an in-memory local tier in front of ``remote``."""
+    cache = PointCache(None, "float32", remote=remote, **kwargs)
+    return cache, cache.key("ab" * 8, SPEC)
+
+
+class DeadStore:
+    name = "dead"
+
+    def get(self, key):
+        raise StoreError("connection refused")
+
+    def put(self, key, data):
+        raise StoreError("connection refused")
+
 
 class TestTieredCache:
-    def test_read_through_writes_back_once(self):
-        local, remote = MemoryStore(), MemoryStore()
-        stats = StoreStats()
-        tier = TieredCache(local, remote, stats=stats)
-        data = entry_bytes(8)
-        key = key_of(data)
-        remote.put(key, data)
+    """The point cache's local tier in front of a remote store."""
 
-        assert tier.get(key) == data  # remote hit, written back
-        assert local.get(key) == data
-        assert tier.get(key) == data  # now a local hit
-        assert stats.as_dict() == {
+    def test_read_through_writes_back_once(self):
+        remote = MemoryStore()
+        writer, key = tiered(remote)
+        writer.store(key, SPEC, 37, 200)
+        data = remote.get(key)
+
+        cache, _ = tiered(remote)
+        assert cache.load(key, SPEC) == (37, 200)  # remote hit, written back
+        assert cache.local.get(key) == data
+        assert cache.load(key, SPEC) == (37, 200)  # now a local hit
+        assert cache.store_stats.as_dict() == {
             "local_hits": 1, "local_misses": 1, "remote_hits": 1,
             "remote_misses": 0, "remote_errors": 0, "uploads": 0,
             "bytes_up": 0, "bytes_down": len(data),
         }
+        assert (cache.hits, cache.misses) == (2, 0)
 
     def test_put_uploads_once_per_object(self, tmp_path):
-        stats = StoreStats()
-        tier = TieredCache(
-            MemoryStore(), SharedFSStore(str(tmp_path)), stats=stats
-        )
-        data = entry_bytes(9)
-        key = key_of(data)
-        assert tier.put(key, data)
-        assert tier.put(key, data)  # already remote: no second upload
-        assert stats.uploads == 1
-        assert stats.bytes_up == len(data)
+        cache, key = tiered(SharedFSStore(str(tmp_path)))
+        cache.store(key, SPEC, 37, 200)
+        cache.store(key, SPEC, 37, 200)  # already remote: no second upload
+        assert cache.store_stats.uploads == 1
+        assert cache.store_stats.bytes_up == len(cache.local.get(key))
 
     def test_validator_blocks_garbage_write_back(self):
-        local, remote = MemoryStore(), MemoryStore()
-        stats = StoreStats()
+        remote = MemoryStore()
         resilience = ResilienceStats()
-        tier = TieredCache(
-            local, remote, stats=stats, resilience=resilience,
-            validator=entry_validator,
-        )
-        key = key_of(b"garbage target")
+        cache, key = tiered(remote, stats=resilience)
         remote.put(key, b"\x00not an entry")
-        assert tier.get(key) is None
-        assert local.get(key) is None  # never written back
-        assert stats.remote_errors == 1
+        assert cache.load(key, SPEC) is None
+        assert cache.local.get(key) is None  # never written back
+        assert cache.store_stats.remote_errors == 1
         assert resilience.remote_errors == 1
+        assert cache.misses == 1
 
     def test_remote_exceptions_degrade_to_miss(self):
-        class DeadStore:
-            name = "dead"
+        cache, key = tiered(DeadStore())
+        assert cache.load(key, SPEC) is None
+        cache.store(key, SPEC, 37, 200)  # the local write still lands
+        assert cache.load(key, SPEC) == (37, 200)  # remote never consulted
+        assert cache.store_stats.remote_errors == 2  # get + put
+        assert cache.stats.remote_errors == 2
+        assert (cache.hits, cache.misses) == (1, 1)
 
-            def get(self, key):
-                raise StoreError("connection refused")
+    def test_remote_entry_for_another_budget_is_a_miss(self):
+        remote = MemoryStore()
+        writer, key = tiered(remote)
+        writer.store(key, SPEC, 37, 200)
+        cache, _ = tiered(remote)
+        other = PointSpec(kind="survival", param=0.93, runs=300, seed=5)
+        # A valid entry: fetched and written back, then refused for the
+        # point it was asked for.
+        assert cache.load(key, other) is None
+        assert cache.local.get(key) == remote.get(key)
+        assert cache.store_stats.remote_hits == 1
+        assert (cache.hits, cache.misses) == (0, 1)
 
-            def put(self, key, data):
-                raise StoreError("connection refused")
+    def test_peek_local_never_contacts_the_remote(self):
+        cache, key = tiered(DeadStore())
+        assert cache.peek_local(key, SPEC) is None
+        assert cache.store_stats.as_dict() == StoreStats().as_dict()
+        cache.store(key, SPEC, 37, 200)
+        assert cache.peek_local(key, SPEC) == (37, 200)
+        assert (cache.hits, cache.misses) == (0, 0)
 
-            def exists(self, key):
-                raise StoreError("connection refused")
+    def test_a_remote_hit_decodes_its_body_once(self, monkeypatch):
+        remote = MemoryStore()
+        writer, key = tiered(remote)
+        writer.store(key, SPEC, 37, 200)
+        calls = []
 
-            def list_keys(self):
-                raise StoreError("connection refused")
+        def counting(blob):
+            calls.append(blob)
+            return decode_entry(blob)
 
-        stats = StoreStats()
-        tier = TieredCache(MemoryStore(), DeadStore(), stats=stats)
-        data = entry_bytes(10)
-        key = key_of(data)
-        assert tier.get(key) is None
-        assert tier.put(key, data) is True  # local write still lands
-        assert tier.exists(key) is True  # local answers
-        assert tier.get(key) == data  # local hit, remote never consulted
-        assert tier.list_keys() == [key]
-        assert stats.remote_errors == 3  # get + put + list (exists hit local)
+        monkeypatch.setattr(scheduler, "decode_entry", counting)
+        cache, _ = tiered(remote)
+        assert cache.load(key, SPEC) == (37, 200)
+        assert len(calls) == 1
 
     def test_delta_reports_only_growth(self):
         stats = StoreStats(local_hits=5, uploads=2)
@@ -479,13 +532,12 @@ class TestLegacyCompatibility:
         key = "ef" * 32
         entries.put(key, encode_entry({"kind": "entry"}))
         journals.put(key, encode_entry({"kind": "journal"}))
-        assert (tmp_path / f"{key}.ckpt.json").exists()
-        assert entries.list_keys() == journals.list_keys() == [key]
+        assert sorted(os.listdir(tmp_path)) == [f"{key}.ckpt.json", f"{key}.json"]
         assert decode_entry(journals.get(key)) == {"kind": "journal"}
         journals.delete(key)
         journals.delete(key)  # deleting an absent entry is a no-op
-        assert not journals.exists(key)
-        assert entries.exists(key)
+        assert journals.get(key) is None
+        assert decode_entry(entries.get(key)) == {"kind": "entry"}
 
 
 # -- engine integration -------------------------------------------------------

@@ -1,6 +1,6 @@
 """Chaos lane for the cache transport: a hostile remote changes nothing.
 
-The tiered cache's contract is that the remote store is *pure
+The point cache's contract is that its remote tier is *pure
 acceleration*: any transport fault — refused connections, server errors,
 garbage bodies, truncated uploads, saturated links — degrades to a local
 miss plus a logged incident, and the numbers (and published artifacts)
@@ -24,8 +24,6 @@ from repro.yieldsim.cachestore import (
     HTTPStore,
     MemoryStore,
     SharedFSStore,
-    TieredCache,
-    entry_validator,
 )
 from repro.yieldsim.engine import SweepEngine
 

@@ -24,6 +24,14 @@ from repro.reconfig.bipartite import (
 )
 
 
+try:
+    # Paid once here, so Hypothesis never times the first cross-check's
+    # import of networkx against its per-example deadline.
+    import networkx  # noqa: F401
+except ImportError:
+    pass
+
+
 def graph_from_adj(adj):
     left = list(adj)
     right = sorted({v for vs in adj.values() for v in vs})

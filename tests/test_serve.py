@@ -293,6 +293,7 @@ class TestValidation:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(req, timeout=30)
+        excinfo.value.close()
         assert excinfo.value.code == 400
 
     def test_wrong_method_is_405(self, base):
@@ -786,5 +787,27 @@ class TestCacheObjects:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
+        excinfo.value.close()
         assert excinfo.value.code == 304
         assert excinfo.value.headers["X-Repro-Digest"] == digest
+
+    def test_304_is_a_head_without_content(self, stored):
+        url, digest = stored
+        host, _, rest = url.removeprefix("http://").partition("/")
+        name, port = host.split(":")
+        with socket.create_connection((name, int(port)), timeout=30) as sock:
+            sock.sendall(
+                f"GET /{rest} HTTP/1.1\r\nHost: {host}\r\n"
+                f'If-None-Match: "{digest}"\r\n\r\n'.encode("latin-1")
+            )
+            response = b""
+            while chunk := sock.recv(65536):
+                response += chunk
+        head, sep, body = response.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        fields = dict(line.split(": ", 1) for line in lines[1:])
+        assert lines[0] == "HTTP/1.1 304 Not Modified"
+        assert sep and body == b""
+        assert "Content-Length" not in fields
+        assert fields["X-Repro-Digest"] == digest
+        assert fields["ETag"] == f'"{digest}"'
