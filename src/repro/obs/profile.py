@@ -8,8 +8,9 @@ and pays nothing on the plain matching path.
 
 The scheduler's unit functions arm one capture per point, so captured
 timings are each point's own: they travel back beside the point's
-success count as a plain dict, are folded into ``PointRecord.timings``
-(with :func:`merge_into` for the shards of a batched point), and are
+success count as a plain dict, are folded by the scheduler's fold loop
+into the point's ``PointRecord.timings`` (with :func:`merge_into` for
+the shards of a batched point), and are
 summed over points into the manifest's ``engine.timings`` block — sums
 that never count one second twice.  Like every other telemetry channel
 they are manifest-only: timings never enter results, cache keys, or

@@ -90,6 +90,9 @@ __all__ = ["ServeConfig", "ReproServer", "BackgroundServer", "serve_forever"]
 
 _log = get_logger("serve")
 
+#: Retry-After hint (seconds) sent with every 503
+RETRY_AFTER_S = 1.0
+
 _HTTP_REASONS = {
     200: "OK",
     201: "Created",
@@ -124,8 +127,6 @@ class ServeConfig:
     #: while this many are already in flight is refused with 503 +
     #: Retry-After (joining an existing computation is always allowed).
     max_inflight: int = 32
-    #: Retry-After hint (seconds) sent with every 503
-    retry_after_s: float = 1.0
     #: how long shutdown waits for in-flight requests to finish draining
     drain_timeout: float = 10.0
     #: directory of a content-addressed object tree this server *serves*
@@ -714,10 +715,8 @@ class ReproServer:
         await self._send_json(
             writer, 503,
             {"error": "ServiceUnavailable", "message": message,
-             "retry_after_s": self.config.retry_after_s},
-            headers={
-                "Retry-After": f"{max(1, round(self.config.retry_after_s))}"
-            },
+             "retry_after_s": RETRY_AFTER_S},
+            headers={"Retry-After": str(round(RETRY_AFTER_S))},
         )
 
     async def _admit(

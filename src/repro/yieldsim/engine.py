@@ -22,9 +22,11 @@ Since the scheduler/executor split it is a thin facade over two layers:
 
 :class:`SweepEngine` keeps the historical user-facing API —
 ``SweepEngine(jobs=..., cache_dir=..., shard_runs=...)`` — plus run
-accounting (budget log, cache traffic, screen stats) and convenience
-estimators.  Pass ``executor=`` to pin a specific backend; otherwise
-``jobs`` picks the serial or pool backend exactly as before.
+accounting (cache traffic, screen stats, budget totals and
+:attr:`~SweepEngine.point_log`, which holds the scheduler's own
+:class:`~repro.yieldsim.scheduler.PointRecord` objects) and a
+convenience estimator.  Pass ``executor=`` to pin a specific backend;
+otherwise ``jobs`` picks the serial or pool backend exactly as before.
 
 The screen->match funnel
 ------------------------
@@ -77,8 +79,7 @@ implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,6 +94,7 @@ from repro.yieldsim.scheduler import (
     ENGINE_VERSION,
     EnginePoint,
     PointCache,
+    PointRecord,
     PointScheduler,
     chip_payload,
     payload_digest,
@@ -107,68 +109,6 @@ __all__ = [
     "chip_payload",
     "payload_digest",
 ]
-
-@dataclass(frozen=True)
-class PointRecord:
-    """Requested-vs-effective budget accounting for one executed point.
-
-    ``model``/``model_digest`` name the explicit defect model of a
-    ``"model"``-kind point (None for the legacy i.i.d./fixed regimes), so
-    provenance consumers can attribute every Monte-Carlo run to the
-    distribution that produced it.  ``criterion``/``criterion_digest``
-    do the same for the success predicate of functional-yield points, and
-    ``funnel`` carries that point's criterion-funnel counters (where each
-    run was decided: screens vs route-search residue) when the point was
-    actually computed — cache hits have no telemetry to report.  All
-    three stay ``None`` for default matching points, so legacy records
-    and their serialized form are unchanged.
-
-    ``incidents`` counts the recovery work this point's units needed —
-    retries, timeouts, corrupt payloads, pool rebuilds — and is ``None``
-    (and absent from the serialized form) for the overwhelmingly common
-    incident-free point, so records only mention resilience when it
-    actually fired.  Incidents are telemetry, not results: two runs of a
-    point may differ in incidents while their numbers are identical.
-
-    ``timings`` carries per-phase wall/CPU seconds for *computed* points
-    (worker unit totals, funnel phases, parent-side cache/fold costs) and
-    is ``None`` for cache hits.  Like incidents, timings are volatile
-    telemetry: manifest-only, never part of stable digests or artifacts.
-    """
-
-    kind: str
-    param: float
-    requested: int
-    effective: int
-    adaptive: bool
-    model: Optional[str] = None
-    model_digest: Optional[str] = None
-    criterion: Optional[str] = None
-    criterion_digest: Optional[str] = None
-    funnel: Optional[Dict[str, int]] = None
-    incidents: Optional[Dict[str, int]] = None
-    timings: Optional[Dict[str, float]] = None
-
-    def as_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "kind": self.kind,
-            "param": self.param,
-            "requested": self.requested,
-            "effective": self.effective,
-            "adaptive": self.adaptive,
-            "model": self.model,
-            "model_digest": self.model_digest,
-        }
-        if self.criterion is not None:
-            out["criterion"] = self.criterion
-            out["criterion_digest"] = self.criterion_digest
-            if self.funnel is not None:
-                out["funnel"] = dict(self.funnel)
-        if self.incidents is not None:
-            out["incidents"] = dict(self.incidents)
-        if self.timings is not None:
-            out["timings"] = dict(self.timings)
-        return out
 
 
 class SweepEngine:
@@ -259,8 +199,6 @@ class SweepEngine:
         self.jobs = jobs
         self.cache_dir = cache_dir
         self.progress = progress
-        self.dtype = dtype
-        self.shard_runs = shard_runs
         self.executor = executor
         #: the executor derived from ``jobs`` (built lazily, closed by close())
         self._own_executor: Optional[Executor] = None
@@ -286,7 +224,7 @@ class SweepEngine:
         #: cumulative requested/effective budget totals across run_points calls
         self.runs_requested = 0
         self.runs_effective = 0
-        #: per-point budget accounting, appended in task order by run_points
+        #: the scheduler's record of every point, appended in task order
         self.point_log: List[PointRecord] = []
 
     # -- telemetry --------------------------------------------------------------
@@ -339,11 +277,12 @@ class SweepEngine:
         beyond ``shard_runs`` folds its batch plan (see the module
         docstring).  Each estimate's ``trials`` is the point's *effective*
         budget — equal to ``spec.runs`` for flat points, possibly smaller
-        for adaptive ones — and :attr:`point_log` records the
-        requested-vs-effective pair for every task.  ``on_fold(i,
-        successes, trials)`` observes every in-order fold of a computed
-        point (cumulative values; one call for a flat point), which is
-        what ``repro serve`` streams as per-fold NDJSON progress.
+        for adaptive ones — and :attr:`point_log` keeps the scheduler's
+        :class:`~repro.yieldsim.scheduler.PointRecord` of every task.
+        ``on_fold(i, successes, trials)`` observes every in-order fold of
+        a computed point (cumulative values; one call for a flat point),
+        which is what ``repro serve`` streams as per-fold NDJSON
+        progress.
 
         Without an explicit ``executor``, every call runs on the engine's
         own executor, so a ``jobs > 1`` engine forks its worker pool once
@@ -354,36 +293,15 @@ class SweepEngine:
             if self._own_executor is None:
                 self._own_executor = default_executor(self.jobs)
             executor = self._own_executor
-        outcomes = self.scheduler.run(
+        records = self.scheduler.run(
             tasks, executor, progress=self.progress, on_fold=on_fold,
         )
-        estimates: List[YieldEstimate] = []
-        for task, out in zip(tasks, outcomes):
-            self.screen_stats.merge(out.screen)
-            self.runs_requested += task.spec.runs
-            self.runs_effective += out.trials
-            model = task.spec.model
-            criterion = task.spec.criterion
-            self.point_log.append(
-                PointRecord(
-                    kind=task.spec.kind,
-                    param=task.spec.param,
-                    requested=task.spec.runs,
-                    effective=out.trials,
-                    adaptive=task.stop is not None,
-                    model=model.name if model else None,
-                    model_digest=model.digest() if model else None,
-                    criterion=criterion.spec() if criterion is not None else None,
-                    criterion_digest=(
-                        criterion.digest() if criterion is not None else None
-                    ),
-                    funnel=out.funnel.as_dict() if out.funnel is not None else None,
-                    incidents=out.incidents,
-                    timings=out.timings,
-                )
-            )
-            estimates.append(YieldEstimate(successes=out.successes, trials=out.trials))
-        return estimates
+        for record in records:
+            self.screen_stats.merge(record.screen)
+            self.runs_requested += record.requested
+            self.runs_effective += record.effective
+        self.point_log.extend(records)
+        return [YieldEstimate(r.successes, r.effective) for r in records]
 
     def close(self) -> None:
         """Release the worker pool the engine built (idempotent).
@@ -426,21 +344,5 @@ class SweepEngine:
                 stop,
             )
             for p, seed in points
-        ]
-        return self.run_points(tasks)
-
-    def fixed_fault_estimates(
-        self,
-        chip: Biochip,
-        points: Sequence[Tuple[int, int]],
-        runs: int,
-        needed: Optional[Iterable[Hashable]] = None,
-        stop: Optional[StopRule] = None,
-    ) -> List[YieldEstimate]:
-        """Fixed-fault-count estimates for ``(m, seed)`` pairs on one chip."""
-        needed_t = tuple(sorted(set(needed))) if needed is not None else None
-        tasks = [
-            EnginePoint(chip, PointSpec("fixed", m, runs, seed), needed_t, stop)
-            for m, seed in points
         ]
         return self.run_points(tasks)

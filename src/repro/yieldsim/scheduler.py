@@ -7,7 +7,10 @@ point-cache key derivation and the :class:`PointCache` (a local tier
 over the cache directory in front of an optional remote store), per-point
 fold plans (one fold for a flat point, the shard plan for a sharded or
 adaptive one), compute-unit grouping, and the one strict in-order fold
-loop with stop-rule speculation for adaptive points.  It owns nothing about
+loop with stop-rule speculation for adaptive points.  That loop fills one
+:class:`PointRecord` per task — identity, result and telemetry — which
+is the only per-point record: the engine logs the same objects, and fold
+checkpoints journal their state.  It owns nothing about
 *where* compute units run: that is the
 :class:`~repro.yieldsim.executors.Executor` passed into
 :meth:`PointScheduler.run`.
@@ -23,11 +26,12 @@ the cache would use.
 
 :class:`~repro.yieldsim.engine.SweepEngine` remains the user-facing
 facade: it wires a scheduler to an executor and keeps the run accounting
-(budget log, screen stats, estimates).
+(the log of :class:`PointRecord` objects, screen stats, estimates).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import logging
@@ -86,7 +90,7 @@ __all__ = [
     "ENGINE_VERSION",
     "EnginePoint",
     "PointCache",
-    "PointOutcome",
+    "PointRecord",
     "PointScheduler",
     "chip_identity",
     "chip_payload",
@@ -504,17 +508,18 @@ class PointCache:
 
     # -- fold checkpoints ------------------------------------------------------
     def load_checkpoint(
-        self, key: str, spec: PointSpec
-    ) -> Optional[Tuple[int, "PointOutcome"]]:
+        self, key: str, spec: PointSpec, record: "PointRecord"
+    ) -> Optional[Tuple[int, "PointRecord"]]:
         """The journaled fold state of a batched point, if present and valid.
 
-        Returns ``(folds, outcome)`` — the number of folds already done and
-        the point's cumulative successes, trials and counters at that
-        fold; the scheduler validates it against the point's shard plan
-        before trusting it.  Corrupt checkpoints quarantine like any cache
-        file; a stale or inconsistent one (including a journal whose
-        counters are in another layout) reads as absent, so the worst
-        outcome of any checkpoint is recomputing from fold zero.
+        Returns ``(folds, state)`` — the number of folds already done and
+        a copy of ``record`` holding the point's cumulative successes,
+        trials and counters at that fold; the scheduler validates it
+        against the point's shard plan before trusting it.  Corrupt
+        checkpoints quarantine like any cache file; a stale or
+        inconsistent one (including a journal whose counters are in
+        another layout) reads as absent, so the worst outcome of any
+        checkpoint is recomputing from fold zero.
         """
         if self.checkpoints is None or spec.seed is None:
             return None
@@ -524,12 +529,13 @@ class PointCache:
             return None
         try:
             folds = int(data["folds"])  # type: ignore[arg-type]
-            outcome = PointOutcome(
+            state = dataclasses.replace(
+                record,
                 successes=int(data["successes"]),  # type: ignore[arg-type]
-                trials=int(data["trials"]),  # type: ignore[arg-type]
+                effective=int(data["trials"]),  # type: ignore[arg-type]
                 screen=ScreenStats.from_dict(data["stats"]),  # type: ignore[arg-type]
                 funnel=(
-                    CriterionStats.from_dict(data["crit"])  # type: ignore[arg-type]
+                    CriterionStats.from_dict(data["crit"]).as_dict()  # type: ignore[arg-type]
                     if data["crit"] is not None
                     else None
                 ),
@@ -538,14 +544,14 @@ class PointCache:
             return None
         if data.get("requested") != spec.runs or folds < 1:
             return None
-        if (outcome.funnel is None) != (spec.criterion is None):
+        if (state.funnel is None) != (spec.criterion is None):
             return None
-        if not 0 <= outcome.successes <= outcome.trials <= spec.runs:
+        if not 0 <= state.successes <= state.effective <= spec.runs:
             return None
-        return folds, outcome
+        return folds, state
 
     def store_checkpoint(
-        self, key: str, spec: PointSpec, folds: int, outcome: "PointOutcome"
+        self, key: str, spec: PointSpec, folds: int, record: "PointRecord"
     ) -> None:
         """Journal a batched point's cumulative state after fold ``folds``."""
         if self.checkpoints is None or spec.seed is None:
@@ -553,10 +559,10 @@ class PointCache:
         self.checkpoints.put(key, encode_entry({
             "requested": spec.runs,
             "folds": folds,
-            "successes": outcome.successes,
-            "trials": outcome.trials,
-            "stats": outcome.screen.as_dict(),
-            "crit": outcome.funnel.as_dict() if outcome.funnel is not None else None,
+            "successes": record.successes,
+            "trials": record.effective,
+            "stats": record.screen.as_dict(),
+            "crit": record.funnel,
             "version": ENGINE_VERSION,
         }))
 
@@ -619,44 +625,79 @@ def _unit_validator(runs: Sequence[int]) -> Callable[[object], bool]:
     return validate
 
 
-# -- per-point outcomes -------------------------------------------------------
+# -- per-point records --------------------------------------------------------
 
 @dataclass
-class PointOutcome:
-    """Everything one task produced: its numbers and its telemetry.
+class PointRecord:
+    """Everything one task produced: its identity, numbers and telemetry.
 
-    ``successes``/``trials`` are the result (``trials`` is the effective
-    budget).  ``screen`` and ``funnel`` count where the point's folded
-    runs were decided — by the matching screen, and by the criterion
-    funnel for criterion points (``None`` otherwise).  Only in-order folds
-    count, so both are executor-independent like the numbers.  Cache hits
-    carry zero counters, ``funnel=None`` and ``timings=None``: the cache
-    stores results, not telemetry.
+    The identity is built once from the task (:meth:`for_task`): ``kind``,
+    ``param``, the ``requested`` budget, whether the point was
+    ``adaptive``, ``model``/``model_digest`` naming the explicit defect
+    model of a ``"model"``-kind point and ``criterion``/``criterion_digest``
+    the success predicate of a functional-yield point (all four ``None``
+    for default matching points), so provenance consumers can attribute
+    every Monte-Carlo run to the distribution and predicate behind it.
+
+    ``successes``/``effective`` are the result; ``effective`` is the
+    budget actually spent (``requested`` for flat points, possibly less
+    for adaptive ones).  ``screen`` and ``funnel`` count where the
+    point's folded runs were decided — by the matching screen, and by the
+    criterion funnel as plain counters (``None`` for matching points).
+    Only in-order folds count, so both are executor-independent like the
+    numbers.  Cache hits carry zero counters, ``funnel=None`` and
+    ``timings=None``: the cache stores results, not telemetry.
 
     ``incidents`` counts the recovery work the point's units needed
     (``None`` when there was none; a unit's incidents attribute to every
     point it carried) and ``timings`` the point's own phase seconds —
     worker-side ``wall_s``/``cpu_s`` plus funnel phases, parent-side
-    ``cache_wall_s``/``fold_wall_s``.  Both are telemetry only.
+    ``cache_wall_s``/``fold_wall_s``.  Both are volatile telemetry:
+    manifest-only, never part of stable digests or artifacts.
     """
 
+    kind: str
+    param: float
+    requested: int
+    adaptive: bool
+    model: Optional[str] = None
+    model_digest: Optional[str] = None
+    criterion: Optional[str] = None
+    criterion_digest: Optional[str] = None
     successes: int = 0
-    trials: int = 0
+    effective: int = 0
     screen: ScreenStats = field(default_factory=ScreenStats)
-    funnel: Optional[CriterionStats] = None
+    funnel: Optional[Dict[str, int]] = None
     incidents: Optional[Dict[str, int]] = None
     timings: Optional[Dict[str, float]] = None
 
+    @classmethod
+    def for_task(cls, task: EnginePoint) -> "PointRecord":
+        """An empty record carrying ``task``'s identity."""
+        spec = task.spec
+        model, criterion = spec.model, spec.criterion
+        return cls(
+            kind=spec.kind,
+            param=spec.param,
+            requested=spec.runs,
+            adaptive=task.stop is not None,
+            model=model.name if model else None,
+            model_digest=model.digest() if model else None,
+            criterion=criterion.spec() if criterion is not None else None,
+            criterion_digest=criterion.digest() if criterion is not None else None,
+        )
+
     def absorb(self, got: int, trials: int, telemetry: PointTelemetry) -> None:
-        """Fold one computed unit's share of this point into the outcome."""
+        """Fold one computed unit's share of this point into the record."""
         screen, funnel, timings = telemetry
         self.successes += got
-        self.trials += trials
+        self.effective += trials
         self.screen.merge(screen)
         if funnel is not None:
-            if self.funnel is None:
-                self.funnel = CriterionStats()
-            self.funnel.merge(funnel)
+            counts = funnel.as_dict()
+            if self.funnel is not None:
+                counts = {k: self.funnel[k] + v for k, v in counts.items()}
+            self.funnel = counts
         _profile.merge_into(self.timings, timings)
 
 
@@ -666,7 +707,7 @@ class PointScheduler:
     """Turns a task list into ordered, cached, executor-agnostic results.
 
     The scheduler is pure in the sense that its outputs — one
-    :class:`PointOutcome` per task — are a function of the task list
+    :class:`PointRecord` per task — are a function of the task list
     alone (telemetry aside).  The executor passed to :meth:`run` decides
     only where compute units execute and how far the scheduler may
     speculate past an adaptive stop point; folds always happen in batch
@@ -731,8 +772,8 @@ class PointScheduler:
         *,
         progress: Optional[Callable[[int, int], None]] = None,
         on_fold: Optional[FoldHook] = None,
-    ) -> List[PointOutcome]:
-        """One :class:`PointOutcome` for every task, in order.
+    ) -> List[PointRecord]:
+        """One :class:`PointRecord` for every task, in order.
 
         Every point that misses the cache runs a fold plan: a flat point
         is one fold of its whole budget on its own ``spec.seed`` stream;
@@ -751,7 +792,7 @@ class PointScheduler:
         layer streams as NDJSON progress.
         """
         n = len(tasks)
-        outcomes: List[Optional[PointOutcome]] = [None] * n
+        records = [PointRecord.for_task(task) for task in tasks]
         tracer = self.tracer
         run_t0 = tracer.now_us() if tracer is not None else 0.0
         #: task index -> trace-relative start of the point's lifecycle.
@@ -760,13 +801,13 @@ class PointScheduler:
         def trace_point(i: int, hit: bool) -> None:
             if tracer is None:
                 return
-            out = outcomes[i]
+            rec = records[i]
             tracer.complete(
                 "point", point_start.get(i, 0.0),
                 tracer.now_us() - point_start.get(i, 0.0), cat="point",
-                index=i, kind=tasks[i].spec.kind, param=tasks[i].spec.param,
-                requested=tasks[i].spec.runs, effective=out.trials,
-                successes=out.successes, hit=hit,
+                index=i, kind=rec.kind, param=rec.param,
+                requested=rec.requested, effective=rec.effective,
+                successes=rec.successes, hit=hit,
             )
 
         payload_by_digest: Dict[str, Dict[str, object]] = {}
@@ -797,11 +838,11 @@ class PointScheduler:
                     key=keys[i][:16], hit=cached is not None,
                 )
             if cached is not None:
-                outcomes[i] = PointOutcome(*cached)
+                records[i].successes, records[i].effective = cached
                 done += 1
                 trace_point(i, hit=True)
             else:
-                outcomes[i] = PointOutcome(timings={"cache_wall_s": load_s})
+                records[i].timings = {"cache_wall_s": load_s}
                 pending.append(i)
         hits = done
         if done and progress is not None:
@@ -831,16 +872,16 @@ class PointScheduler:
         def settle(i: int) -> bool:
             """Finish point ``i`` if its plan is spent or its rule fires."""
             nonlocal done
-            out = outcomes[i]
+            rec = records[i]
             rule = tasks[i].stop
             if next_fold[i] < len(plans[i]) and (
-                rule is None or not rule.should_stop(out.successes, out.trials)
+                rule is None or not rule.should_stop(rec.successes, rec.effective)
             ):
                 return False
             complete.add(i)
             batched = i in entropies
             self._store_traced(
-                keys[i], tasks[i].spec, out.successes, out.trials,
+                keys[i], tasks[i].spec, rec.successes, rec.effective,
                 batched=batched, stop=tasks[i].stop,
             )
             if batched and self.checkpoint:
@@ -853,14 +894,14 @@ class PointScheduler:
 
         if self.checkpoint:
             for i in entropies:
-                restored = self._restore(i, keys[i], tasks[i].spec, plans[i])
+                restored = self._restore(
+                    i, keys[i], tasks[i].spec, plans[i], records[i]
+                )
                 if restored is None:
                     continue
-                next_fold[i], state = restored
-                state.timings = outcomes[i].timings
-                outcomes[i] = state
+                next_fold[i], records[i] = restored
                 if on_fold is not None:
-                    on_fold(i, state.successes, state.trials)
+                    on_fold(i, records[i].successes, records[i].effective)
                 settle(i)
 
         # Compute units, in the order fault-schedule ordinals rely on:
@@ -906,26 +947,26 @@ class PointScheduler:
                 for i in collected:
                     while i not in complete and (i, next_fold[i]) in ready:
                         fold0 = time.perf_counter()
-                        out = outcomes[i]
+                        rec = records[i]
                         # Only in-order folds count: speculative folds of
                         # stopped points are discarded below, so counters
                         # stay executor-independent too.
                         got, telemetry = ready.pop((i, next_fold[i]))
-                        out.absorb(got, plans[i][next_fold[i]], telemetry)
+                        rec.absorb(got, plans[i][next_fold[i]], telemetry)
                         next_fold[i] += 1
-                        out.timings["fold_wall_s"] = out.timings.get(
+                        rec.timings["fold_wall_s"] = rec.timings.get(
                             "fold_wall_s", 0.0
                         ) + (time.perf_counter() - fold0)
                         if tracer is not None:
                             tracer.instant(
                                 "fold", cat="point", index=i, fold=next_fold[i],
-                                successes=out.successes, trials=out.trials,
+                                successes=rec.successes, trials=rec.effective,
                             )
                         if on_fold is not None:
-                            on_fold(i, out.successes, out.trials)
+                            on_fold(i, rec.successes, rec.effective)
                         if not settle(i) and self.checkpoint:
                             self.cache.store_checkpoint(
-                                keys[i], tasks[i].spec, next_fold[i], out
+                                keys[i], tasks[i].spec, next_fold[i], rec
                             )
                 # Drop speculative results (and cancel queued folds) of
                 # points that have since completed.
@@ -937,14 +978,14 @@ class PointScheduler:
 
         for token, counts in runner.incidents.items():
             for i, _ in token:
-                bucket = outcomes[i].incidents = outcomes[i].incidents or {}
+                bucket = records[i].incidents = records[i].incidents or {}
                 for kind, count in counts.items():
                     bucket[kind] = bucket.get(kind, 0) + count
 
-        for out in outcomes:
-            if out.timings is not None:
-                out.timings = {
-                    k: round(v, 6) for k, v in sorted(out.timings.items())
+        for rec in records:
+            if rec.timings is not None:
+                rec.timings = {
+                    k: round(v, 6) for k, v in sorted(rec.timings.items())
                 }
 
         if tracer is not None:
@@ -953,7 +994,7 @@ class PointScheduler:
                 cat="engine", tasks=n, hits=hits,
             )
 
-        return outcomes  # type: ignore[return-value]
+        return records
 
     def _store_traced(
         self,
@@ -977,33 +1018,34 @@ class PointScheduler:
         )
 
     def _restore(
-        self, i: int, key: str, spec: PointSpec, plan: Tuple[int, ...]
-    ) -> Optional[Tuple[int, PointOutcome]]:
-        """The journaled ``(folds, outcome)`` of batched point ``i``, if any.
+        self, i: int, key: str, spec: PointSpec, plan: Tuple[int, ...],
+        record: PointRecord,
+    ) -> Optional[Tuple[int, PointRecord]]:
+        """The journaled ``(folds, record)`` of batched point ``i``, if any.
 
         With checkpointing on, each in-order fold of a seeded batched
-        point journals its cumulative outcome (successes, trials, screen
+        point journals its cumulative state (successes, trials, screen
         and funnel counters); a valid journal lets the point skip the
         folds a previous, interrupted run already did.  Because the
         journal holds exactly what the fold loop would have accumulated,
         a resumed point is indistinguishable from an uninterrupted one.
         A journal from another plan shape reads as absent (recompute).
         """
-        restored = self.cache.load_checkpoint(key, spec)
+        restored = self.cache.load_checkpoint(key, spec, record)
         if restored is None:
             return None
         folds, state = restored
-        if folds > len(plan) or state.trials != sum(plan[:folds]):
+        if folds > len(plan) or state.effective != sum(plan[:folds]):
             return None
         self.stats.checkpoint_resumes += 1
         self.stats.folds_resumed += folds
         if self.tracer is not None:
             self.tracer.instant(
                 "checkpoint_resume", cat="incident", index=i,
-                folds=folds, trials=state.trials,
+                folds=folds, trials=state.effective,
             )
         log_event(
             _log, "checkpoint_resume", point=i, folds=folds,
-            successes=state.successes, trials=state.trials,
+            successes=state.successes, trials=state.effective,
         )
         return folds, state

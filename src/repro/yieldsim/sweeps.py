@@ -224,9 +224,12 @@ def defect_count_sweep(
     strict monotonicity is no longer structural.
     """
     engine = engine or default_engine()
-    estimates = engine.fixed_fault_estimates(
-        chip, [(m, seed + 1) for m in ms], runs, needed=needed, stop=stop
-    )
+    needed_t = tuple(sorted(set(needed))) if needed is not None else None
+    tasks = [
+        EnginePoint(chip, PointSpec("fixed", m, runs, seed + 1), needed_t, stop)
+        for m in ms
+    ]
+    estimates = engine.run_points(tasks)
     return [
         DefectCountPoint(m=m, estimate=estimate)
         for m, estimate in zip(ms, estimates)

@@ -112,13 +112,12 @@ class TestShardedBitIdentity:
 
     @pytest.mark.parametrize("jobs", [1, 2, 4])
     def test_fixed_fault_sharding_identity(self, dtmb26_chip, jobs):
-        engine = SweepEngine(jobs=jobs, shard_runs=400)
-        estimates = engine.fixed_fault_estimates(
-            dtmb26_chip, [(4, 9), (12, 9)], RUNS
-        )
-        baseline = SweepEngine(shard_runs=400).fixed_fault_estimates(
-            dtmb26_chip, [(4, 9), (12, 9)], RUNS
-        )
+        tasks = [
+            EnginePoint(dtmb26_chip, PointSpec("fixed", m, RUNS, 9))
+            for m in (4, 12)
+        ]
+        estimates = SweepEngine(jobs=jobs, shard_runs=400).run_points(tasks)
+        baseline = SweepEngine(shard_runs=400).run_points(tasks)
         assert [(e.successes, e.trials) for e in estimates] == [
             (e.successes, e.trials) for e in baseline
         ]

@@ -56,8 +56,11 @@ def _tasks(dtmb26_chip, dtmb16_chip):
 
 def _estimates(engine, tasks):
     """Per-task ``(successes, trials)`` plus the run's screen-stat and
-    criterion-funnel totals — every one must be executor-independent."""
+    criterion-funnel totals — every one must be executor-independent.
+    Each logged record carries the very numbers its estimate reports."""
     estimates = [(e.successes, e.trials) for e in engine.run_points(tasks)]
+    records = engine.point_log[-len(tasks):]
+    assert [(r.successes, r.effective) for r in records] == estimates
     funnel = {}
     for record in engine.point_log:
         for key, value in (record.funnel or {}).items():

@@ -37,6 +37,7 @@ from chaos import (
 
 from repro.errors import SimulationError, UnitFailure
 from repro.serve import BackgroundServer, ServeConfig
+from repro.serve.app import RETRY_AFTER_S
 from repro.yieldsim.engine import EnginePoint, SweepEngine
 from repro.yieldsim.executors import InlineExecutor, PoolExecutor, SerialExecutor
 from repro.yieldsim.kernel import PointSpec
@@ -351,12 +352,22 @@ def adaptive_point(chip):
     )
 
 
+def _assert_same_record(resumed, clean):
+    """A resumed point's record matches the uninterrupted run's record in
+    its numbers and its in-order counters (timings and incidents aside)."""
+    fields = ("requested", "successes", "effective", "screen", "funnel")
+    assert [getattr(resumed, f) for f in fields] == [
+        getattr(clean, f) for f in fields
+    ]
+
+
 class TestCheckpointResume:
     def test_preempted_adaptive_point_resumes_byte_identically(
         self, dtmb26_chip, tmp_path
     ):
         cache = str(tmp_path / "cache")
-        [clean] = SweepEngine().run_points([adaptive_point(dtmb26_chip)])
+        clean_engine = SweepEngine()
+        [clean] = clean_engine.run_points([adaptive_point(dtmb26_chip)])
 
         # Preempt the run after two submitted folds: the journal must
         # hold exactly those folds when the "process" dies.
@@ -379,6 +390,7 @@ class TestCheckpointResume:
         )
         assert resumed_engine.resilience.checkpoint_resumes == 1
         assert resumed_engine.resilience.folds_resumed == 2
+        _assert_same_record(resumed_engine.point_log[0], clean_engine.point_log[0])
         # The journal is cleared once the point completes (the cache
         # entry takes over).
         assert not list((tmp_path / "cache").glob("*.ckpt.json"))
@@ -449,7 +461,7 @@ class TestCheckpointResume:
             clean.successes, clean.trials,
         )
         assert resumed_engine.screen_stats == clean_engine.screen_stats
-        assert resumed_engine.point_log[0].funnel == clean_engine.point_log[0].funnel
+        _assert_same_record(resumed_engine.point_log[0], clean_engine.point_log[0])
 
     def test_checkpoint_in_another_counter_layout_reads_as_absent(
         self, dtmb26_chip, tmp_path
@@ -475,7 +487,7 @@ class TestCheckpointResume:
             clean.successes, clean.trials,
         )
         assert resumed_engine.screen_stats == clean_engine.screen_stats
-        assert resumed_engine.point_log[0].funnel == clean_engine.point_log[0].funnel
+        _assert_same_record(resumed_engine.point_log[0], clean_engine.point_log[0])
 
     def test_preemption_under_fault_storm_still_resumes(
         self, dtmb26_chip, tmp_path
@@ -682,7 +694,7 @@ class TestServeResilience:
 
     def test_saturation_rejects_with_503_and_retry_after(self):
         engine = GatedEngine()
-        config = ServeConfig(port=0, max_inflight=1, retry_after_s=2.0)
+        config = ServeConfig(port=0, max_inflight=1)
         with BackgroundServer(config, engine=engine) as handle:
             url = f"http://127.0.0.1:{handle.port}"
             results = []
@@ -699,7 +711,8 @@ class TestServeResilience:
             )
             assert status == 503
             assert error["error"] == "ServiceUnavailable"
-            assert headers.get("Retry-After") == "2"
+            assert headers.get("Retry-After") == str(round(RETRY_AFTER_S))
+            assert error["retry_after_s"] == RETRY_AFTER_S
             # Joining the *existing* computation is always admitted.
             engine.gate.set()
             thread.join(timeout=300)
@@ -713,7 +726,7 @@ class TestServeResilience:
     ):
         path, body, _ = COALESCED[kind]
         engine = GatedEngine(cache_dir=str(tmp_path / "cache"))
-        config = ServeConfig(port=0, request_timeout=0.3, retry_after_s=1.0)
+        config = ServeConfig(port=0, request_timeout=0.3)
         with BackgroundServer(config, engine=engine) as handle:
             url = f"http://127.0.0.1:{handle.port}"
             status, headers, error = http_raw(url, path, body)
