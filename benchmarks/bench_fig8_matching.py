@@ -1,7 +1,7 @@
 """Figure 8's machinery: the maximum-matching kernel, microbenchmarked.
 
 Figure 8 illustrates the bipartite model on a small instance; here we time
-the actual algorithms on the repair graphs Monte-Carlo produces, plus a
+every matcher on the repair graphs Monte-Carlo produces, plus a
 large synthetic instance showing the asymptotic gap between Hopcroft-Karp
 and Kuhn.
 """
@@ -9,6 +9,7 @@ and Kuhn.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from conftest import report
 
@@ -16,9 +17,9 @@ from repro.designs.catalog import DTMB_2_6
 from repro.designs.interstitial import build_with_primary_count
 from repro.faults.injection import bernoulli_faults
 from repro.reconfig.bipartite import (
+    MATCHING_ALGORITHMS,
     BipartiteGraph,
     hopcroft_karp,
-    kuhn_matching,
     saturates_left,
 )
 from repro.reconfig.local import build_repair_graph
@@ -34,27 +35,19 @@ def _repair_graphs(count: int, p: float = 0.93, seed: int = 7):
     return graphs
 
 
-def test_bench_hopcroft_karp_on_repair_graphs(benchmark):
+@pytest.mark.parametrize("name", sorted(MATCHING_ALGORITHMS))
+def test_bench_matching_on_repair_graphs(benchmark, name):
+    algorithm = MATCHING_ALGORITHMS[name]
     graphs = _repair_graphs(200)
 
     def run_all():
-        return [saturates_left(g, hopcroft_karp(g)) for g in graphs]
+        return [saturates_left(g, algorithm(g)) for g in graphs]
 
     verdicts = benchmark(run_all)
     report(
         "Figure 8 kernel",
-        f"200 repair graphs, {sum(verdicts)} repairable (Hopcroft-Karp)",
+        f"200 repair graphs, {sum(verdicts)} repairable ({name})",
     )
-    assert len(verdicts) == 200
-
-
-def test_bench_kuhn_on_repair_graphs(benchmark):
-    graphs = _repair_graphs(200)
-
-    def run_all():
-        return [saturates_left(g, kuhn_matching(g)) for g in graphs]
-
-    verdicts = benchmark(run_all)
     assert len(verdicts) == 200
 
 

@@ -4,16 +4,17 @@ from __future__ import annotations
 
 from conftest import report
 
-from repro.experiments import figs3to6
+from repro.experiments import figs3to6, registry
 
 
 def test_bench_figs3to6(benchmark):
     result = benchmark.pedantic(
         figs3to6.run, kwargs={"size": 16}, rounds=1, iterations=1
     )
+    charts = registry.get("figs3to6").render_charts(result)
     report(
         "Figures 3-6: DTMB layouts (verified)",
-        result.format_report(with_layouts=True),
+        "\n\n".join([result.format_report(), *(chart for _, chart in charts)]),
     )
 
     by_name = {row[0]: row for row in result.rows}

@@ -450,7 +450,6 @@ def _execute(
         seed=args.seed,
         engine=engine,
         options={
-            "chart": getattr(args, "chart", False),
             "mc_check": getattr(args, "mc_check", False),
             "adaptive": adaptive,
             "target_ci": target_ci,

@@ -6,13 +6,11 @@ spare was greedily taken by a neighbor, wrongly scrapping a repairable
 chip.  This ablation measures, over seeded random fault maps:
 
 * how often greedy reaches the optimum (and how much yield it forfeits);
-* that Kuhn and Hopcroft-Karp always agree (both maximum);
-* relative runtime of the three algorithms on repair graphs.
+* that Kuhn and Hopcroft-Karp always agree (both maximum).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -40,11 +38,10 @@ class MatchingAblationResult:
     repaired: Dict[str, int]
     disagreements: int  # greedy says no, maximum says yes
     kuhn_hk_mismatches: int  # should always be zero
-    seconds: Dict[str, float]
 
     @property
     def headers(self) -> List[str]:
-        return ["algorithm", "chips repaired", "repair rate", "seconds"]
+        return ["algorithm", "chips repaired", "repair rate"]
 
     @property
     def rows(self) -> List[Tuple[object, ...]]:
@@ -53,7 +50,6 @@ class MatchingAblationResult:
                 name,
                 self.repaired[name],
                 f"{self.repaired[name] / self.trials:.4f}",
-                f"{self.seconds[name]:.3f}",
             )
             for name in sorted(self.repaired)
         ]
@@ -84,14 +80,13 @@ def run(
 ) -> MatchingAblationResult:
     """Compare the three algorithms on identical DTMB(2,6) fault maps.
 
-    ``runs`` is the number of fault-map trials.  The per-run timing loop
-    is intrinsically serial, so ``engine`` is accepted for the uniform
-    experiment signature but has no effect.
+    ``runs`` is the number of fault-map trials.  The trial loop runs
+    in-process, so ``engine`` is accepted for the uniform experiment
+    signature but has no effect.
     """
     trials = runs
     chip = build_with_primary_count(DTMB_2_6, n).build()
     repaired = {name: 0 for name in MATCHING_ALGORITHMS}
-    seconds = {name: 0.0 for name in MATCHING_ALGORITHMS}
     disagreements = 0
     mismatches = 0
     for t in range(trials):
@@ -100,10 +95,7 @@ def run(
         graph: BipartiteGraph = build_repair_graph(chip)
         outcomes: Dict[str, bool] = {}
         for name, algorithm in MATCHING_ALGORITHMS.items():
-            start = time.perf_counter()
-            matching = algorithm(graph)
-            seconds[name] += time.perf_counter() - start
-            ok = saturates_left(graph, matching)
+            ok = saturates_left(graph, algorithm(graph))
             outcomes[name] = ok
             if ok:
                 repaired[name] += 1
@@ -116,5 +108,4 @@ def run(
         repaired=repaired,
         disagreements=disagreements,
         kuhn_hk_mismatches=mismatches,
-        seconds=seconds,
     )

@@ -26,10 +26,7 @@ manifest timestamp, wall times, cache hit counts) live **only** in
 reports, charts — is byte-identical between runs at equal (runs, seed),
 so ``diff -r a b --exclude manifest.json`` between two run directories
 shows exactly which *results* moved, and the per-experiment digests in
-the manifest answer the same question file-free.  (One experiment is
-intrinsically timing-valued: ``ablation-matching`` reports measured
-per-algorithm seconds, so its artifacts — and digest — vary run to run
-by nature, not by pipeline accident.)
+the manifest answer the same question file-free.
 
 A run directory is incremental: opening an existing one preserves the
 manifest entries of experiments not re-run, so a full reproduction can be
@@ -69,7 +66,7 @@ def bundle_payload(result: ExperimentResult) -> Dict[str, object]:
     """One result as a machine-readable bundle (the serving response body).
 
     Everything a remote consumer needs without filesystem access: the
-    table (for tabular experiments), the canonical report, and the full
+    table (for tabular experiments), the report, and the full
     provenance block whose ``digest`` equals the one a local
     ``repro <name> --out`` run records in ``manifest.json`` — so a served
     bundle can be verified against an artifact directory by digest alone.
@@ -80,7 +77,7 @@ def bundle_payload(result: ExperimentResult) -> Dict[str, object]:
         "paper_ref": result.experiment.paper_ref,
         "headers": list(result.headers) if result.headers is not None else None,
         "rows": [list(row) for row in result.rows] if result.rows is not None else None,
-        "report": result.canonical_report_text(),
+        "report": result.report_text(),
         "provenance": result.provenance.as_dict(),
         "digest": result.provenance.digest,
     }
@@ -163,9 +160,7 @@ class ArtifactRun:
             with open(
                 os.path.join(self.out_dir, report_rel), "w", encoding="utf-8"
             ) as handle:
-                # Canonical (default-flag) rendering: report.txt must not
-                # depend on --chart etc. or bundles stop being diffable.
-                handle.write(result.canonical_report_text())
+                handle.write(result.report_text())
                 handle.write("\n")
             files["report"] = report_rel
 

@@ -36,12 +36,8 @@ class LayoutsResult:
     rows: Tuple[Tuple[object, ...], ...]
     renderings: Dict[str, str]
 
-    def format_report(self, with_layouts: bool = False) -> str:
-        text = format_table(self.headers, self.rows)
-        if with_layouts:
-            for name, art in self.renderings.items():
-                text += f"\n\n{name}:\n{art}"
-        return text
+    def format_report(self) -> str:
+        return format_table(self.headers, self.rows)
 
 
 @register(
@@ -50,8 +46,8 @@ class LayoutsResult:
     paper_ref="Figures 3-6",
     order=30,
     budget=BudgetPolicy(deterministic=True),
-    report=lambda raw, options: raw.format_report(
-        with_layouts=bool(options.get("chart"))
+    charts=lambda raw: tuple(
+        (name, f"{name}:\n{art}") for name, art in raw.renderings.items()
     ),
 )
 def run(

@@ -192,7 +192,6 @@ def stop_rule_dict(rule: Optional[StopRule]) -> Optional[Dict[str, object]]:
 
 # -- registration record ------------------------------------------------------
 
-ReportFn = Callable[[object, Mapping[str, object]], str]
 EpilogueFn = Callable[[object], Sequence[str]]
 ChartsFn = Callable[[object], Sequence[Tuple[str, str]]]
 
@@ -209,7 +208,6 @@ class Experiment:
     aliases: Tuple[str, ...] = ()
     budget: BudgetPolicy = field(default_factory=BudgetPolicy)
     tabular: bool = True
-    report: Optional[ReportFn] = None
     epilogue: Optional[EpilogueFn] = None
     charts: Optional[ChartsFn] = None
     #: True when the driver's ``run`` accepts a ``model=`` defect-model
@@ -228,12 +226,6 @@ class Experiment:
     @property
     def has_charts(self) -> bool:
         return self.charts is not None
-
-    def render_report(self, raw: object, options: Mapping[str, object]) -> str:
-        """The experiment's stdout report (drivers' ``format_report``)."""
-        if self.report is not None:
-            return self.report(raw, options)
-        return raw.format_report()
 
     def render_epilogue(self, raw: object) -> Tuple[str, ...]:
         """Extra report lines printed after the table (e.g. crossovers)."""
@@ -485,18 +477,6 @@ class ExperimentResult:
         """Report plus epilogue lines — what ``repro <name>`` prints."""
         return "\n".join((self.report, *self.epilogue))
 
-    def canonical_report_text(self) -> str:
-        """Report rendered at default options, plus epilogue lines.
-
-        This is what the artifact pipeline writes to ``report.txt``: for
-        every experiment whose report ignores rendering options it equals
-        :meth:`report_text`; for option-sensitive reports (figs3to6 embeds
-        layout art under ``--chart``) it is the flag-independent form, so
-        bundles stay byte-identical whatever flags produced them.
-        """
-        canonical = self.experiment.render_report(self.raw, {})
-        return "\n".join((canonical, *self.epilogue))
-
 
 def result_digest(
     headers: Optional[Sequence[str]],
@@ -533,7 +513,6 @@ def register(
     aliases: Sequence[str] = (),
     budget: Optional[BudgetPolicy] = None,
     tabular: bool = True,
-    report: Optional[ReportFn] = None,
     epilogue: Optional[EpilogueFn] = None,
     charts: Optional[ChartsFn] = None,
     model_knob: bool = False,
@@ -555,7 +534,6 @@ def register(
             aliases=tuple(aliases),
             budget=budget if budget is not None else BudgetPolicy(),
             tabular=tabular,
-            report=report,
             epilogue=epilogue,
             charts=charts,
             model_knob=model_knob,
@@ -633,7 +611,7 @@ def execute(
 
     ``runs``/``seed`` are the user-facing budget and seed; the experiment's
     :class:`BudgetPolicy` derives the driver budget.  ``options`` are
-    rendering/dispatch flags (``chart``, ``mc_check``, ``adaptive``);
+    dispatch flags (``mc_check``, ``adaptive``, ``target_ci``);
     ``knobs`` are passed through to the driver verbatim (grid overrides
     etc.).  ``stop`` replaces the experiment's registered stop rule
     wholesale; the ``target_ci`` option re-targets the registered rule
@@ -688,7 +666,7 @@ def execute(
             for key, value in point.funnel.items():
                 funnel[key] = funnel.get(key, 0) + int(value)
 
-    report = experiment.render_report(raw, options)
+    report = raw.format_report()
     epilogue = experiment.render_epilogue(raw)
     headers: Optional[Tuple[str, ...]] = None
     rows: Optional[Tuple[Tuple[object, ...], ...]] = None

@@ -14,8 +14,7 @@ Proves the telemetry layer is out-of-band at full-pipeline scale:
 4. Every line of the event-log file must validate against the NDJSON
    event schema and come from a ``repro.*`` logger.
 5. Reference vs traced ``repro all``: the full pipeline, every
-   experiment, byte-identical artifacts (minus ``manifest.json`` and
-   the intrinsically timing-valued ``ablation-matching``) with
+   experiment, byte-identical artifacts (minus ``manifest.json``) with
    tracing + JSON logging armed.
 
 Exits non-zero on any mismatch.  Run as::
@@ -41,9 +40,6 @@ from repro.obs.trace import validate_trace  # noqa: E402
 
 RUNS = os.environ.get("REPRO_SMOKE_RUNS", "50")
 
-#: Timing-valued by nature: its artifacts legitimately differ run to run.
-TIMING_VALUED = {"ablation-matching"}
-
 
 def run(*argv: str) -> None:
     subprocess.run(
@@ -62,9 +58,7 @@ def stable_files(out: pathlib.Path) -> list:
     return sorted(
         p.relative_to(out)
         for p in out.rglob("*")
-        if p.is_file()
-        and p.name != "manifest.json"
-        and p.relative_to(out).parts[0] not in TIMING_VALUED
+        if p.is_file() and p.name != "manifest.json"
     )
 
 

@@ -15,10 +15,8 @@ scale, over both transports:
    the SharedFSStore wrote.
 
 Every artifact file (minus ``manifest.json``, which carries volatile
-telemetry, and ``ablation-matching``, which is intrinsically
-timing-valued) must be byte-identical across all four runs, and the
-per-experiment result digests must agree for every experiment including
-ablation-matching's inputs.
+telemetry) must be byte-identical across all four runs, and the
+per-experiment result digests must agree for every experiment.
 
 Exits non-zero on any mismatch.  Run as::
 
@@ -37,9 +35,6 @@ import sys
 import tempfile
 
 RUNS = os.environ.get("REPRO_SMOKE_RUNS", "50")
-
-#: Timing-valued by nature: its artifacts legitimately differ run to run.
-TIMING_VALUED = {"ablation-matching"}
 
 
 def run_all(out: pathlib.Path, *extra: str) -> None:
@@ -61,9 +56,7 @@ def stable_files(out: pathlib.Path) -> list:
     return sorted(
         p.relative_to(out)
         for p in out.rglob("*")
-        if p.is_file()
-        and p.name != "manifest.json"
-        and p.relative_to(out).parts[0] not in TIMING_VALUED
+        if p.is_file() and p.name != "manifest.json"
     )
 
 
@@ -130,20 +123,15 @@ def main() -> int:
     )
     assert warm.get("uploads", 0) == 0, "warm run re-uploaded objects"
 
-    # Per-experiment digests agree everywhere — including the
-    # timing-valued experiment's *result* inputs via its row digests
-    # being computed from the same seeds (its digest may differ, so only
-    # the stable experiments are compared).
+    # Per-experiment digests agree everywhere.
     ref_digests = {
         name: entry["provenance"]["digest"]
         for name, entry in manifest(out_ref)["experiments"].items()
-        if name not in TIMING_VALUED
     }
     for label, out in (("cold", out_cold), ("warm", out_warm)):
         digests = {
             name: entry["provenance"]["digest"]
             for name, entry in manifest(out)["experiments"].items()
-            if name not in TIMING_VALUED
         }
         assert digests == ref_digests, f"{label}: result digests diverged"
     print(f"result digests OK: {len(ref_digests)} experiments")

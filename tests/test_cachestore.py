@@ -279,7 +279,7 @@ class DeadStore:
         raise StoreError("connection refused")
 
 
-class TestTieredCache:
+class TestPointCacheTiers:
     """The point cache's local tier in front of a remote store."""
 
     def test_read_through_writes_back_once(self):

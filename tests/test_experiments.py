@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cli import main
+from repro.designs.catalog import ALL_DESIGNS
 from repro.designs.spec import DesignSpec
 from repro.errors import ChipError
 from repro.geometry.lattice import CongruenceLattice
@@ -21,6 +23,7 @@ from repro.experiments import (
     fig12,
     fig13,
     figs3to6,
+    registry,
     table1,
 )
 
@@ -106,9 +109,19 @@ class TestFigs3to6:
         for name, art in result.renderings.items():
             assert art.count("+") > 0, name  # spares visible
 
-    def test_report_with_layouts(self):
-        text = figs3to6.run().format_report(with_layouts=True)
-        assert "DTMB(3,6)" in text
+    def test_charts_name_every_design(self):
+        charts = registry.execute("figs3to6", runs=0).charts
+        assert [label for label, _ in charts] == [s.name for s in ALL_DESIGNS]
+        for label, chart in charts:
+            assert chart.startswith(f"{label}:\n")
+
+    def test_chart_stdout_is_table_then_layouts(self, capsys):
+        result = figs3to6.run()
+        assert main(["figs3to6", "--chart"]) == 0
+        expected = result.format_report() + "".join(
+            f"\n\n{name}:\n{art}" for name, art in result.renderings.items()
+        )
+        assert capsys.readouterr().out == expected + "\n"
 
 
 class TestFig7:

@@ -45,19 +45,23 @@ TINY_KNOBS = {
 }
 
 
-@pytest.fixture(scope="module")
-def results():
+def execute_all():
     """Every experiment executed once through the generic dispatcher."""
-    out = {}
-    for experiment in registry.all_experiments():
-        out[experiment.name] = registry.execute(
+    return {
+        experiment.name: registry.execute(
             experiment,
             runs=TINY_RUNS,
             seed=TINY_SEED,
             options={"mc_check": True},
             knobs=TINY_KNOBS.get(experiment.name, {}),
         )
-    return out
+        for experiment in registry.all_experiments()
+    }
+
+
+@pytest.fixture(scope="module")
+def results():
+    return execute_all()
 
 
 @pytest.fixture(scope="module")
@@ -190,9 +194,6 @@ class TestGenericDispatch:
             copy = pickle.loads(pickle.dumps(fresh))
             assert copy.experiment is registry.get(name)
             assert copy.report_text() == result.report_text(), name
-            assert (
-                copy.canonical_report_text() == result.canonical_report_text()
-            ), name
             assert copy.charts == result.charts, name
             prov, copied = result.provenance, copy.provenance
             assert copied.as_dict() == prov.as_dict(), name
@@ -332,51 +333,53 @@ class TestArtifacts:
         assert "crossovers:" in text
 
     def test_report_artifact_independent_of_chart_flag(self, tmp_path):
-        """report.txt is canonical: --chart must not leak layout art into
-        the figs3to6 artifact (bundles stay diffable across flag sets)."""
-        texts = []
-        for tag, chart in (("a", True), ("b", False)):
+        """--chart only prints the charts: the figs3to6 bundle it writes
+        equals the one written without it (bundles stay diffable across
+        flag sets)."""
+        import filecmp
+
+        dirs = []
+        for tag, flags in (("a", ["--chart"]), ("b", [])):
             out = tmp_path / tag
-            run = ArtifactRun(str(out), runs=0, seed=TINY_SEED)
-            run.add(
-                registry.execute(
-                    "figs3to6",
-                    runs=0,
-                    seed=TINY_SEED,
-                    options={"chart": chart},
-                    knobs={"size": 8},
-                )
-            )
-            run.finalize()
-            texts.append((out / "figs3to6" / "report.txt").read_text())
-        assert texts[0] == texts[1]
+            assert main(["figs3to6", "--out", str(out), *flags]) == 0
+            dirs.append(out / "figs3to6")
+        names = sorted(os.listdir(dirs[0]))
+        assert names == sorted(os.listdir(dirs[1]))
+        match, mismatch, errors = filecmp.cmpfiles(
+            dirs[0], dirs[1], names, shallow=False
+        )
+        assert not mismatch and not errors
+        assert "report.txt" in match
 
     def test_charts_written(self, run_dir):
         assert (run_dir / "fig9" / "chart-n-60.txt").exists()
 
-    def test_bundle_byte_identical_except_manifest(self, tmp_path, results):
-        """Equal (runs, seed) bundles differ only in manifest.json, which
-        alone carries the volatile wall time / timestamp / cache fields."""
+    def test_bundle_byte_identical_except_manifest(self, tmp_path):
+        """Equal (runs, seed) bundles of the whole registry differ only in
+        manifest.json, which alone carries the volatile wall time /
+        timestamp / cache fields."""
         import filecmp
 
-        dirs = []
+        listings = []
         for tag in ("a", "b"):
             out = tmp_path / tag
             run = ArtifactRun(str(out), runs=TINY_RUNS, seed=TINY_SEED)
-            result = registry.execute(
-                "fig13", runs=TINY_RUNS, seed=TINY_SEED, knobs={"ms": [5, 10]}
-            )
-            run.add(result)
+            for result in execute_all().values():
+                run.add(result)
             run.finalize()
-            dirs.append(out)
+            listings.append(
+                sorted(
+                    str(p.relative_to(out))
+                    for p in out.rglob("*")
+                    if p.is_file() and p.name != MANIFEST_NAME
+                )
+            )
+        assert listings[0] == listings[1]
         match, mismatch, errors = filecmp.cmpfiles(
-            dirs[0] / "fig13",
-            dirs[1] / "fig13",
-            os.listdir(dirs[0] / "fig13"),
-            shallow=False,
+            tmp_path / "a", tmp_path / "b", listings[0], shallow=False
         )
         assert not mismatch and not errors
-        assert {"fig13.csv", "fig13.json", "report.txt"} <= set(match)
+        assert {f"{name}/report.txt" for name in registry.names()} <= set(match)
 
     def test_manifest_provenance_lists_per_point_budgets(self, run_dir, results):
         """Satellite: the manifest records requested vs. effective runs for

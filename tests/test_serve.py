@@ -698,7 +698,7 @@ class TestBundles:
         local = registry.execute("fig7", runs=200, seed=5)
         assert bundle["digest"] == local.provenance.digest
         assert bundle["rows"] == [list(r) for r in local.rows]
-        assert bundle["report"] == local.canonical_report_text()
+        assert bundle["report"] == local.report_text()
         # The served run was persisted through the artifact store and the
         # manifest's digest agrees with the response body.
         manifest = json.loads((out_dir / "manifest.json").read_text())
