@@ -5,6 +5,7 @@ from __future__ import annotations
 from conftest import report
 
 from repro.experiments import ablation_defects
+from repro.experiments.report import format_table
 
 
 def test_bench_ablation_defects(benchmark):
@@ -14,7 +15,7 @@ def test_bench_ablation_defects(benchmark):
         rounds=1,
         iterations=1,
     )
-    report("Ablation: defect spatial models", result.format_report())
+    report("Ablation: defect spatial models", format_table(result.headers, result.rows))
 
     gaps = result.gaps()
     # Clustered spot defects defeat local reconfiguration more often than

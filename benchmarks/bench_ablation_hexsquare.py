@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from conftest import report
 
-from repro.experiments import ablation_hexsquare
+from repro.experiments import ablation_hexsquare, registry
+from repro.experiments.report import format_table
 
 
 def test_bench_ablation_hexsquare(benchmark):
@@ -14,7 +15,11 @@ def test_bench_ablation_hexsquare(benchmark):
         rounds=1,
         iterations=1,
     )
-    report("Ablation: hexagonal vs square electrodes", result.format_report())
+    epilogue = registry.get("ablation-hexsquare").render_epilogue(result)
+    report(
+        "Ablation: hexagonal vs square electrodes",
+        "\n".join((format_table(result.headers, result.rows), *epilogue)),
+    )
 
     # The paper's expectation: close-packed hex arrays transport more
     # effectively.  Hex routes are measurably shorter on average...

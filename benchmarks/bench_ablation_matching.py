@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from conftest import report
 
-from repro.experiments import ablation_matching
+from repro.experiments import ablation_matching, registry
+from repro.experiments.report import format_table
 
 
 def test_bench_ablation_matching(benchmark):
@@ -14,7 +15,11 @@ def test_bench_ablation_matching(benchmark):
         rounds=1,
         iterations=1,
     )
-    report("Ablation: matching algorithms", result.format_report())
+    epilogue = registry.get("ablation-matching").render_epilogue(result)
+    report(
+        "Ablation: matching algorithms",
+        "\n".join((format_table(result.headers, result.rows), *epilogue)),
+    )
 
     # Both maximum-matching algorithms agree exactly, always.
     assert result.kuhn_hk_mismatches == 0

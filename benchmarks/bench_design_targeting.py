@@ -10,6 +10,7 @@ from __future__ import annotations
 from conftest import report
 
 from repro.experiments import design_targeting
+from repro.experiments.report import format_table
 
 
 def test_bench_design_targeting(benchmark, runs):
@@ -19,7 +20,7 @@ def test_bench_design_targeting(benchmark, runs):
         rounds=1,
         iterations=1,
     )
-    report("Design targeting (n=100)", result.format_report())
+    report("Design targeting (n=100)", format_table(result.headers, result.rows))
 
     # Good process + modest target: the cheapest design suffices.
     assert result.choice(0.99, 0.80) == "DTMB(1,6)"

@@ -5,13 +5,17 @@ from __future__ import annotations
 from conftest import report
 
 from repro.experiments import fig13
+from repro.experiments.report import format_table
 
 
 def test_bench_fig13(benchmark, runs, engine):
     result = benchmark.pedantic(
         fig13.run, kwargs={"runs": runs, "engine": engine}, rounds=1, iterations=1
     )
-    report("Figure 13: yield vs number of faults", result.format_report())
+    report(
+        "Figure 13: yield vs number of faults",
+        format_table(result.headers, result.rows),
+    )
     report("Figure 13 (chart)", result.format_chart())
 
     # Monotone decline in m.

@@ -5,6 +5,7 @@ from __future__ import annotations
 from conftest import report
 
 from repro.experiments import figs3to6, registry
+from repro.experiments.report import format_table
 
 
 def test_bench_figs3to6(benchmark):
@@ -14,7 +15,12 @@ def test_bench_figs3to6(benchmark):
     charts = registry.get("figs3to6").render_charts(result)
     report(
         "Figures 3-6: DTMB layouts (verified)",
-        "\n\n".join([result.format_report(), *(chart for _, chart in charts)]),
+        "\n\n".join(
+            [
+                format_table(result.headers, result.rows),
+                *(chart for _, chart in charts),
+            ]
+        ),
     )
 
     by_name = {row[0]: row for row in result.rows}

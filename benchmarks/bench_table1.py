@@ -8,11 +8,12 @@ from conftest import report
 
 from repro.designs.catalog import TABLE1_DESIGNS, table1_rows
 from repro.experiments import table1
+from repro.experiments.report import format_table
 
 
 def test_bench_table1(benchmark):
     result = benchmark.pedantic(table1.run, rounds=1, iterations=1)
-    report("Table 1: redundancy ratios", result.format_report())
+    report("Table 1: redundancy ratios", format_table(result.headers, result.rows))
 
     # The paper's Table 1, exactly.
     expected = {

@@ -18,7 +18,6 @@ from repro.designs.catalog import DTMB_2_6
 from repro.designs.interstitial import build_with_primary_count
 from repro.designs.spec import DesignSpec
 from repro.experiments.registry import BudgetPolicy, register
-from repro.experiments.report import format_table
 from repro.yieldsim.defects import IIDBernoulli, SpotDefects, geometry_for
 from repro.yieldsim.engine import SweepEngine
 from repro.yieldsim.sweeps import defect_model_sweep
@@ -41,9 +40,6 @@ class DefectModelAblationResult:
             "yield (clustered r=1)",
             "gap",
         ]
-
-    def format_report(self) -> str:
-        return format_table(self.headers, self.rows)
 
     def gaps(self) -> List[float]:
         return [float(row[3]) for row in self.rows]

@@ -22,7 +22,6 @@ from typing import List, Optional, Tuple
 
 from repro.chip.builders import plain_chip, square_chip
 from repro.experiments.registry import BudgetPolicy, register
-from repro.experiments.report import format_table
 from repro.faults.injection import make_rng
 from repro.fluidics.routing import Router
 from repro.errors import RoutingError
@@ -69,12 +68,6 @@ class HexSquareResult:
             ("neighbors per interior cell", 6, 4),
         ]
 
-    def format_report(self) -> str:
-        return (
-            format_table(self.headers, self.rows)
-            + f"\n\nhex route advantage: {self.route_advantage:.2f}x shorter"
-        )
-
 
 @register(
     "ablation-hexsquare",
@@ -82,6 +75,10 @@ class HexSquareResult:
     paper_ref="Section 3 (ablation)",
     order=120,
     budget=BudgetPolicy(divisor=25, floor=120),
+    epilogue=lambda raw: (
+        "",
+        f"hex route advantage: {raw.route_advantage:.2f}x shorter",
+    ),
 )
 def run(
     *,

@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.designs.catalog import DTMB_2_6
 from repro.designs.interstitial import build_with_primary_count
 from repro.experiments.registry import BudgetPolicy, register
-from repro.experiments.report import format_table
 from repro.faults.injection import bernoulli_faults
 from repro.reconfig.bipartite import (
     MATCHING_ALGORITHMS,
@@ -54,14 +53,6 @@ class MatchingAblationResult:
             for name in sorted(self.repaired)
         ]
 
-    def format_report(self) -> str:
-        table = format_table(self.headers, self.rows)
-        return (
-            table
-            + f"\n\ngreedy under-repairs: {self.disagreements} / {self.trials}"
-            + f"\nkuhn vs hopcroft-karp mismatches: {self.kuhn_hk_mismatches}"
-        )
-
 
 @register(
     "ablation-matching",
@@ -69,6 +60,11 @@ class MatchingAblationResult:
     paper_ref="Section 4 (ablation)",
     order=100,
     budget=BudgetPolicy(divisor=5, floor=100),
+    epilogue=lambda raw: (
+        "",
+        f"greedy under-repairs: {raw.disagreements} / {raw.trials}",
+        f"kuhn vs hopcroft-karp mismatches: {raw.kuhn_hk_mismatches}",
+    ),
 )
 def run(
     *,

@@ -16,7 +16,6 @@ from repro.designs.catalog import TABLE1_DESIGNS
 from repro.designs.selector import recommend_design
 from repro.designs.spec import DesignSpec
 from repro.experiments.registry import BudgetPolicy, register
-from repro.experiments.report import format_table
 from repro.yieldsim.engine import SweepEngine
 
 __all__ = ["TargetingResult", "run"]
@@ -50,9 +49,6 @@ class TargetingResult:
             )
             for p in self.ps
         ]
-
-    def format_report(self) -> str:
-        return format_table(self.headers, self.rows)
 
 
 @register(

@@ -14,8 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.designs.catalog import TABLE1_DESIGNS
 from repro.designs.spec import DesignSpec
-from repro.experiments.registry import DEFAULT_STOP_RULE, BudgetPolicy, register
-from repro.experiments.report import format_table
+from repro.experiments.registry import register
 from repro.viz.plot import ascii_chart
 from repro.yieldsim.engine import SweepEngine
 from repro.yieldsim.montecarlo import DEFAULT_RUNS
@@ -75,9 +74,6 @@ class Fig10Result:
             for pt in self.points
         ]
 
-    def format_report(self) -> str:
-        return format_table(self.headers, self.rows)
-
     def format_chart(self) -> str:
         return ascii_chart(
             self.series(),
@@ -92,8 +88,6 @@ class Fig10Result:
     title="Effective yield EY = Y/(1+RR) and its crossovers",
     paper_ref="Figure 10",
     order=60,
-    budget=BudgetPolicy(stop_rule=DEFAULT_STOP_RULE),
-    model_knob=True,
     epilogue=lambda raw: ("", f"crossovers: {raw.crossovers()}"),
     charts=lambda raw: (("effective-yield", raw.format_chart()),),
 )

@@ -14,7 +14,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.assays.chipspec import PAPER_USED_COUNT, fabricated_chip
 from repro.experiments.registry import BudgetPolicy, register
-from repro.experiments.report import format_table
 from repro.yieldsim.analytical import yield_no_redundancy
 from repro.yieldsim.engine import SweepEngine
 from repro.yieldsim.sweeps import DEFAULT_P_GRID
@@ -49,9 +48,6 @@ class Fig11Result:
         return [
             (f"{p:.2f}", f"{y:.4f}") for p, y in zip(self.ps, self.yields)
         ]
-
-    def format_report(self) -> str:
-        return format_table(self.headers, self.rows)
 
 
 @register(

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.assays.chipspec import DiagnosticsChip, redesigned_chip
-from repro.experiments.registry import DEFAULT_STOP_RULE, BudgetPolicy, register
-from repro.experiments.report import format_table
+from repro.experiments.registry import register
 from repro.viz.plot import ascii_chart
 from repro.yieldsim.engine import SweepEngine
 from repro.yieldsim.montecarlo import DEFAULT_RUNS
@@ -69,9 +68,6 @@ class Fig13Result:
             for pt in self.points
         ]
 
-    def format_report(self) -> str:
-        return format_table(self.headers, self.rows)
-
     def format_chart(self) -> str:
         return ascii_chart(
             self.series(),
@@ -86,7 +82,6 @@ class Fig13Result:
     title="Yield of the redesigned chip vs number of random faults",
     paper_ref="Figure 13",
     order=90,
-    budget=BudgetPolicy(stop_rule=DEFAULT_STOP_RULE),
     charts=lambda raw: (("yield-vs-m", raw.format_chart()),),
 )
 def run(

@@ -15,7 +15,6 @@ from typing import List, Optional, Tuple
 
 from repro.designs.boundary import SpareRowArray
 from repro.experiments.registry import BudgetPolicy, register
-from repro.experiments.report import format_table
 from repro.reconfig.shifted import shifted_cost_by_fault_row
 from repro.yieldsim.engine import SweepEngine
 
@@ -37,9 +36,6 @@ class Fig2Result:
 
     headers: Tuple[str, ...]
     rows: Tuple[Tuple[object, ...], ...]
-
-    def format_report(self) -> str:
-        return format_table(self.headers, self.rows)
 
     def max_collateral(self) -> int:
         """Largest number of fault-free modules dragged into a repair."""

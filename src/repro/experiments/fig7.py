@@ -11,8 +11,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.designs.interstitial import build_flower_chip
-from repro.experiments.registry import DEFAULT_STOP_RULE, BudgetPolicy, register
-from repro.experiments.report import format_table
+from repro.experiments.registry import BudgetPolicy, register
 from repro.viz.plot import ascii_chart
 from repro.yieldsim.analytical import dtmb16_yield, yield_no_redundancy
 from repro.yieldsim.engine import SweepEngine
@@ -56,9 +55,6 @@ class Fig7Result:
             out.append(tuple(row))
         return out
 
-    def format_report(self) -> str:
-        return format_table(self.headers, self.rows)
-
     def format_chart(self) -> str:
         return ascii_chart(
             self.series,
@@ -73,9 +69,8 @@ class Fig7Result:
     title="Analytical yield of DTMB(1,6) vs the non-redundant baseline",
     paper_ref="Figure 7",
     order=40,
-    budget=BudgetPolicy(gate="mc_check", stop_rule=DEFAULT_STOP_RULE),
+    budget=BudgetPolicy(gate="mc_check"),
     charts=lambda raw: (("yield-vs-p", raw.format_chart()),),
-    criterion_knob=True,
 )
 def run(
     *,

@@ -15,8 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.designs.catalog import DTMB_2_6, DTMB_3_6, DTMB_4_4
 from repro.designs.spec import DesignSpec
-from repro.experiments.registry import DEFAULT_STOP_RULE, BudgetPolicy, register
-from repro.experiments.report import format_table
+from repro.experiments.registry import register
 from repro.viz.plot import ascii_chart
 from repro.yieldsim.engine import SweepEngine
 from repro.yieldsim.montecarlo import DEFAULT_RUNS
@@ -69,9 +68,6 @@ class Fig9Result:
             for pt in self.points
         ]
 
-    def format_report(self) -> str:
-        return format_table(self.headers, self.rows)
-
     def format_chart(self, n: int) -> str:
         return ascii_chart(
             self.series(n),
@@ -86,9 +82,6 @@ class Fig9Result:
     title="Monte-Carlo yield of DTMB(2,6), DTMB(3,6) and DTMB(4,4)",
     paper_ref="Figure 9",
     order=50,
-    budget=BudgetPolicy(stop_rule=DEFAULT_STOP_RULE),
-    model_knob=True,
-    criterion_knob=True,
     charts=lambda raw: tuple(
         (f"n-{n}", raw.format_chart(n)) for n in sorted({pt.n for pt in raw.points})
     ),

@@ -18,7 +18,6 @@ from repro.designs.interstitial import build_chip
 from repro.designs.spec import DesignSpec
 from repro.designs.verify import verify_design
 from repro.experiments.registry import BudgetPolicy, register
-from repro.experiments.report import format_table
 from repro.geometry.hexgrid import RectRegion
 from repro.viz.ascii_art import render_chip
 from repro.yieldsim.engine import SweepEngine
@@ -35,9 +34,6 @@ class LayoutsResult:
     headers: Tuple[str, ...]
     rows: Tuple[Tuple[object, ...], ...]
     renderings: Dict[str, str]
-
-    def format_report(self) -> str:
-        return format_table(self.headers, self.rows)
 
 
 @register(

@@ -17,15 +17,18 @@ The pieces
 :class:`Experiment`
     The registration record: name, aliases, paper reference, a
     :class:`BudgetPolicy` mapping the CLI ``--runs`` budget to the
-    driver's own Monte-Carlo budget, and renderers (report, epilogue,
-    charts) over the driver's native result object.
+    driver's own Monte-Carlo budget, and renderers (epilogue, charts)
+    over the driver's native result object.  What the driver supports
+    (adaptive stopping, defect models, criteria) is read off its keyword
+    parameters, never declared twice.
 :class:`BudgetPolicy`
     Declarative budget scaling (``max(floor, runs // divisor)``), with a
     gate for opt-in Monte-Carlo columns (Figure 7's ``--mc-check``) and a
     ``deterministic`` mode for drivers that ignore the budget entirely.
 :func:`execute`
     The generic dispatcher: resolves the experiment, applies the budget
-    policy, times the runner, snapshots engine cache counters, and wraps
+    policy, times the runner, snapshots engine cache counters, renders a
+    tabular result's ``headers``/``rows`` as its report, and wraps
     everything in an :class:`ExperimentResult` whose
     :class:`Provenance` block records the seed, budgets, engine
     configuration, wall time, point-cache traffic and a stable digest of
@@ -35,6 +38,7 @@ The pieces
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import time
 from dataclasses import dataclass, field, replace
@@ -50,6 +54,7 @@ from typing import (
 )
 
 from repro.errors import ExperimentError
+from repro.experiments.report import format_table
 from repro.obs.counters import Counters
 from repro.obs.profile import merge_into
 from repro.yieldsim.engine import SweepEngine
@@ -111,12 +116,13 @@ class BudgetPolicy:
     (Figure 7 renders its analytical table only).  ``deterministic``
     drivers get 0 runs always — their output is exact.
 
-    ``stop_rule`` declares the experiment's *adaptive* sequential budget:
-    the Wilson-interval :class:`~repro.yieldsim.stats.StopRule` its sweep
+    ``stop_rule`` is the experiment's *adaptive* sequential budget: the
+    Wilson-interval :class:`~repro.yieldsim.stats.StopRule` its sweep
     points use when the user opts in (``--adaptive`` / ``--target-ci``).
-    A non-``None`` rule marks the driver adaptive-capable — its ``run``
-    accepts a ``stop`` knob; the flat budget stays the ceiling either
-    way, and adaptive dispatch never happens unless requested.
+    :func:`register` sets it to :data:`DEFAULT_STOP_RULE` exactly when the
+    driver's ``run`` accepts a ``stop`` knob; the flat budget stays the
+    ceiling either way, and adaptive dispatch never happens unless
+    requested.
     """
 
     divisor: int = 1
@@ -211,7 +217,8 @@ class Experiment:
     epilogue: Optional[EpilogueFn] = None
     charts: Optional[ChartsFn] = None
     #: True when the driver's ``run`` accepts a ``model=`` defect-model
-    #: family (the CLI's ``--defect-model`` applies only to these).
+    #: family (the CLI's ``--defect-model`` applies only to these); like
+    #: ``criterion_knob``, :func:`register` reads it off the signature.
     model_knob: bool = False
     #: True when the driver's ``run`` accepts a ``criterion=`` success
     #: criterion (the CLI's ``--criterion`` applies only to these).
@@ -222,6 +229,11 @@ class Experiment:
         # process boundary as a reference into the registry; that makes
         # an ExperimentResult picklable as a whole.
         return (get, (self.name,))
+
+    @property
+    def driver(self) -> str:
+        """Dotted import path of the registered runner."""
+        return f"{self.runner.__module__}.{self.runner.__qualname__}"
 
     @property
     def has_charts(self) -> bool:
@@ -257,7 +269,7 @@ class Experiment:
             "charts": self.has_charts,
             "model_knob": self.model_knob,
             "criterion_knob": self.criterion_knob,
-            "driver": f"{self.runner.__module__}.run",
+            "driver": self.driver,
             "doc": doc[0].strip() if doc else None,
             "budget": {
                 "describe": self.budget.describe(),
@@ -282,7 +294,7 @@ class Experiment:
             f"criteria:  {'--criterion NAME[:k=v,...] supported' if self.criterion_knob else 'matching (defined by the experiment)'}",
             f"tabular:   {'yes (CSV/JSON artifacts)' if self.tabular else 'no (report only)'}",
             f"charts:    {'yes' if self.has_charts else 'no'}",
-            f"driver:    {self.runner.__module__}.run",
+            f"driver:    {self.driver}",
         ]
         doc = (self.runner.__doc__ or "").strip().splitlines()
         if doc:
@@ -515,16 +527,18 @@ def register(
     tabular: bool = True,
     epilogue: Optional[EpilogueFn] = None,
     charts: Optional[ChartsFn] = None,
-    model_knob: bool = False,
-    criterion_knob: bool = False,
 ) -> Callable[[Callable[..., object]], Callable[..., object]]:
     """Class the decorated ``run`` function as a registered experiment.
 
     Returns the function unchanged, so ``<module>.run(...)`` keeps working
-    for direct callers (tests, benchmarks, notebooks).
+    for direct callers (tests, benchmarks, notebooks).  What the driver
+    supports is read off its keyword parameters: ``stop`` makes it
+    adaptive-capable under :data:`DEFAULT_STOP_RULE`, ``model`` and
+    ``criterion`` open the CLI's ``--defect-model`` and ``--criterion``.
     """
 
     def decorate(fn: Callable[..., object]) -> Callable[..., object]:
+        params = inspect.signature(fn).parameters
         experiment = Experiment(
             name=name,
             runner=fn,
@@ -532,12 +546,15 @@ def register(
             paper_ref=paper_ref,
             order=order,
             aliases=tuple(aliases),
-            budget=budget if budget is not None else BudgetPolicy(),
+            budget=replace(
+                budget or BudgetPolicy(),
+                stop_rule=DEFAULT_STOP_RULE if "stop" in params else None,
+            ),
             tabular=tabular,
             epilogue=epilogue,
             charts=charts,
-            model_knob=model_knob,
-            criterion_knob=criterion_knob,
+            model_knob="model" in params,
+            criterion_knob="criterion" in params,
         )
         _add(experiment)
         return fn
@@ -666,13 +683,15 @@ def execute(
             for key, value in point.funnel.items():
                 funnel[key] = funnel.get(key, 0) + int(value)
 
-    report = raw.format_report()
-    epilogue = experiment.render_epilogue(raw)
     headers: Optional[Tuple[str, ...]] = None
     rows: Optional[Tuple[Tuple[object, ...], ...]] = None
     if experiment.tabular:
         headers = tuple(str(h) for h in raw.headers)
         rows = tuple(tuple(row) for row in raw.rows)
+        report = format_table(headers, rows)
+    else:
+        report = raw.format_report()
+    epilogue = experiment.render_epilogue(raw)
 
     provenance = Provenance(
         experiment=experiment.name,

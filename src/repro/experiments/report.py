@@ -79,9 +79,6 @@ class RegimeComparison:
         base = self.yields[self.columns[0][0]]
         return max(base[p] - self.yields[regime][p] for p in self.ps)
 
-    def format_report(self) -> str:
-        return format_table(self.headers, self.rows)
-
     def format_chart(self) -> str:
         series = {
             name: [(p, self.yields[name][p]) for p in self.ps]

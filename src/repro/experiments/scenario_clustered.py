@@ -34,7 +34,7 @@ from repro.designs.catalog import DTMB_2_6
 from repro.designs.interstitial import build_flower_chip, build_with_primary_count
 from repro.designs.spec import DesignSpec
 from repro.experiments.fig9 import DEFAULT_DESIGNS, DEFAULT_NS, Fig9Result
-from repro.experiments.registry import DEFAULT_STOP_RULE, BudgetPolicy, register
+from repro.experiments.registry import register
 from repro.experiments.report import RegimeComparison
 from repro.viz.plot import ascii_chart
 from repro.yieldsim.defects import (
@@ -79,7 +79,6 @@ def _regime_yields(
     paper_ref="Figure 7 (clustered scenario)",
     order=140,
     aliases=("fig7c",),
-    budget=BudgetPolicy(stop_rule=DEFAULT_STOP_RULE),
     charts=lambda raw: (("iid-vs-clustered", raw.format_chart()),),
     epilogue=lambda raw: (
         "",
@@ -158,7 +157,6 @@ class Fig9ClusteredResult(Fig9Result):
     paper_ref="Figure 9 (clustered scenario)",
     order=141,
     aliases=("fig9c",),
-    budget=BudgetPolicy(stop_rule=DEFAULT_STOP_RULE),
     charts=lambda raw: tuple(
         (f"n-{n}", raw.format_chart(n)) for n in sorted({pt.n for pt in raw.points})
     ),
@@ -203,7 +201,6 @@ def run_fig9_clustered(
     paper_ref="Section 5 (scenario pack)",
     order=142,
     aliases=("gradient",),
-    budget=BudgetPolicy(stop_rule=DEFAULT_STOP_RULE),
     charts=lambda raw: (("regimes", raw.format_chart()),),
     epilogue=lambda raw: (
         "",

@@ -37,8 +37,8 @@ from repro.designs.catalog import DTMB_2_6, DTMB_3_6, DTMB_4_4
 from repro.designs.interstitial import build_flower_chip
 from repro.designs.spec import DesignSpec
 from repro.experiments.fig9 import Fig9Result
-from repro.experiments.registry import DEFAULT_STOP_RULE, BudgetPolicy, register
-from repro.experiments.report import RegimeComparison, format_table
+from repro.experiments.registry import BudgetPolicy, register
+from repro.experiments.report import RegimeComparison
 from repro.functional import MultiplexedCriterion, RoutingCriterion
 from repro.viz.plot import ascii_chart
 from repro.yieldsim.engine import SweepEngine
@@ -74,7 +74,7 @@ MULTIPLEXED_P_GRID: Tuple[float, ...] = (0.90, 0.93, 0.96, 0.99)
     paper_ref="Figure 7 (functional scenario)",
     order=143,
     aliases=("fig7f",),
-    budget=BudgetPolicy(divisor=2, floor=400, stop_rule=DEFAULT_STOP_RULE),
+    budget=BudgetPolicy(divisor=2, floor=400),
     charts=lambda raw: (("matching-vs-routing", raw.format_chart()),),
     epilogue=lambda raw: (
         "",
@@ -168,9 +168,6 @@ class Fig9FunctionalResult:
             for base, func in zip(self.matching, self.functional)
         ]
 
-    def format_report(self) -> str:
-        return format_table(self.headers, self.rows)
-
     def format_chart(self, n: int) -> str:
         return ascii_chart(
             self.series(n),
@@ -187,7 +184,7 @@ class Fig9FunctionalResult:
     paper_ref="Figure 9 (functional scenario)",
     order=144,
     aliases=("fig9f",),
-    budget=BudgetPolicy(divisor=5, floor=400, stop_rule=DEFAULT_STOP_RULE),
+    budget=BudgetPolicy(divisor=5, floor=400),
     charts=lambda raw: tuple(
         (f"n-{n}", raw.format_chart(n))
         for n in sorted({pt.n for pt in raw.functional})
@@ -247,7 +244,7 @@ def run_fig9_functional(
     paper_ref="Section 5 (functional scenario pack)",
     order=145,
     aliases=("multiplexed",),
-    budget=BudgetPolicy(divisor=40, floor=100, stop_rule=DEFAULT_STOP_RULE),
+    budget=BudgetPolicy(divisor=40, floor=100),
     charts=lambda raw: (("criteria", raw.format_chart()),),
     epilogue=lambda raw: (
         "",

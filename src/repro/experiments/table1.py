@@ -14,7 +14,6 @@ from typing import List, Optional, Sequence, Tuple
 from repro.designs.catalog import TABLE1_DESIGNS
 from repro.designs.interstitial import build_chip, rect_role_counts
 from repro.designs.spec import DesignSpec
-from repro.experiments.report import format_table
 from repro.experiments.registry import BudgetPolicy, register
 from repro.geometry.hexgrid import RectRegion
 from repro.yieldsim.engine import SweepEngine
@@ -45,9 +44,6 @@ class Table1Result:
             ["design", "RR (s/p)", "RR (paper)"]
             + [f"RR {s}x{s}" for s in self.sizes]
         )
-
-    def format_report(self) -> str:
-        return format_table(self.headers, self.rows)
 
 
 @register(

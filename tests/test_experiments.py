@@ -26,6 +26,7 @@ from repro.experiments import (
     registry,
     table1,
 )
+from repro.experiments.report import format_table
 
 RUNS = 1200  # reduced from the paper's 10 000 for test speed
 
@@ -47,11 +48,11 @@ class TestTable1:
             assert abs(large - target) <= abs(small - target) + 1e-9
 
     def test_report_renders(self):
-        assert "DTMB(4,4)" in table1.run().format_report()
+        assert "DTMB(4,4)" in registry.execute("table1", runs=0).report_text()
 
     def test_report_pinned(self):
         # Captured from the object-level table this counting one replaced.
-        assert table1.run().format_report() == (
+        assert registry.execute("table1", runs=0).report_text() == (
             "design     RR (s/p)  RR (paper)  RR 8x8  RR 16x16  RR 32x32  RR 64x64\n"
             "---------  --------  ----------  ------  --------  --------  --------\n"
             "DTMB(1,6)  0.1667    0.1667      0.1636  0.1689    0.1663    0.1666\n"
@@ -118,7 +119,7 @@ class TestFigs3to6:
     def test_chart_stdout_is_table_then_layouts(self, capsys):
         result = figs3to6.run()
         assert main(["figs3to6", "--chart"]) == 0
-        expected = result.format_report() + "".join(
+        expected = format_table(result.headers, result.rows) + "".join(
             f"\n\n{name}:\n{art}" for name, art in result.renderings.items()
         )
         assert capsys.readouterr().out == expected + "\n"
@@ -141,7 +142,7 @@ class TestFig7:
 
     def test_chart_and_report_render(self):
         result = fig7.run(ns=[60, 120])
-        assert "0.90" in result.format_report()
+        assert "0.90" in format_table(result.headers, result.rows)
         assert "Figure 7" in result.format_chart()
 
 
@@ -268,7 +269,12 @@ class TestAblations:
         assert result.disagreements == 33
         assert result.repaired["greedy"] <= result.repaired["hopcroft-karp"]
         assert result.disagreements >= 0
-        assert "greedy" in result.format_report()
+        assert "greedy" in format_table(result.headers, result.rows)
+        assert registry.get("ablation-matching").render_epilogue(result) == (
+            "",
+            "greedy under-repairs: 33 / 250",
+            "kuhn vs hopcroft-karp mismatches: 0",
+        )
 
     def test_defect_model_ablation(self):
         result = ablation_defects.run(
@@ -287,7 +293,12 @@ class TestHexSquareAblation:
         assert result.mean_route_hex > 0
         assert result.mean_route_square > 0
         assert 0.0 <= result.connected_after_faults_hex <= 1.0
-        assert "hexagonal" in result.format_report()
+        assert "hexagonal" in format_table(result.headers, result.rows)
+        epilogue = registry.get("ablation-hexsquare").render_epilogue(result)
+        assert epilogue == (
+            "",
+            f"hex route advantage: {result.route_advantage:.2f}x shorter",
+        )
 
     def test_hex_routes_shorter_on_average(self):
         result = ablation_hexsquare.run(side=10, runs=150, seed=5)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import importlib
 import json
 import os
 import pickle
@@ -151,10 +152,30 @@ class TestRegistry:
         assert "--adaptive" in capable.describe()
 
     def test_sweep_experiments_registered_adaptive_capable(self):
-        for name in ("fig7", "fig9", "fig10", "fig13"):
-            assert registry.get(name).budget.adaptive_capable, name
-        for name in ("table1", "fig2", "figs3to6", "ablation-matching"):
-            assert not registry.get(name).budget.adaptive_capable, name
+        """Capabilities come from the drivers' keywords; pin them so a
+        renamed ``stop``/``model``/``criterion`` cannot drop a CLI flag."""
+        experiments = registry.all_experiments()
+        adaptive = {
+            e.name for e in experiments if e.budget.adaptive_capable
+        }
+        assert adaptive == {
+            "fig7", "fig9", "fig10", "fig13",
+            "fig7-clustered", "fig9-clustered", "scenario-gradient",
+            "fig7-functional", "fig9-functional", "scenario-multiplexed",
+        }
+        for e in experiments:
+            if e.name in adaptive:
+                assert e.budget.stop_rule is registry.DEFAULT_STOP_RULE, e.name
+        assert {e.name for e in experiments if e.model_knob} == {"fig9", "fig10"}
+        assert {e.name for e in experiments if e.criterion_knob} == {
+            "fig7", "fig9",
+        }
+
+    def test_every_driver_path_imports_its_runner(self):
+        for entry in registry.listing()["experiments"]:
+            module, _, attr = entry["driver"].rpartition(".")
+            runner = getattr(importlib.import_module(module), attr)
+            assert runner is registry.get(entry["name"]).runner, entry["name"]
 
 
 class TestGenericDispatch:
@@ -200,11 +221,13 @@ class TestGenericDispatch:
             assert copied.stable_dict() == prov.stable_dict(), name
 
     def test_report_matches_direct_driver_call(self):
-        """The dispatcher adds nothing to what the driver itself renders."""
+        """The dispatcher adds nothing to the driver's own table."""
         from repro.experiments import table1
+        from repro.experiments.report import format_table
 
         via_registry = registry.execute("table1", runs=50, seed=1).report
-        assert via_registry == table1.run().format_report()
+        direct = table1.run()
+        assert via_registry == format_table(direct.headers, direct.rows)
 
     def test_seed_threads_through_to_driver(self):
         a = registry.execute("fig13", runs=80, seed=3, knobs={"ms": [10]})

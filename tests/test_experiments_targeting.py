@@ -7,6 +7,7 @@ import pytest
 from repro.designs import selector
 from repro.designs.catalog import TABLE1_DESIGNS
 from repro.experiments import design_targeting
+from repro.experiments.report import format_table
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +49,7 @@ class TestTargeting:
             assert ranks == sorted(ranks)
 
     def test_report_renders(self, result):
-        text = result.format_report()
+        text = format_table(result.headers, result.rows)
         assert "Y>=0.90" in text
         assert "0.93" in text
 
